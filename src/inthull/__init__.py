@@ -10,15 +10,12 @@ oracle (:func:`integer_hull_oracle`) that defines ground truth.
 
 from .errors import (
     BudgetExceeded,
-    CoincidentLines,
     DegenerateSet,
     EmptySet,
     GeometryError,
     IdenticalPoints,
     InvalidInstance,
     NoIntegerPoints,
-    NotConvexPosition,
-    ParallelLines,
     SegmentNotOnLine,
     SweepLimitExceeded,
     UnboundedSet,
@@ -32,27 +29,20 @@ from .geom import (
     PolySet2,
     Rational,
     Segment,
-    Turn,
     area,
     as_point,
     bounding_box,
     clip,
     contains,
     convex_hull,
-    cross,
-    intersect_lines,
     line_through,
-    orient,
     point,
     polyset_from_halfplanes,
     polyset_from_vertices,
-    sort_points_ccw,
 )
-from .hull_baseline import Partition, integer_hull_baseline, normalize_facets, partition
+from .hull_baseline import integer_hull_baseline, normalize_facets
 from .hull_new import (
-    CandidateSet,
     RefineConfig,
-    brute_force_region,
     integer_hull_new,
     replace_facets,
     residual_regions,
@@ -94,9 +84,6 @@ __all__ = [
     # errors
     "GeometryError",
     "IdenticalPoints",
-    "ParallelLines",
-    "CoincidentLines",
-    "NotConvexPosition",
     "DegenerateSet",
     "EmptySet",
     "UnboundedSet",
@@ -111,18 +98,13 @@ __all__ = [
     "IntPoint2",
     "point",
     "as_point",
-    "Turn",
-    "cross",
-    "orient",
     "Line",
     "HalfPlane",
     "Segment",
     "HullResult",
     "PolySet2",
     "line_through",
-    "intersect_lines",
     "convex_hull",
-    "sort_points_ccw",
     "polyset_from_vertices",
     "polyset_from_halfplanes",
     "contains",
@@ -142,14 +124,10 @@ __all__ = [
     "sweep_from_opposite",
     # engines
     "RefineConfig",
-    "CandidateSet",
     "replace_facets",
     "residual_regions",
-    "brute_force_region",
     "integer_hull_new",
-    "Partition",
     "normalize_facets",
-    "partition",
     "integer_hull_baseline",
     "RunStats",
     "bbox_cell_count",

@@ -15,14 +15,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median_low
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import BudgetExceeded, GeometryError
 from .geom import HullResult, PolySet2, area
 from .hull_baseline import integer_hull_baseline
-from .hull_new import integer_hull_new
+from .hull_new import RefineConfig, integer_hull_new
 from .instances import Instance, format_decimal, format_rational, instance_to_polyset
-from .oracle import RunStats, bbox_cell_count, integer_hull_oracle
+from .oracle import RunStats, integer_hull_oracle
 
 CSV_COLUMNS = [
     "name",
@@ -36,13 +36,7 @@ CSV_COLUMNS = [
     "status",
 ]
 
-ORACLE_BUDGET = 10**8
-
-_ENGINES: Dict[str, Callable[..., HullResult]] = {
-    "new": integer_hull_new,
-    "baseline": integer_hull_baseline,
-    "oracle": integer_hull_oracle,
-}
+_ENGINES = ("new", "baseline", "oracle")
 
 
 def engine_names() -> List[str]:
@@ -53,16 +47,18 @@ def run_engine(
     name: str,
     P: Optional[PolySet2],
     *,
-    stats: Optional[RunStats] = None,
+    cfg: RefineConfig = RefineConfig(),
     max_sweep: Optional[int] = None,
+    stats: Optional[RunStats] = None,
 ) -> HullResult:
-    """Dispatch one hull engine by name."""
+    """Dispatch one hull engine by name; `cfg` and `max_sweep` reach only
+    the engines that take them."""
     if name == "new":
-        return integer_hull_new(P, max_sweep=max_sweep, stats=stats)
+        return integer_hull_new(P, cfg, max_sweep=max_sweep, stats=stats)
     if name == "baseline":
         return integer_hull_baseline(P, max_sweep=max_sweep, stats=stats)
     if name == "oracle":
-        return integer_hull_oracle(P, budget=ORACLE_BUDGET, stats=stats)
+        return integer_hull_oracle(P, stats=stats)
     raise ValueError(f"unknown engine {name!r} (expected one of {engine_names()})")
 
 
@@ -116,11 +112,6 @@ def bench_instance(
     poly_area = Fraction(0) if P is None else area(P)
     records: List[BenchRecord] = []
     for engine in engines:
-        if engine == "oracle" and P is not None and bbox_cell_count(P) > ORACLE_BUDGET:
-            records.append(
-                BenchRecord(name, n_vertices, poly_area, engine, 0, 0, 0, "skipped:budget")
-            )
-            continue
         times: List[int] = []
         stats = RunStats()
         hull: Optional[HullResult] = None

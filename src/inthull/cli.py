@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from .bench import engine_names, run_suite, write_csv
+from .bench import engine_names, run_engine, run_suite, write_csv
 from .errors import (
     BudgetExceeded,
     GeometryError,
@@ -30,9 +30,8 @@ from .errors import (
     SweepLimitExceeded,
     UnboundedSet,
 )
-from .geom import Line, PolySet2
-from .hull_baseline import integer_hull_baseline, normalize_facets
-from .hull_new import RefineConfig, integer_hull_new, replace_facets
+from .geom import Line
+from .hull_new import RefineConfig, sweep_facets
 from .instances import (
     Instance,
     instance_to_polyset,
@@ -90,7 +89,8 @@ def _build_parser() -> _Parser:
 def _cmd_hull(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    hull = _run_for_cli(P, args.engine, args)
+    cfg = RefineConfig(args.brute_threshold, args.max_depth)
+    hull = run_engine(args.engine, P, cfg=cfg, max_sweep=args.max_sweep)
     if args.check:
         reference = integer_hull_oracle(P)
         if tuple(hull) != tuple(reference):
@@ -106,15 +106,6 @@ def _cmd_hull(args: argparse.Namespace) -> int:
 
 def _hull_json(hull) -> str:
     return json.dumps([[p.x, p.y] for p in hull], separators=(",", ":"))
-
-
-def _run_for_cli(P: Optional[PolySet2], engine: str, args: argparse.Namespace):
-    if engine == "new":
-        cfg = RefineConfig(args.brute_threshold, args.max_depth)
-        return integer_hull_new(P, cfg, max_sweep=args.max_sweep)
-    if engine == "baseline":
-        return integer_hull_baseline(P, max_sweep=args.max_sweep)
-    return integer_hull_oracle(P)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -152,23 +143,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
+    hull = run_engine(args.engine, P)
     chords: List[Line] = []
-    if args.engine == "new":
-        hull = integer_hull_new(P)
-        if P is not None and not P.is_degenerate:
-            _, swept = replace_facets(P)
-            chords = [line for _, line, _ in swept]
-    elif args.engine == "baseline":
-        hull = integer_hull_baseline(P)
-        if P is not None and not P.is_degenerate:
-            Q, hits = normalize_facets(P)
-            if Q is not None:
-                chords = [
-                    Line(h.a, h.c, hit.offset)
-                    for h, hit in zip(P.halfplanes, hits)
-                ]
-    else:
-        hull = integer_hull_oracle(P)
+    if args.engine != "oracle" and P is not None and not P.is_degenerate:
+        # The stopping chords the engine started from: outward sweeps for
+        # `new`, inward normalization for `baseline`.
+        hits = sweep_facets(P, inward=args.engine == "baseline")
+        if hits is not None:
+            chords = [Line(h.a, h.c, hit.offset) for h, hit in zip(P.halfplanes, hits)]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

@@ -18,18 +18,6 @@ class IdenticalPoints(GeometryError):
     """Two distinct points were required but the same point was given twice."""
 
 
-class ParallelLines(GeometryError):
-    """Two lines have no intersection point because their normals are parallel."""
-
-
-class CoincidentLines(GeometryError):
-    """Two lines are equal as point sets, so their intersection is not a point."""
-
-
-class NotConvexPosition(GeometryError):
-    """A point set expected to be in convex position has interior points."""
-
-
 class DegenerateSet(GeometryError):
     """A polyhedral set is empty or has no interior (a point or a segment)."""
 

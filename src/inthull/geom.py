@@ -30,20 +30,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    CoincidentLines,
-    DegenerateSet,
-    EmptySet,
-    IdenticalPoints,
-    NotConvexPosition,
-    ParallelLines,
-    UnboundedSet,
-)
+from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
 Rational = Union[int, Fraction]
 
@@ -83,14 +74,6 @@ def as_point(p: Sequence[Rational]) -> Point2:
     return Point2(_frac(p[0]), _frac(p[1]))
 
 
-class Turn(Enum):
-    """Orientation of an ordered point triple."""
-
-    LEFT = 1
-    COLLINEAR = 0
-    RIGHT = -1
-
-
 def _cross_parts(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Rational]) -> Tuple[int, int]:
     """(num, den) with den > 0 representing the cross product (a - o) x (b - o).
 
@@ -108,24 +91,6 @@ def _cross_parts(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Ratio
     n4 = b[0].numerator * oxd - oxn * b[0].denominator  # b.x - o.x, den d4
     d4 = b[0].denominator * oxd
     return n1 * n2 * d3 * d4 - n3 * n4 * d1 * d2, d1 * d2 * d3 * d4
-
-
-def cross(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Rational]):
-    """Exact cross product (a - o) x (b - o)."""
-    num, den = _cross_parts(o, a, b)
-    if den == 1:
-        return num
-    return Fraction(num, den)
-
-
-def orient(p: Sequence[Rational], q: Sequence[Rational], r: Sequence[Rational]) -> Turn:
-    """Classify the turn p -> q -> r; LEFT means the cross product is positive."""
-    s = _cross_parts(p, q, r)[0]
-    if s > 0:
-        return Turn.LEFT
-    if s < 0:
-        return Turn.RIGHT
-    return Turn.COLLINEAR
 
 
 def _eval_cmp(a: int, c: int, b: Fraction, p: Sequence[Rational]) -> int:
@@ -314,18 +279,6 @@ def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> Line:
     return Line(a, c, a * p.x + c * p.y)
 
 
-def intersect_lines(l1: Line, l2: Line) -> Point2:
-    """The intersection point of two non-parallel lines."""
-    det = l1.a * l2.c - l2.a * l1.c
-    if det == 0:
-        if l1 == l2:
-            raise CoincidentLines(f"lines are equal: {l1}")
-        raise ParallelLines(f"lines are parallel and distinct: {l1}, {l2}")
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l1.a * l2.b - l2.a * l1.b) / det
-    return Point2(_frac(x), _frac(y))
-
-
 def _hull_chain(points: Iterable[Sequence]) -> list:
     """Monotone-chain convex hull over exactly comparable (x, y) pairs.
 
@@ -357,25 +310,6 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     """Canonical convex hull of a finite set of integer points."""
     pts = [IntPoint2(int(p[0]), int(p[1])) for p in points]
     return HullResult(tuple(IntPoint2(*p) for p in _hull_chain(pts)))
-
-
-def sort_points_ccw(points: Sequence[Sequence[Rational]]) -> list:
-    """Sort points in convex position counter-clockwise from the lex-smallest.
-
-    Raises :class:`NotConvexPosition` when some point is strictly inside the
-    hull of the others, when fewer than three distinct points remain, or when
-    all points are collinear.
-    """
-    pts = [as_point(p) for p in points]
-    distinct = set(pts)
-    if len(distinct) < 3:
-        raise NotConvexPosition("need at least three distinct points")
-    hull = _hull_chain(distinct)
-    if len(hull) < 3:
-        raise NotConvexPosition("points are collinear")
-    if len(hull) < len(distinct):
-        raise NotConvexPosition("some points lie inside the hull of the others")
-    return [Point2(*p) for p in hull]
 
 
 def _edge_halfplane(p: Point2, q: Point2) -> HalfPlane:
@@ -603,52 +537,6 @@ def _positively_spanning(sorted_hps: Sequence[HalfPlane]) -> bool:
     return True
 
 
-def _feasible_1d(lows: list, highs: list) -> bool:
-    """Is there y with max(lows) <= y <= min(highs)? (Empty lists are +-inf.)"""
-    if lows and highs:
-        return max(lows) <= min(highs)
-    return True
-
-
-def _fourier_motzkin_feasible(hps: Sequence[HalfPlane]) -> bool:
-    """Exact feasibility of a*x + c*y <= b system by eliminating x."""
-    uppers = []  # x <= (b - c*y)/a, a > 0
-    lowers = []  # x >= (b - c*y)/a, a < 0
-    pure = []  # c*y <= b
-    for h in hps:
-        if h.a > 0:
-            uppers.append(h)
-        elif h.a < 0:
-            lowers.append(h)
-        else:
-            pure.append(h)
-    y_low: list = []
-    y_high: list = []
-
-    def add_y_constraint(coef: Fraction, bound: Fraction) -> bool:
-        # coef * y <= bound
-        if coef > 0:
-            y_high.append(bound / coef)
-        elif coef < 0:
-            y_low.append(bound / coef)
-        elif bound < 0:
-            return False
-        return True
-
-    for h in pure:
-        if not add_y_constraint(Fraction(h.c), h.b):
-            return False
-    for hu in uppers:
-        for hl in lowers:
-            # (b_l - c_l*y)/a_l <= x <= (b_u - c_u*y)/a_u with a_u > 0 > a_l.
-            # Cross-multiplying by a_u * (-a_l) > 0:
-            coef = Fraction(hu.c * (-hl.a) + hl.c * hu.a)
-            bound = hu.b * (-hl.a) + hl.b * hu.a
-            if not add_y_constraint(coef, bound):
-                return False
-    return _feasible_1d(y_low, y_high)
-
-
 class _NeedsFallback(Exception):
     """Internal: the fast half-plane intersection hit an ambiguous case."""
 
@@ -663,12 +551,15 @@ def _hp_intersection_point(h1: HalfPlane, h2: HalfPlane) -> Point2:
 
 
 def _intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
-    """Intersect bounded-shaped half-planes by clipping a large box.
+    """Intersect half-planes by clipping a large box; None when empty.
 
-    Every vertex of the feasible region is the intersection of two input
-    boundary lines, whose coordinates are bounded by 2 * max|b| * max|coef|
-    because the 2x2 determinant of coprime integer rows is a nonzero integer.
-    The box is strictly larger, so box edges never survive into the result.
+    A nonempty intersection always has a point strictly inside the box.  If
+    it has a vertex, that vertex solves two input rows, so its coordinates
+    are bounded by 2 * max|b| * max|coef| (the 2x2 determinant of integer
+    rows is a nonzero integer).  If it has none, every row is parallel to
+    one line and the point nearest the origin lies within max|b| of it.  For
+    a bounded intersection box edges therefore never survive into the
+    result; for an unbounded one only emptiness is meaningful.
     """
     max_b = max(abs(h.b) for h in hps)
     max_ac = max(max(abs(h.a), abs(h.c)) for h in hps)
@@ -688,9 +579,11 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
     """Half-plane intersection for angle-sorted, positively spanning input.
 
     Classic deque construction: a half-plane is popped when it becomes
-    redundant against the intersection point of its neighbors.  Raises
-    :class:`_NeedsFallback` on ambiguous degenerate configurations (handled
-    by the slower clipping path).
+    redundant against the intersection point of its neighbors.  Returns a
+    polygon with at least three vertices, or None for an empty slab between
+    antiparallel neighbors.  Raises :class:`_NeedsFallback` on ambiguous
+    degenerate configurations and whenever fewer than three vertices remain,
+    since the deque can report an empty set as a point or segment.
     """
     def outside(h: HalfPlane, p: Point2) -> bool:
         return h.eval_at(p) > h.b
@@ -724,17 +617,11 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
         dq.pop(0)
     if len(dq) < 3:
         raise _NeedsFallback
-    pts = []
     n = len(dq)
-    for i in range(n):
-        pts.append(_hp_intersection_point(dq[i], dq[(i + 1) % n]))
-    cycle = _clean_cycle(pts)
+    cycle = _clean_cycle([_hp_intersection_point(dq[i], dq[(i + 1) % n]) for i in range(n)])
     if len(cycle) < 3:
-        return _degenerate_polyset(cycle)
+        raise _NeedsFallback
     return _polyset_from_cycle(cycle)
-
-
-_DEQUE_MIN_SIZE = 64
 
 
 def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
@@ -742,6 +629,13 @@ def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
 
     Raises :class:`UnboundedSet` when the (nonempty) intersection is
     unbounded.  Callers that must reject degenerate output wrap this.
+
+    Bounded-shaped input (normals that positively span the plane) goes to
+    the deque first; box clipping answers whenever the deque gives up or
+    finds fewer than three vertices.  Input whose normals leave a gap of at
+    least pi has a recession direction, so it is unbounded unless empty, and
+    box clipping decides which: a nonempty intersection always meets the box
+    (see :func:`_intersect_by_clipping`).
     """
     filtered = []
     for h in hps:
@@ -751,15 +645,13 @@ def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
         raise UnboundedSet("no constraints: the whole plane is unbounded")
     sorted_hps = _sort_by_angle(deduped)
     if not _positively_spanning(sorted_hps):
-        if _fourier_motzkin_feasible(deduped):
+        if _intersect_by_clipping(sorted_hps) is not None:
             raise UnboundedSet("the intersection has a recession direction")
         return None
-    if len(sorted_hps) >= _DEQUE_MIN_SIZE:
-        try:
-            return _intersect_sorted_deque(sorted_hps)
-        except _NeedsFallback:
-            pass
-    return _intersect_by_clipping(sorted_hps)
+    try:
+        return _intersect_sorted_deque(sorted_hps)
+    except _NeedsFallback:
+        return _intersect_by_clipping(sorted_hps)
 
 
 def polyset_from_halfplanes(hps: Sequence[HalfPlane]) -> PolySet2:

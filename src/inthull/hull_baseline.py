@@ -12,7 +12,6 @@ engine improves on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -22,21 +21,11 @@ from .geom import (
     HullResult,
     PolySet2,
     _intersect_halfplanes,
-    area,
     convex_hull,
 )
-from .hull_new import _degenerate_candidates, residual_regions
-from .lattice import SweepHit, _run_sweep
-from .oracle import RunStats, enumerate_integer_points
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Central hull of the stopping-chord extremes plus the corner regions
-    of Q outside it; together they contain every integer-hull vertex."""
-
-    central: HullResult
-    corners: Tuple[PolySet2, ...]
+from .hull_new import _degenerate_candidates, _hit_points, _resolve_regions, sweep_facets
+from .lattice import SweepHit
+from .oracle import RunStats
 
 
 def normalize_facets(
@@ -51,48 +40,17 @@ def normalize_facets(
     (None, []) when some facet sweep finds no lattice chord — which happens
     iff P contains no integer points at all.
     """
-    hits: List[SweepHit] = []
-    tightened: List[HalfPlane] = []
-    hint_lo: Optional[int] = None
-    hint_hi: Optional[int] = None
-    for i in range(len(P.halfplanes)):
-        out = _run_sweep(
-            P, i, inward=True, max_sweep=max_sweep, hint_lo=hint_lo, hint_hi=hint_hi
-        )
-        if stats is not None:
-            stats.sweep_steps += out.steps
-        hint_lo, hint_hi = out.anchor_min, out.anchor_max
-        if out.hit is None:
-            return None, []
-        hits.append(out.hit)
-        hp = P.halfplanes[i]
-        tightened.append(HalfPlane(hp.a, hp.c, Fraction(out.hit.offset)))
-    Q = _intersect_halfplanes(tightened)
+    hits = sweep_facets(P, inward=True, max_sweep=max_sweep, stats=stats)
+    if hits is None:
+        return None, []
+    Q = _intersect_halfplanes(
+        [HalfPlane(hp.a, hp.c, Fraction(hit.offset)) for hp, hit in zip(P.halfplanes, hits)]
+    )
     # Every stopping offset is the maximum of its functional over the lattice
     # of P, so each hit point satisfies all tightened constraints: Q is
     # nonempty (though it may be degenerate).
     assert Q is not None
     return Q, hits
-
-
-def partition(Q: PolySet2, hits: List[SweepHit]) -> Partition:
-    """Split Q into the hull of all stopping-chord extremes and the corner
-    regions outside it (the same edge-clip construction the refinement
-    engine uses for its residual regions)."""
-    if not hits:
-        raise ValueError("partition requires at least one sweep hit")
-    points = set()
-    for h in hits:
-        points.add(h.lo)
-        points.add(h.hi)
-    central = convex_hull(points)
-    if len(central) <= 1:
-        # A single point attaining every facet's lattice maximum is the whole
-        # lattice of Q; there is nothing outside it to search.
-        corners: List[PolySet2] = []
-    else:
-        corners = residual_regions(Q, central)
-    return Partition(central, tuple(corners))
 
 
 def integer_hull_baseline(
@@ -101,8 +59,9 @@ def integer_hull_baseline(
     max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> HullResult:
-    """Canonical integer hull by normalization, partition, and corner
-    enumeration (corners are always brute-forced, never recursed)."""
+    """Canonical integer hull by normalization and corner enumeration: the
+    corner regions of Q outside the hull of the stopping-chord extremes are
+    always brute-forced, never recursed."""
     if P is None:
         return convex_hull([])
     if P.rays:
@@ -115,15 +74,4 @@ def integer_hull_baseline(
     if Q.is_degenerate:
         # Normalization preserved the lattice, so Q's chord carries it all.
         return convex_hull(_degenerate_candidates(Q))
-    part = partition(Q, hits)
-    points = set(part.central)
-    q_area = area(Q)
-    for corner in part.corners:
-        if stats is not None:
-            stats.regions += 1
-        assert area(corner) < q_area
-        if corner.is_degenerate:
-            points |= _degenerate_candidates(corner)
-        else:
-            points |= set(enumerate_integer_points(corner, stats=stats))
-    return convex_hull(points)
+    return convex_hull(_resolve_regions(Q, _hit_points(hits), stats=stats))

@@ -12,15 +12,13 @@ enumeration (small regions) or by applying the same algorithm recursively
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .errors import UnboundedSet
 from .geom import (
     HalfPlane,
     HullResult,
     IntPoint2,
-    Line,
     Point2,
     PolySet2,
     Segment,
@@ -53,11 +51,39 @@ class RefineConfig:
             raise ValueError("max_depth must be >= 1")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated integer points known to lie in the input set."""
+def sweep_facets(
+    P: PolySet2,
+    *,
+    inward: bool,
+    max_sweep: Optional[int] = None,
+    stats: Optional[RunStats] = None,
+) -> Optional[List[SweepHit]]:
+    """Sweep every facet of P inward or from the opposite side, in order.
 
-    points: FrozenSet[IntPoint2]
+    Returns one hit per facet, or None at the first facet whose sweep finds
+    no lattice chord (which happens iff P has no integer points at all).
+    """
+    hits: List[SweepHit] = []
+    hint_lo: Optional[int] = None
+    hint_hi: Optional[int] = None
+    for i in range(len(P.halfplanes)):
+        out = _run_sweep(
+            P, i, inward=inward, max_sweep=max_sweep, hint_lo=hint_lo, hint_hi=hint_hi
+        )
+        if stats is not None:
+            stats.sweep_steps += out.steps
+        if out.hit is None:
+            return None
+        hits.append(out.hit)
+        # The minimizing/maximizing vertices rotate with the facet normal, so
+        # this facet's anchors are one-step hints for the next facet.
+        hint_lo, hint_hi = out.anchor_min, out.anchor_max
+    return hits
+
+
+def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
+    """The extreme lattice points of every stopping chord."""
+    return {p for hit in hits for p in (hit.lo, hit.hi)}
 
 
 def replace_facets(
@@ -65,34 +91,14 @@ def replace_facets(
     *,
     max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
-) -> Tuple[CandidateSet, List[Tuple[int, Line, SweepHit]]]:
+) -> Set[IntPoint2]:
     """Sweep every facet from the opposite side of P.
 
-    Each hit contributes its extreme lattice points to the candidate set and
-    its stopping line to the chord list; facets whose sweep finds nothing
-    contribute nothing.  An empty candidate set means P has no integer
-    points at all (any single miss already implies that).
+    Returns the extreme lattice points of every stopping chord, each a
+    vertex of the integer hull; an empty set means P has no integer points.
     """
-    points: Set[IntPoint2] = set()
-    chords: List[Tuple[int, Line, SweepHit]] = []
-    hint_lo: Optional[int] = None
-    hint_hi: Optional[int] = None
-    for i in range(len(P.halfplanes)):
-        out = _run_sweep(
-            P, i, inward=False, max_sweep=max_sweep, hint_lo=hint_lo, hint_hi=hint_hi
-        )
-        if stats is not None:
-            stats.sweep_steps += out.steps
-        # The minimizing/maximizing vertices rotate with the facet normal, so
-        # this facet's anchors are one-step hints for the next facet.
-        hint_lo, hint_hi = out.anchor_min, out.anchor_max
-        if out.hit is None:
-            continue
-        points.add(out.hit.lo)
-        points.add(out.hit.hi)
-        hp = P.halfplanes[i]
-        chords.append((i, Line(hp.a, hp.c, Fraction(out.hit.offset)), out.hit))
-    return CandidateSet(frozenset(points)), chords
+    hits = sweep_facets(P, inward=False, max_sweep=max_sweep, stats=stats)
+    return set() if hits is None else _hit_points(hits)
 
 
 def _integral_point(p: Point2) -> Optional[IntPoint2]:
@@ -196,9 +202,43 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     return regions
 
 
-def brute_force_region(R: PolySet2, *, stats: Optional[RunStats] = None) -> CandidateSet:
-    """All integer points of a region, as a candidate set."""
-    return CandidateSet(frozenset(enumerate_integer_points(R, stats=stats)))
+def _resolve_regions(
+    P: PolySet2,
+    points: Set[IntPoint2],
+    *,
+    cfg: RefineConfig = RefineConfig(),
+    depth_left: int = 0,
+    level: int = 0,
+    max_sweep: Optional[int] = None,
+    stats: Optional[RunStats] = None,
+) -> Set[IntPoint2]:
+    """Add to `points` every lattice point of P that their hull may miss.
+
+    `points` are lattice points of P, extreme in every facet direction.  Each
+    residual region outside their hull is enumerated when it is small or no
+    depth is left, and otherwise refined by the same facet sweeps; the hull
+    of the returned set is P's integer hull.
+    """
+    if len(points) <= 1:
+        # No hit on some facet means no lattice points anywhere; a single
+        # candidate attaining every facet's lattice extreme is the whole
+        # lattice (the facet normals positively span the plane).
+        return points
+    hull_so_far = convex_hull(points)
+    parent_area = area(P)
+    for region in residual_regions(P, hull_so_far):
+        if stats is not None:
+            stats.regions += 1
+        assert area(region) < parent_area
+        if region.is_degenerate:
+            points |= _degenerate_candidates(region)
+        elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
+            points |= set(enumerate_integer_points(region, stats=stats))
+        else:
+            points |= _collect_candidates(
+                region, cfg, depth_left - 1, level + 1, max_sweep, stats
+            )
+    return points
 
 
 def _collect_candidates(
@@ -212,28 +252,16 @@ def _collect_candidates(
     """Lattice points of P whose convex hull equals P's integer hull."""
     if stats is not None and level > stats.max_depth:
         stats.max_depth = level
-    candidates, _ = replace_facets(P, max_sweep=max_sweep, stats=stats)
-    points = set(candidates.points)
-    if len(points) <= 1:
-        # No hit on some facet means no lattice points anywhere; a single
-        # candidate attaining every facet's lattice minimum is the whole
-        # lattice (the facet normals positively span the plane).
-        return points
-    hull_so_far = convex_hull(points)
-    parent_area = area(P)
-    for region in residual_regions(P, hull_so_far):
-        if stats is not None:
-            stats.regions += 1
-        assert area(region) < parent_area
-        if region.is_degenerate:
-            points |= _degenerate_candidates(region)
-        elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
-            points |= brute_force_region(region, stats=stats).points
-        else:
-            points |= _collect_candidates(
-                region, cfg, depth_left - 1, level + 1, max_sweep, stats
-            )
-    return points
+    points = replace_facets(P, max_sweep=max_sweep, stats=stats)
+    return _resolve_regions(
+        P,
+        points,
+        cfg=cfg,
+        depth_left=depth_left,
+        level=level,
+        max_sweep=max_sweep,
+        stats=stats,
+    )
 
 
 def integer_hull_new(

@@ -361,25 +361,21 @@ def _piece_value(pieces: List[Tuple[int, int, int, int, int]], t: int) -> Fracti
     raise AssertionError("level outside the materialized sweep range")
 
 
-def _count_slab(
+def _slab_has_point(
     upper: List[Tuple[int, int, int, int, int]],
     lower: List[Tuple[int, int, int, int, int]],
     t0: int,
     t1: int,
-    *,
-    stop_at_first: bool = False,
-) -> int:
-    """Number of lattice points of P whose t-coordinate lies in [t0, t1].
+) -> bool:
+    """Whether any chord at an integer level in [t0, t1] has a lattice point.
 
     `upper`/`lower` are materialized chain pieces covering [t0, t1].  The
-    count is accumulated per maximal subrange on which both chains are single
-    linear pieces; each subrange contributes
-    sum(floor(s_hi(T)) - ceil(s_lo(T)) + 1) over its integer levels T, which
-    is nonnegative (every chord in the polygon's t-range is nonempty).  With
-    ``stop_at_first`` the scan returns at the first nonzero subrange — all
-    the sweep's window tests need is positivity.
+    levels are scanned per maximal subrange on which both chains are single
+    linear pieces; a subrange holds
+    sum(floor(s_hi(T)) - ceil(s_lo(T)) + 1) lattice points over its integer
+    levels T, which is nonnegative (every chord in the polygon's t-range is
+    nonempty), and the scan stops at the first subrange holding any.
     """
-    total = 0
     iu = il = 0
     t = t0
     while t <= t1:
@@ -397,21 +393,10 @@ def _count_slab(
             + floor_sum(width, lr, -lp, -(lp * t) - lq)
         )
         assert sub >= 0
-        total += sub
-        if total and stop_at_first:
-            return total
+        if sub:
+            return True
         t = end + 1
-    return total
-
-
-def _slab_has_point(
-    upper: List[Tuple[int, int, int, int, int]],
-    lower: List[Tuple[int, int, int, int, int]],
-    t0: int,
-    t1: int,
-) -> bool:
-    """Whether any chord at an integer level in [t0, t1] has a lattice point."""
-    return _count_slab(upper, lower, t0, t1, stop_at_first=True) > 0
+    return False
 
 
 @dataclass

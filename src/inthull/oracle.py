@@ -10,7 +10,7 @@ either completes or raises without burning time first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional
@@ -28,7 +28,6 @@ class RunStats:
     brute_cells: int = 0  # total bounding-box cells of brute-forced regions
     regions: int = 0  # refinement/corner regions processed
     max_depth: int = 0  # deepest recursion level reached (new engine)
-    notes: List[str] = field(default_factory=list)
 
 
 def bbox_cell_count(P: PolySet2) -> int:

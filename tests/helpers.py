@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from inthull import PolySet2, polyset_from_vertices
+from inthull import HalfPlane, PolySet2, polyset_from_vertices
 
 RatPoint = Tuple[Fraction, Fraction]
 
@@ -112,3 +113,47 @@ def reference_stop(P: PolySet2, facet_index: int, side: str) -> Optional[Tuple[i
 def hull_tuples(hull) -> List[Tuple[int, int]]:
     """HullResult as plain (x, y) tuples for comparisons in asserts."""
     return [(p.x, p.y) for p in hull]
+
+
+def empty_85_row_system() -> List[Tuple[int, int, int]]:
+    """An empty system of 85 rows (a, c, b), each meaning a*x + c*y <= b.
+
+    x + 2y <= 0 and -x - 2y <= -1 contradict each other.  Four rows around
+    them meet near (1, 0), and a slack row a*x + c*y <= 1000 for every
+    primitive (a, c) with |a|, |c| <= 5 makes the system large.
+    """
+    rows = [(2, 1, 2), (-1, 2, -2), (1, -2, 1), (1, 2, 0), (-1, -2, -1)]
+    rows += [
+        (a, c, 1000)
+        for a in range(-5, 6)
+        for c in range(-5, 6)
+        if gcd(a, c) == 1
+    ]
+    return rows
+
+
+def random_halfplane_system(rng: random.Random, n_rows: int) -> List[HalfPlane]:
+    """A random system of `n_rows` or more half-planes around a random center.
+
+    Offsets put each boundary line a random rational slack from the center.
+    Slack is nonnegative in half of the systems (a nonempty set) and may be
+    negative in the others (sets pushed toward a point or empty).  Some
+    systems add antiparallel partners at zero, negative or positive width,
+    which squash the set onto a segment, empty it, or cut a slab.
+    """
+    cx = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    cy = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    low = 0 if rng.random() < 0.5 else -3
+    rows: List[HalfPlane] = []
+    while len(rows) < n_rows:
+        a, c = rng.randint(-6, 6), rng.randint(-6, 6)
+        if gcd(a, c) != 1:
+            continue
+        slack = Fraction(rng.randint(low, 30), rng.randint(1, 4))
+        rows.append(HalfPlane(a, c, a * cx + c * cy + slack))
+    if rng.random() < 0.5:
+        for h in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+            width = rng.choice([Fraction(-1), Fraction(0), Fraction(0), Fraction(1, 2), Fraction(3)])
+            rows.append(HalfPlane(-h.a, -h.c, -h.b + width))
+    rng.shuffle(rows)
+    return rows

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import inthull.bench as bench
 import inthull.cli as cli
+from helpers import empty_85_row_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,14 +71,22 @@ def test_exit_code_3_on_sweep_limit():
     assert "sweep" in r.stderr
 
 
+def test_hull_check_prints_empty_hull_of_an_empty_wide_system(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"inequalities": empty_85_row_system()}), encoding="utf-8")
+    for engine in ("new", "baseline", "oracle"):
+        assert cli.main(["hull", str(path), "--engine", engine, "--check"]) == 0
+        assert capsys.readouterr().out == "[]\n"
+
+
 def test_check_catches_a_corrupted_engine(monkeypatch, capsys):
-    real = cli.integer_hull_new
+    real = bench.integer_hull_new
 
     def corrupted(P, *args, **kwargs):
         hull = real(P, *args, **kwargs)
         return hull[:-1]  # drop a vertex
 
-    monkeypatch.setattr(cli, "integer_hull_new", corrupted)
+    monkeypatch.setattr(bench, "integer_hull_new", corrupted)
     code = cli.main(["hull", str(FIXTURES / "triangle_shallow.json"), "--engine", "new", "--check"])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err

@@ -10,65 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inthull import (
-    CoincidentLines,
     HalfPlane,
     IdenticalPoints,
     Line,
     DegenerateSet,
-    ParallelLines,
+    EmptySet,
     Point2,
     PolySet2,
     Segment,
-    Turn,
     UnboundedSet,
     area,
     bounding_box,
     clip,
     contains,
     convex_hull,
-    cross,
-    intersect_lines,
     line_through,
-    orient,
     polyset_from_halfplanes,
     polyset_from_vertices,
-    sort_points_ccw,
 )
-from helpers import frac_cross, random_polyset, rational_hull
+from inthull.geom import _intersect_by_clipping, _intersect_halfplanes
+from helpers import (
+    empty_85_row_system,
+    frac_cross,
+    random_halfplane_system,
+    random_polyset,
+    rational_hull,
+)
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 points_st = st.tuples(fractions_st, fractions_st)
 int_points_st = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
-
-
-# ---------------------------------------------------------------------------
-# primitives: cross / orient
-
-
-@given(points_st, points_st, points_st)
-def test_cross_matches_plain_fraction_arithmetic(o, a, b):
-    assert cross(o, a, b) == frac_cross(o, a, b)
-
-
-@given(points_st, points_st, points_st)
-def test_orient_antisymmetric_in_last_two_arguments(p, q, r):
-    t1, t2 = orient(p, q, r), orient(p, r, q)
-    if t1 is Turn.COLLINEAR:
-        assert t2 is Turn.COLLINEAR
-    else:
-        assert {t1, t2} == {Turn.LEFT, Turn.RIGHT}
-
-
-def test_orient_basic_cases():
-    assert orient((0, 0), (1, 0), (0, 1)) is Turn.LEFT
-    assert orient((0, 0), (0, 1), (1, 0)) is Turn.RIGHT
-    assert orient((0, 0), (1, 1), (2, 2)) is Turn.COLLINEAR
-
-
-def test_cross_returns_int_for_integer_inputs():
-    assert cross((0, 0), (3, 1), (1, 2)) == 5
-    assert isinstance(cross((0, 0), (3, 1), (1, 2)), int)
-    assert cross((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))) == Fraction(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +78,6 @@ def test_halfplane_keeps_direction_under_reduction():
     assert not h.contains_point((0, 0))
     assert not HalfPlane(-1, 0, -1).contains_point((0, 0))
     assert HalfPlane(1, 0, 1).contains_point((0, 0))
-
-
-def test_intersect_lines_exact_and_errors():
-    p = intersect_lines(Line(1, 0, Fraction(1, 2)), Line(0, 1, Fraction(2, 3)))
-    assert (p.x, p.y) == (Fraction(1, 2), Fraction(2, 3))
-    with pytest.raises(ParallelLines):
-        intersect_lines(Line(1, 1, 0), Line(1, 1, 5))
-    with pytest.raises(CoincidentLines):
-        intersect_lines(Line(1, 1, 5), Line(2, 2, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +167,63 @@ def test_polyset_from_halfplanes_drops_redundant_rows():
 def test_polyset_from_halfplanes_rejects_unbounded():
     with pytest.raises(UnboundedSet):
         polyset_from_halfplanes([HalfPlane(1, 0, 1), HalfPlane(0, 1, 1)])
+    # a pointed wedge with a redundant third row: y >= |x - 1|, y >= -5
+    with pytest.raises(UnboundedSet):
+        polyset_from_halfplanes(
+            [HalfPlane(1, -1, 1), HalfPlane(-1, -1, -1), HalfPlane(0, -1, 5)]
+        )
 
 
-def test_sort_points_ccw_matches_polyset_order():
-    pts = [(4, 0), (0, 4), (0, 0), (4, 4)]
-    assert sort_points_ccw(pts)[0] == min(sort_points_ccw(pts))
-    P = polyset_from_vertices(sort_points_ccw(pts))
-    assert [(v.x, v.y) for v in P.vertices] == [(0, 0), (4, 0), (4, 4), (0, 4)]
+def test_polyset_from_halfplanes_rejects_empty():
+    # normals that do not span the plane: x <= 0 and x >= 1
+    with pytest.raises(EmptySet):
+        polyset_from_halfplanes([HalfPlane(1, 0, 0), HalfPlane(-1, 0, -1)])
+    # many spanning rows around a contradiction near (1, 0)
+    with pytest.raises(EmptySet):
+        polyset_from_halfplanes([HalfPlane(a, c, b) for a, c, b in empty_85_row_system()])
+
+
+# ---------------------------------------------------------------------------
+# half-plane intersection against the box-clipping reference
+
+
+def _rule(rows):
+    try:
+        return _intersect_halfplanes(rows)
+    except UnboundedSet:
+        return "unbounded"
+
+
+def _clipping_reference(rows):
+    """Box clipping, repeated in a larger box: only a bounded intersection
+    comes out the same from both."""
+    small = _intersect_by_clipping(rows)
+    if small is None:
+        return None
+    far = 4 * (max(abs(h.b) for h in rows) + 1) * max(max(abs(h.a), abs(h.c)) for h in rows)
+    large = _intersect_by_clipping(list(rows) + [HalfPlane(1, 0, far)])
+    return small if small == large else "unbounded"
+
+
+def test_intersect_halfplanes_matches_box_clipping_on_random_systems():
+    rng = random.Random(7)
+    sizes = [rng.randint(3, 12) for _ in range(400)] + [rng.randint(40, 120) for _ in range(60)]
+    for n_rows in sizes:
+        rows = random_halfplane_system(rng, n_rows)
+        assert _rule(rows) == _clipping_reference(rows), rows
+
+
+def test_intersect_halfplanes_on_systems_built_from_polygons():
+    rng = random.Random(11)
+    for _ in range(120):
+        P = random_polyset(rng, max_num=30, max_den=6)
+        rows = list(P.halfplanes)
+        rows += [HalfPlane(h.a, h.c, h.b + rng.randint(0, 5)) for h in rng.sample(rows, 2)]
+        rng.shuffle(rows)
+        assert _intersect_halfplanes(rows) == P
+        shift = Fraction(rng.randint(1, 40), rng.randint(1, 4))
+        pushed = [HalfPlane(h.a, h.c, h.b - shift) for h in rows]
+        assert _rule(pushed) == _clipping_reference(pushed), pushed
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ from inthull import (
     SweepLimitExceeded,
     area,
     contains,
+    convex_hull,
     integer_hull_baseline,
     integer_hull_new,
     integer_hull_oracle,
     normalize_facets,
-    partition,
     polyset_from_vertices,
+    residual_regions,
 )
 from helpers import brute_points_in, hull_tuples, random_polyset
 
@@ -65,14 +66,13 @@ def test_partition_corners_are_small_and_outside_the_central_hull():
         Q, hits = normalize_facets(P)
         if Q is None:
             continue
-        part = partition(Q, hits)
-        if len(part.central) >= 3:
-            C = polyset_from_vertices(hull_tuples(part.central))
-            c_area = area(C)
+        central = convex_hull({p for h in hits for p in (h.lo, h.hi)})
+        if len(central) >= 3:
+            C = polyset_from_vertices(hull_tuples(central))
         else:
             C = None
-            c_area = 0
-        for corner in part.corners:
+        corners = residual_regions(Q, central) if len(central) >= 2 else []
+        for corner in corners:
             assert area(corner) < area(Q)
             # no integer point interior to the central hull shows up in a corner
             if C is not None:
@@ -81,12 +81,6 @@ def test_partition_corners_are_small_and_outside_the_central_hull():
                         h.a * x + h.c * y != h.b for h in C.halfplanes
                     )
                     assert not strictly_inside
-
-
-def test_partition_requires_hits():
-    sq = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
-    with pytest.raises(ValueError):
-        partition(sq, [])
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,8 @@ from inthull import (
     save_instance,
 )
 
+from helpers import empty_85_row_system
+
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
 
@@ -106,6 +108,13 @@ def test_inequalities_special_rows():
     assert P is not None and len(P.halfplanes) == 4
     empty = parse_instance('{"inequalities": [["0","0","-1"],["1","0","1"]]}')
     assert instance_to_polyset(empty) is None
+    wide_empty = Instance(
+        None,
+        inequalities=tuple(
+            (Fraction(a), Fraction(c), Fraction(b)) for a, c, b in empty_85_row_system()
+        ),
+    )
+    assert instance_to_polyset(wide_empty) is None
     open_set = parse_instance('{"inequalities": [["1","0","1"],["0","1","1"]]}')
     with pytest.raises(UnboundedSet):
         instance_to_polyset(open_set)
