@@ -64,20 +64,17 @@ def sweep_facets(
     no lattice chord (which happens iff P has no integer points at all).
     """
     hits: List[SweepHit] = []
-    hint_lo: Optional[int] = None
-    hint_hi: Optional[int] = None
+    hint: Optional[int] = None
     for i in range(len(P.halfplanes)):
-        out = _run_sweep(
-            P, i, inward=inward, max_sweep=max_sweep, hint_lo=hint_lo, hint_hi=hint_hi
-        )
+        out = _run_sweep(P, i, inward=inward, max_sweep=max_sweep, hint=hint)
         if stats is not None:
             stats.sweep_steps += out.steps
         if out.hit is None:
             return None
         hits.append(out.hit)
-        # The minimizing/maximizing vertices rotate with the facet normal, so
-        # this facet's anchors are one-step hints for the next facet.
-        hint_lo, hint_hi = out.anchor_min, out.anchor_max
+        # The minimizing vertex rotates with the facet normal, so this
+        # facet's anchor is a one-step hint for the next facet.
+        hint = out.anchor_min
     return hits
 
 

@@ -12,13 +12,17 @@ This module answers the discrete questions both hull engines are built on:
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 ``a*u + c*v = 1``), in which the chord at integer level ``t = T`` carries a
-lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  The number of lattice
-points with ``T`` in a whole window is a sum of ``floor`` terms of linear
-rational functions along the polygon's two boundary chains, evaluated in
-O(1) per boundary edge by the classic Euclidean-style ``floor_sum``.  A
-galloping search over windows then locates the first hit after inspecting
-O(log(distance)) windows, so thin polygons whose facets are millions of
-integer offsets away from their first lattice chord still sweep quickly.
+lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  ``s_lo`` and ``s_hi``
+run along the polygon's two boundary chains, which one forward-only cursor
+each walks up from the minimum vertex, an edge at a time, only as far as the
+sweep goes.  A galloping search doubles its window of levels but cuts each
+window at the next edge end of either chain, so both chains are single
+linear pieces on it and the window's lattice-point count is one pair of
+calls to the classic Euclidean-style ``floor_sum``.  The first hit takes
+O(log(distance) + pieces crossed) counts, then a bisection inside the
+hitting window, so thin polygons whose facets are millions of integer
+offsets away from their first lattice chord still sweep quickly, and a
+polygon's far side is never visited when the hit is near.
 """
 
 from __future__ import annotations
@@ -26,9 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .errors import NoIntegerPoints, SegmentNotOnLine, SweepLimitExceeded, UnboundedSet
+from .errors import (
+    GeometryError,
+    NoIntegerPoints,
+    SegmentNotOnLine,
+    SweepLimitExceeded,
+    UnboundedSet,
+)
 from .geom import (
     IntPoint2,
     Line,
@@ -175,8 +185,8 @@ def chord(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
         else:
             bound = rhs / coef
             lo = bound if lo is None or bound > lo else lo
-    # A bounded polygon clips the line on both sides.
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise GeometryError("a bounded polygon must clip the line on both sides")
     if lo > hi:
         return None
     if lo == hi:
@@ -227,8 +237,6 @@ class _Frame:
         self.n = len(P.vertices)
         self.A, self.C, self.u, self.v = A, C, u, v
         self._tp: Dict[int, Tuple[int, int]] = {}
-        self._sp: Dict[int, Tuple[int, int]] = {}
-        self._edge: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
 
     def t_pair(self, j: int) -> Tuple[int, int]:
         """t at vertex j as (num, den) with den > 0 (no Fraction churn)."""
@@ -243,45 +251,35 @@ class _Frame:
 
     def s_pair(self, j: int) -> Tuple[int, int]:
         """s at vertex j as (num, den) with den > 0."""
-        val = self._sp.get(j)
-        if val is None:
-            p = self.P.vertices[j]
-            xn, xd = p.x.numerator, p.x.denominator
-            yn, yd = p.y.numerator, p.y.denominator
-            val = (-self.v * xn * yd + self.u * yn * xd, xd * yd)
-            self._sp[j] = val
-        return val
+        p = self.P.vertices[j]
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        return (-self.v * xn * yd + self.u * yn * xd, xd * yd)
 
     def point_at(self, t: int, s: int) -> IntPoint2:
         return IntPoint2(self.u * t - self.C * s, self.v * t + self.A * s)
 
     def edge_line(self, j: int, k: int) -> Tuple[int, int, int]:
         """Integer (p, q, r), r > 0, with s = (p*t + q)/r on edge j -> k."""
-        key = (j, k)
-        cached = self._edge.get(key)
-        if cached is None:
-            tn0, td0 = self.t_pair(j)
-            sn0, sd0 = self.s_pair(j)
-            tn1, td1 = self.t_pair(k)
-            sn1, sd1 = self.s_pair(k)
-            # slope = (s1 - s0) / (t1 - t0) = sn / sd
-            sn = (sn1 * sd0 - sn0 * sd1) * td1 * td0
-            sd = (tn1 * td0 - tn0 * td1) * sd1 * sd0
-            # s(T) = slope*T + (s0 - slope*t0), over common denominator r_raw
-            p_raw = sn * sd0 * td0
-            q_raw = sn0 * sd * td0 - sn * tn0 * sd0
-            r_raw = sd * sd0 * td0
-            if r_raw < 0:
-                p_raw, q_raw, r_raw = -p_raw, -q_raw, -r_raw
-            g = gcd(gcd(abs(p_raw), abs(q_raw)), r_raw)
-            cached = (p_raw // g, q_raw // g, r_raw // g)
-            self._edge[key] = cached
-        return cached
+        tn0, td0 = self.t_pair(j)
+        sn0, sd0 = self.s_pair(j)
+        tn1, td1 = self.t_pair(k)
+        sn1, sd1 = self.s_pair(k)
+        # slope = (s1 - s0) / (t1 - t0) = sn / sd
+        sn = (sn1 * sd0 - sn0 * sd1) * td1 * td0
+        sd = (tn1 * td0 - tn0 * td1) * sd1 * sd0
+        # s(T) = slope*T + (s0 - slope*t0), over common denominator r_raw
+        p_raw = sn * sd0 * td0
+        q_raw = sn0 * sd * td0 - sn * tn0 * sd0
+        r_raw = sd * sd0 * td0
+        if r_raw < 0:
+            p_raw, q_raw, r_raw = -p_raw, -q_raw, -r_raw
+        g = gcd(gcd(abs(p_raw), abs(q_raw)), r_raw)
+        return (p_raw // g, q_raw // g, r_raw // g)
 
 
-def _min_pair(frame: _Frame, hint: int = 0, negate: bool = False) -> Tuple[int, int, Tuple[int, int]]:
-    """Locate the minimum face of t = A*x + C*y (or -t with `negate`) over
-    the polygon's vertex cycle.
+def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
+    """Locate the minimum face of t = A*x + C*y over the polygon's vertex cycle.
 
     Returns (j_lo, j_hi, (min_num, min_den)) where j_lo is the *last*
     minimizing vertex in CCW order and j_hi the first (j_lo == j_hi unless
@@ -290,11 +288,7 @@ def _min_pair(frame: _Frame, hint: int = 0, negate: bool = False) -> Tuple[int, 
     cycle; the hint only affects speed, never the result.
     """
     n = frame.n
-    sign = -1 if negate else 1
-
-    def val(j: int) -> Tuple[int, int]:
-        num, den = frame.t_pair(j % n)
-        return sign * num, den
+    val = frame.t_pair
 
     def less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
         return x[0] * y[1] < y[0] * x[1]
@@ -324,79 +318,54 @@ def _min_pair(frame: _Frame, hint: int = 0, negate: bool = False) -> Tuple[int, 
     return j_lo, j_hi, val(j_lo)
 
 
-def _chain_pieces(
-    frame: _Frame, anchor: int, step: int, t_first: int, t_last: int
-) -> List[Tuple[int, int, int, int, int]]:
-    """Linear pieces of one boundary chain covering integers in [t_first, t_last].
+class _Chain:
+    """A forward-only cursor on one boundary chain, from the minimum face up.
 
-    The chain starts at `anchor` (whose t-value is <= t_first) and proceeds
-    by `step` (+1 CCW, -1 CW) with strictly increasing t.  Returns tuples
-    (Ta, Tb, p, q, r) so that s(T) = (p*T + q)/r for every integer
-    T in [Ta, Tb]; the ranges partition [t_first, t_last] in ascending order.
+    The chain leaves vertex `start` by `step` (+1 CCW walks the lower chain,
+    -1 CW the upper one) and ends at the vertex where t stops increasing, on
+    the maximum face.  The current edge j -> k holds the integer levels up to
+    `end` = floor(t_k), on which s = (p*T + q)/r with (p, q, r) = `line`.
     """
-    pieces: List[Tuple[int, int, int, int, int]] = []
-    j = anchor
-    tjn, tjd = frame.t_pair(j)
-    t_cur = t_first
-    while t_cur <= t_last:
-        k = (j + step) % frame.n
-        tkn, tkd = frame.t_pair(k)
-        assert tkn * tjd > tjn * tkd, "boundary chain must strictly ascend"
-        if tkn < t_cur * tkd:  # tk < t_cur
-            j, tjn, tjd = k, tkn, tkd
-            continue
-        # tk >= t_cur and t_cur is an integer, hence floor(tk) >= t_cur.
-        t_end = min(t_last, tkn // tkd)
-        p, q, r = frame.edge_line(j, k)
-        pieces.append((t_cur, t_end, p, q, r))
-        t_cur = t_end + 1
-    return pieces
+
+    def __init__(self, frame: _Frame, start: int, step: int) -> None:
+        self.frame, self.step = frame, step
+        self.j, self.k = start, (start + step) % frame.n
+        tn, td = frame.t_pair(self.k)
+        self.end = tn // td
+        self.line: Optional[Tuple[int, int, int]] = None
+
+    def reach(self, t: int) -> bool:
+        """Move to the edge holding integer level t (at or above the current
+        edge's levels); False when t lies past the top of the chain."""
+        frame = self.frame
+        while self.end < t:
+            kn, kd = frame.t_pair(self.k)
+            nxt = (self.k + self.step) % frame.n
+            tn, td = frame.t_pair(nxt)
+            if tn * kd <= kn * td:
+                return False
+            self.j, self.k, self.end, self.line = self.k, nxt, tn // td, None
+        if self.line is None:
+            self.line = frame.edge_line(self.j, self.k)
+        return True
 
 
-def _piece_value(pieces: List[Tuple[int, int, int, int, int]], t: int) -> Fraction:
-    """The chain's s-value at integer level t (from materialized pieces)."""
-    for ta, tb, p, q, r in pieces:
-        if ta <= t <= tb:
-            return Fraction(p * t + q, r)
-    raise AssertionError("level outside the materialized sweep range")
+def _slab_count(lower: _Chain, upper: _Chain, t0: int, t1: int) -> int:
+    """Lattice points on the chords at the integer levels t0..t1, all held by
+    the current edges of both chains.
 
-
-def _slab_has_point(
-    upper: List[Tuple[int, int, int, int, int]],
-    lower: List[Tuple[int, int, int, int, int]],
-    t0: int,
-    t1: int,
-) -> bool:
-    """Whether any chord at an integer level in [t0, t1] has a lattice point.
-
-    `upper`/`lower` are materialized chain pieces covering [t0, t1].  The
-    levels are scanned per maximal subrange on which both chains are single
-    linear pieces; a subrange holds
-    sum(floor(s_hi(T)) - ceil(s_lo(T)) + 1) lattice points over its integer
-    levels T, which is nonnegative (every chord in the polygon's t-range is
-    nonempty), and the scan stops at the first subrange holding any.
+    That is sum(floor(s_hi(T)) - ceil(s_lo(T)) + 1) over the levels T: one
+    floor_sum per chain.  Every chord in the polygon's t-range is nonempty,
+    so the count is nonnegative.
     """
-    iu = il = 0
-    t = t0
-    while t <= t1:
-        while upper[iu][1] < t:
-            iu += 1
-        while lower[il][1] < t:
-            il += 1
-        _ua, ub, up, uq, ur = upper[iu]
-        _la, lb, lp, lq, lr = lower[il]
-        end = min(t1, ub, lb)
-        width = end - t + 1
-        sub = (
-            width
-            + floor_sum(width, ur, up, up * t + uq)
-            + floor_sum(width, lr, -lp, -(lp * t) - lq)
-        )
-        assert sub >= 0
-        if sub:
-            return True
-        t = end + 1
-    return False
+    lp, lq, lr = lower.line
+    up, uq, ur = upper.line
+    width = t1 - t0 + 1
+    return (
+        width
+        + floor_sum(width, ur, up, up * t0 + uq)
+        + floor_sum(width, lr, -lp, -(lp * t0) - lq)
+    )
 
 
 @dataclass
@@ -404,7 +373,6 @@ class _SweepOutcome:
     hit: Optional[SweepHit]
     steps: int  # integer offsets between the sweep start and the stop (inclusive)
     anchor_min: int  # a vertex minimizing the swept functional
-    anchor_max: int  # a vertex maximizing it
 
 
 def _first_lattice_chord(
@@ -412,10 +380,9 @@ def _first_lattice_chord(
     A: int,
     C: int,
     *,
-    negate_offset: bool = False,
-    hint_lo: int = 0,
-    hint_hi: int = 0,
-    max_sweep: Optional[int] = None,
+    negate_offset: bool,
+    hint: int,
+    max_sweep: Optional[int],
 ) -> _SweepOutcome:
     """First integer level T of A*x + C*y (scanning upward from the minimum)
     whose chord through P contains a lattice point.
@@ -425,10 +392,9 @@ def _first_lattice_chord(
     at all, since every lattice point of P lies on some integer-level chord).
     """
     frame = _Frame(P, A, C)
-    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint_lo)
-    k_lo, _k_hi, (negmax_num, negmax_den) = _min_pair(frame, hint_hi, negate=True)
+    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
+    lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     t_first = -((-min_num) // min_den)  # ceil of the minimum
-    t_last = (-negmax_num) // negmax_den  # floor of the maximum
 
     def guard(steps: int) -> int:
         if max_sweep is not None and steps > max_sweep:
@@ -437,43 +403,36 @@ def _first_lattice_chord(
             )
         return steps
 
-    if t_first > t_last:
-        return _SweepOutcome(None, 0, j_lo, k_lo)
-
-    upper = _chain_pieces(frame, j_hi, -1, t_first, t_last)
-    lower = _chain_pieces(frame, j_lo, +1, t_first, t_last)
-
-    # Galloping windows, then a binary search inside the first hitting window.
-    window_lo = t_first
-    width = 1
+    # Galloping windows [t, end], each cut at the next edge end of either
+    # chain, then a bisection inside the first window that holds a point.
+    t, width = t_first, 1
     while True:
-        window_hi = min(t_last, window_lo + width - 1)
-        if _slab_has_point(upper, lower, window_lo, window_hi):
+        if not (lower.reach(t) and upper.reach(t)):
+            # Past the top: no chord holds a lattice point.  An empty range
+            # of levels is no sweep at all, so it passes any limit.
+            steps = t - t_first
+            return _SweepOutcome(None, guard(steps) if steps else 0, j_lo)
+        end = min(t + width - 1, lower.end, upper.end)
+        if _slab_count(lower, upper, t, end) > 0:
             break
-        if window_hi == t_last:
-            guard(t_last - t_first + 1)
-            return _SweepOutcome(None, t_last - t_first + 1, j_lo, k_lo)
-        window_lo = window_hi + 1
-        width *= 2
-    lo, hi = window_lo, window_hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _slab_has_point(upper, lower, window_lo, mid):
-            hi = mid
+        t, width = end + 1, width * 2
+    while t < end:
+        mid = (t + end) // 2
+        if _slab_count(lower, upper, t, mid) > 0:
+            end = mid
         else:
-            lo = mid + 1
-    t_star = lo
-    steps = guard(t_star - t_first + 1)
+            t = mid + 1
+    steps = guard(t - t_first + 1)
 
-    s_lo = _piece_value(lower, t_star)
-    s_hi = _piece_value(upper, t_star)
-    s_first, s_last = ceil(s_lo), floor(s_hi)
-    assert s_first <= s_last, "hit chord must contain a lattice point"
-    p1 = frame.point_at(t_star, s_first)
-    p2 = frame.point_at(t_star, s_last)
-    lo_pt, hi_pt = sorted((p1, p2))
-    offset = -t_star if negate_offset else t_star
-    return _SweepOutcome(SweepHit(offset, lo_pt, hi_pt), steps, j_lo, k_lo)
+    lp, lq, lr = lower.line
+    up, uq, ur = upper.line
+    s_first = -(-(lp * t + lq) // lr)  # ceil of s on the lower chain
+    s_last = (up * t + uq) // ur  # floor of s on the upper chain
+    if s_first > s_last:
+        raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
+    lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
+    offset = -t if negate_offset else t
+    return _SweepOutcome(SweepHit(offset, lo_pt, hi_pt), steps, j_lo)
 
 
 def _check_sweepable(P: PolySet2) -> None:
@@ -489,26 +448,23 @@ def _run_sweep(
     inward: bool,
     *,
     max_sweep: Optional[int] = None,
-    hint_lo: Optional[int] = None,
-    hint_hi: Optional[int] = None,
+    hint: Optional[int] = None,
 ) -> _SweepOutcome:
+    """Sweep one facet; `hint` is a vertex near the minimum of the swept
+    functional (the previous facet's `anchor_min`), else one is guessed."""
     _check_sweepable(P)
     hp = P.halfplanes[facet_index]
-    n = len(P.vertices)
     if inward:
         # Maximizing a*x + c*y over the lattice == scanning -a*x - c*y upward.
-        a, c = -hp.a, -hp.c
-        default_lo, default_hi = facet_index, (facet_index + n // 2) % n
+        a, c, guess = -hp.a, -hp.c, facet_index
     else:
-        a, c = hp.a, hp.c
-        default_lo, default_hi = (facet_index + n // 2) % n, facet_index
+        a, c, guess = hp.a, hp.c, facet_index + len(P.vertices) // 2
     return _first_lattice_chord(
         P,
         a,
         c,
         negate_offset=inward,
-        hint_lo=default_lo if hint_lo is None else hint_lo,
-        hint_hi=default_hi if hint_hi is None else hint_hi,
+        hint=guess if hint is None else hint,
         max_sweep=max_sweep,
     )
 

@@ -167,6 +167,29 @@ def test_bench_engine_selection(tmp_path):
     assert rows and all(r.split(",")[4] == "oracle" for r in rows)
 
 
+def test_bench_status_column_records_refusals(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    # x >= 0, y >= 0: an unbounded quadrant, refused by every engine
+    quadrant = {"name": "quadrant", "inequalities": [["-1", "0", "0"], ["0", "-1", "0"]]}
+    # a lattice triangle whose bounding box holds 20001² > 10⁸ cells
+    huge = {"name": "huge", "vertices": [["0", "0"], ["20000", "0"], ["0", "20000"]]}
+    for inst in (quadrant, huge):
+        (suite / f"{inst['name']}.json").write_text(json.dumps(inst), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    args = ["bench", "--suite", str(suite), "--engines", "new,baseline,oracle", "--reps", "1", "--no-timing", "-o", str(out)]
+    assert cli.main(args) == 0
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    assert {(r[0], r[4]): r[8] for r in rows} == {
+        ("huge", "new"): "ok",
+        ("huge", "baseline"): "ok",
+        ("huge", "oracle"): "skipped:budget",
+        ("quadrant", "new"): "error:UnboundedSet",
+        ("quadrant", "baseline"): "error:UnboundedSet",
+        ("quadrant", "oracle"): "error:UnboundedSet",
+    }
+
+
 # ---------------------------------------------------------------------------
 # plot
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inthull import (
@@ -26,6 +26,7 @@ from inthull import (
     sweep_from_opposite,
     sweep_inward,
 )
+from inthull.generate import convex_chain_polygon
 from helpers import brute_points_in, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -195,10 +196,30 @@ def test_sweep_none_when_no_integer_points():
         assert sweep_from_opposite(thin, i) is None
 
 
+def translated_chain(n, target_area, dx, dy):
+    """convex_chain_polygon(n, target_area) moved by (dx, dy)."""
+    inst = convex_chain_polygon(n, target_area)
+    return polyset_from_vertices([(x + dx, y + dy) for x, y in inst.vertices])
+
+
+# Chain polygons are centrally symmetric: every facet direction has a
+# minimum and a maximum face that are edges, so a sweep's two boundary
+# chains start and end at different vertices, and on these small areas they
+# cross many edges first.  The lattice-free 60-gon makes every sweep climb
+# both chains to the top; the 40-gon holds a single lattice point.  Seed 2193
+# is a random polygon with first hits past a vertex of the lower chain and
+# past one of the upper chain: a window not cut at such a vertex counts a
+# point outside P.
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**6))
-def test_sweeps_match_enumeration_reference(seed):
-    P = random_polyset(random.Random(seed), max_num=25, max_den=6)
+@given(st.integers(0, 10**6).map(lambda seed: random_polyset(random.Random(seed), max_num=25, max_den=6)))
+@example(translated_chain(20, 5, Fraction(1, 3), Fraction(2, 7)))
+@example(translated_chain(20, 40, Fraction(-5, 11), Fraction(13, 3)))
+@example(translated_chain(40, 12, Fraction(1, 2), Fraction(-1, 3)))
+@example(translated_chain(40, 1, Fraction(2, 9), Fraction(4, 5)))
+@example(translated_chain(60, 25, Fraction(1, 6), Fraction(5, 7)))
+@example(translated_chain(60, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)))
+@example(random_polyset(random.Random(2193), max_num=25, max_den=6))
+def test_sweeps_match_enumeration_reference(P):
     for i in range(len(P.halfplanes)):
         for side, sweep in (("inward", sweep_inward), ("opposite", sweep_from_opposite)):
             hit = sweep(P, i)
