@@ -15,8 +15,6 @@ from .errors import (
     GeometryError,
     IdenticalPoints,
     InvalidInstance,
-    NoIntegerPoints,
-    SegmentNotOnLine,
     SweepLimitExceeded,
     UnboundedSet,
 )
@@ -59,14 +57,10 @@ from .instances import (
     save_instance,
 )
 from .lattice import (
-    LineLattice,
     SweepHit,
     chord,
     egcd,
     floor_sum,
-    integer_points_on_chord,
-    lattice_of_line,
-    line_has_integer_point,
     sweep_from_opposite,
     sweep_inward,
 )
@@ -87,8 +81,6 @@ __all__ = [
     "DegenerateSet",
     "EmptySet",
     "UnboundedSet",
-    "SegmentNotOnLine",
-    "NoIntegerPoints",
     "BudgetExceeded",
     "SweepLimitExceeded",
     "InvalidInstance",
@@ -114,11 +106,7 @@ __all__ = [
     # lattice
     "egcd",
     "floor_sum",
-    "line_has_integer_point",
-    "LineLattice",
-    "lattice_of_line",
     "SweepHit",
-    "integer_points_on_chord",
     "chord",
     "sweep_inward",
     "sweep_from_opposite",

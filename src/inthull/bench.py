@@ -95,7 +95,6 @@ def bench_instance(
     reps: int,
     *,
     timing: bool = True,
-    max_sweep: Optional[int] = None,
 ) -> List[BenchRecord]:
     """Benchmark one instance under each engine; failures become status rows."""
     if reps < 1:
@@ -120,7 +119,7 @@ def bench_instance(
             for _ in range(reps):
                 stats = RunStats()  # counters are per-run; keep the last
                 start = time.perf_counter_ns()
-                hull = run_engine(engine, P, stats=stats, max_sweep=max_sweep)
+                hull = run_engine(engine, P, stats=stats)
                 times.append(time.perf_counter_ns() - start)
         except BudgetExceeded:
             records.append(
@@ -156,13 +155,10 @@ def run_suite(
     reps: int,
     *,
     timing: bool = True,
-    max_sweep: Optional[int] = None,
 ) -> List[BenchRecord]:
     records: List[BenchRecord] = []
     for inst in instances:
-        records.extend(
-            bench_instance(inst, engines, reps, timing=timing, max_sweep=max_sweep)
-        )
+        records.extend(bench_instance(inst, engines, reps, timing=timing))
     return records
 
 

@@ -30,14 +30,6 @@ class UnboundedSet(GeometryError):
     """A polyhedral set is unbounded where a bounded one is required."""
 
 
-class SegmentNotOnLine(GeometryError):
-    """A segment's endpoints do not both lie on the given line."""
-
-
-class NoIntegerPoints(GeometryError):
-    """A line or chord contains no integer points."""
-
-
 class BudgetExceeded(GeometryError):
     """An enumeration exceeded its configured cell budget."""
 

@@ -22,34 +22,14 @@ byte for byte.
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Tuple
 
 from .errors import UnboundedSet
-from .geom import HalfPlane, Rational, _frac, _hull_chain, polyset_from_halfplanes
+from .geom import HalfPlane, Rational, _by_angle, _frac, _hull_chain, polyset_from_halfplanes
 from .instances import Instance, format_rational
-
-
-def _sort_ccw(vecs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort integer vectors counter-clockwise by angle, exactly.
-
-    Vectors in the upper half plane (including the +x axis) come first, each
-    half ordered by cross product.
-    """
-    def half(v: Tuple[int, int]) -> int:
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(u: Tuple[int, int], w: Tuple[int, int]) -> int:
-        hu, hw = half(u), half(w)
-        if hu != hw:
-            return -1 if hu < hw else 1
-        cr = u[0] * w[1] - u[1] * w[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(vecs, key=functools.cmp_to_key(cmp))
 
 
 def _primitive_vectors(max_norm: int) -> List[Tuple[int, int]]:
@@ -61,7 +41,7 @@ def _primitive_vectors(max_norm: int) -> List[Tuple[int, int]]:
                 continue
             if gcd(abs(a), abs(c)) == 1:
                 vecs.append((a, c))
-    return _sort_ccw(vecs)
+    return sorted(vecs, key=_by_angle)
 
 
 def _snap(value: Fraction, grid: int) -> Fraction:
@@ -222,7 +202,7 @@ def convex_chain_polygon(n: int, target_area: Rational = Fraction(70000)) -> Ins
     chosen = [upper[(i * k) // (n // 2)] for i in range(n // 2)]
     assert len(set(chosen)) == n // 2, "even spacing must not repeat directions"
     edges = chosen + [(-a, -c) for a, c in chosen]
-    edges = _sort_ccw(edges)
+    edges = sorted(edges, key=_by_angle)
     verts: List[Tuple[Fraction, Fraction]] = []
     x = y = Fraction(0)
     for dx, dy in edges:

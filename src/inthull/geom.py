@@ -29,6 +29,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -139,9 +140,6 @@ class Line:
     def eval_at(self, p: Sequence[Rational]) -> Fraction:
         """The linear form a*x + c*y at p."""
         return self.a * _frac(p[0]) + self.c * _frac(p[1])
-
-    def contains_point(self, p: Sequence[Rational]) -> bool:
-        return _eval_cmp(self.a, self.c, self.b, p) == 0
 
 
 @dataclass(frozen=True)
@@ -499,29 +497,26 @@ def _dedupe_halfplanes(hps: Sequence[HalfPlane]) -> list:
     return list(best.values())
 
 
-def _sort_by_angle(hps: Sequence[HalfPlane]) -> list:
-    """Sort half-planes by the angle of their normal; exact (no trigonometry).
+def _angle_cmp(u: Sequence[int], w: Sequence[int]) -> int:
+    """Compare integer vectors by angle, exactly (no trigonometry).
 
-    Normals are compared by half of the plane first (angles in [0, pi) before
-    [pi, 2*pi)), then by cross product within a half.
+    Vectors in the upper half plane (including the +x axis) come first, each
+    half ordered by cross product.
     """
-    import functools
+    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+    hw = 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+    if hu != hw:
+        return -1 if hu < hw else 1
+    cr = u[0] * w[1] - u[1] * w[0]
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
 
-    def half(h: HalfPlane) -> int:
-        return 0 if (h.c > 0 or (h.c == 0 and h.a > 0)) else 1
 
-    def cmp(h1: HalfPlane, h2: HalfPlane) -> int:
-        k1, k2 = half(h1), half(h2)
-        if k1 != k2:
-            return -1 if k1 < k2 else 1
-        cr = h1.a * h2.c - h1.c * h2.a
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
+_by_angle = functools.cmp_to_key(_angle_cmp)
 
-    return sorted(hps, key=functools.cmp_to_key(cmp))
+
+def _sort_by_angle(hps: Sequence[HalfPlane]) -> list:
+    """Sort half-planes by the angle of their normal (see :func:`_angle_cmp`)."""
+    return sorted(hps, key=lambda h: _by_angle((h.a, h.c)))
 
 
 def _positively_spanning(sorted_hps: Sequence[HalfPlane]) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import UnboundedSet
+from .errors import GeometryError, UnboundedSet
 from .geom import (
     HalfPlane,
     HullResult,
@@ -49,7 +49,8 @@ def normalize_facets(
     # Every stopping offset is the maximum of its functional over the lattice
     # of P, so each hit point satisfies all tightened constraints: Q is
     # nonempty (though it may be degenerate).
-    assert Q is not None
+    if Q is None:
+        raise GeometryError("the tightened facets leave no room for the stopping-chord points")
     return Q, hits
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .errors import UnboundedSet
+from .errors import GeometryError, UnboundedSet
 from .geom import (
     HalfPlane,
     HullResult,
     IntPoint2,
-    Point2,
     PolySet2,
     Segment,
     _degenerate_polyset,
@@ -28,7 +27,7 @@ from .geom import (
     convex_hull,
     line_through,
 )
-from .lattice import SweepHit, _run_sweep, chord, integer_points_on_chord
+from .lattice import SweepHit, _lattice_extremes, _run_sweep, chord
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
 
 
@@ -98,23 +97,9 @@ def replace_facets(
     return set() if hits is None else _hit_points(hits)
 
 
-def _integral_point(p: Point2) -> Optional[IntPoint2]:
-    if p.x.denominator == 1 and p.y.denominator == 1:
-        return IntPoint2(int(p.x), int(p.y))
-    return None
-
-
 def _degenerate_candidates(R: PolySet2) -> Set[IntPoint2]:
     """Extreme lattice points of a point/segment region (all that a hull needs)."""
-    verts = R.vertices
-    if len(verts) == 1:
-        z = _integral_point(verts[0])
-        return {z} if z is not None else set()
-    l = line_through(verts[0], verts[1])
-    hit = integer_points_on_chord(l, Segment(verts[0], verts[1]))
-    if hit is None:
-        return set()
-    return {hit.lo, hit.hi}
+    return set(_lattice_extremes(R.vertices))
 
 
 def _filter_region(
@@ -147,7 +132,8 @@ def _two_point_regions(P: PolySet2, u: IntPoint2, w: IntPoint2) -> List[PolySet2
     of P exactly, each with strictly smaller area than P.
     """
     l = line_through(u, w)
-    assert l.b.denominator == 1, "a lattice segment's line has an integer offset"
+    if l.b.denominator != 1:
+        raise GeometryError(f"the line through lattice points {u} and {w} has offset {l.b}")
     b = l.b
     known = (u, w)
     regions: List[PolySet2] = []
@@ -188,7 +174,8 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
         l = line_through(u, w)
         fz = l.eval_at(z)
         # Canonical hulls have no 3 collinear vertices, so z picks a side.
-        assert fz != l.b
+        if fz == l.b:
+            raise GeometryError(f"hull vertices {u}, {w} and {z} are collinear")
         if fz < l.b:
             outer = HalfPlane(-l.a, -l.c, -l.b)
         else:
@@ -226,7 +213,8 @@ def _resolve_regions(
     for region in residual_regions(P, hull_so_far):
         if stats is not None:
             stats.regions += 1
-        assert area(region) < parent_area
+        if not area(region) < parent_area:
+            raise GeometryError("a residual region is no smaller than the region it came from")
         if region.is_degenerate:
             points |= _degenerate_candidates(region)
         elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:

@@ -1,13 +1,14 @@
-"""Lattice machinery for lines and chord sweeps.
+"""Lattice machinery for chord sweeps and the lattice points of segments.
 
 This module answers the discrete questions both hull engines are built on:
 
-* which lines ``a*x + c*y = b`` contain integer points, and how to enumerate
-  them (:func:`egcd`, :func:`lattice_of_line`, :func:`integer_points_on_chord`);
 * given a polygon facet, what is the first integer offset — sweeping the
   facet line parallel to itself — whose chord through the polygon contains a
   lattice point (:func:`sweep_inward` from the facet toward the interior,
-  :func:`sweep_from_opposite` from the far side toward the facet).
+  :func:`sweep_from_opposite` from the far side toward the facet);
+* which lattice points a point or segment holds, such as a piece that a
+  residual clip leaves behind: ``_lattice_extremes`` answers with the
+  extreme ones, in the same integer frame the sweeps use.
 
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
@@ -29,24 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Dict, Optional, Tuple, Union
+from math import gcd
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    GeometryError,
-    NoIntegerPoints,
-    SegmentNotOnLine,
-    SweepLimitExceeded,
-    UnboundedSet,
-)
-from .geom import (
-    IntPoint2,
-    Line,
-    Point2,
-    PolySet2,
-    Segment,
-    _frac,
-)
+from .errors import GeometryError, SweepLimitExceeded, UnboundedSet
+from .geom import IntPoint2, Line, Point2, PolySet2, Segment
 
 
 def egcd(a: int, c: int) -> Tuple[int, int, int]:
@@ -99,32 +87,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def line_has_integer_point(l: Line) -> bool:
-    """True iff the line carries integer points (with gcd(a, c) = 1: b is integral)."""
-    return l.b.denominator == 1
-
-
-@dataclass(frozen=True)
-class LineLattice:
-    """All integer points of a line: base + t * dir for integer t.
-
-    dir = (c, -a) is primitive because gcd(a, c) = 1, so consecutive integer
-    points on the line differ by exactly one step of dir.
-    """
-
-    base: IntPoint2
-    dir: Tuple[int, int]
-
-
-def lattice_of_line(l: Line) -> LineLattice:
-    """Parametrize the integer points of a line; raises NoIntegerPoints if none."""
-    if l.b.denominator != 1:
-        raise NoIntegerPoints(f"line {l.a}*x + {l.c}*y = {l.b} has no integer points")
-    b = int(l.b)
-    _, u, v = egcd(l.a, l.c)  # gcd is 1 by the Line invariant
-    return LineLattice(IntPoint2(u * b, v * b), (l.c, -l.a))
-
-
 @dataclass(frozen=True)
 class SweepHit:
     """The stopping chord of a sweep: its integer offset and the extreme
@@ -135,42 +97,19 @@ class SweepHit:
     hi: IntPoint2
 
 
-def integer_points_on_chord(l: Line, seg: Segment) -> Optional[SweepHit]:
-    """Extreme integer points of the line within a segment of it (inclusive).
-
-    Returns None when the line carries no integer points or none fall inside
-    the segment.  Raises SegmentNotOnLine when an endpoint is off the line.
-    """
-    if not l.contains_point(seg.p) or not l.contains_point(seg.q):
-        raise SegmentNotOnLine("segment endpoints must lie on the line")
-    if l.b.denominator != 1:
-        return None
-    lat = lattice_of_line(l)
-    dx, dy = lat.dir
-
-    def param(pt: Point2) -> Fraction:
-        if dx:
-            return (_frac(pt[0]) - lat.base.x) / dx
-        return (_frac(pt[1]) - lat.base.y) / dy
-
-    t1, t2 = sorted((param(seg.p), param(seg.q)))
-    t_lo, t_hi = ceil(t1), floor(t2)
-    if t_lo > t_hi:
-        return None
-    p1 = IntPoint2(lat.base.x + t_lo * dx, lat.base.y + t_lo * dy)
-    p2 = IntPoint2(lat.base.x + t_hi * dx, lat.base.y + t_hi * dy)
-    lo, hi = sorted((p1, p2))
-    return SweepHit(int(l.b), lo, hi)
+def _check_polygon(P: PolySet2, what: str) -> None:
+    if P.rays:
+        raise UnboundedSet(f"{what} require a bounded set")
+    if len(P.vertices) < 3:
+        raise ValueError(f"{what} require a polygon with at least 3 vertices")
 
 
 def chord(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
-    """P intersected with a line: a segment, a single point, or None."""
+    """A bounded polygon intersected with a line: a segment, a single point,
+    or None."""
+    _check_polygon(P, "chords")
     d = (l.c, -l.a)
     p0 = Point2(Fraction(0), l.b / l.c) if l.c else Point2(l.b / l.a, Fraction(0))
-    if P.is_degenerate:
-        return _chord_of_degenerate(P, l)
-    if P.rays:
-        raise UnboundedSet("chords are only defined for bounded sets")
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     for h in P.halfplanes:
@@ -197,24 +136,6 @@ def chord(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
     return Segment(p, q)
 
 
-def _chord_of_degenerate(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
-    verts = P.vertices
-    if len(verts) == 1:
-        return verts[0] if l.contains_point(verts[0]) else None
-    u, w = verts
-    fu, fw = l.eval_at(u), l.eval_at(w)
-    if fu == l.b and fw == l.b:
-        return Segment(u, w)
-    if (fu < l.b < fw) or (fw < l.b < fu):
-        t = (l.b - fu) / (fw - fu)
-        return Point2(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))
-    if fu == l.b:
-        return u
-    if fw == l.b:
-        return w
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Facet sweeps
 # ---------------------------------------------------------------------------
@@ -229,12 +150,12 @@ class _Frame:
     exactly to integer (x, y) points.
     """
 
-    def __init__(self, P: PolySet2, A: int, C: int) -> None:
+    def __init__(self, verts: Sequence[Point2], A: int, C: int) -> None:
         g, u, v = egcd(A, C)
         if g != 1:
             raise ValueError("sweep direction must be a primitive integer vector")
-        self.P = P
-        self.n = len(P.vertices)
+        self.verts = verts
+        self.n = len(verts)
         self.A, self.C, self.u, self.v = A, C, u, v
         self._tp: Dict[int, Tuple[int, int]] = {}
 
@@ -242,7 +163,7 @@ class _Frame:
         """t at vertex j as (num, den) with den > 0 (no Fraction churn)."""
         val = self._tp.get(j)
         if val is None:
-            p = self.P.vertices[j]
+            p = self.verts[j]
             xn, xd = p.x.numerator, p.x.denominator
             yn, yd = p.y.numerator, p.y.denominator
             val = (self.A * xn * yd + self.C * yn * xd, xd * yd)
@@ -251,7 +172,7 @@ class _Frame:
 
     def s_pair(self, j: int) -> Tuple[int, int]:
         """s at vertex j as (num, den) with den > 0."""
-        p = self.P.vertices[j]
+        p = self.verts[j]
         xn, xd = p.x.numerator, p.x.denominator
         yn, yd = p.y.numerator, p.y.denominator
         return (-self.v * xn * yd + self.u * yn * xd, xd * yd)
@@ -276,6 +197,35 @@ class _Frame:
             p_raw, q_raw, r_raw = -p_raw, -q_raw, -r_raw
         g = gcd(gcd(abs(p_raw), abs(q_raw)), r_raw)
         return (p_raw // g, q_raw // g, r_raw // g)
+
+
+def _lattice_extremes(ends: Sequence[Point2]) -> Tuple[IntPoint2, ...]:
+    """The lexicographically extreme lattice points of a point or segment,
+    given by its one or two endpoints: none, one, or both in lex order.
+
+    A frame whose t runs along the segment's primitive normal holds the
+    segment at one level t; lattice points exist iff that level is integral,
+    and they are the integers s between the endpoints' s values.
+    """
+    p, q = ends[0], ends[-1]
+    dx, dy = q.x - p.x, q.y - p.y
+    A, C = dy.numerator * dx.denominator, -dx.numerator * dy.denominator
+    g = gcd(A, C)
+    # A point lies on a line of every direction: take t = x, s = y.
+    frame = _Frame(ends, A // g, C // g) if g else _Frame(ends, 1, 0)
+    tn, td = frame.t_pair(0)
+    if tn % td:
+        return ()
+    (pn, pd), (qn, qd) = frame.s_pair(0), frame.s_pair(len(ends) - 1)
+    if pn * qd > qn * pd:
+        (pn, pd), (qn, qd) = (qn, qd), (pn, pd)
+    s_first, s_last = -(-pn // pd), qn // qd
+    if s_first > s_last:
+        return ()
+    t = tn // td
+    if s_first == s_last:
+        return (frame.point_at(t, s_first),)
+    return tuple(sorted((frame.point_at(t, s_first), frame.point_at(t, s_last))))
 
 
 def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
@@ -391,28 +341,29 @@ def _first_lattice_chord(
     chord in the polygon's range contains one (then P has no lattice points
     at all, since every lattice point of P lies on some integer-level chord).
     """
-    frame = _Frame(P, A, C)
+    frame = _Frame(P.vertices, A, C)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     t_first = -((-min_num) // min_den)  # ceil of the minimum
-
-    def guard(steps: int) -> int:
-        if max_sweep is not None and steps > max_sweep:
-            raise SweepLimitExceeded(
-                f"sweep would take {steps} offset translations (limit {max_sweep})"
-            )
-        return steps
+    # The last level within the limit: no window reaches past it.
+    t_limit = None if max_sweep is None else t_first + max_sweep - 1
 
     # Galloping windows [t, end], each cut at the next edge end of either
     # chain, then a bisection inside the first window that holds a point.
     t, width = t_first, 1
     while True:
         if not (lower.reach(t) and upper.reach(t)):
-            # Past the top: no chord holds a lattice point.  An empty range
-            # of levels is no sweep at all, so it passes any limit.
-            steps = t - t_first
-            return _SweepOutcome(None, guard(steps) if steps else 0, j_lo)
+            # Past the top: no chord holds a lattice point.  Every level
+            # scanned was within the limit, and an empty range of levels is
+            # no sweep at all.
+            return _SweepOutcome(None, t - t_first, j_lo)
+        if t_limit is not None and t > t_limit:
+            raise SweepLimitExceeded(
+                f"sweep would take more than {max_sweep} offset translations"
+            )
         end = min(t + width - 1, lower.end, upper.end)
+        if t_limit is not None and end > t_limit:
+            end = t_limit
         if _slab_count(lower, upper, t, end) > 0:
             break
         t, width = end + 1, width * 2
@@ -422,7 +373,6 @@ def _first_lattice_chord(
             end = mid
         else:
             t = mid + 1
-    steps = guard(t - t_first + 1)
 
     lp, lq, lr = lower.line
     up, uq, ur = upper.line
@@ -432,14 +382,7 @@ def _first_lattice_chord(
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
     lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
     offset = -t if negate_offset else t
-    return _SweepOutcome(SweepHit(offset, lo_pt, hi_pt), steps, j_lo)
-
-
-def _check_sweepable(P: PolySet2) -> None:
-    if P.rays:
-        raise UnboundedSet("facet sweeps require a bounded set")
-    if len(P.vertices) < 3:
-        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
+    return _SweepOutcome(SweepHit(offset, lo_pt, hi_pt), t - t_first + 1, j_lo)
 
 
 def _run_sweep(
@@ -452,7 +395,9 @@ def _run_sweep(
 ) -> _SweepOutcome:
     """Sweep one facet; `hint` is a vertex near the minimum of the swept
     functional (the previous facet's `anchor_min`), else one is guessed."""
-    _check_sweepable(P)
+    _check_polygon(P, "facet sweeps")
+    if max_sweep is not None and max_sweep < 0:
+        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
     hp = P.halfplanes[facet_index]
     if inward:
         # Maximizing a*x + c*y over the lattice == scanning -a*x - c*y upward.
@@ -476,8 +421,9 @@ def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = No
     The returned offset is the largest integer b' <= the facet offset whose
     chord P ∩ {a*x + c*y = b'} contains integer points; lo/hi are the extreme
     ones on that chord.  Returns None iff P contains no integer points.
-    With ``max_sweep`` set, raises :class:`SweepLimitExceeded` when the
-    answer lies more than that many offsets away from the facet.
+    With ``max_sweep`` set (>= 0, else ValueError), raises
+    :class:`SweepLimitExceeded` as soon as the answer is known to lie more
+    than that many offsets away from the facet, before searching further.
     """
     return _run_sweep(P, facet_index, inward=True, max_sweep=max_sweep).hit
 

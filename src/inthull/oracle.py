@@ -16,8 +16,8 @@ from math import ceil, floor, gcd
 from typing import List, Optional
 
 from .errors import BudgetExceeded, UnboundedSet
-from .geom import HullResult, IntPoint2, PolySet2, Segment, bounding_box, convex_hull, line_through
-from .lattice import integer_points_on_chord
+from .geom import HullResult, IntPoint2, PolySet2, bounding_box, convex_hull
+from .lattice import _lattice_extremes
 
 
 @dataclass
@@ -89,24 +89,14 @@ def enumerate_integer_points(
 
 
 def _enumerate_degenerate(P: PolySet2) -> List[IntPoint2]:
-    verts = P.vertices
-    if len(verts) == 1:
-        p = verts[0]
-        if p.x.denominator == 1 and p.y.denominator == 1:
-            return [IntPoint2(int(p.x), int(p.y))]
-        return []
-    line = line_through(verts[0], verts[1])
-    hit = integer_points_on_chord(line, Segment(verts[0], verts[1]))
-    if hit is None:
-        return []
-    lat_dx = hit.hi.x - hit.lo.x
-    lat_dy = hit.hi.y - hit.lo.y
-    if lat_dx == 0 and lat_dy == 0:
-        return [hit.lo]
+    ends = _lattice_extremes(P.vertices)
+    if len(ends) < 2:
+        return list(ends)
+    lo, hi = ends
     # Consecutive lattice points on a line differ by its primitive direction.
-    g = gcd(lat_dx, lat_dy)
-    dx, dy = lat_dx // g, lat_dy // g
-    return [IntPoint2(hit.lo.x + k * dx, hit.lo.y + k * dy) for k in range(g + 1)]
+    g = gcd(hi.x - lo.x, hi.y - lo.y)
+    dx, dy = (hi.x - lo.x) // g, (hi.y - lo.y) // g
+    return [IntPoint2(lo.x + k * dx, lo.y + k * dy) for k in range(g + 1)]
 
 
 def integer_hull_oracle(

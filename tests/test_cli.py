@@ -71,6 +71,12 @@ def test_exit_code_3_on_sweep_limit():
     assert "sweep" in r.stderr
 
 
+def test_negative_max_sweep_is_a_bad_flag(capsys):
+    # A bad flag exits 1, not with the sweep limit's resource refusal 3.
+    assert cli.main(["hull", str(FIXTURES / "unit_square.json"), "--max-sweep", "-1"]) == 1
+    assert "max_sweep" in capsys.readouterr().err
+
+
 def test_hull_check_prints_empty_hull_of_an_empty_wide_system(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"inequalities": empty_85_row_system()}), encoding="utf-8")

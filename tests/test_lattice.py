@@ -1,10 +1,11 @@
-"""Diophantine helpers, chord extraction, and facet-line sweeps."""
+"""Diophantine helpers, chord extraction, the lattice points of segments,
+and facet-line sweeps."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,23 +14,33 @@ from hypothesis import strategies as st
 from inthull import (
     Line,
     Point2,
+    PolySet2,
     Segment,
-    SegmentNotOnLine,
     SweepLimitExceeded,
     chord,
     egcd,
+    enumerate_integer_points,
     floor_sum,
-    integer_points_on_chord,
-    lattice_of_line,
-    line_has_integer_point,
+    integer_hull_new,
     polyset_from_vertices,
     sweep_from_opposite,
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
+from inthull.lattice import _run_sweep
 from helpers import brute_points_in, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def point_set(x, y):
+    return PolySet2((), (Point2(Fraction(x), Fraction(y)),))
+
+
+def segment(p, q):
+    """The segment PolySet2 between two distinct rational points."""
+    ends = sorted(Point2(Fraction(x), Fraction(y)) for x, y in (p, q))
+    return PolySet2((), tuple(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -71,37 +82,6 @@ def test_floor_sum_rejects_bad_modulus():
 
 
 # ---------------------------------------------------------------------------
-# line lattice structure
-
-
-def test_line_has_integer_point_iff_integral_offset():
-    assert line_has_integer_point(Line(3, 5, 7))
-    assert not line_has_integer_point(Line(3, 5, Fraction(7, 2)))
-    # reduction can turn a fractional description into an integral one
-    assert line_has_integer_point(Line(2, 4, 6))
-
-
-def test_lattice_of_line_parametrizes_all_solutions():
-    rng = random.Random(42)
-    checked = 0
-    while checked < 100:
-        a = rng.randint(-60, 60)
-        c = rng.randint(-60, 60)
-        if a == 0 and c == 0:
-            continue
-        g = gcd(a, c)
-        line = Line(a // g, c // g, rng.randint(-50, 50))
-        lat = lattice_of_line(line)
-        for t in range(-3, 4):
-            x = lat.base.x + t * lat.dir[0]
-            y = lat.base.y + t * lat.dir[1]
-            assert line.a * x + line.c * y == line.b
-        # dir is primitive, so consecutive points are lattice-adjacent on the line
-        assert gcd(lat.dir[0], lat.dir[1]) == 1
-        checked += 1
-
-
-# ---------------------------------------------------------------------------
 # chord extraction
 
 
@@ -118,49 +98,85 @@ def test_chord_segment_point_and_miss():
     assert chord(tri, Line(0, 1, 5)) is None
 
 
-def test_integer_points_on_chord_goldens():
-    line = Line(1, 1, 4)
-    seg = Segment(Point2(Fraction(1, 2), Fraction(7, 2)), Point2(Fraction(4), Fraction(0)))
-    hit = integer_points_on_chord(line, seg)
-    assert hit is not None
-    assert hit.offset == 4
-    assert (hit.lo.x, hit.lo.y) == (1, 3)
-    assert (hit.hi.x, hit.hi.y) == (4, 0)
-    # no integer point on the line at all
-    assert integer_points_on_chord(Line(2, 2, 1), Segment(Point2(Fraction(0), Fraction(1, 2)), Point2(Fraction(1), Fraction(-1, 2)))) is None
+def test_chord_refuses_points_and_segments():
+    for S in (point_set(0, 0), segment((0, 0), (2, 2))):
+        with pytest.raises(ValueError):
+            chord(S, Line(1, -1, 0))
+
+
+# ---------------------------------------------------------------------------
+# lattice points of a point or segment, through the public API
+
+
+def check_segment_lattice(S, expected):
+    """`expected` is the sorted list of the lattice points of S: the oracle
+    enumerates all of them, and the hull of S is the two extreme ones."""
+    assert [tuple(p) for p in enumerate_integer_points(S)] == expected
+    assert [tuple(p) for p in integer_hull_new(S)] == expected[:1] + expected[1:][-1:]
+
+
+def line_lattice(a, c, b):
+    """(base, dir): the integer points of a*x + c*y = b (a, c coprime) are
+    base + k*dir for integer k."""
+    _, u, v = egcd(a, c)
+    return (u * b, v * b), (c, -a)
+
+
+def test_segment_lattice_points_goldens():
+    # on x + y = 4
+    check_segment_lattice(
+        segment((Fraction(1, 2), Fraction(7, 2)), (4, 0)), [(1, 3), (2, 2), (3, 1), (4, 0)]
+    )
+    # no integer point on the line 2x + 2y = 1 at all
+    check_segment_lattice(segment((0, Fraction(1, 2)), (1, Fraction(-1, 2))), [])
     # integer points exist on the line but not inside the segment
-    tight = Segment(Point2(Fraction(5, 4), Fraction(11, 4)), Point2(Fraction(7, 4), Fraction(9, 4)))
-    assert integer_points_on_chord(line, tight) is None
-
-
-def test_integer_points_on_chord_rejects_off_line_segment():
-    with pytest.raises(SegmentNotOnLine):
-        integer_points_on_chord(Line(1, 0, 0), Segment(Point2(Fraction(1), Fraction(0)), Point2(Fraction(1), Fraction(2))))
+    check_segment_lattice(segment((Fraction(5, 4), Fraction(11, 4)), (Fraction(7, 4), Fraction(9, 4))), [])
+    # a single point, lattice or not
+    check_segment_lattice(point_set(3, -2), [(3, -2)])
+    check_segment_lattice(point_set(3, Fraction(-1, 2)), [])
 
 
 @settings(max_examples=120)
 @given(st.integers(0, 10**6))
-def test_integer_points_on_chord_matches_enumeration(seed):
+def test_segment_lattice_points_match_enumeration(seed):
     rng = random.Random(seed)
     a = rng.randint(-8, 8)
     c = rng.randint(-8, 8)
     if a == 0 and c == 0:
         a = 1
     g = gcd(a, c)
-    line = Line(a // g, c // g, rng.randint(-20, 20))
-    lat = lattice_of_line(line)
+    (bx, by), (dx, dy) = line_lattice(a // g, c // g, rng.randint(-20, 20))
     t0, t1 = sorted((rng.randint(-15, 15), rng.randint(-15, 15)))
-    seg = Segment(
-        Point2(lat.base.x + Fraction(t0 * 2 - 1, 2) * lat.dir[0], lat.base.y + Fraction(t0 * 2 - 1, 2) * lat.dir[1]),
-        Point2(lat.base.x + Fraction(t1 * 2 + 1, 2) * lat.dir[0], lat.base.y + Fraction(t1 * 2 + 1, 2) * lat.dir[1]),
-    )
-    hit = integer_points_on_chord(line, seg)
-    expected = sorted(
-        (lat.base.x + t * lat.dir[0], lat.base.y + t * lat.dir[1]) for t in range(t0, t1 + 1)
-    )
-    assert hit is not None
-    assert (hit.lo.x, hit.lo.y) == expected[0]
-    assert (hit.hi.x, hit.hi.y) == expected[-1]
+    k0, k1 = Fraction(t0 * 2 - 1, 2), Fraction(t1 * 2 + 1, 2)
+    S = segment((bx + k0 * dx, by + k0 * dy), (bx + k1 * dx, by + k1 * dy))
+    expected = sorted((bx + t * dx, by + t * dy) for t in range(t0, t1 + 1))
+    check_segment_lattice(S, expected)
+
+
+def test_segment_lattice_points_move_with_far_integer_translations():
+    # Segments with endpoint denominators ~10^10 on lines a*x + c*y = b that
+    # carry lattice points, and on the lattice-free lines b + 1/2, moved
+    # ~10^12 by integer vectors: their lattice points move with them.
+    rng = random.Random(2026)
+    for i in range(200):
+        a, c = rng.randint(1, 1000), rng.randint(-1000, 1000)
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        (bx, by), (dx, dy) = line_lattice(a, c, rng.randint(-10**6, 10**6))
+        den = rng.randint(10**10, 2 * 10**10)
+        k0 = Fraction(rng.randint(-5 * den, 5 * den), den)
+        k1 = k0 + Fraction(rng.randint(1, 6 * den), den)
+        if i % 4 == 3:
+            (hx, hy), _ = line_lattice(a, c, Fraction(1, 2))
+            bx, by = bx + hx, by + hy
+            expected = []
+        else:
+            expected = sorted((bx + t * dx, by + t * dy) for t in range(ceil(k0), floor(k1) + 1))
+        ends = [(bx + k * dx, by + k * dy) for k in (k0, k1)]
+        check_segment_lattice(segment(*ends), expected)
+        X, Y = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        moved = segment(*[(x + X, y + Y) for x, y in ends])
+        check_segment_lattice(moved, [(x + X, y + Y) for x, y in expected])
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +290,6 @@ def test_tightening_to_the_stop_offset_preserves_the_lattice_set(seed):
         rows[i] = (h.a, h.c, Fraction(hit.offset))
         xs = [v.x for v in P.vertices]
         ys = [v.y for v in P.vertices]
-        from math import ceil
-
         tightened = [
             (x, y)
             for x in range(ceil(min(xs)), floor(max(xs)) + 1)
@@ -299,3 +313,51 @@ def test_max_sweep_guard_raises_on_long_sweeps():
         a = sweep_inward(P, i)
         b = sweep_inward(P, i, max_sweep=10**9)
         assert (a is None and b is None) or (a == b)
+
+
+def test_max_sweep_refuses_a_far_hit_before_searching_for_it(monkeypatch):
+    # Swept from the opposite side, facet 0's first lattice chord is
+    # 4.8 * 10^10 levels away; finding it takes over a hundred floor_sums.
+    far = polyset_from_vertices(
+        [
+            (0, Fraction(1, 3)),
+            (10**12, Fraction(10**12 - 1, 7) + Fraction(1, 3)),
+            (10**12, Fraction(10**12, 7) + Fraction(1, 3)),
+        ]
+    )
+    calls = []
+    counted = lambda *args: calls.append(args) or floor_sum(*args)
+    monkeypatch.setattr("inthull.lattice.floor_sum", counted)
+    assert sweep_from_opposite(far, 0).offset == -428571428571
+    assert len(calls) > 100
+    calls.clear()
+    with pytest.raises(SweepLimitExceeded, match="more than 1 "):
+        sweep_from_opposite(far, 0, max_sweep=1)
+    # One window of one level: one floor_sum per boundary chain.
+    assert len(calls) <= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+@example(-1)
+def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
+    if seed < 0:  # lattice-free: no hit, and every level in range is swept
+        P = polyset_from_vertices(
+            [(Fraction(1, 4), Fraction(1, 4)), (Fraction(7, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))]
+        )
+    else:
+        P = random_polyset(random.Random(seed), max_num=20, max_den=5)
+    for i in range(len(P.halfplanes)):
+        for inward in (True, False):
+            free = _run_sweep(P, i, inward)
+            for limit in sorted({0, 1, 2, free.steps - 1, free.steps, free.steps + 1} - {-1}):
+                if free.steps > limit:
+                    with pytest.raises(SweepLimitExceeded):
+                        _run_sweep(P, i, inward, max_sweep=limit)
+                else:
+                    assert _run_sweep(P, i, inward, max_sweep=limit) == free
+
+
+def test_max_sweep_must_not_be_negative():
+    with pytest.raises(ValueError):
+        sweep_inward(UNIT_SQUARE, 0, max_sweep=-1)
