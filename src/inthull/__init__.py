@@ -26,7 +26,6 @@ from .geom import (
     Point2,
     PolySet2,
     Rational,
-    Segment,
     area,
     as_point,
     bounding_box,
@@ -92,7 +91,6 @@ __all__ = [
     "as_point",
     "Line",
     "HalfPlane",
-    "Segment",
     "HullResult",
     "PolySet2",
     "line_through",

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median_low
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, GeometryError
 from .geom import HullResult, PolySet2, area
@@ -52,7 +52,10 @@ def run_engine(
     stats: Optional[RunStats] = None,
 ) -> HullResult:
     """Dispatch one hull engine by name; `cfg` and `max_sweep` reach only
-    the engines that take them."""
+    the engines that take them, but a negative `max_sweep` is refused for
+    every engine and input."""
+    if max_sweep is not None and max_sweep < 0:
+        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
     if name == "new":
         return integer_hull_new(P, cfg, max_sweep=max_sweep, stats=stats)
     if name == "baseline":
@@ -89,6 +92,14 @@ class BenchRecord:
         ]
 
 
+def _timed_run(engine: str, P: Optional[PolySet2]) -> Tuple[HullResult, RunStats, int]:
+    """One engine run: its hull, its counters and its wall time in ns."""
+    stats = RunStats()
+    start = time.perf_counter_ns()
+    hull = run_engine(engine, P, stats=stats)
+    return hull, stats, time.perf_counter_ns() - start
+
+
 def bench_instance(
     inst: Instance,
     engines: Sequence[str],
@@ -111,16 +122,8 @@ def bench_instance(
     poly_area = Fraction(0) if P is None else area(P)
     records: List[BenchRecord] = []
     for engine in engines:
-        times: List[int] = []
-        stats = RunStats()
-        hull: Optional[HullResult] = None
-        status = "ok"
         try:
-            for _ in range(reps):
-                stats = RunStats()  # counters are per-run; keep the last
-                start = time.perf_counter_ns()
-                hull = run_engine(engine, P, stats=stats)
-                times.append(time.perf_counter_ns() - start)
+            runs = [_timed_run(engine, P) for _ in range(reps)]
         except BudgetExceeded:
             records.append(
                 BenchRecord(name, n_vertices, poly_area, engine, 0, 0, 0, "skipped:budget")
@@ -133,17 +136,17 @@ def bench_instance(
                 )
             )
             continue
-        assert hull is not None
+        hull, stats, _ = runs[-1]  # counters are per-run; keep the last
         records.append(
             BenchRecord(
                 name,
                 n_vertices,
                 poly_area,
                 engine,
-                median_low(times) if timing else 0,
+                median_low([ns for _, _, ns in runs]) if timing else 0,
                 len(hull),
                 stats.brute_cells,
-                status,
+                "ok",
             )
         )
     return records

@@ -198,25 +198,25 @@ def convex_chain_polygon(n: int, target_area: Rational = Fraction(70000)) -> Ins
         pool = _primitive_vectors(max_norm)
     upper = [v for v in pool if v[1] > 0 or (v[1] == 0 and v[0] > 0)]
     # Pick n/2 directions evenly from the upper half; negation closes the set.
+    # The pool is closed under negation, so k >= n/2 and the picks are distinct.
     k = len(upper)
     chosen = [upper[(i * k) // (n // 2)] for i in range(n // 2)]
-    assert len(set(chosen)) == n // 2, "even spacing must not repeat directions"
     edges = chosen + [(-a, -c) for a, c in chosen]
     edges = sorted(edges, key=_by_angle)
-    verts: List[Tuple[Fraction, Fraction]] = []
-    x = y = Fraction(0)
-    for dx, dy in edges:
-        verts.append((x, y))
-        x += dx
-        y += dy
-    assert (x, y) == (0, 0), "edge vectors must sum to zero"
+    # The edges come in opposite pairs, so the walk closes: the last edge
+    # leads back to the origin.
+    verts: List[Tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
+    for dx, dy in edges[:-1]:
+        x, y = verts[-1]
+        verts.append((x + dx, y + dy))
+    # n distinct directions in angle order: a strictly convex CCW polygon,
+    # so its area is positive.
     twice_area = 0
     for i in range(n):
         px, py = verts[i]
         qx, qy = verts[(i + 1) % n]
         twice_area += px * qy - qx * py
     area0 = Fraction(twice_area, 2)
-    assert area0 > 0
     ratio = area0 / target_area
     q0 = max(1, isqrt(ratio.numerator // ratio.denominator))
     # Choose the divisor whose squared scaling lands closest to the target.

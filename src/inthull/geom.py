@@ -1,8 +1,8 @@
 """Exact rational planar geometry.
 
 Points, lines, half-planes, orientation and intersection predicates, convex
-hulls of integer points, and the bounded 2D polyhedral-set type with dual
-half-plane (H) and vertex (V) representations.
+hulls of integer points, and the bounded 2D polyhedral-set type: a vertex
+cycle whose edge half-planes are derived from it.
 
 All coordinates are exact rationals (`fractions.Fraction`, with plain `int`
 accepted anywhere a rational is expected) and every predicate is computed
@@ -17,11 +17,11 @@ Conventions used throughout:
 * A half-plane is ``a*x + c*y <= b`` with coprime integers ``(a, c)``.  Its
   sign is *not* canonicalized: orientation is meaning, ``(a, c)`` points out
   of the feasible side.
-* A :class:`PolySet2` with three or more vertices stores a strictly convex
+* A :class:`PolySet2` with three or more vertices is a strictly convex
   counter-clockwise vertex cycle starting at the lexicographically smallest
-  vertex, and ``halfplanes[i]`` is exactly the supporting half-plane of the
-  edge ``vertices[i] -> vertices[i+1]``.  Sets with one or two vertices are
-  degenerate (a point or a segment) and carry no half-planes.
+  vertex; its ``halfplanes[i]``, derived on construction, is the supporting
+  half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets with one or
+  two vertices are degenerate (a point or a segment) and have no half-planes.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -30,7 +30,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -178,14 +178,6 @@ class HalfPlane:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A closed segment; p == q is allowed and means a single point."""
-
-    p: Point2
-    q: Point2
-
-
-@dataclass(frozen=True)
 class HullResult:
     """Canonical list of integer hull vertices.
 
@@ -211,38 +203,29 @@ class HullResult:
 
 @dataclass(frozen=True)
 class PolySet2:
-    """A polyhedral subset of the plane in both representations.
+    """A bounded convex subset of the plane, given by its vertices.
 
     With >= 3 vertices: ``vertices`` is a strictly convex CCW cycle starting
-    at the lex-smallest vertex and ``halfplanes[i]`` supports the edge
-    ``vertices[i] -> vertices[(i+1) % n]``.  With 1 or 2 vertices the set is
-    degenerate (a point or a segment, vertices in lex order) and carries no
-    half-planes.  ``rays`` is carried through for callers that track
-    recession directions; hull computations require it to be empty.
+    at the lex-smallest vertex, and ``halfplanes[i]``, derived from it,
+    supports the edge ``vertices[i] -> vertices[(i+1) % n]``.  With 1 or 2
+    vertices the set is degenerate (a point or a segment, vertices in lex
+    order) and has no half-planes.
     """
 
-    halfplanes: Tuple[HalfPlane, ...]
     vertices: Tuple[Point2, ...]
-    rays: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    halfplanes: Tuple[HalfPlane, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        hps = tuple(self.halfplanes)
         verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in self.vertices)
-        rays = tuple((_frac(r[0]), _frac(r[1])) for r in self.rays)
-        object.__setattr__(self, "halfplanes", hps)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "rays", rays)
         n = len(verts)
         if n == 0:
             raise ValueError("a PolySet2 must have at least one vertex; use None for the empty set")
         if n <= 2:
-            if hps:
-                raise ValueError("degenerate sets carry no half-planes")
             if n == 2 and not verts[0] < verts[1]:
                 raise ValueError("degenerate segment vertices must be distinct and in lex order")
+            object.__setattr__(self, "halfplanes", ())
             return
-        if len(hps) != n:
-            raise ValueError("need exactly one half-plane per edge")
         if min(verts) != verts[0]:
             raise ValueError("vertex cycle must start at the lexicographically smallest vertex")
         for i in range(n):
@@ -251,11 +234,14 @@ class PolySet2:
             r = verts[(i + 2) % n]
             if _cross_parts(p, q, r)[0] <= 0:
                 raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
-            h = hps[i]
-            if _eval_cmp(h.a, h.c, h.b, p) != 0 or _eval_cmp(h.a, h.c, h.b, q) != 0:
-                raise ValueError("halfplanes[i] must be tight on edge i")
-            if _eval_cmp(h.a, h.c, h.b, r) >= 0:
-                raise ValueError("halfplanes[i] must contain the polygon")
+        hps = tuple(_edge_halfplane(verts[i], verts[(i + 1) % n]) for i in range(n))
+        # Left turns alone also admit a cycle that winds around more than
+        # once (a pentagram); a convex one turns its normals around once,
+        # so they enter the upper half plane once.
+        upper = [h.c > 0 or (h.c == 0 and h.a > 0) for h in hps]
+        if sum(u and not upper[i - 1] for i, u in enumerate(upper)) != 1:
+            raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
+        object.__setattr__(self, "halfplanes", hps)
 
     @property
     def is_degenerate(self) -> bool:
@@ -328,15 +314,12 @@ def _edge_halfplane(p: Point2, q: Point2) -> HalfPlane:
 def _polyset_from_cycle(verts: Sequence[Point2]) -> PolySet2:
     """Build a PolySet2 from a strictly convex CCW cycle (>= 3 vertices).
 
-    Rotates the cycle to start at the lex-smallest vertex and derives one
-    half-plane per edge.
+    Rotates the cycle to start at the lex-smallest vertex.
     """
     verts = list(verts)
     k = verts.index(min(verts))
     verts = verts[k:] + verts[:k]
-    n = len(verts)
-    hps = tuple(_edge_halfplane(verts[i], verts[(i + 1) % n]) for i in range(n))
-    return PolySet2(hps, tuple(verts))
+    return PolySet2(tuple(verts))
 
 
 def _degenerate_polyset(points: Iterable[Point2]) -> Optional[PolySet2]:
@@ -346,7 +329,7 @@ def _degenerate_polyset(points: Iterable[Point2]) -> Optional[PolySet2]:
         return None
     if len(distinct) > 2:
         raise ValueError("degenerate sets have at most two distinct vertices")
-    return PolySet2((), tuple(distinct))
+    return PolySet2(tuple(distinct))
 
 
 def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
@@ -632,10 +615,7 @@ def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
     box clipping decides which: a nonempty intersection always meets the box
     (see :func:`_intersect_by_clipping`).
     """
-    filtered = []
-    for h in hps:
-        filtered.append(HalfPlane(h.a, h.c, h.b) if not isinstance(h, HalfPlane) else h)
-    deduped = _dedupe_halfplanes(filtered)
+    deduped = _dedupe_halfplanes(hps)
     if not deduped:
         raise UnboundedSet("no constraints: the whole plane is unbounded")
     sorted_hps = _sort_by_angle(deduped)

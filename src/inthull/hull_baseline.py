@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import GeometryError, UnboundedSet
+from .errors import GeometryError
 from .geom import (
     HalfPlane,
     HullResult,
@@ -65,8 +65,6 @@ def integer_hull_baseline(
     always brute-forced, never recursed."""
     if P is None:
         return convex_hull([])
-    if P.rays:
-        raise UnboundedSet("integer hulls are computed for bounded sets only")
     if P.is_degenerate:
         return convex_hull(_degenerate_candidates(P))
     Q, hits = normalize_facets(P, max_sweep=max_sweep, stats=stats)

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .errors import GeometryError, UnboundedSet
+from .errors import GeometryError
 from .geom import (
     HalfPlane,
     HullResult,
     IntPoint2,
     PolySet2,
-    Segment,
-    _degenerate_polyset,
     area,
     clip,
     convex_hull,
@@ -141,13 +139,7 @@ def _two_point_regions(P: PolySet2, u: IntPoint2, w: IntPoint2) -> List[PolySet2
         region = _filter_region(clip(P, hp), known)
         if region is not None:
             regions.append(region)
-    ch = chord(P, l)
-    piece: Optional[PolySet2] = None
-    if isinstance(ch, Segment):
-        piece = _degenerate_polyset([ch.p, ch.q])
-    elif ch is not None:
-        piece = _degenerate_polyset([ch])
-    piece = _filter_region(piece, known)
+    piece = _filter_region(chord(P, l), known)
     if piece is not None:
         regions.append(piece)
     return regions
@@ -258,14 +250,12 @@ def integer_hull_new(
 ) -> HullResult:
     """Canonical integer hull of a bounded set by facet sweeps + refinement.
 
-    Accepts None (empty set) and degenerate sets; raises
-    :class:`UnboundedSet` when P has rays.  The result is independent of
-    `cfg`, which only trades recursion against direct enumeration.
+    Accepts None (empty set) and degenerate sets.  The result is
+    independent of `cfg`, which only trades recursion against direct
+    enumeration.
     """
     if P is None:
         return convex_hull([])
-    if P.rays:
-        raise UnboundedSet("integer hulls are computed for bounded sets only")
     if P.is_degenerate:
         return convex_hull(_degenerate_candidates(P))
     points = _collect_candidates(P, cfg, cfg.max_depth, 0, max_sweep, stats)

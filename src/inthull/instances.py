@@ -161,8 +161,7 @@ def dump_instance(inst: Instance) -> str:
         data["name"] = inst.name
     if inst.vertices is not None:
         data["vertices"] = [[format_rational(x), format_rational(y)] for x, y in inst.vertices]
-    else:
-        assert inst.inequalities is not None
+    else:  # an Instance holds exactly one of the two payloads
         data["inequalities"] = [
             [format_rational(a), format_rational(c), format_rational(b)]
             for a, c, b in inst.inequalities
@@ -191,7 +190,6 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
         except DegenerateSet:
             chain = _hull_chain(pts)
             return _degenerate_polyset([Point2(*p) for p in chain])
-    assert inst.inequalities is not None
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:
         if a == 0 and c == 0:

@@ -31,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import GeometryError, SweepLimitExceeded, UnboundedSet
-from .geom import IntPoint2, Line, Point2, PolySet2, Segment
+from .errors import GeometryError, SweepLimitExceeded
+from .geom import IntPoint2, Line, Point2, PolySet2, _degenerate_polyset
 
 
 def egcd(a: int, c: int) -> Tuple[int, int, int]:
@@ -98,15 +98,13 @@ class SweepHit:
 
 
 def _check_polygon(P: PolySet2, what: str) -> None:
-    if P.rays:
-        raise UnboundedSet(f"{what} require a bounded set")
     if len(P.vertices) < 3:
         raise ValueError(f"{what} require a polygon with at least 3 vertices")
 
 
-def chord(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
-    """A bounded polygon intersected with a line: a segment, a single point,
-    or None."""
+def chord(P: PolySet2, l: Line) -> Optional[PolySet2]:
+    """A polygon intersected with a line: a segment or a single point (as a
+    degenerate PolySet2, like :func:`~inthull.geom.clip` gives), or None."""
     _check_polygon(P, "chords")
     d = (l.c, -l.a)
     p0 = Point2(Fraction(0), l.b / l.c) if l.c else Point2(l.b / l.a, Fraction(0))
@@ -128,12 +126,7 @@ def chord(P: PolySet2, l: Line) -> Union[Segment, Point2, None]:
         raise GeometryError("a bounded polygon must clip the line on both sides")
     if lo > hi:
         return None
-    if lo == hi:
-        return Point2(p0.x + lo * d[0], p0.y + lo * d[1])
-    a_pt = Point2(p0.x + lo * d[0], p0.y + lo * d[1])
-    b_pt = Point2(p0.x + hi * d[0], p0.y + hi * d[1])
-    p, q = sorted((a_pt, b_pt))
-    return Segment(p, q)
+    return _degenerate_polyset(Point2(p0.x + k * d[0], p0.y + k * d[1]) for k in (lo, hi))
 
 
 # ---------------------------------------------------------------------------

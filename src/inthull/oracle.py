@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional
 
-from .errors import BudgetExceeded, UnboundedSet
+from .errors import BudgetExceeded
 from .geom import HullResult, IntPoint2, PolySet2, bounding_box, convex_hull
 from .lattice import _lattice_extremes
 
@@ -53,8 +53,6 @@ def enumerate_integer_points(
     """
     if P is None:
         return []
-    if P.rays:
-        raise UnboundedSet("cannot enumerate an unbounded set")
     cells = bbox_cell_count(P)
     if cells > budget:
         raise BudgetExceeded(f"bounding box has {cells} cells (budget {budget})")

@@ -22,7 +22,6 @@ from .geom import (
     HullResult,
     Line,
     PolySet2,
-    Segment,
     bounding_box,
     contains,
 )
@@ -184,9 +183,10 @@ def _chord_overlay(P: Optional[PolySet2], line: Line, view: _View) -> List[str]:
     if P is None:
         return []
     ch = chord(P, line)
-    if not isinstance(ch, Segment):
+    if ch is None or len(ch.vertices) < 2:
         return []
+    p, q = ch.vertices
     return [
-        f'<line class="chord" x1="{view.x(ch.p.x)}" y1="{view.y(ch.p.y)}" '
-        f'x2="{view.x(ch.q.x)}" y2="{view.y(ch.q.y)}" style="{_STYLE["chord"]}"/>'
+        f'<line class="chord" x1="{view.x(p.x)}" y1="{view.y(p.y)}" '
+        f'x2="{view.x(q.x)}" y2="{view.y(q.y)}" style="{_STYLE["chord"]}"/>'
     ]

@@ -72,9 +72,12 @@ def test_exit_code_3_on_sweep_limit():
 
 
 def test_negative_max_sweep_is_a_bad_flag(capsys):
-    # A bad flag exits 1, not with the sweep limit's resource refusal 3.
-    assert cli.main(["hull", str(FIXTURES / "unit_square.json"), "--max-sweep", "-1"]) == 1
-    assert "max_sweep" in capsys.readouterr().err
+    # A bad flag exits 1, not with the sweep limit's resource refusal 3, and
+    # also where no facet sweep would run (a segment, the oracle).
+    for fixture, engine in [("unit_square.json", "new"), ("segment.json", "new"), ("unit_square.json", "oracle")]:
+        argv = ["hull", str(FIXTURES / fixture), "--engine", engine, "--max-sweep", "-1"]
+        assert cli.main(argv) == 1, (fixture, engine)
+        assert "max_sweep" in capsys.readouterr().err
 
 
 def test_hull_check_prints_empty_hull_of_an_empty_wide_system(tmp_path, capsys):

@@ -17,7 +17,6 @@ from inthull import (
     EmptySet,
     Point2,
     PolySet2,
-    Segment,
     UnboundedSet,
     area,
     bounding_box,
@@ -141,6 +140,31 @@ def test_polyset_from_vertices_rejects_degenerate_input():
 def test_polyset_canonical_start_and_orientation():
     P = polyset_from_vertices([(4, 4), (0, 4), (0, 0), (4, 0)])  # CW, odd start
     assert [(v.x, v.y) for v in P.vertices] == [(0, 0), (4, 0), (4, 4), (0, 4)]
+
+
+def test_polyset_is_built_from_its_vertex_cycle():
+    verts = (Point2(0, 0), Point2(Fraction(7, 2), 1), Point2(3, 4), Point2(1, Fraction(5, 3)))
+    P = PolySet2(verts)
+    assert P.vertices == verts
+    assert P.halfplanes == polyset_from_vertices(verts).halfplanes
+    assert all(contains(P, v) for v in verts)
+    assert PolySet2(verts[:2]).halfplanes == PolySet2(verts[:1]).halfplanes == ()
+    pentagon = [Point2(0, 0), Point2(2, -1), Point2(4, 0), Point2(3, 2), Point2(1, 2)]
+    bad = {
+        "empty": (),
+        "clockwise": verts[:1] + verts[:0:-1],
+        "not lex-min first": verts[1:] + verts[:1],
+        "collinear middle vertex": (Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(1, 1)),
+        "winds twice": tuple(pentagon[(2 * i) % 5] for i in range(5)),
+        "reversed segment": (Point2(1, 0), Point2(0, 0)),
+        "equal segment ends": (Point2(1, 0), Point2(1, 0)),
+    }
+    for name, cycle in bad.items():
+        with pytest.raises(ValueError):
+            PolySet2(cycle)
+            pytest.fail(name)
+    with pytest.raises(TypeError):
+        PolySet2(P.halfplanes, verts)  # the vertices are the only input
 
 
 def test_polyset_from_halfplanes_unit_square():
@@ -283,12 +307,6 @@ def test_contains_boundary_and_interior():
     assert contains(tri, (0, 0))
     assert not contains(tri, (3, 2))
     assert not contains(tri, (Fraction(-1, 7), 0))
-
-
-def test_segment_allows_single_point():
-    p = Point2(Fraction(3), Fraction(1, 2))
-    s = Segment(p, p)
-    assert s.p == s.q == p
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from inthull import (
     Line,
     Point2,
     PolySet2,
-    Segment,
     SweepLimitExceeded,
     chord,
     egcd,
@@ -34,13 +33,13 @@ UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def point_set(x, y):
-    return PolySet2((), (Point2(Fraction(x), Fraction(y)),))
+    return PolySet2((Point2(Fraction(x), Fraction(y)),))
 
 
 def segment(p, q):
     """The segment PolySet2 between two distinct rational points."""
     ends = sorted(Point2(Fraction(x), Fraction(y)) for x, y in (p, q))
-    return PolySet2((), tuple(ends))
+    return PolySet2(tuple(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +87,14 @@ def test_floor_sum_rejects_bad_modulus():
 def test_chord_segment_point_and_miss():
     tri = polyset_from_vertices([(0, 0), (4, 0), (0, 4)])
     c1 = chord(tri, Line(0, 1, 2))  # y = 2 crosses
-    assert isinstance(c1, Segment)
-    assert {(c1.p.x, c1.p.y), (c1.q.x, c1.q.y)} == {(0, 2), (2, 2)}
+    assert c1.vertices == (Point2(0, 2), Point2(2, 2))
     c2 = chord(tri, Line(1, 1, 4))  # touches the hypotenuse: full edge
-    assert isinstance(c2, Segment)
+    assert c2.vertices == (Point2(0, 4), Point2(4, 0))
     c3 = chord(tri, Line(0, 1, 4))  # touches apex only
-    assert isinstance(c3, Point2)
-    assert (c3.x, c3.y) == (0, 4)
+    assert c3.vertices == (Point2(0, 4),)
+    c4 = chord(tri, Line(1, -1, Fraction(1, 2)))  # a slanted cut, rational ends
+    assert c4.vertices == (Point2(Fraction(1, 2), 0), Point2(Fraction(9, 4), Fraction(7, 4)))
+    assert c4.halfplanes == ()
     assert chord(tri, Line(0, 1, 5)) is None
 
 
@@ -154,8 +154,8 @@ def test_segment_lattice_points_match_enumeration(seed):
 
 
 def test_segment_lattice_points_move_with_far_integer_translations():
-    # Segments with endpoint denominators ~10^10 on lines a*x + c*y = b that
-    # carry lattice points, and on the lattice-free lines b + 1/2, moved
+    # Line segments with endpoint denominators ~10^10 on lines a*x + c*y = b
+    # that carry lattice points, and on the lattice-free lines b + 1/2, moved
     # ~10^12 by integer vectors: their lattice points move with them.
     rng = random.Random(2026)
     for i in range(200):

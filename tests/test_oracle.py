@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from inthull import (
     BudgetExceeded,
     HalfPlane,
-    PolySet2,
     RunStats,
-    UnboundedSet,
     bbox_cell_count,
     clip,
     contains,
@@ -61,13 +59,6 @@ def test_budget_guard_refuses_large_boxes_up_front():
     with pytest.raises(BudgetExceeded):
         enumerate_integer_points(P, budget=10**4, stats=stats)
     assert stats.brute_cells == 0  # refused before counting any work
-
-
-def test_enumerate_refuses_rays():
-    sq = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
-    unbounded = PolySet2(halfplanes=sq.halfplanes, vertices=sq.vertices, rays=((1, 0),))
-    with pytest.raises(UnboundedSet):
-        enumerate_integer_points(unbounded)
 
 
 def test_degenerate_enumeration():
