@@ -22,13 +22,13 @@ from .geom import (
     HalfPlane,
     HullResult,
     IntPoint2,
-    Line,
     Point2,
     PolySet2,
     Rational,
     area,
     as_point,
     bounding_box,
+    chord,
     clip,
     contains,
     convex_hull,
@@ -57,7 +57,6 @@ from .instances import (
 )
 from .lattice import (
     SweepHit,
-    chord,
     egcd,
     floor_sum,
     sweep_from_opposite,
@@ -89,7 +88,6 @@ __all__ = [
     "IntPoint2",
     "point",
     "as_point",
-    "Line",
     "HalfPlane",
     "HullResult",
     "PolySet2",
@@ -101,11 +99,11 @@ __all__ = [
     "area",
     "bounding_box",
     "clip",
+    "chord",
     # lattice
     "egcd",
     "floor_sum",
     "SweepHit",
-    "chord",
     "sweep_inward",
     "sweep_from_opposite",
     # engines

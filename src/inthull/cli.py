@@ -30,7 +30,7 @@ from .errors import (
     SweepLimitExceeded,
     UnboundedSet,
 )
-from .geom import Line
+from .geom import HalfPlane
 from .hull_new import RefineConfig, sweep_facets
 from .instances import (
     Instance,
@@ -144,13 +144,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
     hull = run_engine(args.engine, P)
-    chords: List[Line] = []
+    chords: List[HalfPlane] = []
     if args.engine != "oracle" and P is not None and not P.is_degenerate:
         # The stopping chords the engine started from: outward sweeps for
         # `new`, inward normalization for `baseline`.
         hits = sweep_facets(P, inward=args.engine == "baseline")
         if hits is not None:
-            chords = [Line(h.a, h.c, hit.offset) for h, hit in zip(P.halfplanes, hits)]
+            chords = [HalfPlane(h.a, h.c, hit.offset) for h, hit in zip(P.halfplanes, hits)]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

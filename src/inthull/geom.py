@@ -1,8 +1,9 @@
 """Exact rational planar geometry.
 
-Points, lines, half-planes, orientation and intersection predicates, convex
-hulls of integer points, and the bounded 2D polyhedral-set type: a vertex
-cycle whose edge half-planes are derived from it.
+Points, half-planes, orientation and intersection predicates, convex hulls
+of integer points, the bounded 2D polyhedral-set type (a vertex cycle whose
+edge half-planes are derived from it), and cutting such a set with a
+half-plane or with a line.
 
 All coordinates are exact rationals (`fractions.Fraction`, with plain `int`
 accepted anywhere a rational is expected) and every predicate is computed
@@ -10,13 +11,12 @@ exactly.  No floating point is used anywhere in this package's core.
 
 Conventions used throughout:
 
-* A line is stored as ``a*x + c*y = b`` with coprime integers ``(a, c)``,
-  sign-canonicalized so ``a > 0`` or (``a == 0`` and ``c > 0``); the offset
-  ``b`` stays rational.  A line contains integer points iff ``b`` is an
-  integer (given ``gcd(a, c) == 1``).
 * A half-plane is ``a*x + c*y <= b`` with coprime integers ``(a, c)``.  Its
   sign is *not* canonicalized: orientation is meaning, ``(a, c)`` points out
   of the feasible side.
+* A line is a half-plane's boundary ``a*x + c*y = b``; its offset ``b`` stays
+  rational, and the line contains integer points iff ``b`` is an integer
+  (given ``gcd(a, c) == 1``).
 * A :class:`PolySet2` with three or more vertices is a strictly convex
   counter-clockwise vertex cycle starting at the lexicographically smallest
   vertex; its ``halfplanes[i]``, derived on construction, is the supporting
@@ -33,6 +33,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
@@ -107,42 +108,6 @@ def _eval_cmp(a: int, c: int, b: Fraction, p: Sequence[Rational]) -> int:
 
 
 @dataclass(frozen=True)
-class Line:
-    """The line a*x + c*y = b, canonically normalized.
-
-    Invariants (established on construction): (a, c) != (0, 0), integers with
-    gcd(a, c) == 1, and a > 0 or (a == 0 and c > 0).  b is rational, so lines
-    that carry no integer points are representable; this line has integer
-    points iff b is an integer.
-    """
-
-    a: int
-    c: int
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        a, c = self.a, self.c
-        if not isinstance(a, int) or not isinstance(c, int):
-            raise TypeError("line normal coefficients must be integers")
-        if a == 0 and c == 0:
-            raise ValueError("line normal must be nonzero")
-        b = _frac(self.b)
-        g = gcd(abs(a), abs(c))
-        a //= g
-        c //= g
-        b = b / g
-        if a < 0 or (a == 0 and c < 0):
-            a, c, b = -a, -c, -b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-
-    def eval_at(self, p: Sequence[Rational]) -> Fraction:
-        """The linear form a*x + c*y at p."""
-        return self.a * _frac(p[0]) + self.c * _frac(p[1])
-
-
-@dataclass(frozen=True)
 class HalfPlane:
     """The closed half-plane a*x + c*y <= b.
 
@@ -166,10 +131,6 @@ class HalfPlane:
         object.__setattr__(self, "c", c // g)
         object.__setattr__(self, "b", b / g)
 
-    def line(self) -> Line:
-        """The boundary line (canonically normalized)."""
-        return Line(self.a, self.c, self.b)
-
     def eval_at(self, p: Sequence[Rational]) -> Fraction:
         return self.a * _frac(p[0]) + self.c * _frac(p[1])
 
@@ -189,7 +150,7 @@ class HullResult:
     points: Tuple[IntPoint2, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(IntPoint2(int(p[0]), int(p[1])) for p in self.points))
+        object.__setattr__(self, "points", tuple(IntPoint2(index(p[0]), index(p[1])) for p in self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -249,18 +210,14 @@ class PolySet2:
         return len(self.vertices) < 3
 
 
-def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> Line:
-    """The unique line through two distinct points."""
+def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
+    """The half-plane to the left of p -> q, whose boundary is the line
+    through the two distinct points."""
     p = as_point(p)
     q = as_point(q)
     if p == q:
         raise IdenticalPoints(f"cannot build a line through the single point {tuple(p)}")
-    dx = q.x - p.x
-    dy = q.y - p.y
-    scale = dx.denominator * dy.denominator
-    a = int(dy * scale)
-    c = int(-dx * scale)
-    return Line(a, c, a * p.x + c * p.y)
+    return _edge_halfplane(p, q)
 
 
 def _hull_chain(points: Iterable[Sequence]) -> list:
@@ -291,8 +248,12 @@ def _hull_chain(points: Iterable[Sequence]) -> list:
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
-    """Canonical convex hull of a finite set of integer points."""
-    pts = [IntPoint2(int(p[0]), int(p[1])) for p in points]
+    """Canonical convex hull of a finite set of integer points.
+
+    Coordinates must be integers: a ``Fraction`` or ``float`` raises
+    ``TypeError`` rather than being truncated to another lattice point.
+    """
+    pts = [IntPoint2(index(p[0]), index(p[1])) for p in points]
     return HullResult(tuple(IntPoint2(*p) for p in _hull_chain(pts)))
 
 
@@ -463,6 +424,15 @@ def clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
     # A convex cycle can degenerate to a segment even with 3+ corners kept
     # when all survivors are collinear; _clean_cycle already removed that.
     return _polyset_from_cycle(cycle)
+
+
+def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
+    """P cut by the boundary line of h: a segment or a single point (as a
+    degenerate PolySet2), or None when the line misses P."""
+    if P.is_degenerate:
+        raise ValueError("chords require a polygon with at least 3 vertices")
+    below = clip(P, h)
+    return None if below is None else clip(below, HalfPlane(-h.a, -h.c, -h.b))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from .geom import (
     IntPoint2,
     PolySet2,
     area,
+    chord,
     clip,
     convex_hull,
     line_through,
 )
-from .lattice import SweepHit, _lattice_extremes, _run_sweep, chord
+from .lattice import SweepHit, _lattice_extremes, _run_sweep
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
 
 
@@ -64,8 +65,6 @@ def sweep_facets(
     hint: Optional[int] = None
     for i in range(len(P.halfplanes)):
         out = _run_sweep(P, i, inward=inward, max_sweep=max_sweep, hint=hint)
-        if stats is not None:
-            stats.sweep_steps += out.steps
         if out.hit is None:
             return None
         hits.append(out.hit)

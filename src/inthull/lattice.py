@@ -1,11 +1,16 @@
-"""Lattice machinery for chord sweeps and the lattice points of segments.
+"""Lattice machinery: chord sweeps, polygon columns and the lattice points
+of segments.
 
-This module answers the discrete questions both hull engines are built on:
+This module answers the discrete questions the hull engines are built on:
 
 * given a polygon facet, what is the first integer offset — sweeping the
   facet line parallel to itself — whose chord through the polygon contains a
   lattice point (:func:`sweep_inward` from the facet toward the interior,
   :func:`sweep_from_opposite` from the far side toward the facet);
+* which lattice points each integer column x = X of a polygon holds:
+  ``_columns`` walks the same two boundary chains as the sweeps, in x, and
+  yields each column's lowest and highest lattice point, so a polygon costs
+  O(columns + vertices) integer steps to enumerate;
 * which lattice points a point or segment holds, such as a piece that a
   residual clip leaves behind: ``_lattice_extremes`` answers with the
   extreme ones, in the same integer frame the sweeps use.
@@ -29,12 +34,11 @@ polygon's far side is never visited when the hit is near.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import GeometryError, SweepLimitExceeded
-from .geom import IntPoint2, Line, Point2, PolySet2, _degenerate_polyset
+from .geom import IntPoint2, Point2, PolySet2
 
 
 def egcd(a: int, c: int) -> Tuple[int, int, int]:
@@ -95,38 +99,6 @@ class SweepHit:
     offset: int
     lo: IntPoint2
     hi: IntPoint2
-
-
-def _check_polygon(P: PolySet2, what: str) -> None:
-    if len(P.vertices) < 3:
-        raise ValueError(f"{what} require a polygon with at least 3 vertices")
-
-
-def chord(P: PolySet2, l: Line) -> Optional[PolySet2]:
-    """A polygon intersected with a line: a segment or a single point (as a
-    degenerate PolySet2, like :func:`~inthull.geom.clip` gives), or None."""
-    _check_polygon(P, "chords")
-    d = (l.c, -l.a)
-    p0 = Point2(Fraction(0), l.b / l.c) if l.c else Point2(l.b / l.a, Fraction(0))
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for h in P.halfplanes:
-        coef = h.a * d[0] + h.c * d[1]
-        rhs = h.b - h.eval_at(p0)
-        if coef == 0:
-            if rhs < 0:
-                return None
-        elif coef > 0:
-            bound = rhs / coef
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            bound = rhs / coef
-            lo = bound if lo is None or bound > lo else lo
-    if lo is None or hi is None:
-        raise GeometryError("a bounded polygon must clip the line on both sides")
-    if lo > hi:
-        return None
-    return _degenerate_polyset(Point2(p0.x + k * d[0], p0.y + k * d[1]) for k in (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +265,29 @@ class _Chain:
         return True
 
 
+def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
+    """(x, lowest y, highest y) of every integer column of the polygon P
+    that holds a lattice point, by increasing x.
+
+    The frame t = x, s = y turns the columns into integer levels t, and the
+    two chains bound each column's chord from below and above.  Both chains
+    run from the minimum face to the maximum face of x, so every column in
+    P's x-range lies on one edge of each.
+    """
+    frame = _Frame(P.vertices, 1, 0)
+    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, 0)
+    lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
+    x_last = max(v.x for v in P.vertices)
+    for x in range(-((-min_num) // min_den), x_last.numerator // x_last.denominator + 1):
+        lower.reach(x)
+        upper.reach(x)
+        lp, lq, lr = lower.line
+        up, uq, ur = upper.line
+        y_lo, y_hi = -(-(lp * x + lq) // lr), (up * x + uq) // ur
+        if y_lo <= y_hi:
+            yield x, y_lo, y_hi
+
+
 def _slab_count(lower: _Chain, upper: _Chain, t0: int, t1: int) -> int:
     """Lattice points on the chords at the integer levels t0..t1, all held by
     the current edges of both chains.
@@ -388,7 +383,8 @@ def _run_sweep(
 ) -> _SweepOutcome:
     """Sweep one facet; `hint` is a vertex near the minimum of the swept
     functional (the previous facet's `anchor_min`), else one is guessed."""
-    _check_polygon(P, "facet sweeps")
+    if P.is_degenerate:
+        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
     if max_sweep is not None and max_sweep < 0:
         raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
     hp = P.halfplanes[facet_index]

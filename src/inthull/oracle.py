@@ -1,30 +1,29 @@
 """Brute-force lattice enumeration and the oracle hull engine.
 
-The oracle scans the bounding box column by column, solving each column's
-exact rational y-interval from the halfplanes.  It is the trusted reference
-the fast engines are tested against, and also the subroutine both engines
-use on regions deemed small enough to enumerate directly.  Budgets are
-checked against the bounding-box cell count *before* scanning, so a call
-either completes or raises without burning time first.
+The oracle lists a polygon's lattice points column by column, taking each
+integer column's lowest and highest lattice point from a walk along the
+polygon's two boundary chains in x.  It is the trusted reference the fast
+engines are tested against, and also the subroutine both engines use on
+regions deemed small enough to enumerate directly.  Budgets are checked
+against the bounding-box cell count *before* scanning, so a call either
+completes or raises without burning time first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional
 
 from .errors import BudgetExceeded
 from .geom import HullResult, IntPoint2, PolySet2, bounding_box, convex_hull
-from .lattice import _lattice_extremes
+from .lattice import _columns, _lattice_extremes
 
 
 @dataclass
 class RunStats:
     """Mutable counters an engine fills in while computing a hull."""
 
-    sweep_steps: int = 0  # total facet-line translations across all sweeps
     brute_cells: int = 0  # total bounding-box cells of brute-forced regions
     regions: int = 0  # refinement/corner regions processed
     max_depth: int = 0  # deepest recursion level reached (new engine)
@@ -61,28 +60,8 @@ def enumerate_integer_points(
     if P.is_degenerate:
         return _enumerate_degenerate(P)
     points: List[IntPoint2] = []
-    xmin, xmax, ymin, ymax = bounding_box(P)
-    for x in range(ceil(xmin), floor(xmax) + 1):
-        lo: Fraction = ymin
-        hi: Fraction = ymax
-        empty = False
-        for h in P.halfplanes:
-            rest = h.b - h.a * x
-            if h.c == 0:
-                if rest < 0:
-                    empty = True
-                    break
-            elif h.c > 0:
-                bound = rest / h.c
-                if bound < hi:
-                    hi = bound
-            else:
-                bound = rest / h.c
-                if bound > lo:
-                    lo = bound
-        if empty:
-            continue
-        points.extend(IntPoint2(x, y) for y in range(ceil(lo), floor(hi) + 1))
+    for x, y_lo, y_hi in _columns(P):
+        points.extend(IntPoint2(x, y) for y in range(y_lo, y_hi + 1))
     return points
 
 
@@ -97,12 +76,8 @@ def _enumerate_degenerate(P: PolySet2) -> List[IntPoint2]:
     return [IntPoint2(lo.x + k * dx, lo.y + k * dy) for k in range(g + 1)]
 
 
-def integer_hull_oracle(
-    P: Optional[PolySet2],
-    *,
-    budget: int = 10**8,
-    stats: Optional[RunStats] = None,
-) -> HullResult:
-    """Integer hull by full enumeration: trusted, exponential-ish, bounded by budget."""
-    points = enumerate_integer_points(P, budget=budget, stats=stats)
+def integer_hull_oracle(P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
+    """Integer hull by full enumeration: trusted, exponential-ish, bounded by
+    the default cell budget of :func:`enumerate_integer_points`."""
+    points = enumerate_integer_points(P, stats=stats)
     return convex_hull(points)

@@ -19,14 +19,14 @@ from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple
 
 from .geom import (
+    HalfPlane,
     HullResult,
-    Line,
     PolySet2,
     bounding_box,
+    chord,
     contains,
 )
 from .instances import format_decimal
-from .lattice import chord
 from .oracle import bbox_cell_count
 
 LATTICE_CELL_LIMIT = 10**4
@@ -90,11 +90,11 @@ def render_svg(
     P: Optional[PolySet2],
     hull: HullResult,
     *,
-    chords: Sequence[Line] = (),
+    chords: Sequence[HalfPlane] = (),
     name: Optional[str] = None,
-    cell_limit: int = LATTICE_CELL_LIMIT,
 ) -> str:
-    """The complete SVG document as a string (trailing newline included)."""
+    """The complete SVG document as a string (trailing newline included);
+    each of `chords` is drawn as the chord of P on its boundary line."""
     view = _View(*_world_box(P, hull))
     out: List[str] = []
     w = format_decimal(view.width, 3)
@@ -111,11 +111,11 @@ def render_svg(
         f'height="{format_decimal(view.height - 1, 3)}" style="{_STYLE["frame"]}"/>'
     )
     if P is not None:
-        out.extend(_lattice_dots(P, view, cell_limit))
+        out.extend(_lattice_dots(P, view))
         out.extend(_polygon_outline(P, view))
     out.extend(_hull_shape(hull, view))
-    for line in chords:
-        out.extend(_chord_overlay(P, line, view))
+    for h in chords:
+        out.extend(_chord_overlay(P, h, view))
     for p in hull:
         out.append(
             f'<circle class="hull-vertex" cx="{view.x(Fraction(p.x))}" '
@@ -129,8 +129,8 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _lattice_dots(P: PolySet2, view: _View, cell_limit: int) -> List[str]:
-    if bbox_cell_count(P) > cell_limit:
+def _lattice_dots(P: PolySet2, view: _View) -> List[str]:
+    if bbox_cell_count(P) > LATTICE_CELL_LIMIT:
         return []
     xmin, xmax, ymin, ymax = bounding_box(P)
     dots: List[str] = []
@@ -179,10 +179,10 @@ def _hull_shape(hull: HullResult, view: _View) -> List[str]:
     return [f'<polygon class="hull" points="{joined}" style="{_STYLE["hull"]}"/>']
 
 
-def _chord_overlay(P: Optional[PolySet2], line: Line, view: _View) -> List[str]:
+def _chord_overlay(P: Optional[PolySet2], h: HalfPlane, view: _View) -> List[str]:
     if P is None:
         return []
-    ch = chord(P, line)
+    ch = chord(P, h)
     if ch is None or len(ch.vertices) < 2:
         return []
     p, q = ch.vertices

@@ -12,8 +12,8 @@ import inthull.hull_baseline as hull_baseline
 import inthull.hull_new as hull_new
 from inthull import (
     GeometryError,
+    HalfPlane,
     IntPoint2,
-    Line,
     integer_hull_baseline,
     integer_hull_new,
     polyset_from_vertices,
@@ -44,7 +44,7 @@ def test_residual_regions_refuse_collinear_hull_vertices():
 
 
 def test_two_point_regions_need_an_integer_offset(monkeypatch):
-    monkeypatch.setattr(hull_new, "line_through", lambda u, w: Line(0, 1, Fraction(1, 2)))
+    monkeypatch.setattr(hull_new, "line_through", lambda u, w: HalfPlane(0, 1, Fraction(1, 2)))
     with pytest.raises(GeometryError, match="offset"):
         residual_regions(TRI, [IntPoint2(0, 0), IntPoint2(1, 0)])
 

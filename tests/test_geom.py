@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from inthull import (
     HalfPlane,
+    HullResult,
     IdenticalPoints,
-    Line,
     DegenerateSet,
     EmptySet,
     Point2,
@@ -45,18 +45,11 @@ int_points_st = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 # lines and halfplanes: canonical forms
 
 
-def test_line_is_sign_and_gcd_normalized():
-    assert Line(2, 4, 6) == Line(1, 2, 3)
-    assert Line(-1, -2, -3) == Line(1, 2, 3)
-    assert Line(0, -3, 6) == Line(0, 1, -2)
-    assert Line(4, 6, Fraction(1, 3)) == Line(2, 3, Fraction(1, 6))
-
-
 def test_line_rejects_zero_or_rational_normal():
-    with pytest.raises(Exception):
-        Line(0, 0, 1)
+    with pytest.raises(ValueError):
+        HalfPlane(0, 0, 1)
     with pytest.raises(TypeError):
-        Line(Fraction(1, 2), 1, 0)
+        HalfPlane(Fraction(1, 2), 1, 0)
 
 
 @given(points_st, points_st)
@@ -65,10 +58,10 @@ def test_line_through_is_symmetric(p, q):
         with pytest.raises(IdenticalPoints):
             line_through(p, q)
     else:
-        l1, l2 = line_through(p, q), line_through(q, p)
-        assert l1 == l2
-        assert l1.a * p[0] + l1.c * p[1] == l1.b
-        assert l1.a * q[0] + l1.c * q[1] == l1.b
+        h = line_through(p, q)
+        assert line_through(q, p) == HalfPlane(-h.a, -h.c, -h.b)
+        assert h.a * p[0] + h.c * p[1] == h.b
+        assert h.a * q[0] + h.c * q[1] == h.b
 
 
 def test_halfplane_keeps_direction_under_reduction():
@@ -88,6 +81,13 @@ def test_convex_hull_small_cases():
     assert [(p.x, p.y) for p in convex_hull([(2, 3), (2, 3)])] == [(2, 3)]
     assert [(p.x, p.y) for p in convex_hull([(5, 1), (2, 3)])] == [(2, 3), (5, 1)]
     assert [(p.x, p.y) for p in convex_hull([(0, 0), (2, 1), (4, 2)])] == [(0, 0), (4, 2)]
+    # A coordinate that is not an integer is refused, never truncated.
+    with pytest.raises(TypeError):
+        convex_hull([(Fraction(1, 2), 0), (2, 0), (0, 2)])
+    with pytest.raises(TypeError):
+        convex_hull([(0.9, 0), (2, 0), (0, 2)])
+    with pytest.raises(TypeError):
+        HullResult(((Fraction(1, 2), 0),))
 
 
 def test_convex_hull_drops_interior_and_collinear_points():

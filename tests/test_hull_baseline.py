@@ -95,7 +95,6 @@ def test_three_engine_agreement(seed):
 def test_stats_record_brute_work():
     stats = RunStats()
     integer_hull_baseline(TRI_SHALLOW, stats=stats)
-    assert stats.sweep_steps > 0
     assert stats.brute_cells > 0  # the corner regions are enumerated directly
 
 

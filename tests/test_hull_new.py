@@ -138,7 +138,6 @@ def test_refine_config_invariance(seed):
 def test_stats_are_populated():
     stats = RunStats()
     integer_hull_new(TRI_SHALLOW, stats=stats)
-    assert stats.sweep_steps > 0
     assert stats.regions >= 1
 
 

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inthull import (
-    Line,
+    HalfPlane,
     Point2,
     PolySet2,
     SweepLimitExceeded,
     chord,
+    contains,
     egcd,
     enumerate_integer_points,
     floor_sum,
@@ -86,22 +87,61 @@ def test_floor_sum_rejects_bad_modulus():
 
 def test_chord_segment_point_and_miss():
     tri = polyset_from_vertices([(0, 0), (4, 0), (0, 4)])
-    c1 = chord(tri, Line(0, 1, 2))  # y = 2 crosses
+    c1 = chord(tri, HalfPlane(0, 1, 2))  # y = 2 crosses
     assert c1.vertices == (Point2(0, 2), Point2(2, 2))
-    c2 = chord(tri, Line(1, 1, 4))  # touches the hypotenuse: full edge
+    c2 = chord(tri, HalfPlane(1, 1, 4))  # touches the hypotenuse: full edge
     assert c2.vertices == (Point2(0, 4), Point2(4, 0))
-    c3 = chord(tri, Line(0, 1, 4))  # touches apex only
+    c3 = chord(tri, HalfPlane(0, 1, 4))  # touches apex only
     assert c3.vertices == (Point2(0, 4),)
-    c4 = chord(tri, Line(1, -1, Fraction(1, 2)))  # a slanted cut, rational ends
+    c4 = chord(tri, HalfPlane(1, -1, Fraction(1, 2)))  # a slanted cut, rational ends
     assert c4.vertices == (Point2(Fraction(1, 2), 0), Point2(Fraction(9, 4), Fraction(7, 4)))
     assert c4.halfplanes == ()
-    assert chord(tri, Line(0, 1, 5)) is None
+    assert chord(tri, HalfPlane(0, 1, 5)) is None
 
 
 def test_chord_refuses_points_and_segments():
     for S in (point_set(0, 0), segment((0, 0), (2, 2))):
         with pytest.raises(ValueError):
-            chord(S, Line(1, -1, 0))
+            chord(S, HalfPlane(1, -1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_chord_is_the_polygon_on_the_line(seed):
+    rng = random.Random(seed)
+    P = random_polyset(rng, max_num=20, max_den=5)
+    kind = rng.randrange(5)
+    if kind == 0:  # along an edge, from either side
+        e = rng.choice(P.halfplanes)
+        h = rng.choice([e, HalfPlane(-e.a, -e.c, -e.b)])
+    else:
+        a, c = 0, 0
+        while gcd(a, c) != 1:
+            a, c = rng.randint(-5, 5), rng.randint(-5, 5)
+        vals = [a * v.x + c * v.y for v in P.vertices]
+        lo, hi = min(vals), max(vals)
+        if kind == 1:  # through a vertex
+            b = rng.choice(vals)
+        elif kind == 2:  # an integer offset
+            b = Fraction(rng.randint(floor(lo) - 1, ceil(hi) + 1))
+        elif kind == 3:  # a rational offset
+            b = lo + (hi - lo) * Fraction(rng.randint(-1, 8), 7) + Fraction(1, rng.randint(2, 9))
+        else:  # a line that misses P
+            gap = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            b = rng.choice([lo - gap, hi + gap])
+        h = HalfPlane(a, c, b)
+    vals = [h.eval_at(v) for v in P.vertices]
+    piece = chord(P, h)
+    if not min(vals) <= h.b <= max(vals):
+        assert piece is None
+        return
+    assert piece is not None and piece.is_degenerate
+    for p in piece.vertices:
+        assert h.eval_at(p) == h.b
+        assert contains(P, p)
+        assert any(g.eval_at(p) == g.b for g in P.halfplanes)  # on P's boundary
+    on_line = [(x, y) for x, y in brute_points_in(P) if h.a * x + h.c * y == h.b]
+    assert [tuple(p) for p in enumerate_integer_points(piece)] == on_line
 
 
 # ---------------------------------------------------------------------------

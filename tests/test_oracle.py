@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inthull import (
     BudgetExceeded,
     HalfPlane,
+    PolySet2,
     RunStats,
     bbox_cell_count,
     clip,
@@ -29,10 +30,33 @@ def test_enumerate_handles_missing_input():
     assert integer_hull_oracle(None) == convex_hull([])
 
 
+def far_octagon() -> PolySet2:
+    """Eight vertices near a circle of radius 40, each coordinate with a
+    denominator near 10**10, moved by an integer vector of size ~10**9."""
+    dirs = [(40, 3), (28, 29), (-2, 40), (-29, 27), (-40, -3), (-27, -29), (3, -40), (29, -28)]
+    pts = []
+    for k, (dx, dy) in enumerate(dirs):
+        q = 10**10 + 7919 * k + 1
+        pts.append((Fraction(dx * q + q // 3 + k, q) + 10**9 + 7, Fraction(dy * q - q // 5 - k, q) - 10**9 - 3))
+    P = polyset_from_vertices(pts)
+    assert len(P.vertices) == 8
+    return P
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**6))
-def test_enumerate_matches_full_box_scan(seed):
-    P = random_polyset(random.Random(seed), max_num=25, max_den=6)
+@given(st.integers(0, 10**6).map(lambda seed: random_polyset(random.Random(seed), max_num=25, max_den=6)))
+# A vertical left edge, a vertical right edge, both, one integer column
+# (with and without a vertical edge on it), no integer column, a sliver,
+# and big denominators far from the origin.
+@example(polyset_from_vertices([(0, Fraction(-1, 3)), (7, Fraction(2, 5)), (4, Fraction(13, 2)), (0, Fraction(7, 2))]))
+@example(polyset_from_vertices([(Fraction(-5, 2), Fraction(1, 3)), (6, Fraction(-2, 3)), (6, Fraction(29, 4)), (Fraction(1, 2), 5)]))
+@example(polyset_from_vertices([(-3, Fraction(1, 2)), (5, Fraction(-7, 3)), (5, Fraction(9, 2)), (-3, Fraction(17, 3))]))
+@example(polyset_from_vertices([(Fraction(2, 3), 0), (Fraction(3, 2), Fraction(1, 2)), (Fraction(4, 3), Fraction(11, 2))]))
+@example(polyset_from_vertices([(1, Fraction(-1, 2)), (Fraction(3, 2), 1), (1, Fraction(7, 2))]))
+@example(polyset_from_vertices([(Fraction(1, 3), 0), (Fraction(2, 3), Fraction(1, 2)), (Fraction(1, 2), 5)]))
+@example(polyset_from_vertices([(0, Fraction(1, 3)), (140, Fraction(599, 10)), (140, Fraction(601, 10))]))
+@example(far_octagon())
+def test_enumerate_matches_full_box_scan(P):
     assert bbox_cell_count(P) <= 10**4
     pts = enumerate_integer_points(P)
     assert [(p.x, p.y) for p in pts] == brute_points_in(P)
