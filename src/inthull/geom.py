@@ -324,8 +324,6 @@ def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
 def area(P: PolySet2) -> Fraction:
     """Exact area (0 for degenerate sets)."""
     verts = P.vertices
-    if len(verts) < 3:
-        return Fraction(0)
     twice = Fraction(0)
     n = len(verts)
     for i in range(n):
@@ -374,33 +372,14 @@ def _clean_cycle(points: Sequence[Point2]) -> list:
     return dedup
 
 
-def _clip_degenerate(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
-    """Clip a point or segment by a half-plane."""
-    verts = P.vertices
-    if len(verts) == 1:
-        return P if h.contains_point(verts[0]) else None
-    u, w = verts
-    fu = h.eval_at(u)
-    fw = h.eval_at(w)
-    if fu <= h.b and fw <= h.b:
-        return P
-    if fu > h.b and fw > h.b:
-        return None
-    # The boundary line crosses the segment strictly once.
-    t = (h.b - fu) / (fw - fu)
-    m = Point2(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))
-    kept = u if fu <= h.b else w
-    return _degenerate_polyset([kept, m])
-
-
 def clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
     """P intersected with a half-plane; None when the intersection is empty.
 
     Degenerate results (a segment or point) are returned as degenerate
-    PolySet2 values, not errors.
+    PolySet2 values, not errors.  A point or segment P is clipped as the
+    1- or 2-cycle of its vertices: a segment's crossing is found once from
+    each end, at the same point, and the duplicate is dropped.
     """
-    if P.is_degenerate:
-        return _clip_degenerate(P, h)
     verts = P.vertices
     n = len(verts)
     signs = [_eval_cmp(h.a, h.c, h.b, v) for v in verts]

@@ -23,8 +23,8 @@ from .geom import (
     _intersect_halfplanes,
     convex_hull,
 )
-from .hull_new import _degenerate_candidates, _hit_points, _resolve_regions, sweep_facets
-from .lattice import SweepHit
+from .hull_new import _hit_points, _resolve_regions, sweep_facets
+from .lattice import SweepHit, _lattice_extremes
 from .oracle import RunStats
 
 
@@ -66,11 +66,11 @@ def integer_hull_baseline(
     if P is None:
         return convex_hull([])
     if P.is_degenerate:
-        return convex_hull(_degenerate_candidates(P))
+        return convex_hull(_lattice_extremes(P.vertices))
     Q, hits = normalize_facets(P, max_sweep=max_sweep, stats=stats)
     if Q is None:
         return convex_hull([])
     if Q.is_degenerate:
         # Normalization preserved the lattice, so Q's chord carries it all.
-        return convex_hull(_degenerate_candidates(Q))
+        return convex_hull(_lattice_extremes(Q.vertices))
     return convex_hull(_resolve_regions(Q, _hit_points(hits), stats=stats))

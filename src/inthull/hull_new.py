@@ -3,16 +3,19 @@
 For each facet direction the first lattice chord (scanning from the far side
 of the polygon toward the facet) yields the lattice points that are extreme
 in that direction; they are vertices-in-waiting of the integer hull.  What
-remains uncertain is only the area of P outside the hull of those candidates,
-which this module cuts into residual regions and resolves either by direct
-enumeration (small regions) or by applying the same algorithm recursively
-(large ones).  A final convex hull of everything collected is the answer.
+remains uncertain is only the area of P outside the hull of those candidates.
+This module cuts it into residual regions, one clip per directed edge of
+that hull (a two-point hull is the 2-cycle u -> w -> u, cut one level out on
+each side), and resolves each region either by direct enumeration (small
+regions) or by applying the same algorithm recursively (large ones).  A
+final convex hull of everything collected is the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from math import gcd
+from typing import List, Optional, Set
 
 from .errors import GeometryError
 from .geom import (
@@ -21,10 +24,8 @@ from .geom import (
     IntPoint2,
     PolySet2,
     area,
-    chord,
     clip,
     convex_hull,
-    line_through,
 )
 from .lattice import SweepHit, _lattice_extremes, _run_sweep
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
@@ -94,86 +95,46 @@ def replace_facets(
     return set() if hits is None else _hit_points(hits)
 
 
-def _degenerate_candidates(R: PolySet2) -> Set[IntPoint2]:
-    """Extreme lattice points of a point/segment region (all that a hull needs)."""
-    return set(_lattice_extremes(R.vertices))
-
-
-def _filter_region(
-    region: Optional[PolySet2], known: Tuple[IntPoint2, IntPoint2]
-) -> Optional[PolySet2]:
-    """Drop empty clips and degenerate clips that cannot add new hull points.
-
-    A degenerate (point/segment) region is kept only when its extreme lattice
-    points include one outside `known` (the generating hull edge's
-    endpoints); anything between two known hull points is never a hull
-    vertex.
-    """
-    if region is None:
-        return None
-    if not region.is_degenerate:
-        return region
-    extremes = _degenerate_candidates(region)
-    if all(p in known for p in extremes):  # vacuously true when no lattice points
-        return None
-    return region
-
-
-def _two_point_regions(P: PolySet2, u: IntPoint2, w: IntPoint2) -> List[PolySet2]:
-    """Residual regions when the partial hull is a single lattice segment.
-
-    Every lattice point of P either lies on the segment's line — covered by
-    the degenerate chord piece — or at integer level >= b+1 or <= b-1 of the
-    line's functional, covered by the two shifted clips.  The open strips in
-    between contain no lattice points, so the three pieces cover the lattice
-    of P exactly, each with strictly smaller area than P.
-    """
-    l = line_through(u, w)
-    if l.b.denominator != 1:
-        raise GeometryError(f"the line through lattice points {u} and {w} has offset {l.b}")
-    b = l.b
-    known = (u, w)
-    regions: List[PolySet2] = []
-    for hp in (HalfPlane(l.a, l.c, b - 1), HalfPlane(-l.a, -l.c, -(b + 1))):
-        region = _filter_region(clip(P, hp), known)
-        if region is not None:
-            regions.append(region)
-    piece = _filter_region(chord(P, l), known)
-    if piece is not None:
-        regions.append(piece)
-    return regions
-
-
 def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
-    """Clip P to the outside of each edge of the partial hull.
+    """Clip P to the outside of each directed edge of the partial hull.
 
-    Together the returned regions contain every lattice point of P that is
-    not interior to the partial hull, and each has strictly smaller area
-    than P.  Degenerate clips that cannot contribute new hull points are
-    filtered out.
+    The partial hull is a CCW cycle of lattice points; a segment [u, w] is
+    the 2-cycle u -> w -> u.  Edge u -> w has the outward functional
+    f = a*x + c*y with primitive (a, c) and integer level b = f(u).  A
+    polygon hull is cut at f >= b, keeping the edge in the region; a
+    segment hull at f >= b + 1 on each of its two edges, as no lattice
+    point lies strictly between levels b and b + 1.  Clips that are empty,
+    or a point or segment whose lattice extremes are all edge ends, are
+    dropped: a lattice point between two hull points is never a hull
+    vertex.  Each region is strictly smaller than P.
+
+    Precondition: every hull vertex is a sweep hit, a lattice extreme of
+    some functional g on g's first lattice chord.  Then the segment cut
+    misses nothing on the line uw itself: a lattice point q of P on that
+    line beyond w would give g(u) = g(w) = g(q), so w would lie between two
+    lattice points of g's stopping chord and not be one of its extremes.
+    Input that is not a strictly convex CCW cycle raises GeometryError.
     """
     pts = list(hull_so_far)
-    if len(pts) < 2:
-        raise ValueError("residual regions need a hull of at least 2 points")
-    if len(pts) == 2:
-        return _two_point_regions(P, pts[0], pts[1])
-    regions: List[PolySet2] = []
     n = len(pts)
+    if n < 2:
+        raise ValueError("residual regions need a hull of at least 2 points")
+    shift = 1 if n == 2 else 0
+    regions: List[PolySet2] = []
     for i in range(n):
-        u, w = pts[i], pts[(i + 1) % n]
-        z = pts[(i + 2) % n]
-        l = line_through(u, w)
-        fz = l.eval_at(z)
-        # Canonical hulls have no 3 collinear vertices, so z picks a side.
-        if fz == l.b:
-            raise GeometryError(f"hull vertices {u}, {w} and {z} are collinear")
-        if fz < l.b:
-            outer = HalfPlane(-l.a, -l.c, -l.b)
-        else:
-            outer = HalfPlane(l.a, l.c, l.b)
-        region = _filter_region(clip(P, outer), (u, w))
-        if region is not None:
-            regions.append(region)
+        u, w, z = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+        g = gcd(w.y - u.y, u.x - w.x)
+        a, c = (w.y - u.y) // g, (u.x - w.x) // g
+        b = a * u.x + c * u.y
+        # A canonical hull turns left strictly, so the next vertex is inside.
+        if n > 2 and a * z.x + c * z.y >= b:
+            raise GeometryError(f"hull vertices {u}, {w} and {z} are collinear or turn clockwise")
+        region = clip(P, HalfPlane(-a, -c, -(b + shift)))
+        if region is None:
+            continue
+        if region.is_degenerate and set(_lattice_extremes(region.vertices)) <= {u, w}:
+            continue
+        regions.append(region)
     return regions
 
 
@@ -207,7 +168,7 @@ def _resolve_regions(
         if not area(region) < parent_area:
             raise GeometryError("a residual region is no smaller than the region it came from")
         if region.is_degenerate:
-            points |= _degenerate_candidates(region)
+            points |= set(_lattice_extremes(region.vertices))
         elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
             points |= set(enumerate_integer_points(region, stats=stats))
         else:
@@ -256,6 +217,6 @@ def integer_hull_new(
     if P is None:
         return convex_hull([])
     if P.is_degenerate:
-        return convex_hull(_degenerate_candidates(P))
+        return convex_hull(_lattice_extremes(P.vertices))
     points = _collect_candidates(P, cfg, cfg.max_depth, 0, max_sweep, stats)
     return convex_hull(points)

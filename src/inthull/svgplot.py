@@ -24,10 +24,9 @@ from .geom import (
     PolySet2,
     bounding_box,
     chord,
-    contains,
 )
 from .instances import format_decimal
-from .oracle import bbox_cell_count
+from .oracle import bbox_cell_count, enumerate_integer_points
 
 LATTICE_CELL_LIMIT = 10**4
 
@@ -133,10 +132,11 @@ def _lattice_dots(P: PolySet2, view: _View) -> List[str]:
     if bbox_cell_count(P) > LATTICE_CELL_LIMIT:
         return []
     xmin, xmax, ymin, ymax = bounding_box(P)
+    lattice = set(enumerate_integer_points(P))
     dots: List[str] = []
     for x in range(ceil(xmin), floor(xmax) + 1):
         for y in range(ceil(ymin), floor(ymax) + 1):
-            inside = contains(P, (x, y))
+            inside = (x, y) in lattice
             cls = "lp-in" if inside else "lp-out"
             style = _STYLE["lattice_in"] if inside else _STYLE["lattice_out"]
             r = "3" if inside else "2"

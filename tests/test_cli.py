@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import inthull.bench as bench
 import inthull.cli as cli
+from inthull import enumerate_integer_points, instance_to_polyset, load_instance
 from helpers import empty_85_row_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -214,6 +216,43 @@ def test_plot_svg_structure_and_stability(tmp_path):
     assert 'class="hull"' in svg
     assert 'class="poly"' in svg
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of `plot FIXTURE --engine ENGINE` output.  A change here means the
+# SVG bytes changed: mend it only on purpose, and log it.
+PLOT_SHA256 = {
+    ("narrow_band", "baseline"): "30764f9c1c43ff39174526f38f0a18bef1a217f00ad1be56fdd554e03c7dad8d",
+    ("narrow_band", "new"): "aabcb8d1e3fcd7afccc6a1efdfce5b56b469656cf45a493b155b21a84600c38a",
+    ("narrow_band", "oracle"): "f930e8c6e4e0c1ff65f90d3e646c534830b863860b60e477ffa871cb53d7216b",
+    ("segment", "baseline"): "11d977d3f5c533afb5b101f6dfbfed5fdea786729712090a6ab17fec0f1d18a5",
+    ("segment", "new"): "11d977d3f5c533afb5b101f6dfbfed5fdea786729712090a6ab17fec0f1d18a5",
+    ("segment", "oracle"): "11d977d3f5c533afb5b101f6dfbfed5fdea786729712090a6ab17fec0f1d18a5",
+    ("triangle_shallow", "baseline"): "4e2af782ebb7ade21948703df2bc3704e90c0b4e16e04323920524b1837ef332",
+    ("triangle_shallow", "new"): "0223d7c354e5bd145e8115ad8e3c3c957ba13a294160e5c22be1974588164c36",
+    ("triangle_shallow", "oracle"): "6044c692fdbfcde1ec9a3c445f4e4017318921c1f64d31520c805a992ecf61f9",
+    ("triangle_slanted", "baseline"): "11af096395f03eda5d6aafdbd5c066d1aed2954006bdbba20db8bb1232bf014f",
+    ("triangle_slanted", "new"): "11ec40fda225b640a3412d331ce23ce35809ea72d17872b40d9025c752c65935",
+    ("triangle_slanted", "oracle"): "c89b5f5ca9180e9c4fba6290e8b5eb8c6bb4a5eb497a8bf84e1a30d544430d06",
+    ("unit_square", "baseline"): "5ed620e6044ce61397cc22954eed898385bfd96d8e6de7057e6be7c7bb28fded",
+    ("unit_square", "new"): "a3cb457b1d6aff189885058aa18ecc8eb52f283840bd210ca12f650a23b4754d",
+    ("unit_square", "oracle"): "fc4da648e3345b26e18a15f23c28262418f321b3b72e067859863eb078135ed9",
+}
+
+
+@pytest.mark.parametrize("fixture,engine", sorted(PLOT_SHA256))
+def test_plot_bytes_are_pinned(tmp_path, fixture, engine):
+    out = tmp_path / "p.svg"
+    assert cli.main(["plot", str(FIXTURES / f"{fixture}.json"), "--engine", engine, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[(fixture, engine)]
+
+
+@pytest.mark.parametrize("fixture", ["triangle_slanted", "segment"])
+def test_plot_marks_exactly_the_lattice_points(tmp_path, fixture):
+    path = FIXTURES / f"{fixture}.json"
+    out = tmp_path / "p.svg"
+    assert cli.main(["plot", str(path), "-o", str(out)]) == 0
+    P = instance_to_polyset(load_instance(str(path)))
+    assert out.read_text().count('class="lp-in"') == len(enumerate_integer_points(P))
 
 
 def test_plot_degenerate_instance_renders_line(tmp_path):

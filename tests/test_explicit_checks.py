@@ -12,7 +12,6 @@ import inthull.hull_baseline as hull_baseline
 import inthull.hull_new as hull_new
 from inthull import (
     GeometryError,
-    HalfPlane,
     IntPoint2,
     integer_hull_baseline,
     integer_hull_new,
@@ -39,14 +38,10 @@ def test_residual_regions_must_shrink(monkeypatch):
 
 def test_residual_regions_refuse_collinear_hull_vertices():
     collinear = [IntPoint2(0, 0), IntPoint2(1, 0), IntPoint2(2, 0)]
-    with pytest.raises(GeometryError, match="collinear"):
-        residual_regions(TRI, collinear)
-
-
-def test_two_point_regions_need_an_integer_offset(monkeypatch):
-    monkeypatch.setattr(hull_new, "line_through", lambda u, w: HalfPlane(0, 1, Fraction(1, 2)))
-    with pytest.raises(GeometryError, match="offset"):
-        residual_regions(TRI, [IntPoint2(0, 0), IntPoint2(1, 0)])
+    clockwise = [IntPoint2(0, 0), IntPoint2(0, 2), IntPoint2(1, 1)]
+    for hull in (collinear, clockwise):
+        with pytest.raises(GeometryError, match="collinear"):
+            residual_regions(TRI, hull)
 
 
 def test_normalized_facets_must_keep_the_hits(monkeypatch):

@@ -23,6 +23,7 @@ from inthull import (
     clip,
     contains,
     convex_hull,
+    enumerate_integer_points,
     line_through,
     polyset_from_halfplanes,
     polyset_from_vertices,
@@ -274,20 +275,49 @@ def test_area_golden_values():
     assert area(tri) == Fraction(1, 12)
 
 
-@settings(max_examples=100)
-@given(st.integers(0, 10**6), st.integers(-5, 5), st.integers(-5, 5), st.integers(-20, 20))
-def test_clip_shrinks_area_and_keeps_containment(seed, a, c, b):
+def _random_set(rng: random.Random, dim: int) -> PolySet2:
+    """A random polygon (dim 2), or a point or segment of small rationals."""
+    if dim == 2:
+        return random_polyset(rng, max_num=20, max_den=4)
+    ends = {(Fraction(rng.randint(-8, 8), rng.randint(1, 2)), Fraction(rng.randint(-8, 8), rng.randint(1, 2)))
+            for _ in range(dim + 1)}
+    return PolySet2(tuple(sorted(ends)))
+
+
+def _lattice(S):
+    return [] if S is None else [(p.x, p.y) for p in enumerate_integer_points(S)]
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(-5, 5), st.integers(-5, 5), st.integers(-20, 20))
+def test_clip_shrinks_area_and_keeps_containment(seed, dim, a, c, b):
     if a == 0 and c == 0:
         return
-    P = random_polyset(random.Random(seed), max_num=20, max_den=4)
-    assert area(P) > 0
-    Q = clip(P, HalfPlane(a, c, b))
+    P = _random_set(random.Random(seed), dim)
+    assert (area(P) > 0) == (dim == 2)
+    h = HalfPlane(a, c, b)
+    Q = clip(P, h)
+    assert _lattice(Q) == [p for p in _lattice(P) if h.contains_point(p)]
     if Q is None:
         return
     assert area(Q) <= area(P)
     for v in Q.vertices:
         assert contains(P, (v.x, v.y))
         assert a * v.x + c * v.y <= b
+
+
+def test_clip_points_and_segments_golden():
+    seg = PolySet2(((0, 0), (3, 3)))
+    crossed = clip(seg, HalfPlane(1, 1, 3))  # x + y <= 3 crosses at (3/2, 3/2)
+    assert crossed.vertices == (Point2(0, 0), Point2(Fraction(3, 2), Fraction(3, 2)))
+    assert _lattice(crossed) == [(0, 0), (1, 1)]
+    touched = clip(seg, HalfPlane(-1, 0, -3))  # x >= 3 touches the upper end
+    assert touched.vertices == (Point2(3, 3),)
+    assert _lattice(touched) == [(3, 3)]
+    assert clip(seg, HalfPlane(-1, 0, -4)) is None
+    dot = PolySet2(((Fraction(1, 2), 2),))
+    assert clip(dot, HalfPlane(1, 0, 1)) == dot  # inside
+    assert clip(dot, HalfPlane(1, 0, 0)) is None  # outside
 
 
 def test_clip_degenerate_results_are_first_class():

@@ -20,10 +20,12 @@ from inthull import (
     enumerate_integer_points,
     integer_hull_new,
     integer_hull_oracle,
+    normalize_facets,
     polyset_from_halfplanes,
     polyset_from_vertices,
+    replace_facets,
 )
-from helpers import hull_tuples, random_polyset
+from helpers import brute_points_in, hull_tuples, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -77,6 +79,32 @@ def test_thin_sliver_wedge_completes_quickly():
     hull = integer_hull_new(P, stats=stats)
     assert hull == integer_hull_oracle(P)
     assert stats.brute_cells < 10**5
+
+
+def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
+    # residual_regions cuts a two-point hull [u, w] one level off its line
+    # and so relies on this: P has no lattice point on the line uw outside
+    # the segment.  It holds for every pair of sweep hits, so for every
+    # edge of their hull.
+    segments = 0
+    for seed in range(300):
+        kw = dict(max_num=30, max_den=8) if seed % 2 else dict(max_num=6, max_den=3)
+        P = random_polyset(random.Random(seed), **kw)
+        lattice = brute_points_in(P)
+        _, baseline_hits = normalize_facets(P)
+        for hits in (replace_facets(P), {p for hit in baseline_hits for p in (hit.lo, hit.hi)}):
+            hull = hull_tuples(convex_hull(hits))
+            if len(hull) < 2:
+                continue
+            segments += len(hull) == 2
+            edges = [hull] if len(hull) == 2 else list(zip(hull, hull[1:] + hull[:1]))
+            for (ux, uy), (wx, wy) in edges:
+                dx, dy = wx - ux, wy - uy
+                for qx, qy in lattice:
+                    if dx * (qy - uy) - dy * (qx - ux) == 0:
+                        along = dx * (qx - ux) + dy * (qy - uy)
+                        assert 0 <= along <= dx * dx + dy * dy, (seed, (ux, uy), (wx, wy), (qx, qy))
+    assert segments > 0
 
 
 @settings(max_examples=200, deadline=None)
