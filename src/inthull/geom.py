@@ -226,8 +226,15 @@ def _hull_chain(points: Iterable[Sequence]) -> list:
     Returns the hull in strict CCW order starting at the lexicographically
     smallest point.  Fewer than three distinct points (or an all-collinear
     set) collapse to the sorted distinct points / the two extreme points.
+    Only the lowest and highest point of a column x = X can be a vertex, so
+    each run of equal x is cut to its two ends before the chain runs.
     """
-    pts = sorted(set(tuple(p) for p in points))
+    pts: list = []
+    for p in sorted(set(tuple(p) for p in points)):
+        if len(pts) >= 2 and pts[-2][0] == pts[-1][0] == p[0]:
+            pts[-1] = p
+        else:
+            pts.append(p)
     if len(pts) <= 2:
         return pts
     lower: list = []

@@ -21,14 +21,14 @@ unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  ``s_lo`` and ``s_hi``
 run along the polygon's two boundary chains, which one forward-only cursor
 each walks up from the minimum vertex, an edge at a time, only as far as the
-sweep goes.  A galloping search doubles its window of levels but cuts each
-window at the next edge end of either chain, so both chains are single
-linear pieces on it and the window's lattice-point count is one pair of
-calls to the classic Euclidean-style ``floor_sum``.  The first hit takes
-O(log(distance) + pieces crossed) counts, then a bisection inside the
-hitting window, so thin polygons whose facets are millions of integer
-offsets away from their first lattice chord still sweep quickly, and a
-polygon's far side is never visited when the hit is near.
+sweep goes.  The sweep cuts its levels into windows at each edge end of
+either chain, so both chains are single lines on a window, and finds the
+first hitting level of a window in one solve, ``_first_hit``: a
+continued-fraction (Euclid-style) descent on the two lines' slopes, as in
+two-variable integer programming, in O(log) integer steps.  A sweep thus
+costs one solve per pair of edges crossed, however many levels separate the
+facet from its first lattice chord, and a polygon's far side is never
+visited when the hit is near.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*i + b) / m) for i = 0 .. n-1, with m > 0.
 
     Runs in O(log) like the Euclidean algorithm; a and b may be negative.
+    A public helper: the sweeps find their first lattice level without it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -288,22 +289,50 @@ def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
             yield x, y_lo, y_hi
 
 
-def _slab_count(lower: _Chain, upper: _Chain, t0: int, t1: int) -> int:
-    """Lattice points on the chords at the integer levels t0..t1, all held by
-    the current edges of both chains.
+def _first_hit(lp: int, lq: int, lr: int, up: int, uq: int, ur: int, n: int) -> Optional[int]:
+    """Least T in [0, n] with ceil((lp*T + lq)/lr) <= floor((up*T + uq)/ur),
+    or None; lr, ur > 0, and the lower line lies on or below the upper on
+    [0, n].
 
-    That is sum(floor(s_hi(T)) - ceil(s_lo(T)) + 1) over the levels T: one
-    floor_sum per chain.  Every chord in the polygon's t-range is nonempty,
-    so the count is nonnegative.
+    A continued-fraction (Euclid-style) descent.  When T = 0 misses, its
+    chord lies inside the open interval (c-1, c).  A shear s -> s - k*T
+    keeps the levels and moves the lower slope into [0, 1).  If then the
+    lower line does not rise and the upper does not fall (after one more
+    shear when the upper slope is >= 1), the first hit is where the upper
+    line reaches c or the lower one reaches c-1.  Otherwise the lower slope
+    lies in (0, 1) and the axes swap: the least s in [c, floor(U(n))] for
+    which some integer T lies in [U^-1(s), L^-1(s)] gives the least level,
+    T = ceil(U^-1(s)).  That range is empty unless the upper slope lies in
+    (0, 1) too, and then it is the same problem, with the inverse upper
+    line below the inverse lower one, and both denominators shrink.
     """
-    lp, lq, lr = lower.line
-    up, uq, ur = upper.line
-    width = t1 - t0 + 1
-    return (
-        width
-        + floor_sum(width, ur, up, up * t0 + uq)
-        + floor_sum(width, lr, -lp, -(lp * t0) - lq)
-    )
+    back = []  # (p, q, r, c) of each swapped problem's upper line, for the way back
+    while True:
+        c = -(-lq // lr)  # ceil of the lower line at T = 0
+        if c * ur <= uq:
+            T = 0
+            break
+        k = lp // lr
+        lp, up = lp - k * lr, up - k * ur
+        if lp == 0 or up >= ur:
+            if up >= ur:
+                lp, up = lp - lr, up - ur
+            # The chord only widens: the first level that reaches c or c-1.
+            reach = [-((uq - c * ur) // up)] if up > 0 else []
+            if lp < 0:
+                reach.append(-(((c - 1) * lr - lq) // -lp))
+            if not reach or min(reach) > n:
+                return None
+            T = min(reach)
+            break
+        m = (up * n + uq) // ur - c  # the last s, floor(U(n)), less c
+        if m < 0:  # also whenever the upper line does not rise
+            return None
+        back.append((up, uq, ur, c))
+        lp, lq, lr, up, uq, ur, n = ur, ur * c - uq, up, lr, lr * c - lq, lp, m
+    for up, uq, ur, c in reversed(back):
+        T = -((uq - ur * (T + c)) // up)  # ceil(U^-1(s)) at s = T + c
+    return T
 
 
 @dataclass
@@ -328,6 +357,9 @@ def _first_lattice_chord(
     Returns the hit with its extreme lattice points, or hit=None when no
     chord in the polygon's range contains one (then P has no lattice points
     at all, since every lattice point of P lies on some integer-level chord).
+    The levels are walked one window at a time, each cut at the next edge
+    end of either chain and at the ``max_sweep`` limit, and each window
+    costs one ``_first_hit`` solve.
     """
     frame = _Frame(P.vertices, A, C)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
@@ -336,9 +368,9 @@ def _first_lattice_chord(
     # The last level within the limit: no window reaches past it.
     t_limit = None if max_sweep is None else t_first + max_sweep - 1
 
-    # Galloping windows [t, end], each cut at the next edge end of either
-    # chain, then a bisection inside the first window that holds a point.
-    t, width = t_first, 1
+    # One window per piece pair [t, end], cut at the next edge end of either
+    # chain and at the limit; both chains are single lines on it.
+    t = t_first
     while True:
         if not (lower.reach(t) and upper.reach(t)):
             # Past the top: no chord holds a lattice point.  Every level
@@ -349,18 +381,16 @@ def _first_lattice_chord(
             raise SweepLimitExceeded(
                 f"sweep would take more than {max_sweep} offset translations"
             )
-        end = min(t + width - 1, lower.end, upper.end)
+        end = min(lower.end, upper.end)
         if t_limit is not None and end > t_limit:
             end = t_limit
-        if _slab_count(lower, upper, t, end) > 0:
+        lp, lq, lr = lower.line
+        up, uq, ur = upper.line
+        level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
+        if level is not None:
+            t += level
             break
-        t, width = end + 1, width * 2
-    while t < end:
-        mid = (t + end) // 2
-        if _slab_count(lower, upper, t, mid) > 0:
-            end = mid
-        else:
-            t = mid + 1
+        t = end + 1
 
     lp, lq, lr = lower.line
     up, uq, ur = upper.line

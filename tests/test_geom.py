@@ -349,3 +349,24 @@ def test_convex_hull_matches_reference_hull(pts):
     ours = [(p.x, p.y) for p in convex_hull(pts)]
     ref = [(int(x), int(y)) for x, y in rational_hull([(Fraction(x), Fraction(y)) for x, y in pts])]
     assert ours == ref
+
+
+def test_convex_hull_of_full_columns_matches_the_uncollapsed_chain():
+    # Many points per column, whole columns, one vertical line and one
+    # slanted line: only column ends reach the chain, which must not change
+    # the hull.
+    rng = random.Random(11)
+    for i in range(400):
+        kind = i % 4
+        if kind == 0:
+            pts = [(rng.randint(-6, 6), rng.randint(-40, 40)) for _ in range(rng.randint(1, 120))]
+        elif kind == 1:
+            pts = [(x, y) for x in range(rng.randint(-5, 0), rng.randint(0, 5)) for y in range(rng.randint(-9, 0), rng.randint(0, 9))]
+        elif kind == 2:
+            x = rng.randint(-50, 50)
+            pts = [(x, rng.randint(-50, 50)) for _ in range(rng.randint(1, 30))]
+        else:
+            (x, y), (dx, dy) = (rng.randint(-50, 50), rng.randint(-50, 50)), (rng.randint(-3, 3), rng.randint(-3, 3))
+            pts = [(x + k * dx, y + k * dy) for k in rng.sample(range(-20, 20), rng.randint(1, 12))]
+        ref = [(int(x), int(y)) for x, y in rational_hull(pts)]
+        assert [(p.x, p.y) for p in convex_hull(pts)] == ref

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inthull import (
+    BudgetExceeded,
     HalfPlane,
     RefineConfig,
     RunStats,
@@ -18,6 +19,7 @@ from inthull import (
     contains,
     convex_hull,
     enumerate_integer_points,
+    integer_hull_baseline,
     integer_hull_new,
     integer_hull_oracle,
     normalize_facets,
@@ -25,6 +27,7 @@ from inthull import (
     polyset_from_vertices,
     replace_facets,
 )
+from inthull.generate import random_polygon
 from helpers import brute_points_in, hull_tuples, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
@@ -175,3 +178,47 @@ def test_max_sweep_guard_propagates():
     )
     with pytest.raises(SweepLimitExceeded):
         integer_hull_new(thin, max_sweep=1)
+
+
+def big_polygons():
+    """Seeded polygons beyond the oracle's reach: random polygons at scales
+    10^6..10^12, polygons whose vertices have denominators up to 10^10, and
+    thin slivers along rational slopes moved ~10^12 by integer vectors."""
+    rng = random.Random(2025)
+    for e in range(6, 13):
+        inst = random_polygon(rng.randint(5, 14), 10**e, rng.randrange(2**32))
+        dx, dy = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        yield polyset_from_vertices([(x + dx, y + dy) for x, y in inst.vertices])
+    for _ in range(4):  # near a circle of radius 10..1000
+        R = 10 ** rng.randint(1, 3)
+        X, Y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        pts = []
+        for k in range(rng.randint(3, 8)):
+            t = Fraction(rng.randint(-10**4, 10**4), 10**4)
+            q = rng.randint(10**9, 10**10)
+            x, y = R * (1 - t * t) / (1 + t * t), R * 2 * t / (1 + t * t)
+            pts.append((X + Fraction(round(x * q), q) * (-1) ** k, Y + Fraction(round(y * q), q)))
+        yield polyset_from_vertices(pts)
+    for i in range(6):  # slivers
+        q = rng.randint(2, 10**4)
+        p = rng.randint(-q, q)
+        L = rng.randint(10**3, 10**4) if i % 2 else rng.randint(10**4, 10**9)
+        X, Y = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        y0 = Y + Fraction(rng.randint(0, 10**10), 10**10)
+        y1 = y0 + Fraction(p * L, q)
+        width = Fraction(rng.randint(1, 5), rng.randint(1, q))
+        yield polyset_from_vertices([(X, y0), (X + L, y1), (X + L, y1 + width)])
+
+
+def test_new_and_baseline_agree_at_scale():
+    answered = 0
+    for P in big_polygons():
+        hull = integer_hull_new(P)
+        for p in hull:
+            assert contains(P, (p.x, p.y))
+        try:
+            assert integer_hull_baseline(P) == hull
+            answered += 1
+        except BudgetExceeded:
+            pass
+    assert answered >= 5

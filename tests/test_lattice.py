@@ -27,7 +27,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.lattice import _run_sweep
+from inthull.lattice import _first_hit, _run_sweep
 from helpers import brute_points_in, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -79,6 +79,97 @@ def test_floor_sum_matches_reference(n, m, a, b):
 def test_floor_sum_rejects_bad_modulus():
     with pytest.raises(ValueError):
         floor_sum(3, 0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the first lattice level between two lines, against two references
+
+
+def scan_first_hit(lp, lq, lr, up, uq, ur, n):
+    """The first level T in [0, n] with ceil(L(T)) <= floor(U(T)), level by level."""
+    for T in range(n + 1):
+        if -(-(lp * T + lq) // lr) <= (up * T + uq) // ur:
+            return T
+    return None
+
+
+def count_first_hit(lp, lq, lr, up, uq, ur, n):
+    """The same level by bisection on lattice-point counts: the points on the
+    chords at levels 0..m are one floor_sum per line."""
+
+    def count(m):
+        return m + 1 + floor_sum(m + 1, ur, up, uq) + floor_sum(m + 1, lr, -lp, -lq)
+
+    if count(n) == 0:
+        return None
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(mid) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def lines_below_each_other(rng, kind, n, max_den, slack):
+    """(lp, lq, lr, up, uq, ur) with the lower line on or below the upper on
+    [0, n]; the upper line is raised `slack`/ur above the least it may be."""
+    lr, ur = rng.randint(1, max_den), rng.randint(1, max_den)
+    lp = rng.randint(-3 * lr, 3 * lr)
+    lq = rng.randint(-5 * lr * max(n, 1), 5 * lr * max(n, 1))
+    near = lp * ur // lr
+    if kind == "parallel":
+        ur = lr
+        up = lp
+    elif kind == "widening":
+        up = near + rng.randint(1, 3)
+    elif kind == "narrowing":
+        up = near - rng.randint(0, 3)
+    else:  # a flat lower line (after the shear by its slope) and a steep upper one
+        lp = rng.randint(-3, 3) * lr
+        up = lp // lr * ur + ur * rng.randint(1, 3) + rng.randint(0, ur - 1)
+    # U(T) >= L(T) at both ends: uq*lr >= lq*ur and (up*n + uq)*lr >= (lp*n + lq)*ur.
+    least = max(lq * ur, (lp * n + lq) * ur - up * n * lr)
+    return lp, lq, lr, up, -(-least // lr) + slack, ur
+
+
+KINDS = ("parallel", "widening", "narrowing", "steep")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(KINDS), st.integers(0, 40), st.sampled_from([0, 0, 1, 5]))
+@example(0, "steep", 0, 0)
+def test_first_hit_matches_a_level_by_level_scan(seed, kind, n, slack):
+    args = lines_below_each_other(random.Random(seed), kind, n, 60, slack) + (n,)
+    assert _first_hit(*args) == scan_first_hit(*args)
+
+
+def test_first_hit_matches_a_count_bisection_at_scale():
+    rng = random.Random(8)
+    found = {True: 0, False: 0}
+    for i in range(2000):
+        n = rng.choice([0, 1, rng.randint(2, 10**6), rng.randint(10**9, 10**12)])
+        kind = KINDS[i % 4]
+        args = lines_below_each_other(rng, kind, n, 10**10, rng.choice([0, 0, 1, 10**5])) + (n,)
+        hit = count_first_hit(*args)
+        assert _first_hit(*args) == hit, (kind, args)
+        found[hit is not None] += 1
+    assert min(found.values()) > 200
+
+
+def test_first_hit_none_between_lines_that_never_hold_a_lattice_point():
+    # Slope p/q and gap 1/(3q): 3q*s is never 3p*T + 1 or 3p*T + 2.
+    rng = random.Random(3)
+    for _ in range(200):
+        q = rng.randint(1, 10**10)
+        p = rng.randint(-10**10, 10**10)
+        n = rng.randint(0, 10**12)
+        assert _first_hit(3 * p, 1, 3 * q, 3 * p, 2, 3 * q, n) is None
+    # A shallow strip inside (0, 1) until level D.
+    D = 10**12 + 7
+    assert _first_hit(1, D, 3 * D, 1, 2 * D, 3 * D, D - 1) is None
+    assert _first_hit(1, D, 3 * D, 1, 2 * D, 3 * D, D) == D
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +448,7 @@ def test_max_sweep_guard_raises_on_long_sweeps():
 
 def test_max_sweep_refuses_a_far_hit_before_searching_for_it(monkeypatch):
     # Swept from the opposite side, facet 0's first lattice chord is
-    # 4.8 * 10^10 levels away; finding it takes over a hundred floor_sums.
+    # 4.8 * 10^10 levels away.
     far = polyset_from_vertices(
         [
             (0, Fraction(1, 3)),
@@ -365,16 +456,14 @@ def test_max_sweep_refuses_a_far_hit_before_searching_for_it(monkeypatch):
             (10**12, Fraction(10**12, 7) + Fraction(1, 3)),
         ]
     )
-    calls = []
-    counted = lambda *args: calls.append(args) or floor_sum(*args)
-    monkeypatch.setattr("inthull.lattice.floor_sum", counted)
     assert sweep_from_opposite(far, 0).offset == -428571428571
-    assert len(calls) > 100
-    calls.clear()
+    windows = []
+    counted = lambda *args: windows.append(args[-1]) or _first_hit(*args)
+    monkeypatch.setattr("inthull.lattice._first_hit", counted)
     with pytest.raises(SweepLimitExceeded, match="more than 1 "):
         sweep_from_opposite(far, 0, max_sweep=1)
-    # One window of one level: one floor_sum per boundary chain.
-    assert len(calls) <= 2
+    # At most one solve, over a window of one level.
+    assert windows in ([], [0])
 
 
 @settings(max_examples=60, deadline=None)
