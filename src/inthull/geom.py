@@ -19,9 +19,15 @@ Conventions used throughout:
   (given ``gcd(a, c) == 1``).
 * A :class:`PolySet2` with three or more vertices is a strictly convex
   counter-clockwise vertex cycle starting at the lexicographically smallest
-  vertex; its ``halfplanes[i]``, derived on construction, is the supporting
-  half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets with one or
-  two vertices are degenerate (a point or a segment) and have no half-planes.
+  vertex; its ``halfplanes[i]``, derived on first use and cached, is the
+  supporting half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets
+  with one or two vertices are degenerate (a point or a segment) and have no
+  half-planes.
+* The level of a half-plane at a point, ``a*x + c*y - b``, is computed as one
+  integer (num, den) pair (:func:`_level`).  :func:`clip` walks only the arc
+  of vertices on the kept side, from the deepest vertex found by a local
+  descent from a hint, and builds each crossing with one ``Fraction`` per
+  coordinate.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -30,11 +36,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
@@ -95,16 +101,12 @@ def _cross_parts(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Ratio
     return n1 * n2 * d3 * d4 - n3 * n4 * d1 * d2, d1 * d2 * d3 * d4
 
 
-def _eval_cmp(a: int, c: int, b: Fraction, p: Sequence[Rational]) -> int:
-    """Sign of a*p.x + c*p.y - b in pure integer arithmetic."""
+def _level(h: HalfPlane, p: Sequence[Rational]) -> Tuple[int, int]:
+    """h.a*p.x + h.c*p.y - h.b as (num, den) with den > 0, in integers."""
     xn, xd = p[0].numerator, p[0].denominator
     yn, yd = p[1].numerator, p[1].denominator
-    diff = (a * xn * yd + c * yn * xd) * b.denominator - b.numerator * xd * yd
-    if diff > 0:
-        return 1
-    if diff < 0:
-        return -1
-    return 0
+    bn, bd = h.b.numerator, h.b.denominator
+    return (h.a * xn * yd + h.c * yn * xd) * bd - bn * xd * yd, xd * yd * bd
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class HalfPlane:
         return self.a * _frac(p[0]) + self.c * _frac(p[1])
 
     def contains_point(self, p: Sequence[Rational]) -> bool:
-        return _eval_cmp(self.a, self.c, self.b, p) <= 0
+        return _level(self, p)[0] <= 0
 
 
 @dataclass(frozen=True)
@@ -167,14 +169,16 @@ class PolySet2:
     """A bounded convex subset of the plane, given by its vertices.
 
     With >= 3 vertices: ``vertices`` is a strictly convex CCW cycle starting
-    at the lex-smallest vertex, and ``halfplanes[i]``, derived from it,
-    supports the edge ``vertices[i] -> vertices[(i+1) % n]``.  With 1 or 2
+    at the lex-smallest vertex, and ``halfplanes[i]`` supports the edge
+    ``vertices[i] -> vertices[(i+1) % n]``.  The half-planes are derived
+    from the vertices on first use and cached: most residual regions are
+    enumerated and never swept, so they never build them.  With 1 or 2
     vertices the set is degenerate (a point or a segment, vertices in lex
-    order) and has no half-planes.
+    order) and has no half-planes.  Equality and hashing use the vertices
+    only.
     """
 
     vertices: Tuple[Point2, ...]
-    halfplanes: Tuple[HalfPlane, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in self.vertices)
@@ -185,29 +189,50 @@ class PolySet2:
         if n <= 2:
             if n == 2 and not verts[0] < verts[1]:
                 raise ValueError("degenerate segment vertices must be distinct and in lex order")
-            object.__setattr__(self, "halfplanes", ())
             return
         if min(verts) != verts[0]:
             raise ValueError("vertex cycle must start at the lexicographically smallest vertex")
+        # Each edge direction as a positive multiple (X, Y) of q - p in
+        # integers.  Consecutive edges must turn left strictly.  Left turns
+        # alone also admit a cycle that winds around more than once (a
+        # pentagram); a convex one turns its outward normals (Y, -X) around
+        # once, so they enter the upper half plane (X < 0, or X = 0 < Y)
+        # exactly once.
+        prev_x, prev_y = _direction(verts[-2], verts[-1])
+        prev_up = prev_x < 0 or (prev_x == 0 and prev_y > 0)
+        entries = 0
         for i in range(n):
-            p = verts[i]
-            q = verts[(i + 1) % n]
-            r = verts[(i + 2) % n]
-            if _cross_parts(p, q, r)[0] <= 0:
+            x, y = _direction(verts[i - 1], verts[i])
+            if prev_x * y - prev_y * x <= 0:
                 raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
-        hps = tuple(_edge_halfplane(verts[i], verts[(i + 1) % n]) for i in range(n))
-        # Left turns alone also admit a cycle that winds around more than
-        # once (a pentagram); a convex one turns its normals around once,
-        # so they enter the upper half plane once.
-        upper = [h.c > 0 or (h.c == 0 and h.a > 0) for h in hps]
-        if sum(u and not upper[i - 1] for i, u in enumerate(upper)) != 1:
+            up = x < 0 or (x == 0 and y > 0)
+            entries += up and not prev_up
+            prev_x, prev_y, prev_up = x, y, up
+        if entries != 1:
             raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
-        object.__setattr__(self, "halfplanes", hps)
+
+    @functools.cached_property
+    def halfplanes(self) -> Tuple[HalfPlane, ...]:
+        """The supporting half-plane of every edge, in cycle order."""
+        verts = self.vertices
+        n = len(verts)
+        if n < 3:
+            return ()
+        return tuple(_edge_halfplane(verts[i], verts[(i + 1) % n]) for i in range(n))
 
     @property
     def is_degenerate(self) -> bool:
         """True for a point or segment (fewer than 3 vertices)."""
         return len(self.vertices) < 3
+
+
+def _direction(p: Point2, q: Point2) -> Tuple[int, int]:
+    """A positive integer multiple of q - p."""
+    pxn, pxd = p.x.numerator, p.x.denominator
+    pyn, pyd = p.y.numerator, p.y.denominator
+    dx, dxd = q.x.numerator * pxd - pxn * q.x.denominator, q.x.denominator * pxd
+    dy, dyd = q.y.numerator * pyd - pyn * q.y.denominator, q.y.denominator * pyd
+    return dx * dyd, dy * dxd
 
 
 def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
@@ -269,14 +294,10 @@ def _edge_halfplane(p: Point2, q: Point2) -> HalfPlane:
 
     The outward normal of a CCW edge with direction d is (d.y, -d.x).
     """
+    dx, dy = _direction(p, q)
     pxn, pxd = p.x.numerator, p.x.denominator
     pyn, pyd = p.y.numerator, p.y.denominator
-    dxn = q.x.numerator * pxd - pxn * q.x.denominator  # q.x - p.x, den q.xd*pxd
-    dyn = q.y.numerator * pyd - pyn * q.y.denominator  # q.y - p.y, den q.yd*pyd
-    a = dyn * (q.x.denominator * pxd)
-    c = -dxn * (q.y.denominator * pyd)
-    b = Fraction(a * pxn * pyd + c * pyn * pxd, pxd * pyd)
-    return HalfPlane(a, c, b)
+    return HalfPlane(dy, -dx, Fraction(dy * pxn * pyd - dx * pyn * pxd, pxd * pyd))
 
 
 def _polyset_from_cycle(verts: Sequence[Point2]) -> PolySet2:
@@ -325,25 +346,30 @@ def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
         if _cross_parts(u, w, p)[0] != 0:
             return False
         return min(u, w) <= p <= max(u, w)
-    return all(_eval_cmp(h.a, h.c, h.b, p) <= 0 for h in P.halfplanes)
+    return all(_level(h, p)[0] <= 0 for h in P.halfplanes)
 
 
 def area(P: PolySet2) -> Fraction:
-    """Exact area (0 for degenerate sets)."""
-    verts = P.vertices
-    twice = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        p = verts[i]
-        q = verts[(i + 1) % n]
-        # p.x*q.y - q.x*p.y over one common denominator per term.
-        num = (
-            p.x.numerator * q.y.numerator * q.x.denominator * p.y.denominator
-            - q.x.numerator * p.y.numerator * p.x.denominator * q.y.denominator
-        )
-        den = p.x.denominator * q.y.denominator * q.x.denominator * p.y.denominator
-        twice += Fraction(num, den)
-    return twice / 2
+    """Exact area (0 for degenerate sets).
+
+    The shoelace terms are summed over one running (num, den) pair in
+    integers, with one ``Fraction`` at the end.
+    """
+    num, den = 0, 1
+    q = P.vertices[-1]
+    for p in P.vertices:
+        # q.x*p.y - p.x*q.y over one denominator per term.
+        qxn, qxd = q.x.numerator, q.x.denominator
+        qyn, qyd = q.y.numerator, q.y.denominator
+        pxn, pxd = p.x.numerator, p.x.denominator
+        pyn, pyd = p.y.numerator, p.y.denominator
+        term = qxn * pyn * pxd * qyd - pxn * qyn * qxd * pyd
+        term_den = qxd * pyd * pxd * qyd
+        g = gcd(den, term_den)
+        num = num * (term_den // g) + term * (den // g)
+        den = den // g * term_den
+        q = p
+    return Fraction(num, 2 * den)
 
 
 def bounding_box(P: PolySet2) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -379,8 +405,76 @@ def _clean_cycle(points: Sequence[Point2]) -> list:
     return dedup
 
 
-def clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
+def _vertex_levels(verts: Sequence[Point2], h: HalfPlane) -> Callable[[int], Tuple[int, int]]:
+    """j -> the level of h at vertex j mod n, computed once per vertex."""
+    n = len(verts)
+    memo: dict = {}
+
+    def level(j: int) -> Tuple[int, int]:
+        j %= n
+        value = memo.get(j)
+        if value is None:
+            value = memo[j] = _level(h, verts[j])
+        return value
+
+    return level
+
+
+def _deepest(level: Callable[[int], Tuple[int, int]], hint: int) -> Tuple[int, Tuple[int, int]]:
+    """A vertex where `level` is least, and that level, by local descent
+    from `hint`.
+
+    The level of a half-plane is unimodal on a strictly convex cycle, so a
+    vertex that neither neighbor undercuts is a minimum; the hint only
+    changes how far the descent walks.  The index is not reduced mod n.
+    """
+    j, fj = hint, level(hint)
+    for step in (1, -1):
+        while True:
+            fk = level(j + step)
+            if fk[0] * fj[1] >= fj[0] * fk[1]:
+                break
+            j, fj = j + step, fk
+    return j, fj
+
+
+def _deepest_vertex(P: PolySet2, h: HalfPlane, hint: int = 0) -> int:
+    """The index of a vertex of P where the level of h is least.
+
+    Walks from vertex `hint`; the answer does not depend on it, but a hint
+    near the answer makes the walk short.
+    """
+    return _deepest(_vertex_levels(P.vertices, h), hint)[0] % len(P.vertices)
+
+
+def _crossing(p: Point2, lp: Tuple[int, int], q: Point2, lq: Tuple[int, int]) -> Point2:
+    """The point of segment pq at level 0, given the levels (num, den) at p
+    and q, of strictly opposite signs."""
+    # The levels at q and at p over one denominator; the crossing is
+    # (wp*p - wq*q) / (wp - wq).
+    wp, wq = lq[0] * lp[1], lp[0] * lq[1]
+    w = wp - wq
+    pxn, pxd = p.x.numerator, p.x.denominator
+    pyn, pyd = p.y.numerator, p.y.denominator
+    qxn, qxd = q.x.numerator, q.x.denominator
+    qyn, qyd = q.y.numerator, q.y.denominator
+    return Point2(
+        Fraction(wp * pxn * qxd - wq * qxn * pxd, w * pxd * qxd),
+        Fraction(wp * pyn * qyd - wq * qyn * pyd, w * pyd * qyd),
+    )
+
+
+def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     """P intersected with a half-plane; None when the intersection is empty.
+
+    The vertices of P on the kept side of h form one contiguous arc of the
+    cycle, around h's deepest vertex.  That vertex is found by a local
+    descent from vertex `hint`, which changes only the speed, never the
+    result; the walk then runs forward and backward while vertices are
+    kept, and adds at most two crossings where it stops.  Levels and crossings are integer (num, den)
+    pairs, with one ``Fraction`` per crossing coordinate, so a clip costs
+    the descent plus the kept arc, not a pass over P.  A clip of a strictly
+    convex cycle is strictly convex; the ``PolySet2`` constructor checks it.
 
     Degenerate results (a segment or point) are returned as degenerate
     PolySet2 values, not errors.  A point or segment P is clipped as the
@@ -389,26 +483,31 @@ def clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
     """
     verts = P.vertices
     n = len(verts)
-    signs = [_eval_cmp(h.a, h.c, h.b, v) for v in verts]
-    out: list = []
-    for i in range(n):
-        j = (i + 1) % n
-        cur, nxt = verts[i], verts[j]
-        sc, sn = signs[i], signs[j]
-        if sc <= 0:
-            out.append(cur)
-        if sc * sn < 0:
-            fc = h.eval_at(cur)
-            fn = h.eval_at(nxt)
-            t = (h.b - fc) / (fn - fc)
-            out.append(Point2(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
-    cycle = _clean_cycle(out)
-    if not cycle:
+    level = _vertex_levels(verts, h)
+    j, f_j = _deepest(level, hint)
+    if f_j[0] > 0:
         return None
-    if len(cycle) < 3:
+    end, f_end = j, f_j
+    while end - j < n - 1:
+        f_out = level(end + 1)
+        if f_out[0] > 0:
+            break
+        end, f_end = end + 1, f_out
+    else:
+        return P  # every vertex is kept
+    start, f_start = j, f_j
+    while True:
+        f_in = level(start - 1)
+        if f_in[0] > 0:
+            break
+        start, f_start = start - 1, f_in
+    cycle = [verts[k % n] for k in range(start, end + 1)]
+    if f_end[0] < 0:
+        cycle.append(_crossing(verts[end % n], f_end, verts[(end + 1) % n], f_out))
+    if f_start[0] < 0:
+        cycle.append(_crossing(verts[(start - 1) % n], f_in, verts[start % n], f_start))
+    if n < 3 or len(cycle) < 3:
         return _degenerate_polyset(cycle)
-    # A convex cycle can degenerate to a segment even with 3+ corners kept
-    # when all survivors are collinear; _clean_cycle already removed that.
     return _polyset_from_cycle(cycle)
 
 

@@ -23,6 +23,7 @@ from .geom import (
     HullResult,
     IntPoint2,
     PolySet2,
+    _deepest_vertex,
     area,
     clip,
     convex_hull,
@@ -121,6 +122,10 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
         raise ValueError("residual regions need a hull of at least 2 points")
     shift = 1 if n == 2 else 0
     regions: List[PolySet2] = []
+    # The outward normals of the hull turn CCW, and so does the vertex of P
+    # deepest beyond each edge: the previous one is the next clip's hint, and
+    # the descents walk P about once in all.
+    deepest = 0
     for i in range(n):
         u, w, z = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
         g = gcd(w.y - u.y, u.x - w.x)
@@ -129,7 +134,9 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
         # A canonical hull turns left strictly, so the next vertex is inside.
         if n > 2 and a * z.x + c * z.y >= b:
             raise GeometryError(f"hull vertices {u}, {w} and {z} are collinear or turn clockwise")
-        region = clip(P, HalfPlane(-a, -c, -(b + shift)))
+        h = HalfPlane(-a, -c, -(b + shift))
+        deepest = _deepest_vertex(P, h, deepest)
+        region = clip(P, h, deepest)
         if region is None:
             continue
         if region.is_degenerate and set(_lattice_extremes(region.vertices)) <= {u, w}:

@@ -48,6 +48,48 @@ def rational_hull(points: Sequence[RatPoint]) -> List[RatPoint]:
     return hull
 
 
+def reference_clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
+    """P intersected with the half-plane h by a scan of every vertex.
+
+    Each vertex on the kept side is kept, each edge that crosses the
+    boundary adds its crossing, and duplicate points and collinear middle
+    vertices are dropped from the cycle.  Plain Fraction arithmetic; a point
+    or segment P is the 1- or 2-cycle of its vertices.
+    """
+    verts = [(Fraction(v[0]), Fraction(v[1])) for v in P.vertices]
+    n = len(verts)
+    levels = [h.a * x + h.c * y - h.b for x, y in verts]
+    out: List[RatPoint] = []
+    for i in range(n):
+        j = (i + 1) % n
+        if levels[i] <= 0:
+            out.append(verts[i])
+        if levels[i] * levels[j] < 0:
+            t = levels[i] / (levels[i] - levels[j])
+            (x0, y0), (x1, y1) = verts[i], verts[j]
+            out.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    cycle: List[RatPoint] = []
+    for p in out:
+        if not cycle or cycle[-1] != p:
+            cycle.append(p)
+    while len(cycle) > 1 and cycle[0] == cycle[-1]:
+        cycle.pop()
+    changed = True
+    while changed and len(cycle) >= 3:
+        changed = False
+        for i in range(len(cycle)):
+            if frac_cross(cycle[i - 1], cycle[i], cycle[(i + 1) % len(cycle)]) == 0:
+                del cycle[i]
+                changed = True
+                break
+    if not cycle:
+        return None
+    if len(cycle) < 3:
+        return PolySet2(tuple(sorted(set(cycle))))
+    k = cycle.index(min(cycle))
+    return PolySet2(tuple(cycle[k:] + cycle[:k]))
+
+
 def random_polyset(rng: random.Random, *, max_num: int = 50, max_den: int = 10,
                    min_pts: int = 3, max_pts: int = 12) -> PolySet2:
     """A random bounded polygon: hull of 3..12 random rational points.

@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 
+import inthull.geom as geom
 import inthull.hull_baseline as hull_baseline
 import inthull.hull_new as hull_new
 from inthull import (
     GeometryError,
+    HalfPlane,
     IntPoint2,
+    Point2,
+    PolySet2,
+    clip,
     integer_hull_baseline,
     integer_hull_new,
     polyset_from_vertices,
@@ -48,3 +53,22 @@ def test_normalized_facets_must_keep_the_hits(monkeypatch):
     monkeypatch.setattr(hull_baseline, "_intersect_halfplanes", lambda hps: None)
     with pytest.raises(GeometryError, match="stopping-chord"):
         integer_hull_baseline(TRI)
+
+
+def test_clip_output_is_checked_by_the_polyset_constructor(monkeypatch):
+    # Each crossing moved off its edge, to q reflected through p, makes
+    # the cut of TRI at y <= 2 turn clockwise at (3, -1/5).
+    monkeypatch.setattr(geom, "_crossing", lambda p, lp, q, lq: Point2(2 * p.x - q.x, 2 * p.y - q.y))
+    with pytest.raises(ValueError, match="strictly convex"):
+        clip(TRI, HalfPlane(0, 1, 2))
+
+
+def test_polyset_refuses_a_pentagram_without_building_halfplanes(monkeypatch):
+    def no_halfplanes(p, q):
+        raise AssertionError("half-planes are built on first use only")
+
+    monkeypatch.setattr(geom, "_edge_halfplane", no_halfplanes)
+    pentagon = [Point2(0, 0), Point2(2, -1), Point2(4, 0), Point2(3, 2), Point2(1, 2)]
+    PolySet2(tuple(pentagon))
+    with pytest.raises(ValueError, match="strictly convex"):
+        PolySet2(tuple(pentagon[(2 * i) % 5] for i in range(5)))

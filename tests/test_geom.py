@@ -24,10 +24,15 @@ from inthull import (
     contains,
     convex_hull,
     enumerate_integer_points,
+    instance_to_polyset,
     line_through,
     polyset_from_halfplanes,
     polyset_from_vertices,
+    replace_facets,
+    residual_regions,
 )
+import inthull.hull_new as hull_new
+from inthull.generate import convex_chain_polygon
 from inthull.geom import _intersect_by_clipping, _intersect_halfplanes
 from helpers import (
     empty_85_row_system,
@@ -35,6 +40,7 @@ from helpers import (
     random_halfplane_system,
     random_polyset,
     rational_hull,
+    reference_clip,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=8)
@@ -328,6 +334,95 @@ def test_clip_degenerate_results_are_first_class():
     corner = clip(sq, HalfPlane(1, 1, 0))  # keeps the origin only
     assert corner is not None and [(v.x, v.y) for v in corner.vertices] == [(0, 0)]
     assert clip(sq, HalfPlane(1, 0, -1)) is None
+
+
+# clip against the vertex-scan reference (helpers.reference_clip)
+
+
+def _octagon(rng: random.Random) -> PolySet2:
+    """Eight points near a circle of radius 100, one per eighth of the turn,
+    with denominators in [10**10, 2*10**10), moved ~10**6 by an integer vector."""
+    dx, dy = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+    pts = []
+    for k in range(8):
+        u = Fraction(k * 1000 + rng.randrange(100, 900), 4000)
+        mirror = -1 if u >= 1 else 1
+        t = 2 * (u - (u >= 1)) - 1
+        q = rng.randrange(10**10, 2 * 10**10)
+        x, y = 100 * mirror * (1 - t * t) / (1 + t * t), 200 * t / (1 + t * t)
+        pts.append((dx + Fraction(round(x * q), q), dy + Fraction(round(y * q), q)))
+    return polyset_from_vertices(pts)
+
+
+def _clip_cases(P: PolySet2, rng: random.Random):
+    """Half-planes through a vertex, along an edge from either side, at
+    rational offsets, missing P and containing P."""
+    cases = []
+    for h in rng.sample(P.halfplanes, min(3, len(P.halfplanes))):
+        cases += [h, HalfPlane(-h.a, -h.c, -h.b)]
+    for _ in range(4):
+        a, c = rng.randint(-7, 7), rng.randint(-7, 7)
+        if a == c == 0:
+            continue
+        levels = [a * v.x + c * v.y for v in P.vertices]
+        lo, hi = min(levels), max(levels)
+        through = rng.choice(levels)
+        cases += [HalfPlane(a, c, through), HalfPlane(-a, -c, -through), HalfPlane(a, c, lo)]
+        cases.append(HalfPlane(a, c, lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)))
+        cases += [HalfPlane(a, c, lo - Fraction(1, 7)), HalfPlane(a, c, hi), HalfPlane(a, c, hi + 3)]
+    return cases
+
+
+def _clip_sets():
+    rng = random.Random(4242)
+    for _ in range(60):
+        yield random_polyset(rng, max_num=30, max_den=6)
+    for dim in (0, 1):
+        for _ in range(20):
+            yield _random_set(rng, dim)
+    for _ in range(6):
+        yield _octagon(rng)
+    for n in (20, 64, 250, 1000):
+        yield instance_to_polyset(convex_chain_polygon(n))
+
+
+def test_clip_matches_the_vertex_scan_for_every_hint():
+    rng = random.Random(99)
+    kinds = set()
+    for P in _clip_sets():
+        n = len(P.vertices)
+        hints = range(n) if n <= 12 else sorted({0, 1, n // 3, n // 2, n - 1, rng.randrange(n)})
+        for h in _clip_cases(P, rng):
+            expected = reference_clip(P, h)
+            kinds.add("empty" if expected is None else "whole" if expected == P else len(expected.vertices))
+            for hint in hints:
+                assert clip(P, h, hint) == expected, (P, h, hint)
+    assert {"empty", "whole", 1, 2, 3} <= kinds
+
+
+def test_residual_regions_match_the_vertex_scan(monkeypatch):
+    checked = []
+
+    def checking_clip(P, h, hint=0):
+        region = clip(P, h, hint)
+        assert region == reference_clip(P, h), (P, h, hint)
+        checked.append(region)
+        return region
+
+    monkeypatch.setattr(hull_new, "clip", checking_clip)
+    rng = random.Random(31)
+    polys = [random_polyset(rng, max_num=40, max_den=7) for _ in range(40)]
+    polys.append(instance_to_polyset(convex_chain_polygon(1000)))
+    regions = 0
+    for P in polys:
+        hull = convex_hull(replace_facets(P))
+        if len(hull) < 2:
+            continue
+        checked.clear()
+        for region in residual_regions(P, hull):
+            assert any(region is c for c in checked)
+            regions += 1
+    assert regions > 200
 
 
 def test_contains_boundary_and_interior():

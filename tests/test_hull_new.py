@@ -19,6 +19,7 @@ from inthull import (
     contains,
     convex_hull,
     enumerate_integer_points,
+    instance_to_polyset,
     integer_hull_baseline,
     integer_hull_new,
     integer_hull_oracle,
@@ -26,8 +27,10 @@ from inthull import (
     polyset_from_halfplanes,
     polyset_from_vertices,
     replace_facets,
+    residual_regions,
 )
-from inthull.generate import random_polygon
+from inthull.generate import convex_chain_polygon, random_polygon
+from inthull.geom import _level
 from helpers import brute_points_in, hull_tuples, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
@@ -82,6 +85,20 @@ def test_thin_sliver_wedge_completes_quickly():
     hull = integer_hull_new(P, stats=stats)
     assert hull == integer_hull_oracle(P)
     assert stats.brute_cells < 10**5
+
+
+def test_residual_clips_walk_only_the_kept_arcs(monkeypatch):
+    # The descents from one clip's deepest vertex to the next walk P about
+    # once, and each clip walks its kept arc: about 3,000 level evaluations
+    # here, where a scan of the 1000-gon per clip takes 108,000.
+    P = instance_to_polyset(convex_chain_polygon(1000))
+    hull = convex_hull(replace_facets(P))
+    calls = []
+    counted = lambda h, p: calls.append(1) or _level(h, p)
+    monkeypatch.setattr("inthull.geom._level", counted)
+    regions = residual_regions(P, hull)
+    assert len(regions) == 108
+    assert 0 < len(calls) <= 3 * (len(P.vertices) + sum(len(r.vertices) for r in regions))
 
 
 def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
