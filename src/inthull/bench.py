@@ -14,6 +14,7 @@ import csv
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from statistics import median_low
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,8 +54,8 @@ def run_engine(
 ) -> HullResult:
     """Dispatch one hull engine by name; `cfg` and `max_sweep` reach only
     the engines that take them, but a negative `max_sweep` is refused for
-    every engine and input."""
-    if max_sweep is not None and max_sweep < 0:
+    every engine and input, and a non-integer one raises TypeError."""
+    if max_sweep is not None and index(max_sweep) < 0:
         raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
     if name == "new":
         return integer_hull_new(P, cfg, max_sweep=max_sweep, stats=stats)

@@ -136,9 +136,6 @@ class HalfPlane:
     def eval_at(self, p: Sequence[Rational]) -> Fraction:
         return self.a * _frac(p[0]) + self.c * _frac(p[1])
 
-    def contains_point(self, p: Sequence[Rational]) -> bool:
-        return _level(self, p)[0] <= 0
-
 
 @dataclass(frozen=True)
 class HullResult:

@@ -28,19 +28,14 @@ from .lattice import SweepHit, _lattice_extremes
 from .oracle import RunStats
 
 
-def normalize_facets(
-    P: PolySet2,
-    *,
-    max_sweep: Optional[int] = None,
-    stats: Optional[RunStats] = None,
-) -> Tuple[Optional[PolySet2], List[SweepHit]]:
+def normalize_facets(P: PolySet2, *, max_sweep: Optional[int] = None) -> Tuple[Optional[PolySet2], List[SweepHit]]:
     """Tighten every facet offset to its inward stopping offset.
 
     Returns (Q, hits) where Q has exactly the lattice points of P, or
     (None, []) when some facet sweep finds no lattice chord — which happens
     iff P contains no integer points at all.
     """
-    hits = sweep_facets(P, inward=True, max_sweep=max_sweep, stats=stats)
+    hits = sweep_facets(P, inward=True, max_sweep=max_sweep)
     if hits is None:
         return None, []
     Q = _intersect_halfplanes(
@@ -67,7 +62,7 @@ def integer_hull_baseline(
         return convex_hull([])
     if P.is_degenerate:
         return convex_hull(_lattice_extremes(P.vertices))
-    Q, hits = normalize_facets(P, max_sweep=max_sweep, stats=stats)
+    Q, hits = normalize_facets(P, max_sweep=max_sweep)
     if Q is None:
         return convex_hull([])
     if Q.is_degenerate:

@@ -7,14 +7,17 @@ remains uncertain is only the area of P outside the hull of those candidates.
 This module cuts it into residual regions, one clip per directed edge of
 that hull (a two-point hull is the 2-cycle u -> w -> u, cut one level out on
 each side), and resolves each region either by direct enumeration (small
-regions) or by applying the same algorithm recursively (large ones).  A
-final convex hull of everything collected is the answer.
+regions) or by applying the same algorithm recursively (large ones).
+``_resolve_regions`` is that one region loop and its one recursion (the
+``baseline`` engine runs it with no depth left).  A final convex hull of
+everything collected is the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import List, Optional, Set
 
 from .errors import GeometryError
@@ -45,19 +48,14 @@ class RefineConfig:
     max_depth: int = 16
 
     def __post_init__(self) -> None:
-        if self.brute_force_cell_threshold < 1:
+        # Both are counts: a float is refused (TypeError), as in the core.
+        if index(self.brute_force_cell_threshold) < 1:
             raise ValueError("brute_force_cell_threshold must be >= 1")
-        if self.max_depth < 1:
+        if index(self.max_depth) < 1:
             raise ValueError("max_depth must be >= 1")
 
 
-def sweep_facets(
-    P: PolySet2,
-    *,
-    inward: bool,
-    max_sweep: Optional[int] = None,
-    stats: Optional[RunStats] = None,
-) -> Optional[List[SweepHit]]:
+def sweep_facets(P: PolySet2, *, inward: bool, max_sweep: Optional[int] = None) -> Optional[List[SweepHit]]:
     """Sweep every facet of P inward or from the opposite side, in order.
 
     Returns one hit per facet, or None at the first facet whose sweep finds
@@ -81,18 +79,13 @@ def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
     return {p for hit in hits for p in (hit.lo, hit.hi)}
 
 
-def replace_facets(
-    P: PolySet2,
-    *,
-    max_sweep: Optional[int] = None,
-    stats: Optional[RunStats] = None,
-) -> Set[IntPoint2]:
+def replace_facets(P: PolySet2, *, max_sweep: Optional[int] = None) -> Set[IntPoint2]:
     """Sweep every facet from the opposite side of P.
 
     Returns the extreme lattice points of every stopping chord, each a
     vertex of the integer hull; an empty set means P has no integer points.
     """
-    hits = sweep_facets(P, inward=False, max_sweep=max_sweep, stats=stats)
+    hits = sweep_facets(P, inward=False, max_sweep=max_sweep)
     return set() if hits is None else _hit_points(hits)
 
 
@@ -151,7 +144,6 @@ def _resolve_regions(
     *,
     cfg: RefineConfig = RefineConfig(),
     depth_left: int = 0,
-    level: int = 0,
     max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Set[IntPoint2]:
@@ -159,8 +151,9 @@ def _resolve_regions(
 
     `points` are lattice points of P, extreme in every facet direction.  Each
     residual region outside their hull is enumerated when it is small or no
-    depth is left, and otherwise refined by the same facet sweeps; the hull
-    of the returned set is P's integer hull.
+    depth is left, and otherwise refined the same way: its facets are swept
+    from the opposite side and its own regions resolved, one level deeper.
+    The hull of the returned set is P's integer hull.
     """
     if len(points) <= 1:
         # No hit on some facet means no lattice points anywhere; a single
@@ -179,33 +172,17 @@ def _resolve_regions(
         elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
             points |= set(enumerate_integer_points(region, stats=stats))
         else:
-            points |= _collect_candidates(
-                region, cfg, depth_left - 1, level + 1, max_sweep, stats
+            if stats is not None:
+                stats.max_depth = max(stats.max_depth, cfg.max_depth - depth_left + 1)
+            points |= _resolve_regions(
+                region,
+                replace_facets(region, max_sweep=max_sweep),
+                cfg=cfg,
+                depth_left=depth_left - 1,
+                max_sweep=max_sweep,
+                stats=stats,
             )
     return points
-
-
-def _collect_candidates(
-    P: PolySet2,
-    cfg: RefineConfig,
-    depth_left: int,
-    level: int,
-    max_sweep: Optional[int],
-    stats: Optional[RunStats],
-) -> Set[IntPoint2]:
-    """Lattice points of P whose convex hull equals P's integer hull."""
-    if stats is not None and level > stats.max_depth:
-        stats.max_depth = level
-    points = replace_facets(P, max_sweep=max_sweep, stats=stats)
-    return _resolve_regions(
-        P,
-        points,
-        cfg=cfg,
-        depth_left=depth_left,
-        level=level,
-        max_sweep=max_sweep,
-        stats=stats,
-    )
 
 
 def integer_hull_new(
@@ -225,5 +202,7 @@ def integer_hull_new(
         return convex_hull([])
     if P.is_degenerate:
         return convex_hull(_lattice_extremes(P.vertices))
-    points = _collect_candidates(P, cfg, cfg.max_depth, 0, max_sweep, stats)
-    return convex_hull(points)
+    points = replace_facets(P, max_sweep=max_sweep)
+    return convex_hull(
+        _resolve_regions(P, points, cfg=cfg, depth_left=cfg.max_depth, max_sweep=max_sweep, stats=stats)
+    )

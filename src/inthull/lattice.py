@@ -15,6 +15,7 @@ This module answers the discrete questions the hull engines are built on:
   residual clip leaves behind: ``_lattice_extremes`` answers with the
   extreme ones, in the same integer frame the sweeps use.
 
+Every facet sweep is one call of ``_run_sweep``, whichever way it runs.
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 ``a*u + c*v = 1``), in which the chord at integer level ``t = T`` carries a
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import GeometryError, SweepLimitExceeded
-from .geom import IntPoint2, Point2, PolySet2
+from .geom import IntPoint2, Point2, PolySet2, _deepest
 
 
 def egcd(a: int, c: int) -> Tuple[int, int, int]:
@@ -199,39 +201,19 @@ def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
 
     Returns (j_lo, j_hi, (min_num, min_den)) where j_lo is the *last*
     minimizing vertex in CCW order and j_hi the first (j_lo == j_hi unless
-    the minimum face is an edge parallel to the sweep direction).  The walk
-    is a local descent, valid because the functional is unimodal on a convex
-    cycle; the hint only affects speed, never the result.
+    the minimum face is an edge parallel to the sweep direction).  The
+    descent from `hint` is :func:`geom._deepest`, over the frame's own memo
+    of t; the hint only affects speed, never the result.
     """
     n = frame.n
-    val = frame.t_pair
-
-    def less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
-        return x[0] * y[1] < y[0] * x[1]
-
-    j = hint % n
-    fj = val(j)
-    for _ in range(n):
-        k = (j + 1) % n
-        fk = val(k)
-        if less(fk, fj):
-            j, fj = k, fk
-        else:
-            break
-    for _ in range(n):
-        k = (j - 1) % n
-        fk = val(k)
-        if less(fk, fj):
-            j, fj = k, fk
-        else:
-            break
-    nxt = val((j + 1) % n)
-    if not less(fj, nxt) and not less(nxt, fj):
-        j = (j + 1) % n
-    j_lo = j
-    prv = val((j - 1) % n)
-    j_hi = (j - 1) % n if (not less(fj, prv) and not less(prv, fj)) else j
-    return j_lo, j_hi, val(j_lo)
+    j, f = _deepest(lambda k: frame.t_pair(k % n), hint)
+    j %= n
+    nxt, prv = frame.t_pair((j + 1) % n), frame.t_pair((j - 1) % n)
+    if nxt[0] * f[1] == f[0] * nxt[1]:
+        return (j + 1) % n, j, f
+    if prv[0] * f[1] == f[0] * prv[1]:
+        return j, (j - 1) % n, f
+    return j, j, f
 
 
 class _Chain:
@@ -273,20 +255,19 @@ def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
     The frame t = x, s = y turns the columns into integer levels t, and the
     two chains bound each column's chord from below and above.  Both chains
     run from the minimum face to the maximum face of x, so every column in
-    P's x-range lies on one edge of each.
+    P's x-range lies on one edge of each, and the walk stops where they do.
     """
     frame = _Frame(P.vertices, 1, 0)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, 0)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
-    x_last = max(v.x for v in P.vertices)
-    for x in range(-((-min_num) // min_den), x_last.numerator // x_last.denominator + 1):
-        lower.reach(x)
-        upper.reach(x)
+    x = -((-min_num) // min_den)
+    while lower.reach(x) and upper.reach(x):
         lp, lq, lr = lower.line
         up, uq, ur = upper.line
         y_lo, y_hi = -(-(lp * x + lq) // lr), (up * x + uq) // ur
         if y_lo <= y_hi:
             yield x, y_lo, y_hi
+        x += 1
 
 
 def _first_hit(lp: int, lq: int, lr: int, up: int, uq: int, ur: int, n: int) -> Optional[int]:
@@ -342,26 +323,39 @@ class _SweepOutcome:
     anchor_min: int  # a vertex minimizing the swept functional
 
 
-def _first_lattice_chord(
+def _run_sweep(
     P: PolySet2,
-    A: int,
-    C: int,
+    facet_index: int,
+    inward: bool,
     *,
-    negate_offset: bool,
-    hint: int,
-    max_sweep: Optional[int],
+    max_sweep: Optional[int] = None,
+    hint: Optional[int] = None,
 ) -> _SweepOutcome:
-    """First integer level T of A*x + C*y (scanning upward from the minimum)
-    whose chord through P contains a lattice point.
+    """Sweep one facet: the first integer level T of the swept functional,
+    scanning upward from its minimum over P, whose chord through P contains
+    a lattice point.
 
-    Returns the hit with its extreme lattice points, or hit=None when no
-    chord in the polygon's range contains one (then P has no lattice points
-    at all, since every lattice point of P lies on some integer-level chord).
-    The levels are walked one window at a time, each cut at the next edge
-    end of either chain and at the ``max_sweep`` limit, and each window
-    costs one ``_first_hit`` solve.
+    Inward sweeps scan -a*x - c*y (maximizing the facet functional a*x + c*y
+    over the lattice) and report the offset -T; sweeps from the opposite
+    side scan a*x + c*y and report T.  Returns the hit with its extreme
+    lattice points, or hit=None when no chord in the polygon's range holds
+    one (then P has no lattice points at all, since every lattice point of
+    P lies on some integer-level chord).  The levels are walked one window
+    at a time, each cut at the next edge end of either chain and at the
+    ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
+    otherwise), and each window costs one ``_first_hit`` solve.  `hint` is
+    a vertex near the minimum of the swept functional (the previous facet's
+    `anchor_min`), else one is guessed; it never changes the outcome.
     """
-    frame = _Frame(P.vertices, A, C)
+    if P.is_degenerate:
+        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
+    if max_sweep is not None and index(max_sweep) < 0:
+        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
+    hp = P.halfplanes[facet_index]
+    sign = -1 if inward else 1
+    if hint is None:
+        hint = facet_index if inward else facet_index + len(P.vertices) // 2
+    frame = _Frame(P.vertices, sign * hp.a, sign * hp.c)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     t_first = -((-min_num) // min_den)  # ceil of the minimum
@@ -399,38 +393,7 @@ def _first_lattice_chord(
     if s_first > s_last:
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
     lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
-    offset = -t if negate_offset else t
-    return _SweepOutcome(SweepHit(offset, lo_pt, hi_pt), t - t_first + 1, j_lo)
-
-
-def _run_sweep(
-    P: PolySet2,
-    facet_index: int,
-    inward: bool,
-    *,
-    max_sweep: Optional[int] = None,
-    hint: Optional[int] = None,
-) -> _SweepOutcome:
-    """Sweep one facet; `hint` is a vertex near the minimum of the swept
-    functional (the previous facet's `anchor_min`), else one is guessed."""
-    if P.is_degenerate:
-        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
-    if max_sweep is not None and max_sweep < 0:
-        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
-    hp = P.halfplanes[facet_index]
-    if inward:
-        # Maximizing a*x + c*y over the lattice == scanning -a*x - c*y upward.
-        a, c, guess = -hp.a, -hp.c, facet_index
-    else:
-        a, c, guess = hp.a, hp.c, facet_index + len(P.vertices) // 2
-    return _first_lattice_chord(
-        P,
-        a,
-        c,
-        negate_offset=inward,
-        hint=guess if hint is None else hint,
-        max_sweep=max_sweep,
-    )
+    return _SweepOutcome(SweepHit(sign * t, lo_pt, hi_pt), t - t_first + 1, j_lo)
 
 
 def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
@@ -440,7 +403,7 @@ def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = No
     The returned offset is the largest integer b' <= the facet offset whose
     chord P ∩ {a*x + c*y = b'} contains integer points; lo/hi are the extreme
     ones on that chord.  Returns None iff P contains no integer points.
-    With ``max_sweep`` set (>= 0, else ValueError), raises
+    With ``max_sweep`` set (an integer >= 0, else TypeError or ValueError), raises
     :class:`SweepLimitExceeded` as soon as the answer is known to lie more
     than that many offsets away from the facet, before searching further.
     """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,15 @@ from inthull import (
     integer_hull_baseline,
     integer_hull_new,
     integer_hull_oracle,
+    load_instance,
     normalize_facets,
     polyset_from_halfplanes,
     polyset_from_vertices,
     replace_facets,
     residual_regions,
 )
-from inthull.generate import convex_chain_polygon, random_polygon
+from inthull.bench import run_engine
+from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.geom import _level
 from helpers import brute_points_in, hull_tuples, random_polyset
 
@@ -187,6 +190,51 @@ def test_stats_are_populated():
     stats = RunStats()
     integer_hull_new(TRI_SHALLOW, stats=stats)
     assert stats.regions >= 1
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# (brute_cells, regions, max_depth) per engine: `new` with the default
+# config, `new` with RefineConfig(1, 3), which caps the depth, and
+# `baseline`.
+RUN_STATS = {
+    "narrow_band.json": [(93, 4, 1), (0, 4, 1), (40, 2, 0)],
+    "segment.json": [(0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    "triangle_shallow.json": [(34, 3, 0), (1, 9, 2), (15, 3, 0)],
+    "triangle_slanted.json": [(37, 3, 0), (0, 9, 2), (23, 2, 0)],
+    "unit_square.json": [(0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    "wedge 0": [(260, 19, 4), (2326, 20, 3), (28867, 3, 0)],
+    "wedge 1": [(448, 24, 4), (12839, 27, 3), (35014, 3, 0)],
+    "wedge 2": [(297, 18, 4), (5063, 21, 3), (9124, 3, 0)],
+}
+
+
+def _run_stats_case(name):
+    if name.startswith("wedge"):
+        k = int(name.split()[1])
+        return instance_to_polyset(edgecase_halfplanes(3, 150 + 5 * k, k))
+    return instance_to_polyset(load_instance(FIXTURES / name))
+
+
+@pytest.mark.parametrize("name", sorted(RUN_STATS))
+def test_run_stats_per_engine(name):
+    P = _run_stats_case(name)
+    got = []
+    for engine, cfg in (("new", RefineConfig()), ("new", RefineConfig(1, 3)), ("baseline", RefineConfig())):
+        stats = RunStats()
+        run_engine(engine, P, cfg=cfg, stats=stats)
+        got.append((stats.brute_cells, stats.regions, stats.max_depth))
+    assert got == RUN_STATS[name]
+
+
+def test_counts_must_be_integers():
+    P = polyset_from_vertices([(0, 0), (7, 1), (3, 5)])
+    for bad in ({"brute_force_cell_threshold": 1.5}, {"max_depth": 2.5}, {"max_depth": 3.0}):
+        with pytest.raises(TypeError):
+            RefineConfig(**bad)
+    for engine in ("new", "baseline", "oracle"):
+        with pytest.raises(TypeError):
+            run_engine(engine, P, max_sweep=1.5)
 
 
 def test_max_sweep_guard_propagates():

@@ -21,6 +21,7 @@ from inthull import (
     egcd,
     enumerate_integer_points,
     floor_sum,
+    instance_to_polyset,
     integer_hull_new,
     polyset_from_vertices,
     sweep_from_opposite,
@@ -490,3 +491,35 @@ def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
 def test_max_sweep_must_not_be_negative():
     with pytest.raises(ValueError):
         sweep_inward(UNIT_SQUARE, 0, max_sweep=-1)
+
+
+def test_max_sweep_must_be_an_integer():
+    P = polyset_from_vertices([(0, 0), (7, 1), (3, 5)])
+    for limit in (1.5, 2.0, Fraction(3)):
+        with pytest.raises(TypeError):
+            sweep_inward(P, 1, max_sweep=limit)
+        with pytest.raises(TypeError):
+            integer_hull_new(P, max_sweep=limit)
+
+
+def hint_test_polygons():
+    # Rectangles have minimum faces parallel to every swept line.
+    yield polyset_from_vertices([(0, 0), (5, 0), (5, 3), (0, 3)])
+    yield polyset_from_vertices(
+        [(Fraction(-7, 3), Fraction(1, 2)), (Fraction(9, 4), Fraction(1, 2)), (Fraction(9, 4), Fraction(17, 5)), (Fraction(-7, 3), Fraction(17, 5))]
+    )
+    yield instance_to_polyset(convex_chain_polygon(40))
+    for seed in range(150):
+        yield random_polyset(random.Random(seed), max_num=30, max_den=7)
+
+
+def test_sweeps_do_not_depend_on_their_hint():
+    """Every hint in [-n, 2n) gives the unhinted hit, steps and anchor_min,
+    for every facet swept either way."""
+    for P in hint_test_polygons():
+        n = len(P.vertices)
+        for i in range(n):
+            for inward in (True, False):
+                free = _run_sweep(P, i, inward)
+                for hint in range(-n, 2 * n):
+                    assert _run_sweep(P, i, inward, hint=hint) == free, (P, i, inward, hint)
