@@ -14,7 +14,6 @@ import csv
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from statistics import median_low
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .geom import HullResult, PolySet2, area
 from .hull_baseline import integer_hull_baseline
 from .hull_new import RefineConfig, integer_hull_new
 from .instances import Instance, format_decimal, format_rational, instance_to_polyset
+from .lattice import _check_max_sweep
 from .oracle import RunStats, integer_hull_oracle
 
 CSV_COLUMNS = [
@@ -55,8 +55,7 @@ def run_engine(
     """Dispatch one hull engine by name; `cfg` and `max_sweep` reach only
     the engines that take them, but a negative `max_sweep` is refused for
     every engine and input, and a non-integer one raises TypeError."""
-    if max_sweep is not None and index(max_sweep) < 0:
-        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
+    _check_max_sweep(max_sweep)
     if name == "new":
         return integer_hull_new(P, cfg, max_sweep=max_sweep, stats=stats)
     if name == "baseline":

@@ -23,11 +23,11 @@ Conventions used throughout:
   supporting half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets
   with one or two vertices are degenerate (a point or a segment) and have no
   half-planes.
-* The level of a half-plane at a point, ``a*x + c*y - b``, is computed as one
-  integer (num, den) pair (:func:`_level`).  :func:`clip` walks only the arc
-  of vertices on the kept side, from the deepest vertex found by a local
-  descent from a hint, and builds each crossing with one ``Fraction`` per
-  coordinate.
+* A :class:`PolySet2` keeps one private integer form ``(X, Y, W)``, ``W > 0``,
+  of each vertex ``(X/W, Y/W)`` (:func:`_form`).  Edge directions, levels
+  ``a*x + c*y - b`` as integer (num, den) pairs (:func:`_level`), half-planes,
+  areas, clip crossings and the sweep frames of :mod:`inthull.lattice` read
+  it as a few integer products; ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -45,6 +45,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Un
 from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
 Rational = Union[int, Fraction]
+Form = Tuple[int, int, int]  # the integer form (X, Y, W), W > 0, of the point (X/W, Y/W)
 
 
 def _frac(value: Rational) -> Fraction:
@@ -101,12 +102,21 @@ def _cross_parts(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Ratio
     return n1 * n2 * d3 * d4 - n3 * n4 * d1 * d2, d1 * d2 * d3 * d4
 
 
-def _level(h: HalfPlane, p: Sequence[Rational]) -> Tuple[int, int]:
-    """h.a*p.x + h.c*p.y - h.b as (num, den) with den > 0, in integers."""
-    xn, xd = p[0].numerator, p[0].denominator
-    yn, yd = p[1].numerator, p[1].denominator
-    bn, bd = h.b.numerator, h.b.denominator
-    return (h.a * xn * yd + h.c * yn * xd) * bd - bn * xd * yd, xd * yd * bd
+def _form(p: Point2) -> Form:
+    """The integer form (X, Y, W), W > 0, of a point: p = (X/W, Y/W)."""
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return x.numerator, y.numerator, xd
+    return x.numerator * yd, y.numerator * xd, xd * yd
+
+
+def _level(h: HalfPlane, p: Form) -> Tuple[int, int]:
+    """h.a*x + h.c*y - h.b at the integer form p, as (num, den), den > 0."""
+    X, Y, W = p
+    b = h.b
+    bd = b.denominator
+    return (h.a * X + h.c * Y) * bd - b.numerator * W, W * bd
 
 
 @dataclass(frozen=True)
@@ -128,10 +138,10 @@ class HalfPlane:
         if a == 0 and c == 0:
             raise ValueError("half-plane normal must be nonzero")
         b = _frac(self.b)
-        g = gcd(abs(a), abs(c))
+        g = gcd(a, c)
         object.__setattr__(self, "a", a // g)
         object.__setattr__(self, "c", c // g)
-        object.__setattr__(self, "b", b / g)
+        object.__setattr__(self, "b", b if g == 1 else b / g)
 
     def eval_at(self, p: Sequence[Rational]) -> Fraction:
         return self.a * _frac(p[0]) + self.c * _frac(p[1])
@@ -180,6 +190,7 @@ class PolySet2:
     def __post_init__(self) -> None:
         verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in self.vertices)
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_forms", tuple(map(_form, verts)))
         n = len(verts)
         if n == 0:
             raise ValueError("a PolySet2 must have at least one vertex; use None for the empty set")
@@ -187,35 +198,25 @@ class PolySet2:
             if n == 2 and not verts[0] < verts[1]:
                 raise ValueError("degenerate segment vertices must be distinct and in lex order")
             return
-        if min(verts) != verts[0]:
+        if _cycle_start(self._forms) != 0:
             raise ValueError("vertex cycle must start at the lexicographically smallest vertex")
-        # Each edge direction as a positive multiple (X, Y) of q - p in
-        # integers.  Consecutive edges must turn left strictly.  Left turns
-        # alone also admit a cycle that winds around more than once (a
-        # pentagram); a convex one turns its outward normals (Y, -X) around
-        # once, so they enter the upper half plane (X < 0, or X = 0 < Y)
-        # exactly once.
-        prev_x, prev_y = _direction(verts[-2], verts[-1])
-        prev_up = prev_x < 0 or (prev_x == 0 and prev_y > 0)
-        entries = 0
-        for i in range(n):
-            x, y = _direction(verts[i - 1], verts[i])
-            if prev_x * y - prev_y * x <= 0:
-                raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
-            up = x < 0 or (x == 0 and y > 0)
-            entries += up and not prev_up
-            prev_x, prev_y, prev_up = x, y, up
-        if entries != 1:
-            raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
 
     @functools.cached_property
     def halfplanes(self) -> Tuple[HalfPlane, ...]:
         """The supporting half-plane of every edge, in cycle order."""
-        verts = self.vertices
-        n = len(verts)
+        forms = self._forms
+        n = len(forms)
         if n < 3:
             return ()
-        return tuple(_edge_halfplane(verts[i], verts[(i + 1) % n]) for i in range(n))
+        return tuple(_edge_halfplane(forms[i], forms[(i + 1) % n]) for i in range(n))
+
+    @functools.cached_property
+    def _cells(self) -> int:
+        """Integer grid cells in the bounding box (0 if none); -ceil(x) = floor(-x)."""
+        forms = self._forms
+        ncols = max(X // W for X, _, W in forms) + max(-X // W for X, _, W in forms) + 1
+        nrows = max(Y // W for _, Y, W in forms) + max(-Y // W for _, Y, W in forms) + 1
+        return ncols * nrows if ncols > 0 and nrows > 0 else 0
 
     @property
     def is_degenerate(self) -> bool:
@@ -223,13 +224,27 @@ class PolySet2:
         return len(self.vertices) < 3
 
 
-def _direction(p: Point2, q: Point2) -> Tuple[int, int]:
-    """A positive integer multiple of q - p."""
-    pxn, pxd = p.x.numerator, p.x.denominator
-    pyn, pyd = p.y.numerator, p.y.denominator
-    dx, dxd = q.x.numerator * pxd - pxn * q.x.denominator, q.x.denominator * pxd
-    dy, dyd = q.y.numerator * pyd - pyn * q.y.denominator, q.y.denominator * pyd
-    return dx * dyd, dy * dxd
+def _direction(p: Form, q: Form) -> Tuple[int, int]:
+    """A positive integer multiple of q - p, from their integer forms."""
+    return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
+
+
+def _cycle_start(forms: Sequence[Form]) -> int:
+    """The index of the lex-smallest vertex of a strictly convex, once-winding
+    CCW cycle of integer forms (>= 3 vertices); ValueError for any other cycle.
+
+    Consecutive edges must turn left strictly.  Left turns alone also admit
+    a cycle that winds around more than once (a pentagram); a convex one
+    turns its edge directions around once, by less than a half turn at a
+    time, so they enter the lex-up half (X > 0, or X = 0 < Y) exactly once:
+    at the lex-smallest vertex, whose incoming edge points lex-down.
+    """
+    into = [_direction(forms[i - 1], forms[i]) for i in range(len(forms))]
+    up = [x > 0 or x == 0 < y for x, y in into]
+    starts = [i - 1 for i in range(len(into)) if up[i] and not up[i - 1]]
+    if len(starts) != 1 or any(px * y <= py * x for (px, py), (x, y) in zip(into[-1:] + into, into)):
+        raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
+    return starts[0] % len(forms)
 
 
 def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
@@ -239,7 +254,7 @@ def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
     q = as_point(q)
     if p == q:
         raise IdenticalPoints(f"cannot build a line through the single point {tuple(p)}")
-    return _edge_halfplane(p, q)
+    return _edge_halfplane(_form(p), _form(q))
 
 
 def _hull_chain(points: Iterable[Sequence]) -> list:
@@ -286,26 +301,31 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     return HullResult(tuple(IntPoint2(*p) for p in _hull_chain(pts)))
 
 
-def _edge_halfplane(p: Point2, q: Point2) -> HalfPlane:
-    """Supporting half-plane of the directed edge p -> q of a CCW polygon.
+def _edge_halfplane(p: Form, q: Form) -> HalfPlane:
+    """Supporting half-plane of the directed edge p -> q of a CCW polygon,
+    from the integer forms of its ends.
 
     The outward normal of a CCW edge with direction d is (d.y, -d.x).
     """
     dx, dy = _direction(p, q)
-    pxn, pxd = p.x.numerator, p.x.denominator
-    pyn, pyd = p.y.numerator, p.y.denominator
-    return HalfPlane(dy, -dx, Fraction(dy * pxn * pyd - dx * pyn * pxd, pxd * pyd))
+    g = gcd(dx, dy)
+    return HalfPlane(dy // g, -dx // g, Fraction(dy * p[0] - dx * p[1], p[2] * g))
 
 
-def _polyset_from_cycle(verts: Sequence[Point2]) -> PolySet2:
-    """Build a PolySet2 from a strictly convex CCW cycle (>= 3 vertices).
+def _polyset_from_cycle(verts: Sequence[Point2], forms: Optional[Sequence[Form]] = None) -> PolySet2:
+    """Build a PolySet2 from a strictly convex CCW cycle (>= 3 vertices) of
+    ``Point2``s and, when the caller has them, their integer forms.
 
-    Rotates the cycle to start at the lex-smallest vertex.
+    The constructor's cycle check (:func:`_cycle_start`) runs once and finds
+    the lex-smallest vertex, where the built set starts.
     """
-    verts = list(verts)
-    k = verts.index(min(verts))
-    verts = verts[k:] + verts[:k]
-    return PolySet2(tuple(verts))
+    if forms is None:
+        forms = [_form(p) for p in verts]
+    k = _cycle_start(forms)
+    P = object.__new__(PolySet2)
+    object.__setattr__(P, "vertices", tuple(verts[k:]) + tuple(verts[:k]))
+    object.__setattr__(P, "_forms", tuple(forms[k:]) + tuple(forms[:k]))
+    return P
 
 
 def _degenerate_polyset(points: Iterable[Point2]) -> Optional[PolySet2]:
@@ -343,45 +363,38 @@ def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
         if _cross_parts(u, w, p)[0] != 0:
             return False
         return min(u, w) <= p <= max(u, w)
-    return all(_level(h, p)[0] <= 0 for h in P.halfplanes)
+    form = _form(p)
+    return all(_level(h, form)[0] <= 0 for h in P.halfplanes)
 
 
 def area(P: PolySet2) -> Fraction:
     """Exact area (0 for degenerate sets).
 
-    The shoelace terms are summed over one running (num, den) pair in
-    integers, with one ``Fraction`` at the end.
+    The shoelace terms (X_q*Y_p - X_p*Y_q) / (W_q*W_p) are summed over one
+    running integer (num, den) pair, with one ``Fraction`` at the end.
     """
     num, den = 0, 1
-    q = P.vertices[-1]
-    for p in P.vertices:
-        # q.x*p.y - p.x*q.y over one denominator per term.
-        qxn, qxd = q.x.numerator, q.x.denominator
-        qyn, qyd = q.y.numerator, q.y.denominator
-        pxn, pxd = p.x.numerator, p.x.denominator
-        pyn, pyd = p.y.numerator, p.y.denominator
-        term = qxn * pyn * pxd * qyd - pxn * qyn * qxd * pyd
-        term_den = qxd * pyd * pxd * qyd
+    qx, qy, qw = P._forms[-1]
+    for px, py, pw in P._forms:
+        term_den = qw * pw
         g = gcd(den, term_den)
-        num = num * (term_den // g) + term * (den // g)
+        num = num * (term_den // g) + (qx * py - px * qy) * (den // g)
         den = den // g * term_den
-        q = p
+        qx, qy, qw = px, py, pw
     return Fraction(num, 2 * den)
 
 
 def bounding_box(P: PolySet2) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """(xmin, xmax, ymin, ymax) over the vertices."""
-    xs = [v.x for v in P.vertices]
-    ys = [v.y for v in P.vertices]
+    xs, ys = zip(*P.vertices)
     return min(xs), max(xs), min(ys), max(ys)
 
 
 def _clean_cycle(points: Sequence[Point2]) -> list:
     """Drop consecutive duplicates and collinear middle vertices of a cycle."""
-    out = list(points)
     # Consecutive duplicates (cyclically).
     dedup: list = []
-    for p in out:
+    for p in points:
         if not dedup or dedup[-1] != p:
             dedup.append(p)
     while len(dedup) > 1 and dedup[0] == dedup[-1]:
@@ -392,26 +405,23 @@ def _clean_cycle(points: Sequence[Point2]) -> list:
         changed = False
         n = len(dedup)
         for i in range(n):
-            a = dedup[(i - 1) % n]
-            b = dedup[i]
-            c = dedup[(i + 1) % n]
-            if _cross_parts(a, b, c)[0] == 0:
+            if _cross_parts(dedup[i - 1], dedup[i], dedup[(i + 1) % n])[0] == 0:
                 del dedup[i]
                 changed = True
                 break
     return dedup
 
 
-def _vertex_levels(verts: Sequence[Point2], h: HalfPlane) -> Callable[[int], Tuple[int, int]]:
-    """j -> the level of h at vertex j mod n, computed once per vertex."""
-    n = len(verts)
+def _vertex_levels(forms: Sequence[Form], h: HalfPlane) -> Callable[[int], Tuple[int, int]]:
+    """j -> the level of h at vertex j mod n, once per vertex, from its form."""
+    n = len(forms)
     memo: dict = {}
 
     def level(j: int) -> Tuple[int, int]:
         j %= n
         value = memo.get(j)
         if value is None:
-            value = memo[j] = _level(h, verts[j])
+            value = memo[j] = _level(h, forms[j])
         return value
 
     return level
@@ -441,24 +451,19 @@ def _deepest_vertex(P: PolySet2, h: HalfPlane, hint: int = 0) -> int:
     Walks from vertex `hint`; the answer does not depend on it, but a hint
     near the answer makes the walk short.
     """
-    return _deepest(_vertex_levels(P.vertices, h), hint)[0] % len(P.vertices)
+    return _deepest(_vertex_levels(P._forms, h), hint)[0] % len(P.vertices)
 
 
-def _crossing(p: Point2, lp: Tuple[int, int], q: Point2, lq: Tuple[int, int]) -> Point2:
-    """The point of segment pq at level 0, given the levels (num, den) at p
-    and q, of strictly opposite signs."""
-    # The levels at q and at p over one denominator; the crossing is
-    # (wp*p - wq*q) / (wp - wq).
+def _crossing(p: Form, lp: Tuple[int, int], q: Form, lq: Tuple[int, int]) -> Point2:
+    """The point of segment pq at level 0, given the integer forms of p and
+    q and the levels (num, den) there, of strictly opposite signs."""
+    # The levels at q and p over one denominator: the crossing is (wp*p - wq*q) / (wp - wq).
     wp, wq = lq[0] * lp[1], lp[0] * lq[1]
-    w = wp - wq
-    pxn, pxd = p.x.numerator, p.x.denominator
-    pyn, pyd = p.y.numerator, p.y.denominator
-    qxn, qxd = q.x.numerator, q.x.denominator
-    qyn, qyd = q.y.numerator, q.y.denominator
-    return Point2(
-        Fraction(wp * pxn * qxd - wq * qxn * pxd, w * pxd * qxd),
-        Fraction(wp * pyn * qyd - wq * qyn * pyd, w * pyd * qyd),
-    )
+    px, py, pw = p
+    qx, qy, qw = q
+    den = (wp - wq) * pw * qw
+    wp, wq = wp * qw, wq * pw
+    return Point2(Fraction(wp * px - wq * qx, den), Fraction(wp * py - wq * qy, den))
 
 
 def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
@@ -468,19 +473,20 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     cycle, around h's deepest vertex.  That vertex is found by a local
     descent from vertex `hint`, which changes only the speed, never the
     result; the walk then runs forward and backward while vertices are
-    kept, and adds at most two crossings where it stops.  Levels and crossings are integer (num, den)
-    pairs, with one ``Fraction`` per crossing coordinate, so a clip costs
-    the descent plus the kept arc, not a pass over P.  A clip of a strictly
-    convex cycle is strictly convex; the ``PolySet2`` constructor checks it.
+    kept, and adds at most two crossings where it stops.  Levels and
+    crossings come from the vertices' integer forms, which kept vertices
+    keep, so a clip costs the descent plus the kept arc, not a pass over P.
+    A clip of a strictly convex cycle is strictly convex; the constructor's
+    cycle check (:func:`_cycle_start`) checks it.
 
     Degenerate results (a segment or point) are returned as degenerate
     PolySet2 values, not errors.  A point or segment P is clipped as the
     1- or 2-cycle of its vertices: a segment's crossing is found once from
     each end, at the same point, and the duplicate is dropped.
     """
-    verts = P.vertices
+    verts, forms = P.vertices, P._forms
     n = len(verts)
-    level = _vertex_levels(verts, h)
+    level = _vertex_levels(forms, h)
     j, f_j = _deepest(level, hint)
     if f_j[0] > 0:
         return None
@@ -499,13 +505,16 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
             break
         start, f_start = start - 1, f_in
     cycle = [verts[k % n] for k in range(start, end + 1)]
+    cycle_forms = [forms[k % n] for k in range(start, end + 1)]
     if f_end[0] < 0:
-        cycle.append(_crossing(verts[end % n], f_end, verts[(end + 1) % n], f_out))
+        cycle.append(_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out))
+        cycle_forms.append(_form(cycle[-1]))
     if f_start[0] < 0:
-        cycle.append(_crossing(verts[(start - 1) % n], f_in, verts[start % n], f_start))
+        cycle.append(_crossing(forms[(start - 1) % n], f_in, forms[start % n], f_start))
+        cycle_forms.append(_form(cycle[-1]))
     if n < 3 or len(cycle) < 3:
         return _degenerate_polyset(cycle)
-    return _polyset_from_cycle(cycle)
+    return _polyset_from_cycle(cycle, cycle_forms)
 
 
 def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:

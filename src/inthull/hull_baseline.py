@@ -24,7 +24,7 @@ from .geom import (
     convex_hull,
 )
 from .hull_new import _hit_points, _resolve_regions, sweep_facets
-from .lattice import SweepHit, _lattice_extremes
+from .lattice import SweepHit, _check_max_sweep, _lattice_extremes
 from .oracle import RunStats
 
 
@@ -57,15 +57,17 @@ def integer_hull_baseline(
 ) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced, never recursed."""
+    always brute-forced, never recursed.  A bad `max_sweep` is refused
+    whatever P is."""
+    _check_max_sweep(max_sweep)
     if P is None:
         return convex_hull([])
     if P.is_degenerate:
-        return convex_hull(_lattice_extremes(P.vertices))
+        return convex_hull(_lattice_extremes(P))
     Q, hits = normalize_facets(P, max_sweep=max_sweep)
     if Q is None:
         return convex_hull([])
     if Q.is_degenerate:
         # Normalization preserved the lattice, so Q's chord carries it all.
-        return convex_hull(_lattice_extremes(Q.vertices))
+        return convex_hull(_lattice_extremes(Q))
     return convex_hull(_resolve_regions(Q, _hit_points(hits), stats=stats))

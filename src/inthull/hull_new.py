@@ -31,7 +31,7 @@ from .geom import (
     clip,
     convex_hull,
 )
-from .lattice import SweepHit, _lattice_extremes, _run_sweep
+from .lattice import SweepHit, _check_max_sweep, _lattice_extremes, _run_sweep
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
 
 
@@ -132,7 +132,7 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
         region = clip(P, h, deepest)
         if region is None:
             continue
-        if region.is_degenerate and set(_lattice_extremes(region.vertices)) <= {u, w}:
+        if region.is_degenerate and set(_lattice_extremes(region)) <= {u, w}:
             continue
         regions.append(region)
     return regions
@@ -168,7 +168,7 @@ def _resolve_regions(
         if not area(region) < parent_area:
             raise GeometryError("a residual region is no smaller than the region it came from")
         if region.is_degenerate:
-            points |= set(_lattice_extremes(region.vertices))
+            points |= set(_lattice_extremes(region))
         elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
             points |= set(enumerate_integer_points(region, stats=stats))
         else:
@@ -196,12 +196,13 @@ def integer_hull_new(
 
     Accepts None (empty set) and degenerate sets.  The result is
     independent of `cfg`, which only trades recursion against direct
-    enumeration.
+    enumeration.  A bad `max_sweep` is refused whatever P is.
     """
+    _check_max_sweep(max_sweep)
     if P is None:
         return convex_hull([])
     if P.is_degenerate:
-        return convex_hull(_lattice_extremes(P.vertices))
+        return convex_hull(_lattice_extremes(P))
     points = replace_facets(P, max_sweep=max_sweep)
     return convex_hull(
         _resolve_regions(P, points, cfg=cfg, depth_left=cfg.max_depth, max_sweep=max_sweep, stats=stats)

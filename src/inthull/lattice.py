@@ -22,8 +22,10 @@ unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  ``s_lo`` and ``s_hi``
 run along the polygon's two boundary chains, which one forward-only cursor
 each walks up from the minimum vertex, an edge at a time, only as far as the
-sweep goes.  The sweep cuts its levels into windows at each edge end of
-either chain, so both chains are single lines on a window, and finds the
+sweep goes.  The frame reads the polygon's integer vertex forms (X, Y, W):
+t at a vertex is ``(a*X + c*Y)/W``, and an edge's line is a few integer
+products of its two ends' forms.  The sweep cuts its levels into windows at
+each edge end of either chain, so both chains are single lines on a window, and finds the
 first hitting level of a window in one solve, ``_first_hit``: a
 continued-fraction (Euclid-style) descent on the two lines' slopes, as in
 two-variable integer programming, in O(log) integer steps.  A sweep thus
@@ -37,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import GeometryError, SweepLimitExceeded
-from .geom import IntPoint2, Point2, PolySet2, _deepest
+from .geom import Form, IntPoint2, PolySet2, _deepest, _direction
 
 
 def egcd(a: int, c: int) -> Tuple[int, int, int]:
@@ -115,85 +117,68 @@ class _Frame:
     t = A*x + C*y, s = -v*x + u*y where A*u + C*v = 1.  The matrix has
     determinant +1, so counter-clockwise orientation is preserved and the
     inverse is x = u*t - C*s, y = v*t + A*s; integer (t, s) pairs correspond
-    exactly to integer (x, y) points.
+    exactly to integer (x, y) points.  t and s at vertex j are over W_j.
     """
 
-    def __init__(self, verts: Sequence[Point2], A: int, C: int) -> None:
+    def __init__(self, forms: Sequence[Form], A: int, C: int) -> None:
         g, u, v = egcd(A, C)
         if g != 1:
             raise ValueError("sweep direction must be a primitive integer vector")
-        self.verts = verts
-        self.n = len(verts)
+        self.forms = forms
+        self.n = len(forms)
         self.A, self.C, self.u, self.v = A, C, u, v
-        self._tp: Dict[int, Tuple[int, int]] = {}
 
     def t_pair(self, j: int) -> Tuple[int, int]:
-        """t at vertex j as (num, den) with den > 0 (no Fraction churn)."""
-        val = self._tp.get(j)
-        if val is None:
-            p = self.verts[j]
-            xn, xd = p.x.numerator, p.x.denominator
-            yn, yd = p.y.numerator, p.y.denominator
-            val = (self.A * xn * yd + self.C * yn * xd, xd * yd)
-            self._tp[j] = val
-        return val
+        """t at vertex j mod n as (num, den) with den > 0."""
+        X, Y, W = self.forms[j % self.n]
+        return self.A * X + self.C * Y, W
 
     def s_pair(self, j: int) -> Tuple[int, int]:
-        """s at vertex j as (num, den) with den > 0."""
-        p = self.verts[j]
-        xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        return (-self.v * xn * yd + self.u * yn * xd, xd * yd)
+        """s at vertex j mod n as (num, den) with den > 0."""
+        X, Y, W = self.forms[j % self.n]
+        return self.u * Y - self.v * X, W
 
     def point_at(self, t: int, s: int) -> IntPoint2:
         return IntPoint2(self.u * t - self.C * s, self.v * t + self.A * s)
 
     def edge_line(self, j: int, k: int) -> Tuple[int, int, int]:
-        """Integer (p, q, r), r > 0, with s = (p*t + q)/r on edge j -> k."""
-        tn0, td0 = self.t_pair(j)
-        sn0, sd0 = self.s_pair(j)
-        tn1, td1 = self.t_pair(k)
-        sn1, sd1 = self.s_pair(k)
-        # slope = (s1 - s0) / (t1 - t0) = sn / sd
-        sn = (sn1 * sd0 - sn0 * sd1) * td1 * td0
-        sd = (tn1 * td0 - tn0 * td1) * sd1 * sd0
-        # s(T) = slope*T + (s0 - slope*t0), over common denominator r_raw
-        p_raw = sn * sd0 * td0
-        q_raw = sn0 * sd * td0 - sn * tn0 * sd0
-        r_raw = sd * sd0 * td0
-        if r_raw < 0:
-            p_raw, q_raw, r_raw = -p_raw, -q_raw, -r_raw
-        g = gcd(gcd(abs(p_raw), abs(q_raw)), r_raw)
-        return (p_raw // g, q_raw // g, r_raw // g)
+        """Integer (p, q, r) in lowest terms, r > 0, with s = (p*t + q)/r on
+        the line through vertices j and k (t differs); with t, s = tj/wj,
+        sj/wj at j and tk/wk, sk/wk at k, it is ((sk*wj - sj*wk)*t +
+        sj*tk - sk*tj) / (tk*wj - tj*wk)."""
+        A, C, u, v = self.A, self.C, self.u, self.v
+        xj, yj, wj = self.forms[j]
+        xk, yk, wk = self.forms[k]
+        tj, sj = A * xj + C * yj, u * yj - v * xj
+        tk, sk = A * xk + C * yk, u * yk - v * xk
+        p, q, r = sk * wj - sj * wk, sj * tk - sk * tj, tk * wj - tj * wk
+        if r < 0:
+            p, q, r = -p, -q, -r
+        g = gcd(gcd(p, q), r)
+        return p // g, q // g, r // g
 
 
-def _lattice_extremes(ends: Sequence[Point2]) -> Tuple[IntPoint2, ...]:
-    """The lexicographically extreme lattice points of a point or segment,
-    given by its one or two endpoints: none, one, or both in lex order.
+def _lattice_extremes(S: PolySet2) -> Tuple[IntPoint2, ...]:
+    """The lexicographically extreme lattice points of a point or segment
+    S: none, one, or both in lex order.
 
     A frame whose t runs along the segment's primitive normal holds the
     segment at one level t; lattice points exist iff that level is integral,
-    and they are the integers s between the endpoints' s values.
+    and they are the integers s between the endpoints' s values.  The
+    segment's direction d has s-component -v*d.x + u*d.y = gcd(d) > 0, so s
+    and the lex order both grow from the first vertex to the last.
     """
-    p, q = ends[0], ends[-1]
-    dx, dy = q.x - p.x, q.y - p.y
-    A, C = dy.numerator * dx.denominator, -dx.numerator * dy.denominator
-    g = gcd(A, C)
+    forms = S._forms
+    dx, dy = _direction(forms[0], forms[-1])
+    g = gcd(dx, dy)
     # A point lies on a line of every direction: take t = x, s = y.
-    frame = _Frame(ends, A // g, C // g) if g else _Frame(ends, 1, 0)
+    frame = _Frame(forms, dy // g, -dx // g) if g else _Frame(forms, 1, 0)
     tn, td = frame.t_pair(0)
     if tn % td:
         return ()
-    (pn, pd), (qn, qd) = frame.s_pair(0), frame.s_pair(len(ends) - 1)
-    if pn * qd > qn * pd:
-        (pn, pd), (qn, qd) = (qn, qd), (pn, pd)
+    (pn, pd), (qn, qd) = frame.s_pair(0), frame.s_pair(-1)
     s_first, s_last = -(-pn // pd), qn // qd
-    if s_first > s_last:
-        return ()
-    t = tn // td
-    if s_first == s_last:
-        return (frame.point_at(t, s_first),)
-    return tuple(sorted((frame.point_at(t, s_first), frame.point_at(t, s_last))))
+    return tuple(frame.point_at(tn // td, s) for s in sorted({s_first, s_last}) if s_first <= s_last)
 
 
 def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
@@ -202,13 +187,13 @@ def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
     Returns (j_lo, j_hi, (min_num, min_den)) where j_lo is the *last*
     minimizing vertex in CCW order and j_hi the first (j_lo == j_hi unless
     the minimum face is an edge parallel to the sweep direction).  The
-    descent from `hint` is :func:`geom._deepest`, over the frame's own memo
-    of t; the hint only affects speed, never the result.
+    descent from `hint` is :func:`geom._deepest` over the frame's t; the
+    hint only affects speed, never the result.
     """
     n = frame.n
-    j, f = _deepest(lambda k: frame.t_pair(k % n), hint)
+    j, f = _deepest(frame.t_pair, hint)
     j %= n
-    nxt, prv = frame.t_pair((j + 1) % n), frame.t_pair((j - 1) % n)
+    nxt, prv = frame.t_pair(j + 1), frame.t_pair(j - 1)
     if nxt[0] * f[1] == f[0] * nxt[1]:
         return (j + 1) % n, j, f
     if prv[0] * f[1] == f[0] * prv[1]:
@@ -228,8 +213,8 @@ class _Chain:
     def __init__(self, frame: _Frame, start: int, step: int) -> None:
         self.frame, self.step = frame, step
         self.j, self.k = start, (start + step) % frame.n
-        tn, td = frame.t_pair(self.k)
-        self.end = tn // td
+        self.t_k = frame.t_pair(self.k)
+        self.end = self.t_k[0] // self.t_k[1]
         self.line: Optional[Tuple[int, int, int]] = None
 
     def reach(self, t: int) -> bool:
@@ -237,12 +222,12 @@ class _Chain:
         edge's levels); False when t lies past the top of the chain."""
         frame = self.frame
         while self.end < t:
-            kn, kd = frame.t_pair(self.k)
+            kn, kd = self.t_k
             nxt = (self.k + self.step) % frame.n
             tn, td = frame.t_pair(nxt)
             if tn * kd <= kn * td:
                 return False
-            self.j, self.k, self.end, self.line = self.k, nxt, tn // td, None
+            self.j, self.k, self.t_k, self.end, self.line = self.k, nxt, (tn, td), tn // td, None
         if self.line is None:
             self.line = frame.edge_line(self.j, self.k)
         return True
@@ -257,7 +242,7 @@ def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
     run from the minimum face to the maximum face of x, so every column in
     P's x-range lies on one edge of each, and the walk stops where they do.
     """
-    frame = _Frame(P.vertices, 1, 0)
+    frame = _Frame(P._forms, 1, 0)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, 0)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     x = -((-min_num) // min_den)
@@ -316,6 +301,13 @@ def _first_hit(lp: int, lq: int, lr: int, up: int, uq: int, ur: int, n: int) -> 
     return T
 
 
+def _check_max_sweep(max_sweep: Optional[int]) -> None:
+    """The one check of a sweep limit, run by every engine and sweep: None or
+    an integer >= 0, else TypeError (non-integer) or ValueError."""
+    if max_sweep is not None and index(max_sweep) < 0:
+        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
+
+
 @dataclass
 class _SweepOutcome:
     hit: Optional[SweepHit]
@@ -349,13 +341,12 @@ def _run_sweep(
     """
     if P.is_degenerate:
         raise ValueError("facet sweeps require a polygon with at least 3 vertices")
-    if max_sweep is not None and index(max_sweep) < 0:
-        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
+    _check_max_sweep(max_sweep)
     hp = P.halfplanes[facet_index]
     sign = -1 if inward else 1
     if hint is None:
         hint = facet_index if inward else facet_index + len(P.vertices) // 2
-    frame = _Frame(P.vertices, sign * hp.a, sign * hp.c)
+    frame = _Frame(P._forms, sign * hp.a, sign * hp.c)
     j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     t_first = -((-min_num) // min_den)  # ceil of the minimum

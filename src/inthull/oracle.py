@@ -12,11 +12,11 @@ completes or raises without burning time first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, gcd
+from math import gcd
 from typing import List, Optional
 
 from .errors import BudgetExceeded
-from .geom import HullResult, IntPoint2, PolySet2, bounding_box, convex_hull
+from .geom import HullResult, IntPoint2, PolySet2, convex_hull
 from .lattice import _columns, _lattice_extremes
 
 
@@ -30,13 +30,8 @@ class RunStats:
 
 
 def bbox_cell_count(P: PolySet2) -> int:
-    """Number of integer grid cells in the bounding box of P (0 if none)."""
-    xmin, xmax, ymin, ymax = bounding_box(P)
-    ncols = floor(xmax) - ceil(xmin) + 1
-    nrows = floor(ymax) - ceil(ymin) + 1
-    if ncols <= 0 or nrows <= 0:
-        return 0
-    return ncols * nrows
+    """Number of integer grid cells in the bounding box of P (0 if none), cached."""
+    return P._cells
 
 
 def enumerate_integer_points(
@@ -66,7 +61,7 @@ def enumerate_integer_points(
 
 
 def _enumerate_degenerate(P: PolySet2) -> List[IntPoint2]:
-    ends = _lattice_extremes(P.vertices)
+    ends = _lattice_extremes(P)
     if len(ends) < 2:
         return list(ends)
     lo, hi = ends

@@ -90,6 +90,22 @@ def reference_clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
     return PolySet2(tuple(cycle[k:] + cycle[:k]))
 
 
+def shoelace_area(vertices: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Signed area of a vertex cycle (positive when counter-clockwise) by the
+    shoelace formula in plain Fractions; 0 for a point or segment."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])) / 2
+
+
+def frame_line(p: Sequence[Fraction], q: Sequence[Fraction], A: int, C: int, u: int, v: int) -> Tuple[Fraction, Fraction]:
+    """(slope, intercept) of the line through p and q in the coordinates
+    t = A*x + C*y, s = -v*x + u*y, as s = slope*t + intercept, in plain
+    Fractions; t must differ at p and q."""
+    (tp, sp), (tq, sq) = [(A * x + C * y, -v * x + u * y) for x, y in (p, q)]
+    slope = (sq - sp) / (tq - tp)
+    return slope, sp - slope * tp
+
+
 def random_polyset(rng: random.Random, *, max_num: int = 50, max_den: int = 10,
                    min_pts: int = 3, max_pts: int = 12) -> PolySet2:
     """A random bounded polygon: hull of 3..12 random rational points.

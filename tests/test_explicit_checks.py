@@ -57,8 +57,13 @@ def test_normalized_facets_must_keep_the_hits(monkeypatch):
 
 def test_clip_output_is_checked_by_the_polyset_constructor(monkeypatch):
     # Each crossing moved off its edge, to q reflected through p, makes
-    # the cut of TRI at y <= 2 turn clockwise at (3, -1/5).
-    monkeypatch.setattr(geom, "_crossing", lambda p, lp, q, lq: Point2(2 * p.x - q.x, 2 * p.y - q.y))
+    # the cut of TRI at y <= 2 turn clockwise at (3, -1/5).  _crossing
+    # reads the integer forms (X, Y, W) of the edge's ends.
+    def reflected(p, lp, q, lq):
+        (px, py, pw), (qx, qy, qw) = p, q
+        return Point2(Fraction(2 * px * qw - qx * pw, pw * qw), Fraction(2 * py * qw - qy * pw, pw * qw))
+
+    monkeypatch.setattr(geom, "_crossing", reflected)
     with pytest.raises(ValueError, match="strictly convex"):
         clip(TRI, HalfPlane(0, 1, 2))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +35,16 @@ from inthull import (
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
 from inthull.geom import _intersect_by_clipping, _intersect_halfplanes
+from inthull.lattice import _Frame
 from helpers import (
     empty_85_row_system,
     frac_cross,
+    frame_line,
     random_halfplane_system,
     random_polyset,
     rational_hull,
     reference_clip,
+    shoelace_area,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=8)
@@ -175,6 +179,25 @@ def test_polyset_is_built_from_its_vertex_cycle():
             pytest.fail(name)
     with pytest.raises(TypeError):
         PolySet2(P.halfplanes, verts)  # the vertices are the only input
+
+
+def test_polyset_refuses_every_rotation_but_the_lex_smallest_start():
+    # The unit square's lex-min vertex (0, 0) is entered by a vertical edge
+    # from (0, 1), which has the same x; the other cycles are a rational
+    # triangle, a lattice diamond, a rational pentagon and a chain 20-gon.
+    cycles = [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(Fraction(-1, 3), 2), (5, Fraction(-7, 2)), (Fraction(9, 4), Fraction(11, 3))],
+        [(0, 0), (1, -1), (2, 0), (1, 1)],
+        [(0, 0), (2, -1), (4, 0), (3, 2), (Fraction(1, 7), Fraction(13, 7))],
+        [tuple(v) for v in instance_to_polyset(convex_chain_polygon(20)).vertices],
+    ]
+    for cycle in cycles:
+        cycle = [Point2(Fraction(x), Fraction(y)) for x, y in cycle]
+        assert PolySet2(tuple(cycle)).vertices == tuple(cycle)
+        for k in range(1, len(cycle)):
+            with pytest.raises(ValueError, match="lexicographically smallest"):
+                PolySet2(tuple(cycle[k:] + cycle[:k]))
 
 
 def test_polyset_from_halfplanes_unit_square():
@@ -342,10 +365,11 @@ def test_clip_degenerate_results_are_first_class():
 # clip against the vertex-scan reference (helpers.reference_clip)
 
 
-def _octagon(rng: random.Random) -> PolySet2:
+def _octagon(rng: random.Random, reach: int = 10**6) -> PolySet2:
     """Eight points near a circle of radius 100, one per eighth of the turn,
-    with denominators in [10**10, 2*10**10), moved ~10**6 by an integer vector."""
-    dx, dy = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+    with denominators in [10**10, 2*10**10), moved up to `reach` by an
+    integer vector."""
+    dx, dy = rng.randint(-reach, reach), rng.randint(-reach, reach)
     pts = []
     for k in range(8):
         u = Fraction(k * 1000 + rng.randrange(100, 900), 4000)
@@ -426,6 +450,40 @@ def test_residual_regions_match_the_vertex_scan(monkeypatch):
             assert any(region is c for c in checked)
             regions += 1
     assert regions > 200
+
+
+def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
+    # Each set's integer vertex forms (X, Y, W) give back its vertices, each
+    # sweep frame's edge_line is the line through the edge's two ends, and
+    # area is the shoelace area: random polygons, chain 20- to 1000-gons,
+    # octagons with ~10**10 denominators moved ~10**12, and clips of each.
+    rng = random.Random(2026)
+    sets = [random_polyset(rng, max_num=40, max_den=9) for _ in range(30)]
+    sets += [instance_to_polyset(convex_chain_polygon(n)) for n in (20, 64, 250, 1000)]
+    sets += [_octagon(rng, reach=10**12) for _ in range(6)]
+    for P in list(sets):
+        sets += [Q for h in rng.sample(_clip_cases(P, rng), 4) if (Q := clip(P, h, rng.randrange(len(P.vertices))))]
+    lines = 0
+    for S in sets:
+        verts, n = S.vertices, len(S.vertices)
+        assert len(S._forms) == n
+        for (X, Y, W), v in zip(S._forms, verts):
+            assert W > 0 and (Fraction(X, W), Fraction(Y, W)) == v
+        assert area(S) == shoelace_area(verts)
+        if n < 3:
+            continue
+        normals = [(1, 0), (0, 1)] + [(h.a, h.c) for h in rng.sample(S.halfplanes, min(3, n))]
+        for a, c in normals + [(-a, -c) for a, c in normals]:
+            frame = _Frame(S._forms, a, c)
+            for j in range(n) if n <= 40 else rng.sample(range(n), 40):
+                p, q = verts[j], verts[(j + 1) % n]
+                if a * p.x + c * p.y == a * q.x + c * q.y:
+                    continue
+                lp, lq, lr = frame.edge_line(j, (j + 1) % n)
+                assert lr > 0 and gcd(gcd(lp, lq), lr) == 1
+                assert (Fraction(lp, lr), Fraction(lq, lr)) == frame_line(p, q, a, c, frame.u, frame.v)
+                lines += 1
+    assert len(sets) > 150 and lines > 5000
 
 
 def test_contains_boundary_and_interior():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from inthull import (
     BudgetExceeded,
     HalfPlane,
+    Point2,
+    PolySet2,
     RefineConfig,
     RunStats,
     SweepLimitExceeded,
@@ -26,6 +28,7 @@ from inthull import (
     integer_hull_oracle,
     load_instance,
     normalize_facets,
+    point,
     polyset_from_halfplanes,
     polyset_from_vertices,
     replace_facets,
@@ -93,15 +96,17 @@ def test_thin_sliver_wedge_completes_quickly():
 def test_residual_clips_walk_only_the_kept_arcs(monkeypatch):
     # The descents from one clip's deepest vertex to the next walk P about
     # once, and each clip walks its kept arc: about 3,000 level evaluations
-    # here, where a scan of the 1000-gon per clip takes 108,000.
+    # here, where a scan of the 1000-gon per clip takes 108,000.  Each is
+    # one call of _level on a vertex's integer form (X, Y, W).
     P = instance_to_polyset(convex_chain_polygon(1000))
     hull = convex_hull(replace_facets(P))
     calls = []
-    counted = lambda h, p: calls.append(1) or _level(h, p)
+    counted = lambda h, form: calls.append(form) or _level(h, form)
     monkeypatch.setattr("inthull.geom._level", counted)
     regions = residual_regions(P, hull)
     assert len(regions) == 108
     assert 0 < len(calls) <= 3 * (len(P.vertices) + sum(len(r.vertices) for r in regions))
+    assert set(calls) <= set(P._forms)
 
 
 def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
@@ -235,6 +240,21 @@ def test_counts_must_be_integers():
     for engine in ("new", "baseline", "oracle"):
         with pytest.raises(TypeError):
             run_engine(engine, P, max_sweep=1.5)
+
+
+def test_engines_check_max_sweep_on_entry():
+    # None, a point and a segment sweep nothing, yet both engines refuse a
+    # bad limit for them as bench.run_engine does, and still take 0.
+    sweepless = [None, PolySet2((Point2(Fraction(1, 2), Fraction(1, 3)),)), PolySet2((point(0, 0), point(3, 1)))]
+    for engine, name in ((integer_hull_new, "new"), (integer_hull_baseline, "baseline")):
+        for P in sweepless + [TRI_SHALLOW]:
+            for bad, error in ((-1, ValueError), (-2, ValueError), (1.5, TypeError), (2.0, TypeError)):
+                with pytest.raises(error):
+                    engine(P, max_sweep=bad)
+                with pytest.raises(error):
+                    run_engine(name, P, max_sweep=bad)
+        for P in sweepless:
+            assert engine(P, max_sweep=0) == integer_hull_oracle(P)
 
 
 def test_max_sweep_guard_propagates():
