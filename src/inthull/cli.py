@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_hull.add_argument("--engine", choices=engine_names(), default="new")
     p_hull.add_argument("--check", action="store_true", help="cross-verify against the oracle (exit 2 on mismatch)")
     p_hull.add_argument("--max-sweep", type=int, default=None, metavar="N", help="abort any facet sweep beyond N offsets (exit 3)")
-    p_hull.add_argument("--brute-threshold", type=int, default=256, metavar="N", help="bounding-box cells under which regions are enumerated")
+    p_hull.add_argument("--brute-threshold", type=int, default=256, metavar="N", help="enumerate any set, the input polygon too, of at most N bounding-box cells")
     p_hull.add_argument("--max-depth", type=int, default=16, metavar="N", help="refinement recursion cap")
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance file")

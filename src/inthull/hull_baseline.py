@@ -23,8 +23,8 @@ from .geom import (
     _intersect_halfplanes,
     convex_hull,
 )
-from .hull_new import _hit_points, _resolve_regions, sweep_facets
-from .lattice import SweepHit, _check_max_sweep, _lattice_extremes
+from .hull_new import _hit_points, _resolve, sweep_facets
+from .lattice import SweepHit, _check_max_sweep
 from .oracle import RunStats
 
 
@@ -60,14 +60,9 @@ def integer_hull_baseline(
     always brute-forced, never recursed.  A bad `max_sweep` is refused
     whatever P is."""
     _check_max_sweep(max_sweep)
-    if P is None:
-        return convex_hull([])
-    if P.is_degenerate:
-        return convex_hull(_lattice_extremes(P))
-    Q, hits = normalize_facets(P, max_sweep=max_sweep)
-    if Q is None:
-        return convex_hull([])
-    if Q.is_degenerate:
-        # Normalization preserved the lattice, so Q's chord carries it all.
-        return convex_hull(_lattice_extremes(Q))
-    return convex_hull(_resolve_regions(Q, _hit_points(hits), stats=stats))
+    points = None
+    if P is not None and not P.is_degenerate:
+        # Normalization keeps the lattice, so a None or degenerate Q resolves as P.
+        P, hits = normalize_facets(P, max_sweep=max_sweep)
+        points = _hit_points(hits)
+    return convex_hull(_resolve(P, points, stats=stats))

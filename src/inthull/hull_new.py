@@ -6,11 +6,12 @@ in that direction; they are vertices-in-waiting of the integer hull.  What
 remains uncertain is only the area of P outside the hull of those candidates.
 This module cuts it into residual regions, one clip per directed edge of
 that hull (a two-point hull is the 2-cycle u -> w -> u, cut one level out on
-each side), and resolves each region either by direct enumeration (small
-regions) or by applying the same algorithm recursively (large ones).
-``_resolve_regions`` is that one region loop and its one recursion (the
-``baseline`` engine runs it with no depth left).  A final convex hull of
-everything collected is the answer.
+each side), and resolves each region as it resolved P.  ``_resolve`` is that
+one step for every set, the input polygon being the first region: a point or
+segment gives its lattice extremes, a small set (or one with no depth left)
+is enumerated, and any other set is swept and its regions resolved one level
+deeper (the ``baseline`` engine runs it with no depth left).  A final convex
+hull of everything collected is the answer.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
 class RefineConfig:
     """Cost knobs for the refinement stage; the result never depends on them.
 
-    Regions whose bounding box holds at most `brute_force_cell_threshold`
-    lattice cells are enumerated directly; larger ones are refined
-    recursively until `max_depth` levels, after which enumeration is forced.
+    Sets whose bounding box holds at most `brute_force_cell_threshold`
+    lattice cells, the input polygon included, are enumerated directly;
+    larger ones are swept and refined recursively until `max_depth` levels
+    of regions, after which enumeration is forced.
     """
 
     brute_force_cell_threshold: int = 256
@@ -138,23 +140,36 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     return regions
 
 
-def _resolve_regions(
-    P: PolySet2,
-    points: Set[IntPoint2],
+def _resolve(
+    P: Optional[PolySet2],
+    points: Optional[Set[IntPoint2]] = None,
     *,
     cfg: RefineConfig = RefineConfig(),
     depth_left: int = 0,
     max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Set[IntPoint2]:
-    """Add to `points` every lattice point of P that their hull may miss.
+    """Lattice points of P whose hull is P's integer hull.
 
-    `points` are lattice points of P, extreme in every facet direction.  Each
-    residual region outside their hull is enumerated when it is small or no
-    depth is left, and otherwise refined the same way: its facets are swept
-    from the opposite side and its own regions resolved, one level deeper.
-    The hull of the returned set is P's integer hull.
+    The input set and every residual region are resolved alike.  None is
+    empty and a point or segment gives its lattice extremes.  Given no
+    candidate `points`, a set with no depth left, or with at most
+    `cfg.brute_force_cell_threshold` bounding-box cells, is enumerated; any
+    other set is swept from the opposite side of each facet.  Each residual
+    region outside the hull of the candidates is then resolved one level
+    deeper.  The candidates must be lattice points of P, extreme in every
+    facet direction (the ``baseline`` engine passes its inward hits).
     """
+    if P is None:
+        return set()
+    if P.is_degenerate:
+        return set(_lattice_extremes(P))
+    if points is None:
+        if depth_left <= 0 or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
+            return set(enumerate_integer_points(P, stats=stats))
+        if stats is not None:
+            stats.max_depth = max(stats.max_depth, cfg.max_depth + 1 - depth_left)
+        points = replace_facets(P, max_sweep=max_sweep)
     if len(points) <= 1:
         # No hit on some facet means no lattice points anywhere; a single
         # candidate attaining every facet's lattice extreme is the whole
@@ -167,21 +182,7 @@ def _resolve_regions(
             stats.regions += 1
         if not area(region) < parent_area:
             raise GeometryError("a residual region is no smaller than the region it came from")
-        if region.is_degenerate:
-            points |= set(_lattice_extremes(region))
-        elif depth_left <= 0 or bbox_cell_count(region) <= cfg.brute_force_cell_threshold:
-            points |= set(enumerate_integer_points(region, stats=stats))
-        else:
-            if stats is not None:
-                stats.max_depth = max(stats.max_depth, cfg.max_depth - depth_left + 1)
-            points |= _resolve_regions(
-                region,
-                replace_facets(region, max_sweep=max_sweep),
-                cfg=cfg,
-                depth_left=depth_left - 1,
-                max_sweep=max_sweep,
-                stats=stats,
-            )
+        points |= _resolve(region, cfg=cfg, depth_left=depth_left - 1, max_sweep=max_sweep, stats=stats)
     return points
 
 
@@ -199,11 +200,5 @@ def integer_hull_new(
     enumeration.  A bad `max_sweep` is refused whatever P is.
     """
     _check_max_sweep(max_sweep)
-    if P is None:
-        return convex_hull([])
-    if P.is_degenerate:
-        return convex_hull(_lattice_extremes(P))
-    points = replace_facets(P, max_sweep=max_sweep)
-    return convex_hull(
-        _resolve_regions(P, points, cfg=cfg, depth_left=cfg.max_depth, max_sweep=max_sweep, stats=stats)
-    )
+    # P is swept one level above its regions, which may recurse cfg.max_depth deep.
+    return convex_hull(_resolve(P, cfg=cfg, depth_left=cfg.max_depth + 1, max_sweep=max_sweep, stats=stats))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from inthull import HalfPlane, PolySet2, polyset_from_vertices
+from inthull import HalfPlane, PolySet2, polyset_from_halfplanes, polyset_from_vertices
 
 RatPoint = Tuple[Fraction, Fraction]
 
@@ -125,6 +125,27 @@ def random_polyset(rng: random.Random, *, max_num: int = 50, max_den: int = 10,
         hull = rational_hull(pts)
         if len(hull) >= 3:
             return polyset_from_vertices(hull)
+
+
+def lattice_facet_triangle(rng: random.Random, S: int) -> PolySet2:
+    """A random triangle whose facet lines carry lattice points.
+
+    The three facet normals are primitive integer vectors in [-S, S]^2 that
+    positively span the plane, and the offsets are integers in
+    [S^2/2, S^2], so each line a*x + c*y = b holds lattice points spaced
+    |(a, c)| apart.  This is the paper's edge case for inward sweeps.
+    """
+    while True:
+        normals = []
+        while len(normals) < 3:
+            a, c = rng.randint(-S, S), rng.randint(-S, S)
+            if gcd(a, c) == 1:
+                normals.append((a, c))
+        (a1, c1), (a2, c2), (a3, c3) = normals
+        # d1*n1 + d2*n2 + d3*n3 = 0, so one strict sign means a positive span.
+        d = (a2 * c3 - c2 * a3, a3 * c1 - c3 * a1, a1 * c2 - c1 * a2)
+        if all(x > 0 for x in d) or all(x < 0 for x in d):
+            return polyset_from_halfplanes([HalfPlane(a, c, rng.randint(S * S // 2, S * S)) for a, c in normals])
 
 
 def small_corpus(count: int, base_seed: int = 0, **kw) -> List[PolySet2]:

@@ -1,5 +1,7 @@
 """The benchmark runs end to end on the public API: one short, untraced pass
-of the chain-1000 workload must finish, with every hull checked correct.
+of a workload must finish, with every hull checked correct.  chain-1000
+sweeps one large polygon; small-random enumerates many small inputs
+outright, so its certificate checks that path.
 
 A change to what the benchmark's certificate uses (`sweep_inward`, `clip`,
 `line_through`, `enumerate_integer_points`, ...) thus fails here, not only
@@ -13,12 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_chain_1000_pass_is_correct():
+@pytest.mark.parametrize("workload", ["chain-1000", "small-random"])
+def test_workload_pass_is_correct(workload):
     r = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "chain-1000", "--seed", "1", "--seconds", "0", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
         capture_output=True,
         text=True,
         cwd=ROOT,

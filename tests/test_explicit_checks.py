@@ -17,6 +17,7 @@ from inthull import (
     IntPoint2,
     Point2,
     PolySet2,
+    RefineConfig,
     clip,
     integer_hull_baseline,
     integer_hull_new,
@@ -38,7 +39,7 @@ def test_no_assert_statements(module):
 def test_residual_regions_must_shrink(monkeypatch):
     monkeypatch.setattr(hull_new, "area", lambda P: 1)
     with pytest.raises(GeometryError, match="no smaller"):
-        integer_hull_new(TRI)
+        integer_hull_new(TRI, RefineConfig(1, 3))  # TRI's 24 cells are swept
 
 
 def test_residual_regions_refuse_collinear_hull_vertices():

@@ -37,7 +37,8 @@ from inthull import (
 from inthull.bench import run_engine
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.geom import _level
-from helpers import brute_points_in, hull_tuples, random_polyset
+from inthull.oracle import bbox_cell_count
+from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -192,22 +193,65 @@ def test_refine_config_invariance(seed):
 
 
 def test_stats_are_populated():
+    # The 24-cell triangle is swept only under a threshold below its size.
     stats = RunStats()
-    integer_hull_new(TRI_SHALLOW, stats=stats)
+    integer_hull_new(TRI_SHALLOW, RefineConfig(1, 3), stats=stats)
     assert stats.regions >= 1
+
+
+def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
+    # The input polygon is the first region: at most the threshold's cells
+    # are enumerated without a sweep, one cell more and it is swept.
+    cells = bbox_cell_count(TRI_SHALLOW)
+    sweeps = []
+    counted = lambda P, **kw: sweeps.append(P) or replace_facets(P, **kw)
+    monkeypatch.setattr("inthull.hull_new.replace_facets", counted)
+    stats = RunStats()
+    hull = integer_hull_new(TRI_SHALLOW, RefineConfig(cells), stats=stats)
+    assert (len(sweeps), stats.regions, stats.brute_cells) == (0, 0, cells)
+    assert hull_tuples(hull) == HULL_SHALLOW
+    assert hull_tuples(integer_hull_new(TRI_SHALLOW, RefineConfig(cells - 1))) == HULL_SHALLOW
+    assert sweeps[0] is TRI_SHALLOW
+    # A root that runs no sweep meets no sweep limit; a swept one does.
+    assert integer_hull_new(TRI_SHALLOW, RefineConfig(cells), max_sweep=0) == integer_hull_oracle(TRI_SHALLOW)
+    with pytest.raises(SweepLimitExceeded):
+        integer_hull_new(TRI_SHALLOW, RefineConfig(cells - 1), max_sweep=0)
+
+
+# Summed brute_cells of `baseline` and default `new` over 20 triangles per
+# S whose facet lines carry lattice points (the paper's edge case).
+LATTICE_FACET_CELLS = {5: (418, 2187), 10: (1645, 3355), 20: (5120, 5048), 40: (26315, 8408)}
+
+
+def test_lattice_facet_triangles_favour_new_past_a_crossover():
+    # Inward sweeps stop at once on a facet line that holds lattice points,
+    # so `baseline` enumerates whole corners, which grow like S^2; `new`
+    # sweeps from the opposite vertex and recurses, and wins for large S.
+    got = {}
+    for S in LATTICE_FACET_CELLS:
+        rng = random.Random(S)
+        base, new = RunStats(), RunStats()
+        for _ in range(20):
+            P = lattice_facet_triangle(rng, S)
+            assert integer_hull_baseline(P, stats=base) == integer_hull_new(P, stats=new)
+        got[S] = (base.brute_cells, new.brute_cells)
+    assert got == LATTICE_FACET_CELLS
+    ratios = [b / n for b, n in got.values()]
+    assert ratios == sorted(ratios) and ratios[-1] > 1
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # (brute_cells, regions, max_depth) per engine: `new` with the default
-# config, `new` with RefineConfig(1, 3), which caps the depth, and
+# config, which enumerates the triangles and the square outright (at most
+# 256 cells each), `new` with RefineConfig(1, 3), which caps the depth, and
 # `baseline`.
 RUN_STATS = {
     "narrow_band.json": [(93, 4, 1), (0, 4, 1), (40, 2, 0)],
     "segment.json": [(0, 0, 0), (0, 0, 0), (0, 0, 0)],
-    "triangle_shallow.json": [(34, 3, 0), (1, 9, 2), (15, 3, 0)],
-    "triangle_slanted.json": [(37, 3, 0), (0, 9, 2), (23, 2, 0)],
-    "unit_square.json": [(0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    "triangle_shallow.json": [(24, 0, 0), (1, 9, 2), (15, 3, 0)],
+    "triangle_slanted.json": [(24, 0, 0), (0, 9, 2), (23, 2, 0)],
+    "unit_square.json": [(4, 0, 0), (0, 0, 0), (0, 0, 0)],
     "wedge 0": [(260, 19, 4), (2326, 20, 3), (28867, 3, 0)],
     "wedge 1": [(448, 24, 4), (12839, 27, 3), (35014, 3, 0)],
     "wedge 2": [(297, 18, 4), (5063, 21, 3), (9124, 3, 0)],
