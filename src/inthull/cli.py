@@ -40,7 +40,7 @@ from .instances import (
     save_instance,
 )
 from .generate import edgecase_halfplanes, random_polygon
-from .oracle import integer_hull_oracle
+from .oracle import bbox_cell_count, integer_hull_oracle
 from .svgplot import render_svg
 
 
@@ -145,9 +145,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     P = instance_to_polyset(inst)
     hull = run_engine(args.engine, P)
     chords: List[HalfPlane] = []
-    if args.engine != "oracle" and P is not None and not P.is_degenerate:
-        # The stopping chords the engine started from: outward sweeps for
-        # `new`, inward normalization for `baseline`.
+    if P is not None and not P.is_degenerate and (
+        args.engine == "baseline"
+        or args.engine == "new" and bbox_cell_count(P) > RefineConfig().brute_force_cell_threshold
+    ):
+        # The stopping chords the engine started from: inward normalization
+        # for `baseline`, outward sweeps for `new` (which enumerates a
+        # polygon of at most the threshold's cells without sweeping it).
         hits = sweep_facets(P, inward=args.engine == "baseline")
         if hits is not None:
             chords = [HalfPlane(h.a, h.c, hit.offset) for h, hit in zip(P.halfplanes, hits)]

@@ -24,10 +24,13 @@ Conventions used throughout:
   with one or two vertices are degenerate (a point or a segment) and have no
   half-planes.
 * A :class:`PolySet2` keeps one private integer form ``(X, Y, W)``, ``W > 0``,
-  of each vertex ``(X/W, Y/W)`` (:func:`_form`).  Edge directions, levels
-  ``a*x + c*y - b`` as integer (num, den) pairs (:func:`_level`), half-planes,
-  areas, clip crossings and the sweep frames of :mod:`inthull.lattice` read
-  it as a few integer products; ``Point2`` stays the public vertex type.
+  of each vertex ``(X/W, Y/W)`` (:func:`_form`).  Edge directions, turns
+  (:func:`_turn`), levels ``a*x + c*y - b`` as integer (num, den) pairs
+  (:func:`_level`), half-planes, areas, clip crossings and the sweep frames
+  of :mod:`inthull.lattice` read it as a few integer products.  So do the
+  turns of the convex hull, segment membership and the half-plane
+  intersection, whose vertices are reduced forms until the result is built;
+  ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -83,25 +86,6 @@ def as_point(p: Sequence[Rational]) -> Point2:
     return Point2(_frac(p[0]), _frac(p[1]))
 
 
-def _cross_parts(o: Sequence[Rational], a: Sequence[Rational], b: Sequence[Rational]) -> Tuple[int, int]:
-    """(num, den) with den > 0 representing the cross product (a - o) x (b - o).
-
-    Works on numerator/denominator pairs directly so that sign tests need no
-    Fraction normalization (ints expose .numerator/.denominator too).
-    """
-    oxn, oxd = o[0].numerator, o[0].denominator
-    oyn, oyd = o[1].numerator, o[1].denominator
-    n1 = a[0].numerator * oxd - oxn * a[0].denominator  # a.x - o.x, den d1
-    d1 = a[0].denominator * oxd
-    n2 = b[1].numerator * oyd - oyn * b[1].denominator  # b.y - o.y, den d2
-    d2 = b[1].denominator * oyd
-    n3 = a[1].numerator * oyd - oyn * a[1].denominator  # a.y - o.y, den d3
-    d3 = a[1].denominator * oyd
-    n4 = b[0].numerator * oxd - oxn * b[0].denominator  # b.x - o.x, den d4
-    d4 = b[0].denominator * oxd
-    return n1 * n2 * d3 * d4 - n3 * n4 * d1 * d2, d1 * d2 * d3 * d4
-
-
 def _form(p: Point2) -> Form:
     """The integer form (X, Y, W), W > 0, of a point: p = (X/W, Y/W)."""
     x, y = p
@@ -142,9 +126,6 @@ class HalfPlane:
         object.__setattr__(self, "a", a // g)
         object.__setattr__(self, "c", c // g)
         object.__setattr__(self, "b", b if g == 1 else b / g)
-
-    def eval_at(self, p: Sequence[Rational]) -> Fraction:
-        return self.a * _frac(p[0]) + self.c * _frac(p[1])
 
 
 @dataclass(frozen=True)
@@ -229,6 +210,14 @@ def _direction(p: Form, q: Form) -> Tuple[int, int]:
     return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
 
 
+def _turn(o: Form, a: Form, b: Form) -> int:
+    """The cross product of _direction(o, a) and _direction(o, b): positive
+    when o -> a -> b turns left, 0 when the three points are collinear."""
+    ux, uy = _direction(o, a)
+    vx, vy = _direction(o, b)
+    return ux * vy - uy * vx
+
+
 def _cycle_start(forms: Sequence[Form]) -> int:
     """The index of the lex-smallest vertex of a strictly convex, once-winding
     CCW cycle of integer forms (>= 3 vertices); ValueError for any other cycle.
@@ -258,13 +247,14 @@ def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
 
 
 def _hull_chain(points: Iterable[Sequence]) -> list:
-    """Monotone-chain convex hull over exactly comparable (x, y) pairs.
+    """Monotone-chain convex hull over exact rational (x, y) pairs.
 
     Returns the hull in strict CCW order starting at the lexicographically
     smallest point.  Fewer than three distinct points (or an all-collinear
     set) collapse to the sorted distinct points / the two extreme points.
     Only the lowest and highest point of a column x = X can be a vertex, so
-    each run of equal x is cut to its two ends before the chain runs.
+    each run of equal x is cut to its two ends before the chain runs.  Turns
+    are read from the points' integer forms (:func:`_turn`).
     """
     pts: list = []
     for p in sorted(set(tuple(p) for p in points)):
@@ -274,21 +264,20 @@ def _hull_chain(points: Iterable[Sequence]) -> list:
             pts.append(p)
     if len(pts) <= 2:
         return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross_parts(lower[-2], lower[-1], p)[0] <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross_parts(upper[-2], upper[-1], p)[0] <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    forms = [_form(p) for p in pts]
+    hull: list = []
+    for run in (forms, forms[::-1]):  # the lower chain, then the upper
+        chain: list = []
+        for f in run:
+            while len(chain) >= 2 and _turn(chain[-2], chain[-1], f) <= 0:
+                chain.pop()
+            chain.append(f)
+        hull += chain[:-1]
     if len(hull) < 3:
         # All points collinear: keep the two extremes.
         return [pts[0], pts[-1]]
-    return hull
+    point_of = dict(zip(forms, pts))
+    return [point_of[f] for f in hull]
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
@@ -360,9 +349,7 @@ def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
         return p == verts[0]
     if len(verts) == 2:
         u, w = verts
-        if _cross_parts(u, w, p)[0] != 0:
-            return False
-        return min(u, w) <= p <= max(u, w)
+        return _turn(*P._forms, _form(p)) == 0 and u <= p <= w
     form = _form(p)
     return all(_level(h, form)[0] <= 0 for h in P.halfplanes)
 
@@ -390,13 +377,14 @@ def bounding_box(P: PolySet2) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _clean_cycle(points: Sequence[Point2]) -> list:
-    """Drop consecutive duplicates and collinear middle vertices of a cycle."""
+def _clean_cycle(forms: Sequence[Form]) -> list:
+    """Drop consecutive duplicates and collinear middle vertices of a cycle
+    of reduced integer forms (equal points have equal forms)."""
     # Consecutive duplicates (cyclically).
     dedup: list = []
-    for p in points:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
+    for f in forms:
+        if not dedup or dedup[-1] != f:
+            dedup.append(f)
     while len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     # Collinear middles (cyclically); the loop re-scans until stable.
@@ -405,7 +393,7 @@ def _clean_cycle(points: Sequence[Point2]) -> list:
         changed = False
         n = len(dedup)
         for i in range(n):
-            if _cross_parts(dedup[i - 1], dedup[i], dedup[(i + 1) % n])[0] == 0:
+            if _turn(dedup[i - 1], dedup[i], dedup[(i + 1) % n]) == 0:
                 del dedup[i]
                 changed = True
                 break
@@ -580,13 +568,22 @@ class _NeedsFallback(Exception):
     """Internal: the fast half-plane intersection hit an ambiguous case."""
 
 
-def _hp_intersection_point(h1: HalfPlane, h2: HalfPlane) -> Point2:
+def _hp_intersection_point(h1: HalfPlane, h2: HalfPlane) -> Form:
+    """The reduced integer form (X, Y, W), W > 0 and gcd(X, Y, W) = 1, of
+    the point where the boundary lines of h1 and h2 meet."""
     det = h1.a * h2.c - h2.a * h1.c
     if det == 0:
         raise _NeedsFallback
-    x = (h1.b * h2.c - h2.b * h1.c) / det
-    y = (h1.a * h2.b - h2.a * h1.b) / det
-    return Point2(_frac(x), _frac(y))
+    n1, d1 = h1.b.numerator, h1.b.denominator
+    n2, d2 = h2.b.numerator, h2.b.denominator
+    # Cramer's rule over the common denominator d1 * d2 of the offsets.
+    X = n1 * d2 * h2.c - n2 * d1 * h1.c
+    Y = h1.a * n2 * d1 - h2.a * n1 * d2
+    W = det * d1 * d2
+    if W < 0:
+        X, Y, W = -X, -Y, -W
+    g = gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
 
 def _intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
@@ -618,14 +615,19 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
     """Half-plane intersection for angle-sorted, positively spanning input.
 
     Classic deque construction: a half-plane is popped when it becomes
-    redundant against the intersection point of its neighbors.  Returns a
-    polygon with at least three vertices, or None for an empty slab between
-    antiparallel neighbors.  Raises :class:`_NeedsFallback` on ambiguous
-    degenerate configurations and whenever fewer than three vertices remain,
-    since the deque can report an empty set as a point or segment.
+    redundant against the intersection point of its neighbors.  Intersection
+    points are reduced integer forms (:func:`_hp_intersection_point`), sides
+    are the signs of their levels and collinear vertices are dropped by
+    :func:`_turn`, so no ``Fraction`` is built until the vertices of the
+    result.  Returns a polygon with at least three vertices, or None for an
+    empty slab between antiparallel neighbors (input normals are distinct,
+    so neighbors with parallel normals are antiparallel).  Raises
+    :class:`_NeedsFallback` on ambiguous degenerate configurations and
+    whenever fewer than three vertices remain, since the deque can report
+    an empty set as a point or segment.
     """
-    def outside(h: HalfPlane, p: Point2) -> bool:
-        return h.eval_at(p) > h.b
+    def outside(h: HalfPlane, p: Form) -> bool:
+        return _level(h, p)[0] > 0
 
     dq: list = []
     for h in sorted_hps:
@@ -635,20 +637,12 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
             dq.pop(0)
         if dq:
             back = dq[-1]
-            det = back.a * h.c - h.a * back.c
-            if det == 0:
-                if back.a * h.a + back.c * h.c > 0:
-                    # Same direction; keep the tighter one.
-                    if h.b < back.b:
-                        dq.pop()
-                    else:
-                        continue
-                else:
-                    # Antiparallel neighbors: empty slab means empty set,
-                    # anything else is ambiguous here.
-                    if back.b + h.b < 0:
-                        return None
-                    raise _NeedsFallback
+            if back.a * h.c - h.a * back.c == 0:
+                # Antiparallel neighbors: an empty slab means an empty set,
+                # anything else is ambiguous here.
+                if back.b + h.b < 0:
+                    return None
+                raise _NeedsFallback
         dq.append(h)
     while len(dq) >= 3 and outside(dq[0], _hp_intersection_point(dq[-2], dq[-1])):
         dq.pop()
@@ -657,10 +651,10 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
     if len(dq) < 3:
         raise _NeedsFallback
     n = len(dq)
-    cycle = _clean_cycle([_hp_intersection_point(dq[i], dq[(i + 1) % n]) for i in range(n)])
-    if len(cycle) < 3:
+    forms = _clean_cycle([_hp_intersection_point(dq[i], dq[(i + 1) % n]) for i in range(n)])
+    if len(forms) < 3:
         raise _NeedsFallback
-    return _polyset_from_cycle(cycle)
+    return _polyset_from_cycle([Point2(Fraction(X, W), Fraction(Y, W)) for X, Y, W in forms], forms)
 
 
 def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Tuple
 
-from .errors import DegenerateSet, InvalidInstance
+from .errors import InvalidInstance
 from .geom import (
     HalfPlane,
     Point2,
@@ -34,8 +34,8 @@ from .geom import (
     _frac,
     _hull_chain,
     _intersect_halfplanes,
+    _polyset_from_cycle,
     point,
-    polyset_from_vertices,
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -184,12 +184,8 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     empty.  Unbounded inequality systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
-        pts = [point(x, y) for x, y in inst.vertices]
-        try:
-            return polyset_from_vertices(pts)
-        except DegenerateSet:
-            chain = _hull_chain(pts)
-            return _degenerate_polyset([Point2(*p) for p in chain])
+        chain = [Point2(*p) for p in _hull_chain(point(x, y) for x, y in inst.vertices)]
+        return _polyset_from_cycle(chain) if len(chain) >= 3 else _degenerate_polyset(chain)
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:
         if a == 0 and c == 0:

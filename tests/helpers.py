@@ -23,6 +23,13 @@ def frac_cross(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fractio
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def on_segment(u: Sequence[Fraction], w: Sequence[Fraction], p: Sequence[Fraction]) -> bool:
+    """Whether p lies on the closed segment uw: a zero plain-Fraction cross
+    product and p between the ends in lexicographic order."""
+    u, w, p = (tuple(map(Fraction, q)) for q in (u, w, p))
+    return frac_cross(u, w, p) == 0 and min(u, w) <= p <= max(u, w)
+
+
 def rational_hull(points: Sequence[RatPoint]) -> List[RatPoint]:
     """Monotone-chain convex hull over rational points, strict turns only.
 

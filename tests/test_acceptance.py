@@ -123,7 +123,7 @@ def test_acceptance_4_edge_case_suite_cost_mechanism():
     verdict(
         4,
         ok,
-        f"50 thin-wedge instances with lattice-rich facet lines: brute_cells(new) < "
+        f"50 thin-wedge instances whose facet lines carry no lattice point: brute_cells(new) < "
         f"brute_cells(baseline) on {wins}/50 (need >= 45), median wall time "
         f"{med_new * 1e3:.1f}ms (new) vs {med_base * 1e3:.1f}ms (baseline), engines agree: {agree}",
     )

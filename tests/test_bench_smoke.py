@@ -1,7 +1,11 @@
 """The benchmark runs end to end on the public API: one short, untraced pass
 of a workload must finish, with every hull checked correct.  chain-1000
 sweeps one large polygon; small-random enumerates many small inputs
-outright, so its certificate checks that path.
+outright, so its certificate checks that path.  bignum (octagons with
+~10**10 denominators and polygons at scales 10**9 and 10**12) and wedge
+(the thin wedges, built from inequalities) check the half-plane
+intersection, the hull and the sweeps on large integer forms, including
+answers the oracle refuses by budget.
 
 A change to what the benchmark's certificate uses (`sweep_inward`, `clip`,
 `line_through`, `enumerate_integer_points`, ...) thus fails here, not only
@@ -20,7 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["chain-1000", "small-random"])
+@pytest.mark.parametrize("workload", ["chain-1000", "small-random", "bignum", "wedge"])
 def test_workload_pass_is_correct(workload):
     r = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],

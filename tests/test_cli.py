@@ -228,15 +228,16 @@ PLOT_SHA256 = {
     ("segment", "new"): "11d977d3f5c533afb5b101f6dfbfed5fdea786729712090a6ab17fec0f1d18a5",
     ("segment", "oracle"): "11d977d3f5c533afb5b101f6dfbfed5fdea786729712090a6ab17fec0f1d18a5",
     ("triangle_shallow", "baseline"): "4e2af782ebb7ade21948703df2bc3704e90c0b4e16e04323920524b1837ef332",
-    ("triangle_shallow", "new"): "0223d7c354e5bd145e8115ad8e3c3c957ba13a294160e5c22be1974588164c36",
     ("triangle_shallow", "oracle"): "6044c692fdbfcde1ec9a3c445f4e4017318921c1f64d31520c805a992ecf61f9",
     ("triangle_slanted", "baseline"): "11af096395f03eda5d6aafdbd5c066d1aed2954006bdbba20db8bb1232bf014f",
-    ("triangle_slanted", "new"): "11ec40fda225b640a3412d331ce23ce35809ea72d17872b40d9025c752c65935",
     ("triangle_slanted", "oracle"): "c89b5f5ca9180e9c4fba6290e8b5eb8c6bb4a5eb497a8bf84e1a30d544430d06",
     ("unit_square", "baseline"): "5ed620e6044ce61397cc22954eed898385bfd96d8e6de7057e6be7c7bb28fded",
-    ("unit_square", "new"): "a3cb457b1d6aff189885058aa18ecc8eb52f283840bd210ca12f650a23b4754d",
     ("unit_square", "oracle"): "fc4da648e3345b26e18a15f23c28262418f321b3b72e067859863eb078135ed9",
 }
+# `new` enumerates these polygons (at most 256 bounding-box cells) without
+# sweeping them, so its plot overlays no chords and is the oracle's.
+for _fixture in ("triangle_shallow", "triangle_slanted", "unit_square"):
+    PLOT_SHA256[(_fixture, "new")] = PLOT_SHA256[(_fixture, "oracle")]
 
 
 @pytest.mark.parametrize("fixture,engine", sorted(PLOT_SHA256))

@@ -34,12 +34,13 @@ from inthull import (
 )
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
-from inthull.geom import _intersect_by_clipping, _intersect_halfplanes
+from inthull.geom import _hull_chain, _intersect_by_clipping, _intersect_halfplanes
 from inthull.lattice import _Frame
 from helpers import (
     empty_85_row_system,
     frac_cross,
     frame_line,
+    on_segment,
     random_halfplane_system,
     random_polyset,
     rational_hull,
@@ -463,6 +464,18 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
     sets += [_octagon(rng, reach=10**12) for _ in range(6)]
     for P in list(sets):
         sets += [Q for h in rng.sample(_clip_cases(P, rng), 4) if (Q := clip(P, h, rng.randrange(len(P.vertices))))]
+    # Half-plane intersections of random systems and of systems built from
+    # polygons.  The deque answers every polygon-built one, and its vertex
+    # forms are the reduced line-pair solutions.
+    hp_rng = random.Random(13)
+    sets += [S for _ in range(120) if isinstance(S := _rule(random_halfplane_system(hp_rng, hp_rng.randint(3, 40))), PolySet2)]
+    for _ in range(40):
+        P = random_polyset(hp_rng, max_num=40, max_den=9)
+        rows = list(P.halfplanes) + [HalfPlane(h.a, h.c, h.b + hp_rng.randint(1, 5)) for h in P.halfplanes[:2]]
+        hp_rng.shuffle(rows)
+        S = _intersect_halfplanes(rows)
+        assert S == P and all(gcd(X, Y, W) == 1 for X, Y, W in S._forms)
+        sets.append(S)
     lines = 0
     for S in sets:
         verts, n = S.vertices, len(S.vertices)
@@ -483,7 +496,41 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
                 assert lr > 0 and gcd(gcd(lp, lq), lr) == 1
                 assert (Fraction(lp, lr), Fraction(lq, lr)) == frame_line(p, q, a, c, frame.u, frame.v)
                 lines += 1
-    assert len(sets) > 150 and lines > 5000
+    assert len(sets) > 250 and lines > 5000
+
+
+def _far_rational(rng: random.Random, shift: int) -> Fraction:
+    """shift plus a rational within +-100 whose denominator is ~10**10."""
+    q = rng.randrange(10**10, 2 * 10**10)
+    return shift + Fraction(rng.randint(-100 * q, 100 * q), q)
+
+
+def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
+    # Points with ~10**10 denominators moved ~10**12: points on a segment,
+    # on its line beyond either end, one ~10**-10 step off the line, and
+    # scattered around it.  The hull chain's turns and segment membership
+    # read integer forms; the references use plain Fraction cross products.
+    rng = random.Random(1213)
+    kinds = set()
+    for _ in range(150):
+        dx, dy = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        u, w = sorted({(_far_rational(rng, dx), _far_rational(rng, dy)) for _ in range(2)})
+        step = Fraction(1, rng.randrange(10**10, 2 * 10**10))
+        pts = [u, w]
+        for _ in range(rng.randint(1, 10)):
+            t = Fraction(rng.randint(-4, 14), 10)
+            p = (u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1]))
+            pts += [p, (p[0], p[1] + rng.choice([step, -step])), (_far_rational(rng, dx), _far_rational(rng, dy))]
+        rng.shuffle(pts)
+        assert [tuple(p) for p in _hull_chain(pts)] == rational_hull(pts)
+        line = [p for p in pts if frac_cross(u, w, p) == 0]
+        assert [tuple(p) for p in _hull_chain(line)] == rational_hull(line)
+        S = PolySet2((u, w))
+        for p in pts:
+            inside = on_segment(u, w, p)
+            kinds.add((inside, frac_cross(u, w, p) == 0))
+            assert contains(S, p) == inside, (u, w, p)
+    assert kinds == {(True, True), (False, True), (False, False)}
 
 
 def test_contains_boundary_and_interior():

@@ -222,16 +222,16 @@ def test_chord_is_the_polygon_on_the_line(seed):
             gap = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             b = rng.choice([lo - gap, hi + gap])
         h = HalfPlane(a, c, b)
-    vals = [h.eval_at(v) for v in P.vertices]
+    vals = [h.a * x + h.c * y for x, y in P.vertices]
     piece = chord(P, h)
     if not min(vals) <= h.b <= max(vals):
         assert piece is None
         return
     assert piece is not None and piece.is_degenerate
     for p in piece.vertices:
-        assert h.eval_at(p) == h.b
+        assert h.a * p.x + h.c * p.y == h.b
         assert contains(P, p)
-        assert any(g.eval_at(p) == g.b for g in P.halfplanes)  # on P's boundary
+        assert any(g.a * p.x + g.c * p.y == g.b for g in P.halfplanes)  # on P's boundary
     on_line = [(x, y) for x, y in brute_points_in(P) if h.a * x + h.c * y == h.b]
     assert [tuple(p) for p in enumerate_integer_points(piece)] == on_line
 
