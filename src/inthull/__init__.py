@@ -26,7 +26,6 @@ from .geom import (
     PolySet2,
     Rational,
     area,
-    as_point,
     bounding_box,
     chord,
     clip,
@@ -38,12 +37,7 @@ from .geom import (
     polyset_from_vertices,
 )
 from .hull_baseline import integer_hull_baseline, normalize_facets
-from .hull_new import (
-    RefineConfig,
-    integer_hull_new,
-    replace_facets,
-    residual_regions,
-)
+from .hull_new import RefineConfig, integer_hull_new
 from .instances import (
     Instance,
     dump_instance,
@@ -57,7 +51,6 @@ from .instances import (
 )
 from .lattice import (
     SweepHit,
-    egcd,
     floor_sum,
     sweep_from_opposite,
     sweep_inward,
@@ -87,7 +80,6 @@ __all__ = [
     "Point2",
     "IntPoint2",
     "point",
-    "as_point",
     "HalfPlane",
     "HullResult",
     "PolySet2",
@@ -101,15 +93,12 @@ __all__ = [
     "clip",
     "chord",
     # lattice
-    "egcd",
     "floor_sum",
     "SweepHit",
     "sweep_inward",
     "sweep_from_opposite",
     # engines
     "RefineConfig",
-    "replace_facets",
-    "residual_regions",
     "integer_hull_new",
     "normalize_facets",
     "integer_hull_baseline",

@@ -23,14 +23,15 @@ Conventions used throughout:
   supporting half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets
   with one or two vertices are degenerate (a point or a segment) and have no
   half-planes.
-* A :class:`PolySet2` keeps one private integer form ``(X, Y, W)``, ``W > 0``,
-  of each vertex ``(X/W, Y/W)`` (:func:`_form`).  Edge directions, turns
-  (:func:`_turn`), levels ``a*x + c*y - b`` as integer (num, den) pairs
-  (:func:`_level`), half-planes, areas, clip crossings and the sweep frames
-  of :mod:`inthull.lattice` read it as a few integer products.  So do the
-  turns of the convex hull, segment membership and the half-plane
-  intersection, whose vertices are reduced forms until the result is built;
-  ``Point2`` stays the public vertex type.
+* A :class:`PolySet2` stores only the reduced integer form ``(X, Y, W)``,
+  ``W > 0`` and ``gcd(X, Y, W) = 1``, of each vertex ``(X/W, Y/W)``
+  (:func:`_form`).  Reduced forms are equal exactly when the points are, so
+  equality and hashing read them; the ``Point2`` vertices are built from
+  them on first read.  Edge directions, turns (:func:`_turn`), levels
+  ``a*x + c*y - b`` as integer (num, den) pairs (:func:`_level`),
+  half-planes, areas, clip crossings, the half-plane intersection and the
+  sweep frames of :mod:`inthull.lattice` read the forms as a few integer
+  products; ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -87,12 +88,22 @@ def as_point(p: Sequence[Rational]) -> Point2:
 
 
 def _form(p: Point2) -> Form:
-    """The integer form (X, Y, W), W > 0, of a point: p = (X/W, Y/W)."""
+    """The reduced integer form (X, Y, W) of a point, p = (X/W, Y/W), with
+    W the lcm of the two denominators (so W > 0 and gcd(X, Y, W) = 1)."""
     x, y = p
     xd, yd = x.denominator, y.denominator
     if xd == yd:
         return x.numerator, y.numerator, xd
-    return x.numerator * yd, y.numerator * xd, xd * yd
+    W = lcm(xd, yd)
+    return x.numerator * (W // xd), y.numerator * (W // yd), W
+
+
+def _reduced(X: int, Y: int, W: int) -> Form:
+    """The reduced form of the point (X/W, Y/W), W != 0."""
+    if W < 0:
+        X, Y, W = -X, -Y, -W
+    g = gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
 
 def _level(h: HalfPlane, p: Form) -> Tuple[int, int]:
@@ -152,35 +163,43 @@ class HullResult:
         return self.points[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PolySet2:
     """A bounded convex subset of the plane, given by its vertices.
 
     With >= 3 vertices: ``vertices`` is a strictly convex CCW cycle starting
     at the lex-smallest vertex, and ``halfplanes[i]`` supports the edge
-    ``vertices[i] -> vertices[(i+1) % n]``.  The half-planes are derived
-    from the vertices on first use and cached: most residual regions are
-    enumerated and never swept, so they never build them.  With 1 or 2
-    vertices the set is degenerate (a point or a segment, vertices in lex
-    order) and has no half-planes.  Equality and hashing use the vertices
-    only.
+    ``vertices[i] -> vertices[(i+1) % n]``.  With 1 or 2 vertices the set is
+    degenerate (a point or a segment, vertices in lex order) and has no
+    half-planes.  The stored state is the reduced integer form of each
+    vertex (see :func:`_form`), and equality and hashing use those forms.
+    ``vertices`` and ``halfplanes`` are built from the forms on first read
+    and cached: the sets between an input polygon and its integer hull are
+    clipped, swept and enumerated from their forms and never build them.
     """
 
-    vertices: Tuple[Point2, ...]
+    _forms: Tuple[Form, ...]
 
-    def __post_init__(self) -> None:
-        verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_forms", tuple(map(_form, verts)))
+    def __init__(self, vertices: Iterable[Sequence[Rational]]) -> None:
+        verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in vertices)
+        forms = tuple(map(_form, verts))
         n = len(verts)
         if n == 0:
             raise ValueError("a PolySet2 must have at least one vertex; use None for the empty set")
-        if n <= 2:
-            if n == 2 and not verts[0] < verts[1]:
-                raise ValueError("degenerate segment vertices must be distinct and in lex order")
-            return
-        if _cycle_start(self._forms) != 0:
+        if n == 2 and not verts[0] < verts[1]:
+            raise ValueError("degenerate segment vertices must be distinct and in lex order")
+        if n >= 3 and _cycle_start(forms) != 0:
             raise ValueError("vertex cycle must start at the lexicographically smallest vertex")
+        object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "vertices", verts)
+
+    def __repr__(self) -> str:
+        return f"PolySet2(vertices={self.vertices!r})"
+
+    @functools.cached_property
+    def vertices(self) -> Tuple[Point2, ...]:
+        """The vertices, in cycle order (lex order for a segment)."""
+        return tuple(Point2(Fraction(X, W), Fraction(Y, W)) for X, Y, W in self._forms)
 
     @functools.cached_property
     def halfplanes(self) -> Tuple[HalfPlane, ...]:
@@ -202,7 +221,7 @@ class PolySet2:
     @property
     def is_degenerate(self) -> bool:
         """True for a point or segment (fewer than 3 vertices)."""
-        return len(self.vertices) < 3
+        return len(self._forms) < 3
 
 
 def _direction(p: Form, q: Form) -> Tuple[int, int]:
@@ -301,30 +320,35 @@ def _edge_halfplane(p: Form, q: Form) -> HalfPlane:
     return HalfPlane(dy // g, -dx // g, Fraction(dy * p[0] - dx * p[1], p[2] * g))
 
 
-def _polyset_from_cycle(verts: Sequence[Point2], forms: Optional[Sequence[Form]] = None) -> PolySet2:
+def _polyset_of(forms: Tuple[Form, ...]) -> PolySet2:
+    """A PolySet2 holding reduced forms already in canonical order, unchecked."""
+    P = object.__new__(PolySet2)
+    object.__setattr__(P, "_forms", forms)
+    return P
+
+
+def _polyset_from_cycle(forms: Sequence[Form]) -> PolySet2:
     """Build a PolySet2 from a strictly convex CCW cycle (>= 3 vertices) of
-    ``Point2``s and, when the caller has them, their integer forms.
+    reduced integer forms.
 
     The constructor's cycle check (:func:`_cycle_start`) runs once and finds
     the lex-smallest vertex, where the built set starts.
     """
-    if forms is None:
-        forms = [_form(p) for p in verts]
     k = _cycle_start(forms)
-    P = object.__new__(PolySet2)
-    object.__setattr__(P, "vertices", tuple(verts[k:]) + tuple(verts[:k]))
-    object.__setattr__(P, "_forms", tuple(forms[k:]) + tuple(forms[:k]))
-    return P
+    return _polyset_of(tuple(forms[k:]) + tuple(forms[:k]))
 
 
-def _degenerate_polyset(points: Iterable[Point2]) -> Optional[PolySet2]:
-    """A point or segment PolySet2 from <= 2 distinct points (None if empty)."""
-    distinct = sorted(set(as_point(p) for p in points))
-    if not distinct:
+def _degenerate_polyset(forms: Iterable[Form]) -> Optional[PolySet2]:
+    """A point or segment PolySet2 from reduced forms of <= 2 distinct
+    points (None if there are none); a segment's ends go in lex order."""
+    ends = list(dict.fromkeys(forms))
+    if not ends:
         return None
-    if len(distinct) > 2:
+    if len(ends) > 2:
         raise ValueError("degenerate sets have at most two distinct vertices")
-    return PolySet2(tuple(distinct))
+    if _direction(ends[0], ends[-1]) < (0, 0):
+        ends.reverse()
+    return _polyset_of(tuple(ends))
 
 
 def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
@@ -338,19 +362,18 @@ def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
     hull = _hull_chain(pts)
     if len(hull) < 3:
         raise DegenerateSet("need at least three distinct, not all collinear points")
-    return _polyset_from_cycle([Point2(*p) for p in hull])
+    return _polyset_from_cycle([_form(p) for p in hull])
 
 
 def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
     """Boundary-inclusive membership test."""
     p = as_point(p)
-    verts = P.vertices
-    if len(verts) == 1:
-        return p == verts[0]
-    if len(verts) == 2:
-        u, w = verts
-        return _turn(*P._forms, _form(p)) == 0 and u <= p <= w
-    form = _form(p)
+    form, forms = _form(p), P._forms
+    if len(forms) == 1:
+        return form == forms[0]
+    if len(forms) == 2:
+        u, w = P.vertices
+        return _turn(*forms, form) == 0 and u <= p <= w
     return all(_level(h, form)[0] <= 0 for h in P.halfplanes)
 
 
@@ -439,19 +462,20 @@ def _deepest_vertex(P: PolySet2, h: HalfPlane, hint: int = 0) -> int:
     Walks from vertex `hint`; the answer does not depend on it, but a hint
     near the answer makes the walk short.
     """
-    return _deepest(_vertex_levels(P._forms, h), hint)[0] % len(P.vertices)
+    return _deepest(_vertex_levels(P._forms, h), hint)[0] % len(P._forms)
 
 
-def _crossing(p: Form, lp: Tuple[int, int], q: Form, lq: Tuple[int, int]) -> Point2:
-    """The point of segment pq at level 0, given the integer forms of p and
-    q and the levels (num, den) there, of strictly opposite signs."""
+def _crossing(p: Form, lp: Tuple[int, int], q: Form, lq: Tuple[int, int]) -> Form:
+    """The reduced form of the point of segment pq at level 0, given the
+    integer forms of p and q and the levels (num, den) there, of strictly
+    opposite signs."""
     # The levels at q and p over one denominator: the crossing is (wp*p - wq*q) / (wp - wq).
     wp, wq = lq[0] * lp[1], lp[0] * lq[1]
     px, py, pw = p
     qx, qy, qw = q
     den = (wp - wq) * pw * qw
     wp, wq = wp * qw, wq * pw
-    return Point2(Fraction(wp * px - wq * qx, den), Fraction(wp * py - wq * qy, den))
+    return _reduced(wp * px - wq * qx, wp * py - wq * qy, den)
 
 
 def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
@@ -472,8 +496,8 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     1- or 2-cycle of its vertices: a segment's crossing is found once from
     each end, at the same point, and the duplicate is dropped.
     """
-    verts, forms = P.vertices, P._forms
-    n = len(verts)
+    forms = P._forms
+    n = len(forms)
     level = _vertex_levels(forms, h)
     j, f_j = _deepest(level, hint)
     if f_j[0] > 0:
@@ -492,17 +516,14 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
         if f_in[0] > 0:
             break
         start, f_start = start - 1, f_in
-    cycle = [verts[k % n] for k in range(start, end + 1)]
-    cycle_forms = [forms[k % n] for k in range(start, end + 1)]
+    cycle = [forms[k % n] for k in range(start, end + 1)]
     if f_end[0] < 0:
         cycle.append(_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out))
-        cycle_forms.append(_form(cycle[-1]))
     if f_start[0] < 0:
         cycle.append(_crossing(forms[(start - 1) % n], f_in, forms[start % n], f_start))
-        cycle_forms.append(_form(cycle[-1]))
     if n < 3 or len(cycle) < 3:
         return _degenerate_polyset(cycle)
-    return _polyset_from_cycle(cycle, cycle_forms)
+    return _polyset_from_cycle(cycle)
 
 
 def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
@@ -579,11 +600,7 @@ def _hp_intersection_point(h1: HalfPlane, h2: HalfPlane) -> Form:
     # Cramer's rule over the common denominator d1 * d2 of the offsets.
     X = n1 * d2 * h2.c - n2 * d1 * h1.c
     Y = h1.a * n2 * d1 - h2.a * n1 * d2
-    W = det * d1 * d2
-    if W < 0:
-        X, Y, W = -X, -Y, -W
-    g = gcd(X, Y, W)
-    return X // g, Y // g, W // g
+    return _reduced(X, Y, det * d1 * d2)
 
 
 def _intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
@@ -600,9 +617,7 @@ def _intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
     max_b = max(abs(h.b) for h in hps)
     max_ac = max(max(abs(h.a), abs(h.c)) for h in hps)
     m = 1 + 2 * (max_b.numerator // max_b.denominator + 1) * max_ac
-    square = _polyset_from_cycle(
-        [point(-m, -m), point(m, -m), point(m, m), point(-m, m)]
-    )
+    square = _polyset_from_cycle([(-m, -m, 1), (m, -m, 1), (m, m, 1), (-m, m, 1)])
     region: Optional[PolySet2] = square
     for h in hps:
         region = clip(region, h)
@@ -654,7 +669,7 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
     forms = _clean_cycle([_hp_intersection_point(dq[i], dq[(i + 1) % n]) for i in range(n)])
     if len(forms) < 3:
         raise _NeedsFallback
-    return _polyset_from_cycle([Point2(Fraction(X, W), Fraction(Y, W)) for X, Y, W in forms], forms)
+    return _polyset_from_cycle(forms)
 
 
 def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:

@@ -60,19 +60,17 @@ class RefineConfig:
 def sweep_facets(P: PolySet2, *, inward: bool, max_sweep: Optional[int] = None) -> Optional[List[SweepHit]]:
     """Sweep every facet of P inward or from the opposite side, in order.
 
+    Each sweep reads its facet's normal from P's integer forms and starts
+    from its own facet or opposite vertex (:func:`lattice._run_sweep`).
     Returns one hit per facet, or None at the first facet whose sweep finds
     no lattice chord (which happens iff P has no integer points at all).
     """
     hits: List[SweepHit] = []
-    hint: Optional[int] = None
-    for i in range(len(P.halfplanes)):
-        out = _run_sweep(P, i, inward=inward, max_sweep=max_sweep, hint=hint)
-        if out.hit is None:
+    for i in range(len(P._forms)):
+        hit = _run_sweep(P, i, inward=inward, max_sweep=max_sweep)
+        if hit is None:
             return None
-        hits.append(out.hit)
-        # The minimizing vertex rotates with the facet normal, so this
-        # facet's anchor is a one-step hint for the next facet.
-        hint = out.anchor_min
+        hits.append(hit)
     return hits
 
 

@@ -27,10 +27,10 @@ from typing import List, Optional, Tuple
 from .errors import InvalidInstance
 from .geom import (
     HalfPlane,
-    Point2,
     PolySet2,
     Rational,
     _degenerate_polyset,
+    _form,
     _frac,
     _hull_chain,
     _intersect_halfplanes,
@@ -58,10 +58,7 @@ def parse_rational(value: object) -> Fraction:
 
 def format_rational(value: Rational) -> str:
     """Canonical string for a rational: "p" when integral, else "p/q"."""
-    fr = _frac(value)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    return str(_frac(value))
 
 
 def format_decimal(value: Rational, places: int = 6) -> str:
@@ -184,7 +181,7 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     empty.  Unbounded inequality systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
-        chain = [Point2(*p) for p in _hull_chain(point(x, y) for x, y in inst.vertices)]
+        chain = [_form(p) for p in _hull_chain(point(x, y) for x, y in inst.vertices)]
         return _polyset_from_cycle(chain) if len(chain) >= 3 else _degenerate_polyset(chain)
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:

@@ -15,7 +15,9 @@ This module answers the discrete questions the hull engines are built on:
   residual clip leaves behind: ``_lattice_extremes`` answers with the
   extreme ones, in the same integer frame the sweeps use.
 
-Every facet sweep is one call of ``_run_sweep``, whichever way it runs.
+Every facet sweep is one call of ``_run_sweep``, whichever way it runs.  It
+reads the facet's normal from its ends' integer forms and descends to the
+minimum from the facet (inward) or, as in the paper, from the opposite vertex.
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 ``a*u + c*v = 1``), in which the chord at integer level ``t = T`` carries a
@@ -308,46 +310,41 @@ def _check_max_sweep(max_sweep: Optional[int]) -> None:
         raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
 
 
-@dataclass
-class _SweepOutcome:
-    hit: Optional[SweepHit]
-    steps: int  # integer offsets between the sweep start and the stop (inclusive)
-    anchor_min: int  # a vertex minimizing the swept functional
-
-
 def _run_sweep(
     P: PolySet2,
     facet_index: int,
     inward: bool,
     *,
     max_sweep: Optional[int] = None,
-    hint: Optional[int] = None,
-) -> _SweepOutcome:
+) -> Optional[SweepHit]:
     """Sweep one facet: the first integer level T of the swept functional,
     scanning upward from its minimum over P, whose chord through P contains
     a lattice point.
 
-    Inward sweeps scan -a*x - c*y (maximizing the facet functional a*x + c*y
-    over the lattice) and report the offset -T; sweeps from the opposite
-    side scan a*x + c*y and report T.  Returns the hit with its extreme
-    lattice points, or hit=None when no chord in the polygon's range holds
-    one (then P has no lattice points at all, since every lattice point of
-    P lies on some integer-level chord).  The levels are walked one window
+    The facet's primitive outward normal (a, c) comes from the integer
+    forms of its two ends.  Inward sweeps scan -a*x - c*y (maximizing the
+    facet functional a*x + c*y over the lattice) and report the offset -T;
+    sweeps from the opposite side scan a*x + c*y and report T.  Returns the
+    hit with its extreme lattice points, or None when no chord in the
+    polygon's range holds one (then P has no lattice points at all, since
+    every lattice point of P lies on some integer-level chord).  The
+    descent to the minimum starts at the facet itself (inward) or, as in
+    the paper, at the vertex opposite it.  The levels are walked one window
     at a time, each cut at the next edge end of either chain and at the
     ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
-    otherwise), and each window costs one ``_first_hit`` solve.  `hint` is
-    a vertex near the minimum of the swept functional (the previous facet's
-    `anchor_min`), else one is guessed; it never changes the outcome.
+    otherwise), and each window costs one ``_first_hit`` solve.
     """
-    if P.is_degenerate:
+    forms = P._forms
+    n = len(forms)
+    if n < 3:
         raise ValueError("facet sweeps require a polygon with at least 3 vertices")
     _check_max_sweep(max_sweep)
-    hp = P.halfplanes[facet_index]
+    dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
+    g = gcd(dx, dy)
     sign = -1 if inward else 1
-    if hint is None:
-        hint = facet_index if inward else facet_index + len(P.vertices) // 2
-    frame = _Frame(P._forms, sign * hp.a, sign * hp.c)
-    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, hint)
+    # The outward normal of a CCW edge with direction (dx, dy) is (dy, -dx).
+    frame = _Frame(forms, sign * dy // g, -sign * dx // g)
+    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, facet_index if inward else facet_index + n // 2)
     lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
     t_first = -((-min_num) // min_den)  # ceil of the minimum
     # The last level within the limit: no window reaches past it.
@@ -361,7 +358,7 @@ def _run_sweep(
             # Past the top: no chord holds a lattice point.  Every level
             # scanned was within the limit, and an empty range of levels is
             # no sweep at all.
-            return _SweepOutcome(None, t - t_first, j_lo)
+            return None
         if t_limit is not None and t > t_limit:
             raise SweepLimitExceeded(
                 f"sweep would take more than {max_sweep} offset translations"
@@ -384,7 +381,7 @@ def _run_sweep(
     if s_first > s_last:
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
     lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
-    return _SweepOutcome(SweepHit(sign * t, lo_pt, hi_pt), t - t_first + 1, j_lo)
+    return SweepHit(sign * t, lo_pt, hi_pt)
 
 
 def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
@@ -398,7 +395,7 @@ def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = No
     :class:`SweepLimitExceeded` as soon as the answer is known to lie more
     than that many offsets away from the facet, before searching further.
     """
-    return _run_sweep(P, facet_index, inward=True, max_sweep=max_sweep).hit
+    return _run_sweep(P, facet_index, inward=True, max_sweep=max_sweep)
 
 
 def sweep_from_opposite(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
@@ -409,4 +406,4 @@ def sweep_from_opposite(P: PolySet2, facet_index: int, *, max_sweep: Optional[in
     a*x + c*y over P whose chord contains integer points (the lattice minimum
     in the facet direction).  Returns None iff P contains no integer points.
     """
-    return _run_sweep(P, facet_index, inward=False, max_sweep=max_sweep).hit
+    return _run_sweep(P, facet_index, inward=False, max_sweep=max_sweep)

@@ -22,8 +22,8 @@ from inthull import (
     integer_hull_baseline,
     integer_hull_new,
     polyset_from_vertices,
-    residual_regions,
 )
+from inthull.hull_new import residual_regions
 
 SRC = Path(hull_new.__file__).parent
 TRI = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
@@ -59,10 +59,10 @@ def test_normalized_facets_must_keep_the_hits(monkeypatch):
 def test_clip_output_is_checked_by_the_polyset_constructor(monkeypatch):
     # Each crossing moved off its edge, to q reflected through p, makes
     # the cut of TRI at y <= 2 turn clockwise at (3, -1/5).  _crossing
-    # reads the integer forms (X, Y, W) of the edge's ends.
+    # reads and returns integer forms (X, Y, W).
     def reflected(p, lp, q, lq):
         (px, py, pw), (qx, qy, qw) = p, q
-        return Point2(Fraction(2 * px * qw - qx * pw, pw * qw), Fraction(2 * py * qw - qy * pw, pw * qw))
+        return geom._reduced(2 * px * qw - qx * pw, 2 * py * qw - qy * pw, pw * qw)
 
     monkeypatch.setattr(geom, "_crossing", reflected)
     with pytest.raises(ValueError, match="strictly convex"):

@@ -16,6 +16,7 @@ from inthull import (
     IdenticalPoints,
     DegenerateSet,
     EmptySet,
+    Instance,
     Point2,
     PolySet2,
     UnboundedSet,
@@ -29,12 +30,12 @@ from inthull import (
     line_through,
     polyset_from_halfplanes,
     polyset_from_vertices,
-    replace_facets,
-    residual_regions,
 )
+import inthull.geom as geom
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
 from inthull.geom import _hull_chain, _intersect_by_clipping, _intersect_halfplanes
+from inthull.hull_new import replace_facets, residual_regions
 from inthull.lattice import _Frame
 from helpers import (
     empty_85_row_system,
@@ -497,6 +498,68 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
                 assert (Fraction(lp, lr), Fraction(lq, lr)) == frame_line(p, q, a, c, frame.u, frame.v)
                 lines += 1
     assert len(sets) > 250 and lines > 5000
+
+
+def test_every_construction_path_stores_reduced_forms(monkeypatch):
+    # A PolySet2 stores only its vertices' integer forms (X, Y, W).  Every
+    # way of building one must reduce them (W > 0, gcd(X, Y, W) = 1): then
+    # equal points have equal forms, so a set rebuilt from its vertices is
+    # equal to it and hashes alike.
+    rng = random.Random(1414)
+    F = Fraction
+    built = {
+        "constructor": [
+            PolySet2((Point2(F(1, 2), F(1, 4)),)),
+            PolySet2(((F(1, 6), F(1, 4)), (F(1, 6), F(5, 3)))),
+            PolySet2(((0, 0), (F(3, 2), F(1, 6)), (F(2, 3), F(9, 4)))),
+        ],
+        "polyset_from_vertices": [random_polyset(rng, max_num=40, max_den=12) for _ in range(20)],
+    }
+    polygons = built["polyset_from_vertices"]
+    built["deque"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
+
+    def no_deque(hps):
+        raise geom._NeedsFallback
+
+    monkeypatch.setattr(geom, "_intersect_sorted_deque", no_deque)
+    built["box clipping"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
+    monkeypatch.undo()
+    clips = [Q for P in polygons for h in _clip_cases(P, rng) if (Q := clip(P, h, rng.randrange(len(P._forms))))]
+    for S in [Q for Q in clips if len(Q._forms) == 2]:
+        (X, Y, W), (X2, Y2, W2) = S._forms
+        mid = F(X * W2 + X2 * W, 2 * W * W2)
+        clips += [clip(S, HalfPlane(1, 0, mid)), clip(S, HalfPlane(-1, 0, -mid))]
+    for kind, size in (("polygon", 3), ("segment", 2), ("point", 1)):
+        built[f"clip to a {kind}"] = [Q for Q in clips if Q is not None and min(len(Q._forms), 3) == size]
+    scales = [F(1, 2), F(2, 3), F(5, 7)]
+    built["vertex instance"] = [
+        instance_to_polyset(Instance(None, vertices=tuple(pts)))
+        for pts in ([tuple(v) for v in P.vertices] for P in polygons[:5])
+    ] + [
+        instance_to_polyset(Instance(None, vertices=((F(1, 6), F(1, 4)), (F(1, 6), F(5, 3)), (F(1, 6), F(1, 2))))),
+        instance_to_polyset(Instance(None, vertices=((F(3, 4), F(1, 6)),))),
+    ]
+    built["inequality instance"] = [
+        instance_to_polyset(Instance(None, inequalities=tuple((h.a * k, h.c * k, h.b * k) for h in P.halfplanes)))
+        for P, k in zip(polygons, scales * 7)
+    ]
+    for path, sets in built.items():
+        assert sets, path
+        for S in sets:
+            assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in S._forms), (path, S._forms)
+            rebuilt = PolySet2(S.vertices)
+            assert rebuilt == S and hash(rebuilt) == hash(S), (path, S)
+    # A segment from its forms in either order, vertical or not, has its
+    # ends in lex order.
+    for _ in range(40):
+        p = Point2(F(rng.randint(-50, 50), rng.randint(1, 9)), F(rng.randint(-50, 50), rng.randint(1, 9)))
+        x = p.x if rng.random() < 0.5 else F(rng.randint(-50, 50), rng.randint(1, 9))
+        q = Point2(x, F(rng.randint(-50, 50), rng.randint(1, 9)))
+        if p == q:
+            continue
+        for ends in ([p, q], [q, p]):
+            S = geom._degenerate_polyset([geom._form(v) for v in ends])
+            assert S.vertices == tuple(sorted(ends)) and S == PolySet2(sorted(ends)), ends
 
 
 def _far_rational(rng: random.Random, shift: int) -> Fraction:

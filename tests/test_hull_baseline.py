@@ -20,8 +20,8 @@ from inthull import (
     integer_hull_oracle,
     normalize_facets,
     polyset_from_vertices,
-    residual_regions,
 )
+from inthull.hull_new import residual_regions
 from helpers import brute_points_in, hull_tuples, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])

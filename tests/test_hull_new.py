@@ -31,12 +31,11 @@ from inthull import (
     point,
     polyset_from_halfplanes,
     polyset_from_vertices,
-    replace_facets,
-    residual_regions,
 )
 from inthull.bench import run_engine
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.geom import _level
+from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
 from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, random_polyset
 

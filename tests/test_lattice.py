@@ -18,7 +18,6 @@ from inthull import (
     SweepLimitExceeded,
     chord,
     contains,
-    egcd,
     enumerate_integer_points,
     floor_sum,
     instance_to_polyset,
@@ -28,7 +27,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.lattice import _first_hit, _run_sweep
+from inthull.lattice import _Frame, _first_hit, _min_pair, _run_sweep, egcd
 from helpers import brute_points_in, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -477,11 +476,17 @@ def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
         )
     else:
         P = random_polyset(random.Random(seed), max_num=20, max_den=5)
-    for i in range(len(P.halfplanes)):
+    for i, h in enumerate(P.halfplanes):
         for inward in (True, False):
+            sign = -1 if inward else 1
+            values = [sign * (h.a * x + h.c * y) for x, y in P.vertices]
             free = _run_sweep(P, i, inward)
-            for limit in sorted({0, 1, 2, free.steps - 1, free.steps, free.steps + 1} - {-1}):
-                if free.steps > limit:
+            # The levels from the ceiling of the minimum up to the hit, or
+            # over the whole range when there is none.
+            last = floor(max(values)) if free is None else sign * free.offset
+            steps = last - ceil(min(values)) + 1
+            for limit in sorted({0, 1, 2, steps - 1, steps, steps + 1} - {-1}):
+                if steps > limit:
                     with pytest.raises(SweepLimitExceeded):
                         _run_sweep(P, i, inward, max_sweep=limit)
                 else:
@@ -514,12 +519,16 @@ def hint_test_polygons():
 
 
 def test_sweeps_do_not_depend_on_their_hint():
-    """Every hint in [-n, 2n) gives the unhinted hit, steps and anchor_min,
-    for every facet swept either way."""
+    """A sweep's descent to its minimum face (`_min_pair`) gives the same
+    face and minimum from every start in [-n, 2n), for the functional of
+    every facet taken either way."""
     for P in hint_test_polygons():
         n = len(P.vertices)
-        for i in range(n):
-            for inward in (True, False):
-                free = _run_sweep(P, i, inward)
+        for h in P.halfplanes:
+            for sign in (1, -1):
+                frame = _Frame(P._forms, sign * h.a, sign * h.c)
+                j_lo, j_hi, (num, den) = _min_pair(frame, 0)
                 for hint in range(-n, 2 * n):
-                    assert _run_sweep(P, i, inward, hint=hint) == free, (P, i, inward, hint)
+                    k_lo, k_hi, (k_num, k_den) = _min_pair(frame, hint)
+                    # Two ends of a parallel minimum face give one value over two denominators.
+                    assert (k_lo, k_hi, Fraction(k_num, k_den)) == (j_lo, j_hi, Fraction(num, den)), (P, h, sign, hint)
