@@ -17,6 +17,7 @@ hull of everything collected is the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from operator import index
 from typing import List, Optional, Set
@@ -146,6 +147,7 @@ def _resolve(
     depth_left: int = 0,
     max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
+    P_area: Optional[Fraction] = None,
 ) -> Set[IntPoint2]:
     """Lattice points of P whose hull is P's integer hull.
 
@@ -157,6 +159,7 @@ def _resolve(
     region outside the hull of the candidates is then resolved one level
     deeper.  The candidates must be lattice points of P, extreme in every
     facet direction (the ``baseline`` engine passes its inward hits).
+    `P_area` is P's area when the caller has it (a region's parent does).
     """
     if P is None:
         return set()
@@ -174,13 +177,16 @@ def _resolve(
         # lattice (the facet normals positively span the plane).
         return points
     hull_so_far = convex_hull(points)
-    parent_area = area(P)
+    P_area = area(P) if P_area is None else P_area
     for region in residual_regions(P, hull_so_far):
         if stats is not None:
             stats.regions += 1
-        if not area(region) < parent_area:
+        region_area = area(region)
+        if not region_area < P_area:
             raise GeometryError("a residual region is no smaller than the region it came from")
-        points |= _resolve(region, cfg=cfg, depth_left=depth_left - 1, max_sweep=max_sweep, stats=stats)
+        points |= _resolve(
+            region, cfg=cfg, depth_left=depth_left - 1, max_sweep=max_sweep, stats=stats, P_area=region_area
+        )
     return points
 
 

@@ -38,7 +38,7 @@ from .geom import (
     point,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(value: object) -> Fraction:
@@ -48,7 +48,7 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise InvalidInstance(
                 f"malformed rational {value!r} (write integers or \"p/q\")"
             )

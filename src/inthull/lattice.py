@@ -8,8 +8,8 @@ This module answers the discrete questions the hull engines are built on:
   lattice point (:func:`sweep_inward` from the facet toward the interior,
   :func:`sweep_from_opposite` from the far side toward the facet);
 * which lattice points each integer column x = X of a polygon holds:
-  ``_columns`` walks the same two boundary chains as the sweeps, in x, and
-  yields each column's lowest and highest lattice point, so a polygon costs
+  ``_columns`` reads the same level walk as the sweeps, in x, and yields
+  each column's lowest and highest lattice point, so a polygon costs
   O(columns + vertices) integer steps to enumerate;
 * which lattice points a point or segment holds, such as a piece that a
   residual clip leaves behind: ``_lattice_extremes`` answers with the
@@ -21,19 +21,17 @@ minimum from the facet (inward) or, as in the paper, from the opposite vertex.
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 ``a*u + c*v = 1``), in which the chord at integer level ``t = T`` carries a
-lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  ``s_lo`` and ``s_hi``
-run along the polygon's two boundary chains, which one forward-only cursor
-each walks up from the minimum vertex, an edge at a time, only as far as the
-sweep goes.  The frame reads the polygon's integer vertex forms (X, Y, W):
-t at a vertex is ``(a*X + c*Y)/W``, and an edge's line is a few integer
-products of its two ends' forms.  The sweep cuts its levels into windows at
-each edge end of either chain, so both chains are single lines on a window, and finds the
-first hitting level of a window in one solve, ``_first_hit``: a
-continued-fraction (Euclid-style) descent on the two lines' slopes, as in
-two-variable integer programming, in O(log) integer steps.  A sweep thus
-costs one solve per pair of edges crossed, however many levels separate the
-facet from its first lattice chord, and a polygon's far side is never
-visited when the hit is near.
+lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  The frame reads the
+polygon's integer vertex forms (X, Y, W): t at a vertex is ``(a*X + c*Y)/W``.
+``s_lo`` and ``s_hi`` run along the polygon's two boundary chains, which one
+walk, ``_windows``, climbs from the minimum vertex, only as far as its caller
+reads.  It cuts the levels into windows at each edge end of either chain and
+yields each with the two edges' lines, so ``_first_hit`` finds the first
+hitting level of a window in one solve: a continued-fraction (Euclid-style)
+descent on the two lines' slopes, as in two-variable integer programming, in
+O(log) integer steps.  A sweep thus costs one solve per pair of edges
+crossed, however many levels separate the facet from its first lattice
+chord, and a polygon's far side is never visited when the hit is near.
 """
 
 from __future__ import annotations
@@ -183,78 +181,67 @@ def _lattice_extremes(S: PolySet2) -> Tuple[IntPoint2, ...]:
     return tuple(frame.point_at(tn // td, s) for s in sorted({s_first, s_last}) if s_first <= s_last)
 
 
-def _min_pair(frame: _Frame, hint: int) -> Tuple[int, int, Tuple[int, int]]:
-    """Locate the minimum face of t = A*x + C*y over the polygon's vertex cycle.
+Line = Tuple[int, int, int]
 
-    Returns (j_lo, j_hi, (min_num, min_den)) where j_lo is the *last*
-    minimizing vertex in CCW order and j_hi the first (j_lo == j_hi unless
-    the minimum face is an edge parallel to the sweep direction).  The
-    descent from `hint` is :func:`geom._deepest` over the frame's t; the
-    hint only affects speed, never the result.
-    """
+
+def _climb(frame: _Frame, j: int, t_j: Tuple[int, int], step: int, t: int) -> Optional[Tuple[int, Tuple[int, int], int, Line]]:
+    """The first edge from vertex j (at t = t_j) up one boundary chain, by
+    `step`, that holds integer level t: (its top vertex k, t at k as
+    (num, den), floor of t at k, its line (p, q, r) with s = (p*T + q)/r).
+    An edge on which t is constant holds no level of its own and is stepped
+    over; None when t falls first, past the top of the chain."""
     n = frame.n
-    j, f = _deepest(frame.t_pair, hint)
-    j %= n
-    nxt, prv = frame.t_pair(j + 1), frame.t_pair(j - 1)
-    if nxt[0] * f[1] == f[0] * nxt[1]:
-        return (j + 1) % n, j, f
-    if prv[0] * f[1] == f[0] * prv[1]:
-        return j, (j - 1) % n, f
-    return j, j, f
+    while True:
+        k = (j + step) % n
+        t_k = frame.t_pair(k)
+        rise = t_k[0] * t_j[1] - t_j[0] * t_k[1]
+        if rise < 0:
+            return None
+        end = t_k[0] // t_k[1]
+        if rise and end >= t:
+            return k, t_k, end, frame.edge_line(j, k)
+        j, t_j = k, t_k
 
 
-class _Chain:
-    """A forward-only cursor on one boundary chain, from the minimum face up.
+def _windows(frame: _Frame, hint: int) -> Iterator[Tuple[int, int, Line, Line]]:
+    """(t, end, lower line, upper line) for each run [t, end] of integer
+    levels on which both boundary chains of the polygon are a single edge,
+    by increasing t.
 
-    The chain leaves vertex `start` by `step` (+1 CCW walks the lower chain,
-    -1 CW the upper one) and ends at the vertex where t stops increasing, on
-    the maximum face.  The current edge j -> k holds the integer levels up to
-    `end` = floor(t_k), on which s = (p*T + q)/r with (p, q, r) = `line`.
+    The walk descends from vertex `hint` to a minimum vertex of t
+    (:func:`geom._deepest`; the hint changes only the speed).  The lower
+    chain leaves it counter-clockwise and the upper one clockwise, each
+    stepping over a minimum face parallel to the levels, and a chain ends
+    where t falls, past the maximum face.  The runs start at the ceiling of
+    the minimum, are cut at every edge end of either chain and stop where
+    either chain passes the top, so they tile the polygon's integer levels.
+    Each edge's line is computed once, and only for an edge that holds an
+    integer level.
     """
-
-    def __init__(self, frame: _Frame, start: int, step: int) -> None:
-        self.frame, self.step = frame, step
-        self.j, self.k = start, (start + step) % frame.n
-        self.t_k = frame.t_pair(self.k)
-        self.end = self.t_k[0] // self.t_k[1]
-        self.line: Optional[Tuple[int, int, int]] = None
-
-    def reach(self, t: int) -> bool:
-        """Move to the edge holding integer level t (at or above the current
-        edge's levels); False when t lies past the top of the chain."""
-        frame = self.frame
-        while self.end < t:
-            kn, kd = self.t_k
-            nxt = (self.k + self.step) % frame.n
-            tn, td = frame.t_pair(nxt)
-            if tn * kd <= kn * td:
-                return False
-            self.j, self.k, self.t_k, self.end, self.line = self.k, nxt, (tn, td), tn // td, None
-        if self.line is None:
-            self.line = frame.edge_line(self.j, self.k)
-        return True
+    j, low = _deepest(frame.t_pair, hint)
+    j %= frame.n
+    t = -(-low[0] // low[1])  # ceil of the minimum
+    lower, upper = _climb(frame, j, low, +1, t), _climb(frame, j, low, -1, t)
+    while lower and upper:
+        (lo, lo_t, lo_end, lo_line), (hi, hi_t, hi_end, hi_line) = lower, upper
+        end = min(lo_end, hi_end)
+        yield t, end, lo_line, hi_line
+        t = end + 1
+        if lo_end < t:
+            lower = _climb(frame, lo, lo_t, +1, t)
+        if hi_end < t:
+            upper = _climb(frame, hi, hi_t, -1, t)
 
 
 def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
     """(x, lowest y, highest y) of every integer column of the polygon P
-    that holds a lattice point, by increasing x.
-
-    The frame t = x, s = y turns the columns into integer levels t, and the
-    two chains bound each column's chord from below and above.  Both chains
-    run from the minimum face to the maximum face of x, so every column in
-    P's x-range lies on one edge of each, and the walk stops where they do.
-    """
-    frame = _Frame(P._forms, 1, 0)
-    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, 0)
-    lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
-    x = -((-min_num) // min_den)
-    while lower.reach(x) and upper.reach(x):
-        lp, lq, lr = lower.line
-        up, uq, ur = upper.line
-        y_lo, y_hi = -(-(lp * x + lq) // lr), (up * x + uq) // ur
-        if y_lo <= y_hi:
-            yield x, y_lo, y_hi
-        x += 1
+    that holds a lattice point, by increasing x: the window walk in the
+    frame t = x, s = y, whose levels are the columns."""
+    for x0, end, (lp, lq, lr), (up, uq, ur) in _windows(_Frame(P._forms, 1, 0), 0):
+        for x in range(x0, end + 1):
+            y_lo, y_hi = -(-(lp * x + lq) // lr), (up * x + uq) // ur
+            if y_lo <= y_hi:
+                yield x, y_lo, y_hi
 
 
 def _first_hit(lp: int, lq: int, lr: int, up: int, uq: int, ur: int, n: int) -> Optional[int]:
@@ -329,10 +316,10 @@ def _run_sweep(
     polygon's range holds one (then P has no lattice points at all, since
     every lattice point of P lies on some integer-level chord).  The
     descent to the minimum starts at the facet itself (inward) or, as in
-    the paper, at the vertex opposite it.  The levels are walked one window
-    at a time, each cut at the next edge end of either chain and at the
-    ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
-    otherwise), and each window costs one ``_first_hit`` solve.
+    the paper, at the vertex opposite it.  Each window of the walk
+    (``_windows``) costs one ``_first_hit`` solve; the window that reaches
+    past the ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
+    otherwise) is cut at it, and raises when it holds no hit.
     """
     forms = P._forms
     n = len(forms)
@@ -344,38 +331,26 @@ def _run_sweep(
     sign = -1 if inward else 1
     # The outward normal of a CCW edge with direction (dx, dy) is (dy, -dx).
     frame = _Frame(forms, sign * dy // g, -sign * dx // g)
-    j_lo, j_hi, (min_num, min_den) = _min_pair(frame, facet_index if inward else facet_index + n // 2)
-    lower, upper = _Chain(frame, j_lo, +1), _Chain(frame, j_hi, -1)
-    t_first = -((-min_num) // min_den)  # ceil of the minimum
-    # The last level within the limit: no window reaches past it.
-    t_limit = None if max_sweep is None else t_first + max_sweep - 1
-
-    # One window per piece pair [t, end], cut at the next edge end of either
-    # chain and at the limit; both chains are single lines on it.
-    t = t_first
-    while True:
-        if not (lower.reach(t) and upper.reach(t)):
-            # Past the top: no chord holds a lattice point.  Every level
-            # scanned was within the limit, and an empty range of levels is
-            # no sweep at all.
-            return None
-        if t_limit is not None and t > t_limit:
-            raise SweepLimitExceeded(
-                f"sweep would take more than {max_sweep} offset translations"
-            )
-        end = min(lower.end, upper.end)
-        if t_limit is not None and end > t_limit:
+    # The last level within the limit, once the first window gives the
+    # ceiling of the minimum; no solve reaches past it.
+    t_limit = None
+    for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, facet_index if inward else facet_index + n // 2):
+        if t_limit is None and max_sweep is not None:
+            t_limit = t + max_sweep - 1
+        capped = t_limit is not None and end > t_limit
+        if capped:
             end = t_limit
-        lp, lq, lr = lower.line
-        up, uq, ur = upper.line
-        level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
+        level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t) if t <= end else None
         if level is not None:
-            t += level
             break
-        t = end + 1
+        if capped:
+            raise SweepLimitExceeded(f"sweep would take more than {max_sweep} offset translations")
+    else:
+        # Past the top: no chord holds a lattice point.  Every level scanned
+        # was within the limit, and an empty range of levels is no sweep.
+        return None
 
-    lp, lq, lr = lower.line
-    up, uq, ur = upper.line
+    t += level
     s_first = -(-(lp * t + lq) // lr)  # ceil of s on the lower chain
     s_last = (up * t + uq) // ur  # floor of s on the upper chain
     if s_first > s_last:

@@ -8,14 +8,26 @@ than against itself.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from inthull import HalfPlane, PolySet2, polyset_from_halfplanes, polyset_from_vertices
 
 RatPoint = Tuple[Fraction, Fraction]
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> Dict[str, str]:
+    """The environment for a `python -m inthull` child process: this one's,
+    with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def frac_cross(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -132,6 +144,22 @@ def random_polyset(rng: random.Random, *, max_num: int = 50, max_den: int = 10,
         hull = rational_hull(pts)
         if len(hull) >= 3:
             return polyset_from_vertices(hull)
+
+
+def octagon(rng: random.Random, reach: int = 10**6) -> PolySet2:
+    """Eight points near a circle of radius 100, one per eighth of the turn,
+    with denominators in [10**10, 2*10**10), moved up to `reach` by an
+    integer vector."""
+    dx, dy = rng.randint(-reach, reach), rng.randint(-reach, reach)
+    pts = []
+    for k in range(8):
+        u = Fraction(k * 1000 + rng.randrange(100, 900), 4000)
+        mirror = -1 if u >= 1 else 1
+        t = 2 * (u - (u >= 1)) - 1
+        q = rng.randrange(10**10, 2 * 10**10)
+        x, y = 100 * mirror * (1 - t * t) / (1 + t * t), 200 * t / (1 + t * t)
+        pts.append((dx + Fraction(round(x * q), q), dy + Fraction(round(y * q), q)))
+    return polyset_from_vertices(pts)
 
 
 def lattice_facet_triangle(rng: random.Random, S: int) -> PolySet2:

@@ -32,7 +32,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes
-from helpers import brute_points_in, hull_tuples, random_polyset
+from helpers import brute_points_in, cli_env, hull_tuples, random_polyset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -240,7 +240,7 @@ def test_acceptance_7_cli_runs_are_byte_identical(tmp_path):
             r = subprocess.run(
                 [sys.executable, "-m", "inthull", "gen", "--kind", kind, "--n", str(n),
                  "--scale", "20", "--seed", str(seed), "-o", str(f)],
-                capture_output=True, timeout=120,
+                capture_output=True, env=cli_env(), timeout=120,
             )
             assert r.returncode == 0, r.stderr
             out[f.name] = f.read_bytes()
@@ -248,20 +248,20 @@ def test_acceptance_7_cli_runs_are_byte_identical(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "inthull", "bench", "--suite", str(suite), "--reps", "2",
              "--no-timing", "-o", str(csv)],
-            capture_output=True, timeout=120,
+            capture_output=True, env=cli_env(), timeout=120,
         )
         assert r.returncode == 0, r.stderr
         out["bench.csv"] = csv.read_bytes()
         svg = d / "plot.svg"
         r = subprocess.run(
             [sys.executable, "-m", "inthull", "plot", str(suite / "random-11.json"), "-o", str(svg)],
-            capture_output=True, timeout=120,
+            capture_output=True, env=cli_env(), timeout=120,
         )
         assert r.returncode == 0, r.stderr
         out["plot.svg"] = svg.read_bytes()
         hull = subprocess.run(
             [sys.executable, "-m", "inthull", "hull", str(suite / "edgecase-13.json")],
-            capture_output=True, timeout=120,
+            capture_output=True, env=cli_env(), timeout=120,
         )
         assert hull.returncode == 0, hull.stderr
         out["hull.stdout"] = hull.stdout

@@ -13,7 +13,7 @@ import pytest
 import inthull.bench as bench
 import inthull.cli as cli
 from inthull import enumerate_integer_points, instance_to_polyset, load_instance
-from helpers import empty_85_row_system
+from helpers import cli_env, empty_85_row_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,6 +24,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=cli_env(),
         timeout=120,
     )
 

@@ -41,6 +41,7 @@ from helpers import (
     empty_85_row_system,
     frac_cross,
     frame_line,
+    octagon,
     on_segment,
     random_halfplane_system,
     random_polyset,
@@ -367,22 +368,6 @@ def test_clip_degenerate_results_are_first_class():
 # clip against the vertex-scan reference (helpers.reference_clip)
 
 
-def _octagon(rng: random.Random, reach: int = 10**6) -> PolySet2:
-    """Eight points near a circle of radius 100, one per eighth of the turn,
-    with denominators in [10**10, 2*10**10), moved up to `reach` by an
-    integer vector."""
-    dx, dy = rng.randint(-reach, reach), rng.randint(-reach, reach)
-    pts = []
-    for k in range(8):
-        u = Fraction(k * 1000 + rng.randrange(100, 900), 4000)
-        mirror = -1 if u >= 1 else 1
-        t = 2 * (u - (u >= 1)) - 1
-        q = rng.randrange(10**10, 2 * 10**10)
-        x, y = 100 * mirror * (1 - t * t) / (1 + t * t), 200 * t / (1 + t * t)
-        pts.append((dx + Fraction(round(x * q), q), dy + Fraction(round(y * q), q)))
-    return polyset_from_vertices(pts)
-
-
 def _clip_cases(P: PolySet2, rng: random.Random):
     """Half-planes through a vertex, along an edge from either side, at
     rational offsets, missing P and containing P."""
@@ -410,7 +395,7 @@ def _clip_sets():
         for _ in range(20):
             yield _random_set(rng, dim)
     for _ in range(6):
-        yield _octagon(rng)
+        yield octagon(rng)
     for n in (20, 64, 250, 1000):
         yield instance_to_polyset(convex_chain_polygon(n))
 
@@ -462,7 +447,7 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
     rng = random.Random(2026)
     sets = [random_polyset(rng, max_num=40, max_den=9) for _ in range(30)]
     sets += [instance_to_polyset(convex_chain_polygon(n)) for n in (20, 64, 250, 1000)]
-    sets += [_octagon(rng, reach=10**12) for _ in range(6)]
+    sets += [octagon(rng, reach=10**12) for _ in range(6)]
     for P in list(sets):
         sets += [Q for h in rng.sample(_clip_cases(P, rng), 4) if (Q := clip(P, h, rng.randrange(len(P.vertices))))]
     # Half-plane intersections of random systems and of systems built from

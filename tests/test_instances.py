@@ -60,7 +60,7 @@ def test_rational_parsing_and_formatting():
     assert parse_rational(7) == 7
     assert format_rational(Fraction(10, 4)) == "5/2"
     assert format_rational(Fraction(-8, 2)) == "-4"
-    for bad in ("0.5", "1e3", "3/0", "/2", "1/", True, None, [1]):
+    for bad in ("0.5", "1e3", "3/0", "/2", "1/", "3\n", "1/2\n", "\u0663", "1/\u0663", True, None, [1]):
         with pytest.raises(InvalidInstance):
             parse_rational(bad)
 

@@ -27,8 +27,8 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.lattice import _Frame, _first_hit, _min_pair, _run_sweep, egcd
-from helpers import brute_points_in, random_polyset, reference_stop
+from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows, egcd
+from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -519,16 +519,67 @@ def hint_test_polygons():
 
 
 def test_sweeps_do_not_depend_on_their_hint():
-    """A sweep's descent to its minimum face (`_min_pair`) gives the same
-    face and minimum from every start in [-n, 2n), for the functional of
-    every facet taken either way."""
+    """A sweep's window walk gives the same windows, lines included, from
+    every start in [-n, 2n), for the functional of every facet taken either
+    way."""
     for P in hint_test_polygons():
         n = len(P.vertices)
         for h in P.halfplanes:
             for sign in (1, -1):
                 frame = _Frame(P._forms, sign * h.a, sign * h.c)
-                j_lo, j_hi, (num, den) = _min_pair(frame, 0)
+                windows = list(_windows(frame, 0))
                 for hint in range(-n, 2 * n):
-                    k_lo, k_hi, (k_num, k_den) = _min_pair(frame, hint)
-                    # Two ends of a parallel minimum face give one value over two denominators.
-                    assert (k_lo, k_hi, Fraction(k_num, k_den)) == (j_lo, j_hi, Fraction(num, den)), (P, h, sign, hint)
+                    assert list(_windows(frame, hint)) == windows, (P, h, sign, hint)
+
+
+def reference_chord(P, frame, T):
+    """The lowest and highest s of P on the line t = T of the frame, in
+    plain Fractions: vertices on the line and edges crossing it."""
+    A, C, u, v = frame.A, frame.C, frame.u, frame.v
+    verts = P.vertices
+    ends = []
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        tp, tq = A * p.x + C * p.y, A * q.x + C * q.y
+        if tp == T:
+            ends.append(-v * p.x + u * p.y)
+        elif min(tp, tq) < T < max(tp, tq):
+            slope, intercept = frame_line(p, q, A, C, u, v)
+            ends.append(slope * T + intercept)
+    return min(ends), max(ends)
+
+
+def window_test_polygons():
+    # Rectangles and a parallelogram with vertical sides: parallel minimum
+    # and maximum faces in the x frame and in every facet frame.
+    yield polyset_from_vertices([(0, 0), (5, 0), (5, 3), (0, 3)])
+    yield polyset_from_vertices([(Fraction(-7, 3), Fraction(1, 2)), (Fraction(9, 4), Fraction(1, 2)), (Fraction(9, 4), Fraction(17, 5)), (Fraction(-7, 3), Fraction(17, 5))])
+    yield polyset_from_vertices([(Fraction(1, 3), 0), (Fraction(2, 3), 0), (Fraction(2, 3), 9), (Fraction(1, 3), 9)])
+    yield polyset_from_vertices([(0, 0), (4, 1), (4, 5), (0, 4)])
+    yield instance_to_polyset(convex_chain_polygon(40))
+    for seed in range(50):
+        yield random_polyset(random.Random(seed), max_num=30, max_den=7)
+    # ~10**10 denominators moved ~10**12.
+    rng = random.Random(7)
+    for _ in range(4):
+        yield octagon(rng, reach=10**12)
+
+
+def test_windows_tile_the_levels_and_give_the_chord_ends():
+    """The windows tile [ceil(min t), floor(max t)] with no gap or overlap,
+    and at both ends of each the two lines give the ends of the chord, in
+    the x frame and in both directions of every facet frame."""
+    windows_seen = 0
+    for P in window_test_polygons():
+        for a, c in [(1, 0)] + [(sign * h.a, sign * h.c) for h in P.halfplanes for sign in (1, -1)]:
+            frame = _Frame(P._forms, a, c)
+            levels = [a * p.x + c * p.y for p in P.vertices]
+            t = ceil(min(levels))
+            for start, end, lower, upper in _windows(frame, 0):
+                assert start == t <= end, (P, a, c)
+                for T in (start, end):
+                    (lp, lq, lr), (up, uq, ur) = lower, upper
+                    assert (Fraction(lp * T + lq, lr), Fraction(up * T + uq, ur)) == reference_chord(P, frame, T), (P, a, c, T)
+                t = end + 1
+                windows_seen += 1
+            assert t == max(ceil(min(levels)), floor(max(levels)) + 1), (P, a, c)
+    assert windows_seen > 3000
