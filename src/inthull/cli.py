@@ -61,9 +61,8 @@ def _build_parser() -> _Parser:
     p_hull.add_argument("file", help="instance JSON file")
     p_hull.add_argument("--engine", choices=engine_names(), default="new")
     p_hull.add_argument("--check", action="store_true", help="cross-verify against the oracle (exit 2 on mismatch)")
-    p_hull.add_argument("--max-sweep", type=int, default=None, metavar="N", help="abort any facet sweep beyond N offsets (exit 3)")
-    p_hull.add_argument("--brute-threshold", type=int, default=256, metavar="N", help="enumerate any set, the input polygon too, of at most N bounding-box cells")
-    p_hull.add_argument("--max-depth", type=int, default=16, metavar="N", help="refinement recursion cap")
+    p_hull.add_argument("--max-sweep", type=int, default=None, metavar="N", help="abort any sweep beyond N offsets (exit 3)")
+    p_hull.add_argument("--brute-threshold", type=int, default=256, metavar="N", help="enumerate an input polygon of at most N bounding-box cells without a sweep")
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance file")
     p_gen.add_argument("--kind", choices=["random", "edgecase"], required=True)
@@ -89,7 +88,7 @@ def _build_parser() -> _Parser:
 def _cmd_hull(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    cfg = RefineConfig(args.brute_threshold, args.max_depth)
+    cfg = RefineConfig(args.brute_threshold)
     hull = run_engine(args.engine, P, cfg=cfg, max_sweep=args.max_sweep)
     if args.check:
         reference = integer_hull_oracle(P)

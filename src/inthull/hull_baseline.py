@@ -5,9 +5,9 @@ still contains a lattice point; rebuilding the set from the tightened
 half-planes yields Q with the same lattice points as P but with every facet
 supported by a lattice chord.  The hull of all stopping-chord extremes is a
 central core of the integer hull; what remains are the corner regions of Q
-outside that core, which this engine always resolves by direct enumeration —
-no recursion — so its cost profile isolates what the sweep-based refinement
-engine improves on.
+outside that core, which this engine always resolves by direct enumeration
+(``hull_new._resolve``), so its cost profile isolates what the edge sweeps
+of the ``new`` engine improve on.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ def integer_hull_baseline(
 ) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced, never recursed.  A bad `max_sweep` is refused
-    whatever P is."""
+    always brute-forced.  A bad `max_sweep` is refused whatever P is."""
     _check_max_sweep(max_sweep)
-    points = None
+    points = set()
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q resolves as P.
         P, hits = normalize_facets(P, max_sweep=max_sweep)

@@ -3,10 +3,13 @@ of segments.
 
 This module answers the discrete questions the hull engines are built on:
 
-* given a polygon facet, what is the first integer offset — sweeping the
-  facet line parallel to itself — whose chord through the polygon contains a
-  lattice point (:func:`sweep_inward` from the facet toward the interior,
-  :func:`sweep_from_opposite` from the far side toward the facet);
+* given a primitive integer direction (a, c), what is the lattice max or
+  min of a*x + c*y over a polygon: the first integer level, sweeping a line
+  across it from one side, whose chord holds a lattice point.  Every sweep
+  is one call of ``_run_sweep``.  A facet sweep only picks the direction
+  and the vertex its descent starts from (``_facet_direction``): the
+  facet's normal, maximized from the facet (:func:`sweep_inward`) or, as in
+  the paper, minimized from the opposite vertex (:func:`sweep_from_opposite`);
 * which lattice points each integer column x = X of a polygon holds:
   ``_columns`` reads the same level walk as the sweeps, in x, and yields
   each column's lowest and highest lattice point, so a polygon costs
@@ -15,9 +18,6 @@ This module answers the discrete questions the hull engines are built on:
   residual clip leaves behind: ``_lattice_extremes`` answers with the
   extreme ones, in the same integer frame the sweeps use.
 
-Every facet sweep is one call of ``_run_sweep``, whichever way it runs.  It
-reads the facet's normal from its ends' integer forms and descends to the
-minimum from the facet (inward) or, as in the paper, from the opposite vertex.
 The sweeps are exact but do not step line by line.  Each sweep works in a
 unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 ``a*u + c*v = 1``), in which the chord at integer level ``t = T`` carries a
@@ -297,44 +297,28 @@ def _check_max_sweep(max_sweep: Optional[int]) -> None:
         raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
 
 
-def _run_sweep(
-    P: PolySet2,
-    facet_index: int,
-    inward: bool,
-    *,
-    max_sweep: Optional[int] = None,
-) -> Optional[SweepHit]:
-    """Sweep one facet: the first integer level T of the swept functional,
-    scanning upward from its minimum over P, whose chord through P contains
-    a lattice point.
+def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
+    """The lattice max (`top`) or min of a*x + c*y over the polygon P, for
+    a primitive (a, c): the hit at that level, with its chord's extreme
+    lattice points, or None when P has no lattice point.
 
-    The facet's primitive outward normal (a, c) comes from the integer
-    forms of its two ends.  Inward sweeps scan -a*x - c*y (maximizing the
-    facet functional a*x + c*y over the lattice) and report the offset -T;
-    sweeps from the opposite side scan a*x + c*y and report T.  Returns the
-    hit with its extreme lattice points, or None when no chord in the
-    polygon's range holds one (then P has no lattice points at all, since
-    every lattice point of P lies on some integer-level chord).  The
-    descent to the minimum starts at the facet itself (inward) or, as in
-    the paper, at the vertex opposite it.  Each window of the walk
+    The sweep scans the levels T of a*x + c*y (of -a*x - c*y for the max,
+    reporting -T) upward from their minimum over P, which a descent from
+    vertex `hint` finds (the hint changes only its speed), and stops at
+    the first whose chord holds a lattice point.  Each window of the walk
     (``_windows``) costs one ``_first_hit`` solve; the window that reaches
     past the ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
     otherwise) is cut at it, and raises when it holds no hit.
     """
-    forms = P._forms
-    n = len(forms)
-    if n < 3:
-        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
+    if len(P._forms) < 3:
+        raise ValueError("sweeps require a polygon with at least 3 vertices")
     _check_max_sweep(max_sweep)
-    dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
-    g = gcd(dx, dy)
-    sign = -1 if inward else 1
-    # The outward normal of a CCW edge with direction (dx, dy) is (dy, -dx).
-    frame = _Frame(forms, sign * dy // g, -sign * dx // g)
+    sign = -1 if top else 1
+    frame = _Frame(P._forms, sign * a, sign * c)
     # The last level within the limit, once the first window gives the
     # ceiling of the minimum; no solve reaches past it.
     t_limit = None
-    for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, facet_index if inward else facet_index + n // 2):
+    for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, hint):
         if t_limit is None and max_sweep is not None:
             t_limit = t + max_sweep - 1
         capped = t_limit is not None and end > t_limit
@@ -359,26 +343,32 @@ def _run_sweep(
     return SweepHit(sign * t, lo_pt, hi_pt)
 
 
+def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:
+    """The (a, c, top, hint) of a facet sweep: the facet's primitive outward
+    normal, read from the integer forms of its two ends, maximized from the
+    facet (inward) or minimized from the opposite vertex, as in the paper."""
+    forms, n = P._forms, len(P._forms)
+    if n < 3:
+        raise ValueError("facet sweeps require a polygon with at least 3 vertices")
+    dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
+    g = gcd(dx, dy)  # the outward normal of a CCW edge along (dx, dy) is (dy, -dx)
+    return dy // g, -dx // g, inward, facet_index if inward else facet_index + n // 2
+
+
 def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
     """Translate facet line `facet_index` toward the interior of P until its
-    chord contains a lattice point of P.
-
-    The returned offset is the largest integer b' <= the facet offset whose
-    chord P ∩ {a*x + c*y = b'} contains integer points; lo/hi are the extreme
-    ones on that chord.  Returns None iff P contains no integer points.
-    With ``max_sweep`` set (an integer >= 0, else TypeError or ValueError), raises
-    :class:`SweepLimitExceeded` as soon as the answer is known to lie more
-    than that many offsets away from the facet, before searching further.
+    chord contains a lattice point of P: the largest integer b' whose chord
+    P ∩ {a*x + c*y = b'} does, with the extreme ones; None iff P contains no
+    integer points.  With ``max_sweep`` set (an integer >= 0, else TypeError
+    or ValueError), raises :class:`SweepLimitExceeded` as soon as the answer
+    is known to lie more than that many offsets away from the facet.
     """
-    return _run_sweep(P, facet_index, inward=True, max_sweep=max_sweep)
+    return _run_sweep(P, *_facet_direction(P, facet_index, True), max_sweep=max_sweep)
 
 
 def sweep_from_opposite(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
     """Translate facet line `facet_index` from the opposite side of P toward
-    the facet until its chord contains a lattice point of P.
-
-    The returned offset is the smallest integer b' >= the minimum of
-    a*x + c*y over P whose chord contains integer points (the lattice minimum
-    in the facet direction).  Returns None iff P contains no integer points.
-    """
-    return _run_sweep(P, facet_index, inward=False, max_sweep=max_sweep)
+    the facet until its chord contains a lattice point of P: the lattice
+    minimum of a*x + c*y over P, with the extreme lattice points of its
+    chord; None iff P contains no integer points."""
+    return _run_sweep(P, *_facet_direction(P, facet_index, False), max_sweep=max_sweep)

@@ -25,8 +25,8 @@ class RunStats:
     """Mutable counters an engine fills in while computing a hull."""
 
     brute_cells: int = 0  # total bounding-box cells of brute-forced regions
-    regions: int = 0  # refinement/corner regions processed
-    max_depth: int = 0  # deepest recursion level reached (new engine)
+    regions: int = 0  # corner regions of the baseline engine
+    max_depth: int = 0  # always 0: no engine recurses; kept for the benchmark's readers
 
 
 def bbox_cell_count(P: PolySet2) -> int:

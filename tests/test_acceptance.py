@@ -208,9 +208,9 @@ def test_acceptance_6_property_suites_over_ten_thousand_cases():
 
     # RefineConfig never changes the answer
     configs = (
-        RefineConfig(brute_force_cell_threshold=1, max_depth=1),
-        RefineConfig(brute_force_cell_threshold=256, max_depth=16),
-        RefineConfig(brute_force_cell_threshold=10**6, max_depth=1),
+        RefineConfig(brute_force_cell_threshold=1),
+        RefineConfig(brute_force_cell_threshold=256),
+        RefineConfig(brute_force_cell_threshold=10**6),
     )
     for seed in range(600):
         P = random_polyset(random.Random(60000 + seed), max_num=20, max_den=5)

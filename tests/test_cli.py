@@ -55,10 +55,12 @@ def test_hull_handles_degenerate_instance():
 def test_hull_engine_knobs_change_nothing_observable():
     base = run_cli("hull", str(FIXTURES / "narrow_band.json"))
     tuned = run_cli(
-        "hull", str(FIXTURES / "narrow_band.json"), "--brute-threshold", "1", "--max-depth", "1"
+        "hull", str(FIXTURES / "narrow_band.json"), "--brute-threshold", "1"
     )
     assert base.returncode == tuned.returncode == 0
     assert base.stdout == tuned.stdout
+    # The edge loop has no recursion to cap: --max-depth is an unknown flag.
+    assert run_cli("hull", str(FIXTURES / "narrow_band.json"), "--max-depth", "1").returncode == 1
 
 
 def test_exit_code_1_on_bad_input():

@@ -24,6 +24,7 @@ from inthull import (
     polyset_from_vertices,
 )
 from inthull.hull_new import residual_regions
+from inthull.lattice import SweepHit
 
 SRC = Path(hull_new.__file__).parent
 TRI = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
@@ -37,9 +38,38 @@ def test_no_assert_statements(module):
 
 
 def test_residual_regions_must_shrink(monkeypatch):
+    # baseline's corner pass cuts TRI into 3 corner regions.
     monkeypatch.setattr(hull_new, "area", lambda P: 1)
     with pytest.raises(GeometryError, match="no smaller"):
-        integer_hull_new(TRI, RefineConfig(1, 3))  # TRI's 24 cells are swept
+        integer_hull_baseline(TRI)
+
+
+def _faked_edge_sweeps(monkeypatch, fake):
+    # `new` sweeps its root's facets from the opposite side (top=False) and
+    # each partial-hull edge for the lattice max (top=True): only the
+    # latter are faked.
+    real = hull_new._run_sweep
+
+    def sweep(P, a, c, top, hint, **kw):
+        hit = real(P, a, c, top, hint, **kw)
+        return fake(hit) if top else hit
+
+    monkeypatch.setattr(hull_new, "_run_sweep", sweep)
+
+
+@pytest.mark.parametrize("fake", [lambda hit: None, lambda hit: SweepHit(hit.offset - 1, hit.lo, hit.hi)])
+def test_an_edge_sweep_must_reach_the_edge(monkeypatch, fake):
+    _faked_edge_sweeps(monkeypatch, fake)
+    with pytest.raises(GeometryError, match="less than the edge's own level"):
+        integer_hull_new(TRI, RefineConfig(1))  # TRI's 24 cells are swept
+
+
+def test_an_edge_sweep_beyond_the_edge_must_find_new_points(monkeypatch):
+    # A final edge's chord is the edge itself: reported one level further
+    # out, its ends would be pushed again and the loop would never end.
+    _faked_edge_sweeps(monkeypatch, lambda hit: SweepHit(hit.offset + 1, hit.lo, hit.hi))
+    with pytest.raises(GeometryError, match="again"):
+        integer_hull_new(TRI, RefineConfig(1))
 
 
 def test_residual_regions_refuse_collinear_hull_vertices():

@@ -35,6 +35,7 @@ from inthull import (
 from inthull.bench import run_engine
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.geom import _level
+import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
 from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, random_polyset
@@ -135,6 +136,20 @@ def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
     assert segments > 0
 
 
+def test_a_two_point_partial_hull_is_swept_on_both_sides():
+    # The opposite sweeps of these polygons hit only the two ends u, w of a
+    # segment, and their integer hulls have vertices on both sides of it:
+    # the edge loop must sweep u -> w and w -> u.
+    for seed in (2566, 2897, 3827, 4231, 17157):
+        rng = random.Random(seed)
+        P = random_polyset(rng, max_num=rng.choice([6, 12, 30]), max_den=rng.choice([3, 8]))
+        u, w = convex_hull(replace_facets(P))
+        hull = integer_hull_new(P, RefineConfig(1))
+        assert hull == integer_hull_oracle(P)
+        sides = {(w.x - u.x) * (p.y - u.y) - (w.y - u.y) * (p.x - u.x) for p in hull}
+        assert min(sides) < 0 < max(sides), seed
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6))
 def test_oracle_equivalence_on_random_polygons(seed):
@@ -184,18 +199,22 @@ def test_monotone_under_clipping(seed, a, c, b):
 def test_refine_config_invariance(seed):
     P = random_polyset(random.Random(seed), max_num=25, max_den=6)
     results = {
-        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=1, max_depth=1)),
-        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=256, max_depth=16)),
-        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=10**6, max_depth=1)),
+        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=1)),
+        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=256)),
+        integer_hull_new(P, RefineConfig(brute_force_cell_threshold=10**6)),
     }
     assert len(results) == 1
 
 
 def test_stats_are_populated():
-    # The 24-cell triangle is swept only under a threshold below its size.
-    stats = RunStats()
-    integer_hull_new(TRI_SHALLOW, RefineConfig(1, 3), stats=stats)
-    assert stats.regions >= 1
+    # `new` enumerates the 24-cell triangle outright and sweeps it under a
+    # threshold below its size, counting no region either way; `baseline`
+    # counts and enumerates its corner regions.
+    stats = [RunStats(), RunStats(), RunStats()]
+    integer_hull_new(TRI_SHALLOW, stats=stats[0])
+    integer_hull_new(TRI_SHALLOW, RefineConfig(1), stats=stats[1])
+    integer_hull_baseline(TRI_SHALLOW, stats=stats[2])
+    assert [(s.brute_cells, s.regions, s.max_depth) for s in stats] == [(24, 0, 0), (0, 0, 0), (15, 3, 0)]
 
 
 def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
@@ -217,43 +236,74 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
         integer_hull_new(TRI_SHALLOW, RefineConfig(cells - 1), max_sweep=0)
 
 
-# Summed brute_cells of `baseline` and default `new` over 20 triangles per
-# S whose facet lines carry lattice points (the paper's edge case).
-LATTICE_FACET_CELLS = {5: (418, 2187), 10: (1645, 3355), 20: (5120, 5048), 40: (26315, 8408)}
+# Over 20 triangles per S whose facet lines carry lattice points (the
+# paper's edge case): the summed brute_cells of `baseline`, and the sweeps
+# of default `new`, 3 facet sweeps per triangle and the rest edge sweeps.
+LATTICE_FACET_COSTS = {5: (418, 224), 10: (1645, 322), 20: (5120, 399), 40: (26315, 477), 80: (72693, 538)}
 
 
-def test_lattice_facet_triangles_favour_new_past_a_crossover():
+def test_lattice_facet_triangles_cost_baseline_cells_and_new_sweeps(monkeypatch):
     # Inward sweeps stop at once on a facet line that holds lattice points,
     # so `baseline` enumerates whole corners, which grow like S^2; `new`
-    # sweeps from the opposite vertex and recurses, and wins for large S.
+    # sweeps from the opposite vertex, then once per partial-hull edge, and
+    # enumerates nothing.
+    calls = []
+    real = hull_new._run_sweep
+    monkeypatch.setattr(hull_new, "_run_sweep", lambda *args, **kw: calls.append(args) or real(*args, **kw))
     got = {}
-    for S in LATTICE_FACET_CELLS:
+    for S in LATTICE_FACET_COSTS:
         rng = random.Random(S)
         base, new = RunStats(), RunStats()
+        sweeps = 0
         for _ in range(20):
             P = lattice_facet_triangle(rng, S)
-            assert integer_hull_baseline(P, stats=base) == integer_hull_new(P, stats=new)
-        got[S] = (base.brute_cells, new.brute_cells)
-    assert got == LATTICE_FACET_CELLS
-    ratios = [b / n for b, n in got.values()]
-    assert ratios == sorted(ratios) and ratios[-1] > 1
+            hull = integer_hull_baseline(P, stats=base)
+            calls.clear()
+            assert integer_hull_new(P, stats=new) == hull
+            sweeps += len(calls)
+        assert (new.brute_cells, new.regions, new.max_depth) == (0, 0, 0)
+        got[S] = (base.brute_cells, sweeps)
+    assert got == LATTICE_FACET_COSTS
+
+
+def test_edge_sweeps_past_the_root_are_at_most_twice_the_hull(monkeypatch):
+    # Each edge sweep closes an edge of the final hull or finds a new hull
+    # vertex, so a hull H costs at most 2*|H| sweeps past the root's facets.
+    calls = []
+    real = hull_new._run_sweep
+    monkeypatch.setattr(hull_new, "_run_sweep", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    polys = [random_polyset(random.Random(seed), max_num=30, max_den=8) for seed in range(300)]
+    for S in (5, 10, 20, 40, 80):
+        rng = random.Random(S)
+        polys += [lattice_facet_triangle(rng, S) for _ in range(20)]
+    swept = 0
+    for P in polys:
+        calls.clear()
+        hull = integer_hull_new(P, RefineConfig(1))
+        if len(hull) < 2:
+            continue
+        edge_sweeps = len(calls) - len(P._forms)
+        assert 0 < edge_sweeps <= 2 * len(hull), (P, edge_sweeps, len(hull))
+        swept += 1
+    assert swept > 300
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # (brute_cells, regions, max_depth) per engine: `new` with the default
 # config, which enumerates the triangles and the square outright (at most
-# 256 cells each), `new` with RefineConfig(1, 3), which caps the depth, and
-# `baseline`.
+# 256 cells each), `new` with RefineConfig(1), which sweeps every polygon,
+# and `baseline`.  `new` counts no regions and no depth: past its root it
+# only sweeps.
 RUN_STATS = {
-    "narrow_band.json": [(93, 4, 1), (0, 4, 1), (40, 2, 0)],
+    "narrow_band.json": [(0, 0, 0), (0, 0, 0), (40, 2, 0)],
     "segment.json": [(0, 0, 0), (0, 0, 0), (0, 0, 0)],
-    "triangle_shallow.json": [(24, 0, 0), (1, 9, 2), (15, 3, 0)],
-    "triangle_slanted.json": [(24, 0, 0), (0, 9, 2), (23, 2, 0)],
+    "triangle_shallow.json": [(24, 0, 0), (0, 0, 0), (15, 3, 0)],
+    "triangle_slanted.json": [(24, 0, 0), (0, 0, 0), (23, 2, 0)],
     "unit_square.json": [(4, 0, 0), (0, 0, 0), (0, 0, 0)],
-    "wedge 0": [(260, 19, 4), (2326, 20, 3), (28867, 3, 0)],
-    "wedge 1": [(448, 24, 4), (12839, 27, 3), (35014, 3, 0)],
-    "wedge 2": [(297, 18, 4), (5063, 21, 3), (9124, 3, 0)],
+    "wedge 0": [(0, 0, 0), (0, 0, 0), (28867, 3, 0)],
+    "wedge 1": [(0, 0, 0), (0, 0, 0), (35014, 3, 0)],
+    "wedge 2": [(0, 0, 0), (0, 0, 0), (9124, 3, 0)],
 }
 
 
@@ -268,7 +318,7 @@ def _run_stats_case(name):
 def test_run_stats_per_engine(name):
     P = _run_stats_case(name)
     got = []
-    for engine, cfg in (("new", RefineConfig()), ("new", RefineConfig(1, 3)), ("baseline", RefineConfig())):
+    for engine, cfg in (("new", RefineConfig()), ("new", RefineConfig(1)), ("baseline", RefineConfig())):
         stats = RunStats()
         run_engine(engine, P, cfg=cfg, stats=stats)
         got.append((stats.brute_cells, stats.regions, stats.max_depth))
@@ -277,9 +327,9 @@ def test_run_stats_per_engine(name):
 
 def test_counts_must_be_integers():
     P = polyset_from_vertices([(0, 0), (7, 1), (3, 5)])
-    for bad in ({"brute_force_cell_threshold": 1.5}, {"max_depth": 2.5}, {"max_depth": 3.0}):
+    for bad in (1.5, 3.0):
         with pytest.raises(TypeError):
-            RefineConfig(**bad)
+            RefineConfig(bad)
     for engine in ("new", "baseline", "oracle"):
         with pytest.raises(TypeError):
             run_engine(engine, P, max_sweep=1.5)
@@ -306,6 +356,16 @@ def test_max_sweep_guard_propagates():
     )
     with pytest.raises(SweepLimitExceeded):
         integer_hull_new(thin, max_sweep=1)
+
+
+def test_max_sweep_bounds_edge_sweeps_too():
+    # Every facet sweep of this polygon stops within one level of its
+    # start, but one edge sweep needs three.
+    P = random_polyset(random.Random(60), max_num=30, max_den=8)
+    assert replace_facets(P, max_sweep=1)
+    with pytest.raises(SweepLimitExceeded):
+        integer_hull_new(P, RefineConfig(1), max_sweep=1)
+    assert integer_hull_new(P, RefineConfig(1), max_sweep=3) == integer_hull_oracle(P)
 
 
 def big_polygons():

@@ -480,7 +480,8 @@ def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
         for inward in (True, False):
             sign = -1 if inward else 1
             values = [sign * (h.a * x + h.c * y) for x, y in P.vertices]
-            free = _run_sweep(P, i, inward)
+            # The hint changes only the descent: limited sweeps start at facet i.
+            free = _run_sweep(P, h.a, h.c, inward, 0)
             # The levels from the ceiling of the minimum up to the hit, or
             # over the whole range when there is none.
             last = floor(max(values)) if free is None else sign * free.offset
@@ -488,9 +489,9 @@ def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
             for limit in sorted({0, 1, 2, steps - 1, steps, steps + 1} - {-1}):
                 if steps > limit:
                     with pytest.raises(SweepLimitExceeded):
-                        _run_sweep(P, i, inward, max_sweep=limit)
+                        _run_sweep(P, h.a, h.c, inward, i, max_sweep=limit)
                 else:
-                    assert _run_sweep(P, i, inward, max_sweep=limit) == free
+                    assert _run_sweep(P, h.a, h.c, inward, i, max_sweep=limit) == free
 
 
 def test_max_sweep_must_not_be_negative():
