@@ -5,9 +5,9 @@ still contains a lattice point; rebuilding the set from the tightened
 half-planes yields Q with the same lattice points as P but with every facet
 supported by a lattice chord.  The hull of all stopping-chord extremes is a
 central core of the integer hull; what remains are the corner regions of Q
-outside that core, which this engine always resolves by direct enumeration
-(``hull_new._resolve``), so its cost profile isolates what the edge sweeps
-of the ``new`` engine improve on.
+outside that core (``hull_new.residual_regions``), which this engine always
+resolves by direct enumeration, so its cost profile isolates what the edge
+sweeps of the ``new`` engine improve on.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .geom import (
     _intersect_halfplanes,
     convex_hull,
 )
-from .hull_new import _hit_points, _resolve, sweep_facets
+from .hull_new import _hit_points, _lattice_points, residual_regions, sweep_facets
 from .lattice import SweepHit, _check_max_sweep
 from .oracle import RunStats
 
@@ -57,11 +57,18 @@ def integer_hull_baseline(
 ) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced.  A bad `max_sweep` is refused whatever P is."""
+    always brute-forced, each counted in ``stats.regions``.  A bad
+    `max_sweep` is refused whatever P is."""
     _check_max_sweep(max_sweep)
     points = set()
     if P is not None and not P.is_degenerate:
-        # Normalization keeps the lattice, so a None or degenerate Q resolves as P.
+        # Normalization keeps the lattice, so a None or degenerate Q answers as P.
         P, hits = normalize_facets(P, max_sweep=max_sweep)
         points = _hit_points(hits)
-    return convex_hull(_resolve(P, points, stats=stats))
+    if P is None or P.is_degenerate or len(points) <= 1:
+        return convex_hull(_lattice_points(P, stats))
+    for region in residual_regions(P, convex_hull(points)):
+        if stats is not None:
+            stats.regions += 1
+        points |= _lattice_points(region, stats)
+    return convex_hull(points)

@@ -9,10 +9,11 @@ hull, and one sweep of P for the lattice max m of the edge's outward
 functional settles it: the sweep of the cut facet of the paper's residual
 region beyond the edge, with no clip and no recursion.  The edge is final
 at its own level; beyond it, the ends of the chord at m are new hull
-vertices and split the edge in three.  A point, a segment or a polygon of
+vertices and split the edge in three, of which the middle one, on the
+chord at m, is final unswept.  A point, a segment or a polygon of
 at most ``brute_force_cell_threshold`` cells is answered without a sweep.
-``_resolve`` is the ``baseline`` engine's corner pass, which enumerates the
-residual regions outside the hull of that engine's inward hits.
+``residual_regions`` cuts P outside a partial hull; only the ``baseline``
+engine's corner pass calls it.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     point lies strictly between levels b and b + 1.  Clips that are empty,
     or a point or segment whose lattice extremes are all edge ends, are
     dropped: a lattice point between two hull points is never a hull
-    vertex.  Each region is strictly smaller than P.
+    vertex.  Each region is strictly smaller than P in area; a region that
+    is not raises GeometryError.
 
     Precondition: every hull vertex is a sweep hit, a lattice extreme of
     some functional g on g's first lattice chord.  Then the segment cut
@@ -110,6 +112,7 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     if n < 2:
         raise ValueError("residual regions need a hull of at least 2 points")
     shift = 1 if n == 2 else 0
+    whole = area(P)
     regions: List[PolySet2] = []
     # The outward normals of the hull turn CCW, and so does the vertex of P
     # deepest beyond each edge: the previous one is the next clip's hint, and
@@ -128,6 +131,8 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
             continue
         if region.is_degenerate and set(_lattice_extremes(region)) <= {u, w}:
             continue
+        if not area(region) < whole:
+            raise GeometryError("a residual region is no smaller than the polygon it came from")
         regions.append(region)
     return regions
 
@@ -143,26 +148,6 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Set[Int
     return set(enumerate_integer_points(P, stats=stats))
 
 
-def _resolve(P: Optional[PolySet2], points: Set[IntPoint2], *, stats: Optional[RunStats] = None) -> Set[IntPoint2]:
-    """Lattice points of P whose hull is P's integer hull, given lattice
-    points of P extreme in every facet direction (``baseline``'s inward
-    hits).  None, a point or a segment gives its :func:`_lattice_points`,
-    and so does each residual region outside the hits' hull, counted in
-    ``stats.regions``; a region no smaller than P raises GeometryError."""
-    if P is None or P.is_degenerate:
-        return _lattice_points(P, stats)
-    if len(points) <= 1:  # as in _edge_points
-        return points
-    whole = area(P)
-    for region in residual_regions(P, convex_hull(points)):
-        if stats is not None:
-            stats.regions += 1
-        if not area(region) < whole:
-            raise GeometryError("a residual region is no smaller than the region it came from")
-        points |= _lattice_points(region, stats)
-    return points
-
-
 def _edge_points(P: PolySet2, points: Set[IntPoint2], max_sweep: Optional[int]) -> Set[IntPoint2]:
     """The integer hull vertices of P, given sweep hits `points` of P that
     are extreme in every facet direction.
@@ -172,9 +157,10 @@ def _edge_points(P: PolySet2, points: Set[IntPoint2], max_sweep: Optional[int]) 
     sweep finds the lattice max m of its functional over P, at least its
     level b as u is in P.  At m = b the edge is final.  Above it, the ends
     p, q of the chord at m, ordered along w - u, are new hull vertices, and
-    u -> p, p -> q (when p != q) and q -> w replace the edge.  So each
-    sweep closes an edge or finds a vertex, and a sweep that does neither
-    raises GeometryError.
+    u -> p and q -> w replace the edge.  The chord p -> q needs no sweep:
+    it has the edge's functional and lies at its lattice max m, so it is
+    final.  So each sweep closes an edge or finds a vertex, and a sweep
+    that does neither raises GeometryError.
     """
     pts = list(convex_hull(points))
     found = set(pts)
@@ -195,7 +181,7 @@ def _edge_points(P: PolySet2, points: Set[IntPoint2], max_sweep: Optional[int]) 
         if p in found or q in found:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found the known points {p}, {q} again")
         found.update((p, q))
-        stack += [(u, p), (p, q), (q, w)] if p != q else [(u, p), (q, w)]
+        stack += [(u, p), (q, w)]
     return found
 
 

@@ -8,6 +8,7 @@ than against itself.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 from fractions import Fraction
@@ -20,6 +21,16 @@ from inthull import HalfPlane, PolySet2, polyset_from_halfplanes, polyset_from_v
 RatPoint = Tuple[Fraction, Fraction]
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark, such as ``tracing`` or ``certify``,
+    loaded from its file without putting the benchmark on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cli_env() -> Dict[str, str]:

@@ -38,8 +38,11 @@ def test_no_assert_statements(module):
 
 
 def test_residual_regions_must_shrink(monkeypatch):
-    # baseline's corner pass cuts TRI into 3 corner regions.
+    # residual_regions checks each region's area against P's, so both a
+    # direct call and baseline's corner pass (3 regions of TRI) refuse.
     monkeypatch.setattr(hull_new, "area", lambda P: 1)
+    with pytest.raises(GeometryError, match="no smaller"):
+        residual_regions(TRI, [IntPoint2(-1, 0), IntPoint2(2, 0), IntPoint2(1, 3)])
     with pytest.raises(GeometryError, match="no smaller"):
         integer_hull_baseline(TRI)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import inthull
 from inthull import (
     BudgetExceeded,
     HalfPlane,
@@ -38,7 +39,7 @@ from inthull.geom import _level
 import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
-from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, random_polyset
+from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, load_perfbench, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -239,7 +240,7 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
 # Over 20 triangles per S whose facet lines carry lattice points (the
 # paper's edge case): the summed brute_cells of `baseline`, and the sweeps
 # of default `new`, 3 facet sweeps per triangle and the rest edge sweeps.
-LATTICE_FACET_COSTS = {5: (418, 224), 10: (1645, 322), 20: (5120, 399), 40: (26315, 477), 80: (72693, 538)}
+LATTICE_FACET_COSTS = {5: (418, 214), 10: (1645, 314), 20: (5120, 394), 40: (26315, 470), 80: (72693, 532)}
 
 
 def test_lattice_facet_triangles_cost_baseline_cells_and_new_sweeps(monkeypatch):
@@ -399,14 +400,25 @@ def big_polygons():
 
 
 def test_new_and_baseline_agree_at_scale():
-    answered = 0
+    # Every `new` answer passes the oracle-free certificate (one clip and
+    # one sweep per hull edge), including those `baseline` refuses by
+    # budget; the certificate rejects each hull with a vertex dropped or
+    # moved by one lattice step.
+    certify = load_perfbench("certify").certify
+    answered = tampered = 0
     for P in big_polygons():
         hull = integer_hull_new(P)
-        for p in hull:
-            assert contains(P, (p.x, p.y))
+        assert certify(inthull, P, hull) is None
         try:
             assert integer_hull_baseline(P) == hull
             answered += 1
         except BudgetExceeded:
             pass
-    assert answered >= 5
+        if len(hull) < 3:
+            continue
+        pts = [(p.x, p.y) for p in hull]
+        (x, y), rest = pts[0], pts[1:]
+        for wrong in [rest] + [rest + [(x + dx, y + dy)] for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]:
+            assert certify(inthull, P, convex_hull(wrong)) is not None, (P, wrong)
+        tampered += 1
+    assert answered >= 5 and tampered >= 10

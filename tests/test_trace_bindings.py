@@ -1,32 +1,87 @@
 """The benchmark's tracer hooks layer entry points by module attribute, so a
 renamed or moved function silently drops its layer from the traced split.
-This pins the set of hooks that find nothing."""
+This pins the set of hooks that find nothing, and the spans each engine
+records through the hooks that do."""
 
 from __future__ import annotations
 
 import importlib
-import importlib.util
+from collections import Counter
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+from helpers import load_perfbench
+from inthull import (
+    RefineConfig,
+    instance_to_polyset,
+    integer_hull_baseline,
+    integer_hull_new,
+    integer_hull_oracle,
+    load_instance,
+)
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # Bindings that no longer exist in the package; the tracer reports them as
 # "not traced".  This list may shrink, never grow.
 KNOWN_MISSING = {
     "inthull.hull_baseline._run_sweep",
     "inthull.hull_baseline.area",
-    "inthull.hull_baseline.residual_regions",
     "inthull.hull_baseline.enumerate_integer_points",
 }
 
 
 def test_every_trace_hook_resolves_but_the_known_missing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     missing = {
         f"{module}.{attr}"
         for module, attr, _, _ in tracing.HOOKS
         if not callable(getattr(importlib.import_module(module), attr, None))
     }
     assert missing == KNOWN_MISSING
+
+
+# Spans per name for one hull of triangle_shallow.json.  `new` enumerates
+# its 24 cells by default; with RefineConfig(1) it sweeps 3 facets from the
+# opposite side (one `lattice.sweep`), then 7 partial-hull edges.
+# `baseline` sweeps 3 facets inward, cuts 3 corner regions out of 4 clips
+# (one area for Q, one per region) and enumerates each.
+SPANS = {
+    "new": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
+    "new, RefineConfig(1)": {"engine": 1, "lattice.sweep": 1, "lattice.sweep.facet": 10, "geom.convex_hull": 2},
+    "baseline": {
+        "engine": 1,
+        "lattice.sweep": 1,
+        "lattice.sweep.facet": 3,
+        "geom.intersect_halfplanes": 1,
+        "hull_new.residual_regions": 1,
+        "geom.clip": 4,
+        "geom.area": 4,
+        "oracle.enumerate": 3,
+        "geom.convex_hull": 2,
+    },
+    "oracle": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
+}
+
+ENGINES = {
+    "new": integer_hull_new,
+    "new, RefineConfig(1)": lambda P: integer_hull_new(P, RefineConfig(1)),
+    "baseline": integer_hull_baseline,
+    "oracle": integer_hull_oracle,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(SPANS))
+def test_each_engine_records_its_layers(engine):
+    # A layer routed through a binding the tracer does not hook would drop
+    # out of these counts, and its per-layer metrics would read 0.
+    tracing = load_perfbench("tracing")
+    P = instance_to_polyset(load_instance(FIXTURES / "triangle_shallow.json"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.wrap(tracing.ROOT, ENGINES[engine])(P)
+    finally:
+        tracer.restore()
+    assert Counter(span[0] for span in tracer.spans) == SPANS[engine]
