@@ -20,9 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetExceeded, GeometryError
 from .geom import HullResult, PolySet2, area
 from .hull_baseline import integer_hull_baseline
-from .hull_new import RefineConfig, integer_hull_new
+from .hull_new import integer_hull_new
 from .instances import Instance, format_decimal, format_rational, instance_to_polyset
-from .lattice import _check_max_sweep
 from .oracle import RunStats, integer_hull_oracle
 
 CSV_COLUMNS = [
@@ -44,22 +43,12 @@ def engine_names() -> List[str]:
     return list(_ENGINES)
 
 
-def run_engine(
-    name: str,
-    P: Optional[PolySet2],
-    *,
-    cfg: RefineConfig = RefineConfig(),
-    max_sweep: Optional[int] = None,
-    stats: Optional[RunStats] = None,
-) -> HullResult:
-    """Dispatch one hull engine by name; `cfg` and `max_sweep` reach only
-    the engines that take them, but a negative `max_sweep` is refused for
-    every engine and input, and a non-integer one raises TypeError."""
-    _check_max_sweep(max_sweep)
+def run_engine(name: str, P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
+    """Dispatch one hull engine by name, in its default configuration."""
     if name == "new":
-        return integer_hull_new(P, cfg, max_sweep=max_sweep, stats=stats)
+        return integer_hull_new(P, stats=stats)
     if name == "baseline":
-        return integer_hull_baseline(P, max_sweep=max_sweep, stats=stats)
+        return integer_hull_baseline(P, stats=stats)
     if name == "oracle":
         return integer_hull_oracle(P, stats=stats)
     raise ValueError(f"unknown engine {name!r} (expected one of {engine_names()})")

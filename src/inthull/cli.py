@@ -5,7 +5,7 @@ Exit codes form the stable contract scripts rely on:
 * 0 — success (an empty integer hull is a success and prints ``[]``);
 * 1 — parse or validation failure (bad file, bad flags, malformed instance);
 * 2 — ``--check`` found a mismatch between the engine and the oracle;
-* 3 — resource refusal: unbounded set, enumeration budget, or sweep limit.
+* 3 — resource refusal: unbounded set or enumeration budget.
 
 argparse's default behavior of exiting with status 2 on usage errors would
 collide with the mismatch code, so usage errors are intercepted and mapped
@@ -27,7 +27,6 @@ from .errors import (
     BudgetExceeded,
     GeometryError,
     InvalidInstance,
-    SweepLimitExceeded,
     UnboundedSet,
 )
 from .geom import HalfPlane
@@ -61,8 +60,6 @@ def _build_parser() -> _Parser:
     p_hull.add_argument("file", help="instance JSON file")
     p_hull.add_argument("--engine", choices=engine_names(), default="new")
     p_hull.add_argument("--check", action="store_true", help="cross-verify against the oracle (exit 2 on mismatch)")
-    p_hull.add_argument("--max-sweep", type=int, default=None, metavar="N", help="abort any sweep beyond N offsets (exit 3)")
-    p_hull.add_argument("--brute-threshold", type=int, default=256, metavar="N", help="enumerate an input polygon of at most N bounding-box cells without a sweep")
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance file")
     p_gen.add_argument("--kind", choices=["random", "edgecase"], required=True)
@@ -88,8 +85,7 @@ def _build_parser() -> _Parser:
 def _cmd_hull(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    cfg = RefineConfig(args.brute_threshold)
-    hull = run_engine(args.engine, P, cfg=cfg, max_sweep=args.max_sweep)
+    hull = run_engine(args.engine, P)
     if args.check:
         reference = integer_hull_oracle(P)
         if tuple(hull) != tuple(reference):
@@ -181,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (UnboundedSet, BudgetExceeded, SweepLimitExceeded) as exc:
+    except (UnboundedSet, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidInstance, GeometryError, ValueError, OSError) as exc:

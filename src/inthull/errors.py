@@ -35,7 +35,9 @@ class BudgetExceeded(GeometryError):
 
 
 class SweepLimitExceeded(GeometryError):
-    """A sweep exceeded its configured maximum number of offsets."""
+    """A sweep refused past a limit on its offsets.  Sweeps take no such
+    limit, so nothing raises it; it stays exported for callers that name
+    it among the refusals they catch."""
 
 
 class InvalidInstance(GeometryError):

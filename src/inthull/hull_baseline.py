@@ -24,18 +24,18 @@ from .geom import (
     convex_hull,
 )
 from .hull_new import _hit_points, _lattice_points, residual_regions, sweep_facets
-from .lattice import SweepHit, _check_max_sweep
+from .lattice import SweepHit
 from .oracle import RunStats
 
 
-def normalize_facets(P: PolySet2, *, max_sweep: Optional[int] = None) -> Tuple[Optional[PolySet2], List[SweepHit]]:
+def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
     """Tighten every facet offset to its inward stopping offset.
 
     Returns (Q, hits) where Q has exactly the lattice points of P, or
     (None, []) when some facet sweep finds no lattice chord — which happens
     iff P contains no integer points at all.
     """
-    hits = sweep_facets(P, inward=True, max_sweep=max_sweep)
+    hits = sweep_facets(P, inward=True)
     if hits is None:
         return None, []
     Q = _intersect_halfplanes(
@@ -49,21 +49,14 @@ def normalize_facets(P: PolySet2, *, max_sweep: Optional[int] = None) -> Tuple[O
     return Q, hits
 
 
-def integer_hull_baseline(
-    P: Optional[PolySet2],
-    *,
-    max_sweep: Optional[int] = None,
-    stats: Optional[RunStats] = None,
-) -> HullResult:
+def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced, each counted in ``stats.regions``.  A bad
-    `max_sweep` is refused whatever P is."""
-    _check_max_sweep(max_sweep)
+    always brute-forced, each counted in ``stats.regions``."""
     points = set()
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.
-        P, hits = normalize_facets(P, max_sweep=max_sweep)
+        P, hits = normalize_facets(P)
         points = _hit_points(hits)
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_lattice_points(P, stats))

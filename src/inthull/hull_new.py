@@ -34,7 +34,7 @@ from .geom import (
     clip,
     convex_hull,
 )
-from .lattice import SweepHit, _check_max_sweep, _facet_direction, _lattice_extremes, _run_sweep
+from .lattice import SweepHit, _facet_direction, _lattice_extremes, _run_sweep
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
 
 
@@ -52,14 +52,14 @@ class RefineConfig:
             raise ValueError("brute_force_cell_threshold must be >= 1")
 
 
-def sweep_facets(P: PolySet2, *, inward: bool, max_sweep: Optional[int] = None) -> Optional[List[SweepHit]]:
+def sweep_facets(P: PolySet2, *, inward: bool) -> Optional[List[SweepHit]]:
     """Sweep every facet of P inward or from the opposite side, in order
     (:func:`lattice._facet_direction`): one hit per facet, or None at the
     first facet whose sweep finds no lattice chord (iff P has no integer
     points at all)."""
     hits: List[SweepHit] = []
     for i in range(len(P._forms)):
-        hit = _run_sweep(P, *_facet_direction(P, i, inward), max_sweep=max_sweep)
+        hit = _run_sweep(P, *_facet_direction(P, i, inward))
         if hit is None:
             return None
         hits.append(hit)
@@ -71,11 +71,11 @@ def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
     return {p for hit in hits for p in (hit.lo, hit.hi)}
 
 
-def replace_facets(P: PolySet2, *, max_sweep: Optional[int] = None) -> Set[IntPoint2]:
+def replace_facets(P: PolySet2) -> Set[IntPoint2]:
     """The extreme lattice points of every facet's stopping chord, swept
     from the opposite side of P, each a vertex of the integer hull; an
     empty set means P has no integer points."""
-    hits = sweep_facets(P, inward=False, max_sweep=max_sweep)
+    hits = sweep_facets(P, inward=False)
     return set() if hits is None else _hit_points(hits)
 
 
@@ -148,7 +148,7 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Set[Int
     return set(enumerate_integer_points(P, stats=stats))
 
 
-def _edge_points(P: PolySet2, points: Set[IntPoint2], max_sweep: Optional[int]) -> Set[IntPoint2]:
+def _edge_points(P: PolySet2, points: Set[IntPoint2]) -> Set[IntPoint2]:
     """The integer hull vertices of P, given sweep hits `points` of P that
     are extreme in every facet direction.
 
@@ -170,7 +170,7 @@ def _edge_points(P: PolySet2, points: Set[IntPoint2], max_sweep: Optional[int]) 
     while stack:
         u, w = stack.pop()
         a, c, b = _edge_functional(u, w)
-        hit = _run_sweep(P, a, c, True, 0, max_sweep=max_sweep)
+        hit = _run_sweep(P, a, c, True, 0)
         if hit is None or hit.offset < b:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found less than the edge's own level {b}")
         if hit.offset == b:
@@ -189,7 +189,6 @@ def integer_hull_new(
     P: Optional[PolySet2],
     cfg: RefineConfig = RefineConfig(),
     *,
-    max_sweep: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> HullResult:
     """Canonical integer hull of a bounded set by facet sweeps from the
@@ -197,10 +196,8 @@ def integer_hull_new(
 
     Accepts None (empty set) and degenerate sets.  A polygon of at most
     `cfg.brute_force_cell_threshold` bounding-box cells is enumerated and
-    runs no sweep, so no `max_sweep` refuses it; the result is independent
-    of `cfg`.  A bad `max_sweep` is refused whatever P is.
+    runs no sweep; the result is independent of `cfg`.
     """
-    _check_max_sweep(max_sweep)
     if P is None or P.is_degenerate or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(_lattice_points(P, stats))
-    return convex_hull(_edge_points(P, replace_facets(P, max_sweep=max_sweep), max_sweep))
+    return convex_hull(_edge_points(P, replace_facets(P)))

@@ -38,28 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import GeometryError, SweepLimitExceeded
+from .errors import GeometryError
 from .geom import Form, IntPoint2, PolySet2, _deepest, _direction
-
-
-def egcd(a: int, c: int) -> Tuple[int, int, int]:
-    """Extended Euclid: (g, u, v) with g = gcd(|a|, |c|) > 0 and a*u + c*v = g."""
-    if a == 0 and c == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    sign_a = 1 if a >= 0 else -1
-    sign_c = 1 if c >= 0 else -1
-    old_r, r = abs(a), abs(c)
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, sign_a * old_s, sign_c * old_t
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -121,9 +103,13 @@ class _Frame:
     """
 
     def __init__(self, forms: Sequence[Form], A: int, C: int) -> None:
-        g, u, v = egcd(A, C)
-        if g != 1:
+        if gcd(A, C) != 1:
             raise ValueError("sweep direction must be a primitive integer vector")
+        if C:  # u inverts A modulo |C|, so C divides 1 - A*u
+            u = pow(A, -1, abs(C))
+            v = (1 - A * u) // C
+        else:  # A = +-1
+            u, v = A, 0
         self.forms = forms
         self.n = len(forms)
         self.A, self.C, self.u, self.v = A, C, u, v
@@ -290,14 +276,7 @@ def _first_hit(lp: int, lq: int, lr: int, up: int, uq: int, ur: int, n: int) -> 
     return T
 
 
-def _check_max_sweep(max_sweep: Optional[int]) -> None:
-    """The one check of a sweep limit, run by every engine and sweep: None or
-    an integer >= 0, else TypeError (non-integer) or ValueError."""
-    if max_sweep is not None and index(max_sweep) < 0:
-        raise ValueError(f"max_sweep must be >= 0, got {max_sweep}")
-
-
-def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
+def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[SweepHit]:
     """The lattice max (`top`) or min of a*x + c*y over the polygon P, for
     a primitive (a, c): the hit at that level, with its chord's extreme
     lattice points, or None when P has no lattice point.
@@ -306,33 +285,19 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int, *, max_sweep: 
     reporting -T) upward from their minimum over P, which a descent from
     vertex `hint` finds (the hint changes only its speed), and stops at
     the first whose chord holds a lattice point.  Each window of the walk
-    (``_windows``) costs one ``_first_hit`` solve; the window that reaches
-    past the ``max_sweep`` limit (an integer >= 0: TypeError or ValueError
-    otherwise) is cut at it, and raises when it holds no hit.
+    (``_windows``) costs one ``_first_hit`` solve, however many levels it
+    spans.
     """
     if len(P._forms) < 3:
         raise ValueError("sweeps require a polygon with at least 3 vertices")
-    _check_max_sweep(max_sweep)
     sign = -1 if top else 1
     frame = _Frame(P._forms, sign * a, sign * c)
-    # The last level within the limit, once the first window gives the
-    # ceiling of the minimum; no solve reaches past it.
-    t_limit = None
     for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, hint):
-        if t_limit is None and max_sweep is not None:
-            t_limit = t + max_sweep - 1
-        capped = t_limit is not None and end > t_limit
-        if capped:
-            end = t_limit
-        level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t) if t <= end else None
+        level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
         if level is not None:
             break
-        if capped:
-            raise SweepLimitExceeded(f"sweep would take more than {max_sweep} offset translations")
     else:
-        # Past the top: no chord holds a lattice point.  Every level scanned
-        # was within the limit, and an empty range of levels is no sweep.
-        return None
+        return None  # past the top: no chord holds a lattice point
 
     t += level
     s_first = -(-(lp * t + lq) // lr)  # ceil of s on the lower chain
@@ -355,20 +320,17 @@ def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, 
     return dy // g, -dx // g, inward, facet_index if inward else facet_index + n // 2
 
 
-def sweep_inward(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
+def sweep_inward(P: PolySet2, facet_index: int) -> Optional[SweepHit]:
     """Translate facet line `facet_index` toward the interior of P until its
     chord contains a lattice point of P: the largest integer b' whose chord
     P ∩ {a*x + c*y = b'} does, with the extreme ones; None iff P contains no
-    integer points.  With ``max_sweep`` set (an integer >= 0, else TypeError
-    or ValueError), raises :class:`SweepLimitExceeded` as soon as the answer
-    is known to lie more than that many offsets away from the facet.
-    """
-    return _run_sweep(P, *_facet_direction(P, facet_index, True), max_sweep=max_sweep)
+    integer points."""
+    return _run_sweep(P, *_facet_direction(P, facet_index, True))
 
 
-def sweep_from_opposite(P: PolySet2, facet_index: int, *, max_sweep: Optional[int] = None) -> Optional[SweepHit]:
+def sweep_from_opposite(P: PolySet2, facet_index: int) -> Optional[SweepHit]:
     """Translate facet line `facet_index` from the opposite side of P toward
     the facet until its chord contains a lattice point of P: the lattice
     minimum of a*x + c*y over P, with the extreme lattice points of its
     chord; None iff P contains no integer points."""
-    return _run_sweep(P, *_facet_direction(P, facet_index, False), max_sweep=max_sweep)
+    return _run_sweep(P, *_facet_direction(P, facet_index, False))

@@ -52,17 +52,6 @@ def test_hull_handles_degenerate_instance():
     assert r.stdout == "[[0,0],[3,6]]\n"
 
 
-def test_hull_engine_knobs_change_nothing_observable():
-    base = run_cli("hull", str(FIXTURES / "narrow_band.json"))
-    tuned = run_cli(
-        "hull", str(FIXTURES / "narrow_band.json"), "--brute-threshold", "1"
-    )
-    assert base.returncode == tuned.returncode == 0
-    assert base.stdout == tuned.stdout
-    # The edge loop has no recursion to cap: --max-depth is an unknown flag.
-    assert run_cli("hull", str(FIXTURES / "narrow_band.json"), "--max-depth", "1").returncode == 1
-
-
 def test_exit_code_1_on_bad_input():
     assert run_cli("hull", "/no/such/file.json").returncode == 1
     assert run_cli("hull", "--engine", "quantum", str(FIXTURES / "segment.json")).returncode == 1
@@ -70,19 +59,29 @@ def test_exit_code_1_on_bad_input():
     assert run_cli("nonsense").returncode == 1
 
 
-def test_exit_code_3_on_sweep_limit():
-    r = run_cli("hull", str(FIXTURES / "narrow_band.json"), "--max-sweep", "1")
-    assert r.returncode == 3
-    assert "sweep" in r.stderr
+def test_removed_hull_flags_are_usage_errors(capsys):
+    # `hull` takes only --engine and --check: sweeps have no limit and the
+    # engines run in their default configuration, for every engine.
+    for flag in (["--max-sweep", "1"], ["--max-sweep", "-1"], ["--brute-threshold", "1"], ["--max-depth", "1"]):
+        for engine in ("new", "baseline", "oracle"):
+            argv = ["hull", str(FIXTURES / "narrow_band.json"), "--engine", engine, *flag]
+            assert cli.main(argv) == 1, (flag, engine)
+            out = capsys.readouterr()
+            assert out.out == "" and "unrecognized arguments" in out.err, (flag, engine)
 
 
-def test_negative_max_sweep_is_a_bad_flag(capsys):
-    # A bad flag exits 1, not with the sweep limit's resource refusal 3, and
-    # also where no facet sweep would run (a segment, the oracle).
-    for fixture, engine in [("unit_square.json", "new"), ("segment.json", "new"), ("unit_square.json", "oracle")]:
-        argv = ["hull", str(FIXTURES / fixture), "--engine", engine, "--max-sweep", "-1"]
-        assert cli.main(argv) == 1, (fixture, engine)
-        assert "max_sweep" in capsys.readouterr().err
+def test_exit_code_3_on_resource_refusal(tmp_path):
+    unbounded = tmp_path / "unbounded.json"
+    unbounded.write_text(json.dumps({"inequalities": [[-1, 0, 0], [0, -1, 0]]}), encoding="utf-8")
+    r = run_cli("hull", str(unbounded))
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("error:") and "recession direction" in r.stderr
+    # 100,020,001 cells: over the oracle's budget, so --check cannot run.
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": [[0, 0], ["20001/2", 0], [0, "20001/2"]]}), encoding="utf-8")
+    r = run_cli("hull", str(big), "--check")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("error:")
 
 
 def test_hull_check_prints_empty_hull_of_an_empty_wide_system(tmp_path, capsys):

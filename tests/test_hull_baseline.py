@@ -5,13 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inthull import (
     RunStats,
-    SweepLimitExceeded,
     area,
     contains,
     convex_hull,
@@ -96,11 +94,3 @@ def test_stats_record_brute_work():
     stats = RunStats()
     integer_hull_baseline(TRI_SHALLOW, stats=stats)
     assert stats.brute_cells > 0  # the corner regions are enumerated directly
-
-
-def test_max_sweep_guard_propagates():
-    thin = polyset_from_vertices(
-        [(0, Fraction(1, 3)), (1000, Fraction(999, 7)), (1000, Fraction(1000, 7))]
-    )
-    with pytest.raises(SweepLimitExceeded):
-        integer_hull_baseline(thin, max_sweep=1)

@@ -18,7 +18,6 @@ from inthull import (
     PolySet2,
     RefineConfig,
     RunStats,
-    SweepLimitExceeded,
     clip,
     contains,
     convex_hull,
@@ -223,7 +222,7 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
     # are enumerated without a sweep, one cell more and it is swept.
     cells = bbox_cell_count(TRI_SHALLOW)
     sweeps = []
-    counted = lambda P, **kw: sweeps.append(P) or replace_facets(P, **kw)
+    counted = lambda P: sweeps.append(P) or replace_facets(P)
     monkeypatch.setattr("inthull.hull_new.replace_facets", counted)
     stats = RunStats()
     hull = integer_hull_new(TRI_SHALLOW, RefineConfig(cells), stats=stats)
@@ -231,10 +230,6 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
     assert hull_tuples(hull) == HULL_SHALLOW
     assert hull_tuples(integer_hull_new(TRI_SHALLOW, RefineConfig(cells - 1))) == HULL_SHALLOW
     assert sweeps[0] is TRI_SHALLOW
-    # A root that runs no sweep meets no sweep limit; a swept one does.
-    assert integer_hull_new(TRI_SHALLOW, RefineConfig(cells), max_sweep=0) == integer_hull_oracle(TRI_SHALLOW)
-    with pytest.raises(SweepLimitExceeded):
-        integer_hull_new(TRI_SHALLOW, RefineConfig(cells - 1), max_sweep=0)
 
 
 # Over 20 triangles per S whose facet lines carry lattice points (the
@@ -318,55 +313,27 @@ def _run_stats_case(name):
 @pytest.mark.parametrize("name", sorted(RUN_STATS))
 def test_run_stats_per_engine(name):
     P = _run_stats_case(name)
-    got = []
-    for engine, cfg in (("new", RefineConfig()), ("new", RefineConfig(1)), ("baseline", RefineConfig())):
-        stats = RunStats()
-        run_engine(engine, P, cfg=cfg, stats=stats)
-        got.append((stats.brute_cells, stats.regions, stats.max_depth))
-    assert got == RUN_STATS[name]
+    stats = [RunStats() for _ in range(3)]
+    integer_hull_new(P, stats=stats[0])
+    integer_hull_new(P, RefineConfig(1), stats=stats[1])
+    integer_hull_baseline(P, stats=stats[2])
+    assert [(s.brute_cells, s.regions, s.max_depth) for s in stats] == RUN_STATS[name]
 
 
 def test_counts_must_be_integers():
-    P = polyset_from_vertices([(0, 0), (7, 1), (3, 5)])
     for bad in (1.5, 3.0):
         with pytest.raises(TypeError):
             RefineConfig(bad)
-    for engine in ("new", "baseline", "oracle"):
-        with pytest.raises(TypeError):
-            run_engine(engine, P, max_sweep=1.5)
 
 
-def test_engines_check_max_sweep_on_entry():
-    # None, a point and a segment sweep nothing, yet both engines refuse a
-    # bad limit for them as bench.run_engine does, and still take 0.
+def test_engines_answer_sweepless_sets(monkeypatch):
+    # None, a point and a segment run no sweep in either engine, nor
+    # through bench.run_engine.
+    monkeypatch.setattr(hull_new, "_run_sweep", lambda *args: pytest.fail("a sweepless set was swept"))
     sweepless = [None, PolySet2((Point2(Fraction(1, 2), Fraction(1, 3)),)), PolySet2((point(0, 0), point(3, 1)))]
     for engine, name in ((integer_hull_new, "new"), (integer_hull_baseline, "baseline")):
-        for P in sweepless + [TRI_SHALLOW]:
-            for bad, error in ((-1, ValueError), (-2, ValueError), (1.5, TypeError), (2.0, TypeError)):
-                with pytest.raises(error):
-                    engine(P, max_sweep=bad)
-                with pytest.raises(error):
-                    run_engine(name, P, max_sweep=bad)
         for P in sweepless:
-            assert engine(P, max_sweep=0) == integer_hull_oracle(P)
-
-
-def test_max_sweep_guard_propagates():
-    thin = polyset_from_vertices(
-        [(0, Fraction(1, 3)), (1000, Fraction(999, 7)), (1000, Fraction(1000, 7))]
-    )
-    with pytest.raises(SweepLimitExceeded):
-        integer_hull_new(thin, max_sweep=1)
-
-
-def test_max_sweep_bounds_edge_sweeps_too():
-    # Every facet sweep of this polygon stops within one level of its
-    # start, but one edge sweep needs three.
-    P = random_polyset(random.Random(60), max_num=30, max_den=8)
-    assert replace_facets(P, max_sweep=1)
-    with pytest.raises(SweepLimitExceeded):
-        integer_hull_new(P, RefineConfig(1), max_sweep=1)
-    assert integer_hull_new(P, RefineConfig(1), max_sweep=3) == integer_hull_oracle(P)
+            assert engine(P) == run_engine(name, P) == integer_hull_oracle(P)
 
 
 def big_polygons():

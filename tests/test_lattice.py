@@ -15,7 +15,6 @@ from inthull import (
     HalfPlane,
     Point2,
     PolySet2,
-    SweepLimitExceeded,
     chord,
     contains,
     enumerate_integer_points,
@@ -27,7 +26,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows, egcd
+from inthull.lattice import _Frame, _first_hit, _windows
 from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -44,18 +43,20 @@ def segment(p, q):
 
 
 # ---------------------------------------------------------------------------
-# egcd
+# The sweep frame's Bezout pair
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_egcd_bezout_identity(a, c):
-    if a == 0 and c == 0:
-        with pytest.raises(ValueError):
-            egcd(0, 0)
-        return
-    g, u, v = egcd(a, c)
-    assert g == gcd(a, c)
-    assert a * u + c * v == g
+def test_frame_bezout_identity(a, c):
+    g = gcd(a, c)
+    if g != 1:
+        with pytest.raises(ValueError, match="primitive"):
+            _Frame((), a, c)
+        if g == 0:
+            return
+        a, c = a // g, c // g
+    frame = _Frame((), a, c)
+    assert a * frame.u + c * frame.v == 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,8 @@ def check_segment_lattice(S, expected):
 def line_lattice(a, c, b):
     """(base, dir): the integer points of a*x + c*y = b (a, c coprime) are
     base + k*dir for integer k."""
-    _, u, v = egcd(a, c)
-    return (u * b, v * b), (c, -a)
+    frame = _Frame((), a, c)
+    return (frame.u * b, frame.v * b), (c, -a)
 
 
 def test_segment_lattice_points_goldens():
@@ -430,25 +431,10 @@ def test_tightening_to_the_stop_offset_preserves_the_lattice_set(seed):
         assert tightened == before
 
 
-def test_max_sweep_guard_raises_on_long_sweeps():
-    # a sliver whose first lattice chord is far from the facet line
-    thin = polyset_from_vertices(
-        [(0, Fraction(1, 3)), (100, Fraction(99, 7)), (100, Fraction(100, 7))]
-    )
-    with pytest.raises(SweepLimitExceeded):
-        for i in range(len(thin.halfplanes)):
-            sweep_inward(thin, i, max_sweep=1)
-    # a generous cap changes nothing
-    P = random_polyset(random.Random(7), max_num=15, max_den=4)
-    for i in range(len(P.halfplanes)):
-        a = sweep_inward(P, i)
-        b = sweep_inward(P, i, max_sweep=10**9)
-        assert (a is None and b is None) or (a == b)
-
-
-def test_max_sweep_refuses_a_far_hit_before_searching_for_it(monkeypatch):
+def test_a_far_hit_takes_one_solve(monkeypatch):
     # Swept from the opposite side, facet 0's first lattice chord is
-    # 4.8 * 10^10 levels away.
+    # 4.8 * 10^10 levels away, yet in the sweep's first window: one solve
+    # finds it, so no limit on the levels swept would bound any cost.
     far = polyset_from_vertices(
         [
             (0, Fraction(1, 3)),
@@ -456,56 +442,11 @@ def test_max_sweep_refuses_a_far_hit_before_searching_for_it(monkeypatch):
             (10**12, Fraction(10**12, 7) + Fraction(1, 3)),
         ]
     )
-    assert sweep_from_opposite(far, 0).offset == -428571428571
     windows = []
     counted = lambda *args: windows.append(args[-1]) or _first_hit(*args)
     monkeypatch.setattr("inthull.lattice._first_hit", counted)
-    with pytest.raises(SweepLimitExceeded, match="more than 1 "):
-        sweep_from_opposite(far, 0, max_sweep=1)
-    # At most one solve, over a window of one level.
-    assert windows in ([], [0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-@example(-1)
-def test_max_sweep_refuses_exactly_the_sweeps_longer_than_the_limit(seed):
-    if seed < 0:  # lattice-free: no hit, and every level in range is swept
-        P = polyset_from_vertices(
-            [(Fraction(1, 4), Fraction(1, 4)), (Fraction(7, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))]
-        )
-    else:
-        P = random_polyset(random.Random(seed), max_num=20, max_den=5)
-    for i, h in enumerate(P.halfplanes):
-        for inward in (True, False):
-            sign = -1 if inward else 1
-            values = [sign * (h.a * x + h.c * y) for x, y in P.vertices]
-            # The hint changes only the descent: limited sweeps start at facet i.
-            free = _run_sweep(P, h.a, h.c, inward, 0)
-            # The levels from the ceiling of the minimum up to the hit, or
-            # over the whole range when there is none.
-            last = floor(max(values)) if free is None else sign * free.offset
-            steps = last - ceil(min(values)) + 1
-            for limit in sorted({0, 1, 2, steps - 1, steps, steps + 1} - {-1}):
-                if steps > limit:
-                    with pytest.raises(SweepLimitExceeded):
-                        _run_sweep(P, h.a, h.c, inward, i, max_sweep=limit)
-                else:
-                    assert _run_sweep(P, h.a, h.c, inward, i, max_sweep=limit) == free
-
-
-def test_max_sweep_must_not_be_negative():
-    with pytest.raises(ValueError):
-        sweep_inward(UNIT_SQUARE, 0, max_sweep=-1)
-
-
-def test_max_sweep_must_be_an_integer():
-    P = polyset_from_vertices([(0, 0), (7, 1), (3, 5)])
-    for limit in (1.5, 2.0, Fraction(3)):
-        with pytest.raises(TypeError):
-            sweep_inward(P, 1, max_sweep=limit)
-        with pytest.raises(TypeError):
-            integer_hull_new(P, max_sweep=limit)
+    assert sweep_from_opposite(far, 0).offset == -428571428571
+    assert len(windows) == 1
 
 
 def hint_test_polygons():
