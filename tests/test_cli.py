@@ -59,15 +59,34 @@ def test_exit_code_1_on_bad_input():
     assert run_cli("nonsense").returncode == 1
 
 
-def test_removed_hull_flags_are_usage_errors(capsys):
+def assert_usage_error_for_every_engine(capsys, fixture, flag):
     # `hull` takes only --engine and --check: sweeps have no limit and the
-    # engines run in their default configuration, for every engine.
-    for flag in (["--max-sweep", "1"], ["--max-sweep", "-1"], ["--brute-threshold", "1"], ["--max-depth", "1"]):
-        for engine in ("new", "baseline", "oracle"):
-            argv = ["hull", str(FIXTURES / "narrow_band.json"), "--engine", engine, *flag]
-            assert cli.main(argv) == 1, (flag, engine)
-            out = capsys.readouterr()
-            assert out.out == "" and "unrecognized arguments" in out.err, (flag, engine)
+    # engines run in their default configuration.
+    for engine in ("new", "baseline", "oracle"):
+        argv = ["hull", str(FIXTURES / fixture), "--engine", engine, *flag]
+        assert cli.main(argv) == 1, (fixture, flag, engine)
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments" in out.err, (fixture, flag, engine)
+
+
+def test_hull_engine_knobs_change_nothing_observable(capsys):
+    # The engine is the only knob left: every engine prints the same hull,
+    # and the removed tuning flags are usage errors.
+    outs = set()
+    for engine in ("new", "baseline", "oracle"):
+        assert cli.main(["hull", str(FIXTURES / "narrow_band.json"), "--engine", engine]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+    for flag in (["--brute-threshold", "1"], ["--max-depth", "1"]):
+        assert_usage_error_for_every_engine(capsys, "narrow_band.json", flag)
+
+
+def test_negative_max_sweep_is_a_bad_flag(capsys):
+    # --max-sweep is gone, so any value exits 1 (not the resource refusal 3),
+    # also where no sweep would run (a segment, the oracle).
+    for fixture in ("narrow_band.json", "unit_square.json", "segment.json"):
+        for flag in (["--max-sweep", "1"], ["--max-sweep", "-1"]):
+            assert_usage_error_for_every_engine(capsys, fixture, flag)
 
 
 def test_exit_code_3_on_resource_refusal(tmp_path):
