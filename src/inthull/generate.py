@@ -82,16 +82,15 @@ def random_polygon(n: int, scale: Rational, seed: int) -> Instance:
         raw.append((scale * cx * radial, scale * Fraction(9, 10) * cy * radial))
     grid = 24
     for _ in range(6):
-        pts = [(_snap(x, grid), _snap(y, grid)) for x, y in raw]
-        if len(_hull_chain(pts)) >= 3:
+        hull = _hull_chain((_snap(x, grid), _snap(y, grid)) for x, y in raw)
+        if len(hull) >= 3:
             break
         grid *= 24
     else:
-        pts = raw
-    hull = _hull_chain(pts)
+        hull = _hull_chain(raw)
     return Instance(
         name=f"random-n{n}-s{format_rational(scale).replace('/', 'over')}-seed{seed}",
-        vertices=tuple((Fraction(x), Fraction(y)) for x, y in hull),
+        vertices=tuple((Fraction(X, W), Fraction(Y, W)) for X, Y, W in hull),
     )
 
 

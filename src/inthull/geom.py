@@ -82,14 +82,10 @@ def point(x: Rational, y: Rational) -> Point2:
     return Point2(_frac(x), _frac(y))
 
 
-def as_point(p: Sequence[Rational]) -> Point2:
-    """Coerce any (x, y) pair — including an IntPoint2 — to a Point2."""
-    return Point2(_frac(p[0]), _frac(p[1]))
-
-
-def _form(p: Point2) -> Form:
+def _form(p: Sequence[Rational]) -> Form:
     """The reduced integer form (X, Y, W) of a point, p = (X/W, Y/W), with
-    W the lcm of the two denominators (so W > 0 and gcd(X, Y, W) = 1)."""
+    W the lcm of the two denominators (so W > 0 and gcd(X, Y, W) = 1); an
+    int's denominator is 1."""
     x, y = p
     xd, yd = x.denominator, y.denominator
     if xd == yd:
@@ -258,32 +254,33 @@ def _cycle_start(forms: Sequence[Form]) -> int:
 def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
     """The half-plane to the left of p -> q, whose boundary is the line
     through the two distinct points."""
-    p = as_point(p)
-    q = as_point(q)
+    p = point(p[0], p[1])
+    q = point(q[0], q[1])
     if p == q:
         raise IdenticalPoints(f"cannot build a line through the single point {tuple(p)}")
     return _edge_halfplane(_form(p), _form(q))
 
 
-def _hull_chain(points: Iterable[Sequence]) -> list:
-    """Monotone-chain convex hull over exact rational (x, y) pairs.
+def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
+    """Monotone-chain convex hull of hashable exact rational (x, y) pairs,
+    as the reduced integer forms (:func:`_form`) of its vertices.
 
-    Returns the hull in strict CCW order starting at the lexicographically
-    smallest point.  Fewer than three distinct points (or an all-collinear
-    set) collapse to the sorted distinct points / the two extreme points.
-    Only the lowest and highest point of a column x = X can be a vertex, so
-    each run of equal x is cut to its two ends before the chain runs.  Turns
-    are read from the points' integer forms (:func:`_turn`).
+    The hull runs in strict CCW order from the lexicographically smallest
+    point.  Fewer than three distinct points (or an all-collinear set)
+    collapse to the sorted distinct points / the two extreme points.  Only
+    the lowest and highest point of a column x = X can be a vertex, so each
+    run of equal x is cut to its two ends, and only those are turned into
+    forms, before the chain runs on them (:func:`_turn`).
     """
     pts: list = []
-    for p in sorted(set(tuple(p) for p in points)):
+    for p in sorted(set(points)):
         if len(pts) >= 2 and pts[-2][0] == pts[-1][0] == p[0]:
             pts[-1] = p
         else:
             pts.append(p)
-    if len(pts) <= 2:
-        return pts
     forms = [_form(p) for p in pts]
+    if len(forms) <= 2:
+        return forms
     hull: list = []
     for run in (forms, forms[::-1]):  # the lower chain, then the upper
         chain: list = []
@@ -294,19 +291,20 @@ def _hull_chain(points: Iterable[Sequence]) -> list:
         hull += chain[:-1]
     if len(hull) < 3:
         # All points collinear: keep the two extremes.
-        return [pts[0], pts[-1]]
-    point_of = dict(zip(forms, pts))
-    return [point_of[f] for f in hull]
+        return [forms[0], forms[-1]]
+    return hull
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     """Canonical convex hull of a finite set of integer points.
 
-    Coordinates must be integers: a ``Fraction`` or ``float`` raises
-    ``TypeError`` rather than being truncated to another lattice point.
+    Each point is read once, as ``(index(p[0]), index(p[1]))``: coordinates
+    must be integers, and a ``Fraction`` or ``float`` raises ``TypeError``
+    rather than being truncated to another lattice point.  Only the hull's
+    vertices become :class:`IntPoint2` values.
     """
-    pts = [IntPoint2(index(p[0]), index(p[1])) for p in points]
-    return HullResult(tuple(IntPoint2(*p) for p in _hull_chain(pts)))
+    hull = _hull_chain((index(p[0]), index(p[1])) for p in points)
+    return HullResult(tuple((X, Y) for X, Y, _ in hull))
 
 
 def _edge_halfplane(p: Form, q: Form) -> HalfPlane:
@@ -358,16 +356,15 @@ def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
     :class:`DegenerateSet` when fewer than three distinct points remain or all
     points are collinear.
     """
-    pts = [as_point(p) for p in vertices]
-    hull = _hull_chain(pts)
+    hull = _hull_chain(point(p[0], p[1]) for p in vertices)
     if len(hull) < 3:
         raise DegenerateSet("need at least three distinct, not all collinear points")
-    return _polyset_from_cycle([_form(p) for p in hull])
+    return _polyset_from_cycle(hull)
 
 
 def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
     """Boundary-inclusive membership test."""
-    p = as_point(p)
+    p = point(p[0], p[1])
     form, forms = _form(p), P._forms
     if len(forms) == 1:
         return form == forms[0]

@@ -63,5 +63,5 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
     for region in residual_regions(P, convex_hull(points)):
         if stats is not None:
             stats.regions += 1
-        points |= _lattice_points(region, stats)
+        points.update(_lattice_points(region, stats))
     return convex_hull(points)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .errors import GeometryError
 from .geom import (
@@ -137,15 +137,15 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     return regions
 
 
-def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Set[IntPoint2]:
-    """Lattice points of P whose hull is P's integer hull, with no sweep:
-    none for None, the lattice extremes of a point or segment, and every
-    lattice point of a polygon."""
+def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[IntPoint2]:
+    """Distinct lattice points of P whose hull is P's integer hull, with no
+    sweep, as the layer below returns them: none for None, the lattice
+    extremes of a point or segment, and every lattice point of a polygon."""
     if P is None:
-        return set()
+        return ()
     if P.is_degenerate:
-        return set(_lattice_extremes(P))
-    return set(enumerate_integer_points(P, stats=stats))
+        return _lattice_extremes(P)
+    return enumerate_integer_points(P, stats=stats)
 
 
 def _edge_points(P: PolySet2, points: Set[IntPoint2]) -> Set[IntPoint2]:

@@ -30,7 +30,6 @@ from .geom import (
     PolySet2,
     Rational,
     _degenerate_polyset,
-    _form,
     _frac,
     _hull_chain,
     _intersect_halfplanes,
@@ -181,7 +180,7 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     empty.  Unbounded inequality systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
-        chain = [_form(p) for p in _hull_chain(point(x, y) for x, y in inst.vertices)]
+        chain = _hull_chain(point(x, y) for x, y in inst.vertices)
         return _polyset_from_cycle(chain) if len(chain) >= 3 else _degenerate_polyset(chain)
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:

@@ -14,6 +14,7 @@ from inthull import (
     HalfPlane,
     HullResult,
     IdenticalPoints,
+    IntPoint2,
     DegenerateSet,
     EmptySet,
     Instance,
@@ -105,6 +106,23 @@ def test_convex_hull_small_cases():
         convex_hull([(0.9, 0), (2, 0), (0, 2)])
     with pytest.raises(TypeError):
         HullResult(((Fraction(1, 2), 0),))
+
+
+def test_convex_hull_reads_any_iterable_of_integer_pairs_once():
+    # Each input point is coerced once, before the column cut: a one-shot
+    # generator, lists and IntPoint2 values give the same hull, and a
+    # non-integer coordinate is refused even strictly inside a column,
+    # where the cut would drop the point.
+    pts = [(0, 0), (0, 2), (0, 5), (3, 0), (1, 1), (3, 4)]
+    expected = convex_hull(pts)
+    assert [(p.x, p.y) for p in expected] == [(0, 0), (3, 0), (3, 4), (0, 5)]
+    assert convex_hull(p for p in pts) == expected
+    assert convex_hull([list(p) for p in pts]) == expected
+    assert convex_hull({IntPoint2(x, y) for x, y in pts}) == expected
+    with pytest.raises(TypeError):
+        convex_hull([(0, 0), (0, Fraction(1, 2)), (0, 5), (3, 0)])
+    with pytest.raises(TypeError):
+        convex_hull([(0, 0), (0, 2.0), (0, 5), (3, 0)])
 
 
 def test_convex_hull_drops_interior_and_collinear_points():
@@ -570,9 +588,11 @@ def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
             p = (u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1]))
             pts += [p, (p[0], p[1] + rng.choice([step, -step])), (_far_rational(rng, dx), _far_rational(rng, dy))]
         rng.shuffle(pts)
-        assert [tuple(p) for p in _hull_chain(pts)] == rational_hull(pts)
         line = [p for p in pts if frac_cross(u, w, p) == 0]
-        assert [tuple(p) for p in _hull_chain(line)] == rational_hull(line)
+        for sample in (pts, line):
+            forms = _hull_chain(sample)
+            assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in forms), forms
+            assert [(Fraction(X, W), Fraction(Y, W)) for X, Y, W in forms] == rational_hull(sample)
         S = PolySet2((u, w))
         for p in pts:
             inside = on_segment(u, w, p)
