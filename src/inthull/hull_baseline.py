@@ -57,6 +57,8 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.
         P, hits = normalize_facets(P)
+        if stats is not None:
+            stats.facet_sweeps += len(hits) or 1  # only the first fails, iff all do
         points = _hit_points(hits)
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_lattice_points(P, stats))

@@ -3,15 +3,21 @@ partial-hull edge.
 
 For each facet direction the first lattice chord (scanning from the far side
 of the polygon toward the facet) yields the lattice points that are extreme
-in that direction; they are vertices-in-waiting of the integer hull.  What
+in that direction; they are vertices-in-waiting of the integer hull.  A
+hull point's normal cone, the directions in which it is the lattice max, is
+convex, so once two facets less than a half-turn apart stop at the same
+point, every facet between them stops there alone: ``replace_facets``
+sweeps only the facets that bisection cannot settle that way.  What
 remains uncertain is only the part of P beyond each edge u -> w of their
 hull, and one sweep of P for the lattice max m of the edge's outward
 functional settles it: the sweep of the cut facet of the paper's residual
 region beyond the edge, with no clip and no recursion.  The edge is final
 at its own level; beyond it, the ends of the chord at m are new hull
 vertices and split the edge in three, of which the middle one, on the
-chord at m, is final unswept.  A point, a segment or a polygon of
-at most ``brute_force_cell_threshold`` cells is answered without a sweep.
+chord at m, is final unswept.  An edge sweep's descent starts at the
+opposite vertex of the facet that found u, near the top of P in the edge's
+direction.  A point, a segment or a polygon of at most
+``brute_force_cell_threshold`` cells is answered without a sweep.
 ``residual_regions`` cuts P outside a partial hull; only the ``baseline``
 engine's corner pass calls it.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import GeometryError
 from .geom import (
@@ -71,12 +77,55 @@ def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
     return {p for hit in hits for p in (hit.lo, hit.hi)}
 
 
-def replace_facets(P: PolySet2) -> Set[IntPoint2]:
+def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoint2, int]:
     """The extreme lattice points of every facet's stopping chord, swept
-    from the opposite side of P, each a vertex of the integer hull; an
-    empty set means P has no integer points."""
-    hits = sweep_facets(P, inward=False)
-    return set() if hits is None else _hit_points(hits)
+    from the opposite side of P, each a vertex of the integer hull H and
+    mapped to the first facet whose sweep found it; empty when P has no
+    integer points.
+
+    Not every facet is swept.  Facet i's sweep finds the face of H on which
+    -n_i is greatest, for the facet's outward normal n_i, and the
+    directions in which a hull point p is greatest form a convex cone, p's
+    normal cone.  If the chords of facets i < k both hold p and n_i turns
+    to n_k by less than a half-turn (cross(n_i, n_k) > 0), the normal of
+    every facet between them lies strictly inside that cone, so its chord
+    is p alone and needs no sweep.  Facet 0 is swept first (P has a lattice
+    point iff any sweep finds one), then the facet range [0, n], n standing
+    for facet 0 again, is bisected while a range fails that test.  The
+    answer is the point set of sweeping every facet.
+    """
+    n = len(P._forms)
+    a, c, top, hint = _facet_direction(P, 0, False)
+    hit = _run_sweep(P, a, c, top, hint)
+    if stats is not None:
+        stats.facet_sweeps += 1
+    if hit is None:
+        return {}
+    found = {hit.lo: 0, hit.hi: 0}
+    # (a, c, lo, hi) of each swept facet: its outward normal and chord ends.
+    ends: List[Optional[Tuple[int, int, IntPoint2, IntPoint2]]] = [None] * (n + 1)
+    ends[0] = ends[n] = a, c, hit.lo, hit.hi
+    ranges = [(0, n)]
+    while ranges:
+        i, k = ranges.pop()
+        (ai, ci, lo, hi), (ak, ck, lo_k, hi_k) = ends[i], ends[k]
+        if ai * ck - ci * ak > 0 and (lo in (lo_k, hi_k) or hi in (lo_k, hi_k)):
+            continue
+        m = (i + k) // 2
+        a, c, top, hint = _facet_direction(P, m, False)
+        hit = _run_sweep(P, a, c, top, hint)
+        if stats is not None:
+            stats.facet_sweeps += 1
+        if hit is None:
+            raise GeometryError(f"the sweep of facet {m} found no lattice point, but facet 0's did")
+        ends[m] = a, c, hit.lo, hit.hi
+        found.setdefault(hit.lo, m)
+        found.setdefault(hit.hi, m)
+        if k - m > 1:
+            ranges.append((m, k))
+        if m - i > 1:
+            ranges.append((i, m))
+    return found
 
 
 def _edge_functional(u: IntPoint2, w: IntPoint2) -> Tuple[int, int, int]:
@@ -148,9 +197,10 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequenc
     return enumerate_integer_points(P, stats=stats)
 
 
-def _edge_points(P: PolySet2, points: Set[IntPoint2]) -> Set[IntPoint2]:
-    """The integer hull vertices of P, given sweep hits `points` of P that
-    are extreme in every facet direction.
+def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunStats]) -> Set[IntPoint2]:
+    """The integer hull vertices of P, given sweep hits of P that are
+    extreme in every facet direction, each mapped to the facet i whose
+    opposite sweep found it.
 
     A stack holds the edges u -> w still open: the CCW cycle of the hits'
     hull at first (a two-point hull gives both directions).  An edge's
@@ -161,16 +211,25 @@ def _edge_points(P: PolySet2, points: Set[IntPoint2]) -> Set[IntPoint2]:
     it has the edge's functional and lies at its lattice max m, so it is
     final.  So each sweep closes an edge or finds a vertex, and a sweep
     that does neither raises GeometryError.
+
+    The edge's outward normal bounds u's normal cone, which holds -n_i, so
+    P's top vertex in the edge's direction lies near its top vertex in
+    direction -n_i, across P from facet i: the sweep's descent starts at
+    the vertex halfway round from the facet, i + (n + 1) // 2, and split
+    edges keep their parent's hint.
     """
-    pts = list(convex_hull(points))
+    n = len(P._forms)
+    pts = list(convex_hull(hits))
     found = set(pts)
     # No hit means no lattice point; one hit, extreme in every facet
     # direction (the normals positively span the plane), is the only one.
-    stack = list(zip(pts, pts[1:] + pts[:1])) if len(pts) > 1 else []
+    stack = [(u, w, hits[u] + (n + 1) // 2) for u, w in zip(pts, pts[1:] + pts[:1])] if len(pts) > 1 else []
     while stack:
-        u, w = stack.pop()
+        u, w, hint = stack.pop()
         a, c, b = _edge_functional(u, w)
-        hit = _run_sweep(P, a, c, True, 0)
+        hit = _run_sweep(P, a, c, True, hint)
+        if stats is not None:
+            stats.edge_sweeps += 1
         if hit is None or hit.offset < b:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found less than the edge's own level {b}")
         if hit.offset == b:
@@ -181,7 +240,7 @@ def _edge_points(P: PolySet2, points: Set[IntPoint2]) -> Set[IntPoint2]:
         if p in found or q in found:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found the known points {p}, {q} again")
         found.update((p, q))
-        stack += [(u, p), (q, w)]
+        stack += [(u, p, hint), (q, w, hint)]
     return found
 
 
@@ -200,4 +259,4 @@ def integer_hull_new(
     """
     if P is None or P.is_degenerate or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(_lattice_points(P, stats))
-    return convex_hull(_edge_points(P, replace_facets(P)))
+    return convex_hull(_edge_points(P, replace_facets(P, stats), stats))

@@ -27,6 +27,8 @@ class RunStats:
     brute_cells: int = 0  # total bounding-box cells of brute-forced regions
     regions: int = 0  # corner regions of the baseline engine
     max_depth: int = 0  # always 0: no engine recurses; kept for the benchmark's readers
+    facet_sweeps: int = 0  # sweeps of one facet's direction, inward or from the opposite side
+    edge_sweeps: int = 0  # sweeps of `new` beyond one edge of its partial hull
 
 
 def bbox_cell_count(P: PolySet2) -> int:

@@ -75,6 +75,22 @@ def test_an_edge_sweep_beyond_the_edge_must_find_new_points(monkeypatch):
         integer_hull_new(TRI, RefineConfig(1))
 
 
+def test_every_facet_sweep_must_find_a_point_once_facet_0s_has(monkeypatch):
+    # A polygon has a lattice point iff any sweep finds one, so replace_facets
+    # reads facet 0's sweep alone for emptiness and checks every later one.
+    real = hull_new._run_sweep
+    facets = []
+
+    def sweep(P, a, c, top, hint, **kw):
+        facets.append(top)
+        return None if len(facets) == 2 else real(P, a, c, top, hint, **kw)
+
+    monkeypatch.setattr(hull_new, "_run_sweep", sweep)
+    with pytest.raises(GeometryError, match="but facet 0's did"):
+        integer_hull_new(TRI, RefineConfig(1))
+    assert facets == [False, False]
+
+
 def test_residual_regions_refuse_collinear_hull_vertices():
     collinear = [IntPoint2(0, 0), IntPoint2(1, 0), IntPoint2(2, 0)]
     clockwise = [IntPoint2(0, 0), IntPoint2(0, 2), IntPoint2(1, 1)]

@@ -38,7 +38,7 @@ from inthull.geom import _level
 import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
-from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, load_perfbench, random_polyset
+from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, load_perfbench, octagon, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -217,12 +217,32 @@ def test_stats_are_populated():
     assert [(s.brute_cells, s.regions, s.max_depth) for s in stats] == [(24, 0, 0), (0, 0, 0), (15, 3, 0)]
 
 
+def test_sweep_counters_count_each_kind_of_sweep():
+    # TRI_SHALLOW's 24 cells: `new` enumerates them by default; under a
+    # threshold of 1 it sweeps its 3 facets from the opposite side and then
+    # 7 partial-hull edges.  `baseline` sweeps the 3 facets inward.  A
+    # lattice-free sliver of 110 cells stops both after the first sweep.
+    thin = polyset_from_vertices([(0, Fraction(1, 2)), (10, Fraction(21, 2)), (10, Fraction(65, 6))])
+    runs = [
+        lambda P, s: integer_hull_new(P, stats=s),
+        lambda P, s: integer_hull_new(P, RefineConfig(1), stats=s),
+        lambda P, s: integer_hull_baseline(P, stats=s),
+    ]
+    got = []
+    for P in (TRI_SHALLOW, thin):
+        for run in runs:
+            stats = RunStats()
+            run(P, stats)
+            got.append((stats.facet_sweeps, stats.edge_sweeps))
+    assert got == [(0, 0), (3, 7), (3, 0), (0, 0), (1, 0), (1, 0)]
+
+
 def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
     # The input polygon is the first region: at most the threshold's cells
     # are enumerated without a sweep, one cell more and it is swept.
     cells = bbox_cell_count(TRI_SHALLOW)
     sweeps = []
-    counted = lambda P: sweeps.append(P) or replace_facets(P)
+    counted = lambda P, stats: sweeps.append(P) or replace_facets(P, stats)
     monkeypatch.setattr("inthull.hull_new.replace_facets", counted)
     stats = RunStats()
     hull = integer_hull_new(TRI_SHALLOW, RefineConfig(cells), stats=stats)
@@ -263,8 +283,9 @@ def test_lattice_facet_triangles_cost_baseline_cells_and_new_sweeps(monkeypatch)
 
 
 def test_edge_sweeps_past_the_root_are_at_most_twice_the_hull(monkeypatch):
-    # Each edge sweep closes an edge of the final hull or finds a new hull
-    # vertex, so a hull H costs at most 2*|H| sweeps past the root's facets.
+    # Each edge sweep (top=True) closes an edge of the final hull or finds
+    # a new hull vertex, so a hull H costs at most 2*|H| of them; the
+    # root's facet sweeps (top=False) are at most one per facet.
     calls = []
     real = hull_new._run_sweep
     monkeypatch.setattr(hull_new, "_run_sweep", lambda *args, **kw: calls.append(args) or real(*args, **kw))
@@ -275,13 +296,52 @@ def test_edge_sweeps_past_the_root_are_at_most_twice_the_hull(monkeypatch):
     swept = 0
     for P in polys:
         calls.clear()
-        hull = integer_hull_new(P, RefineConfig(1))
+        stats = RunStats()
+        hull = integer_hull_new(P, RefineConfig(1), stats=stats)
+        edge_sweeps = sum(1 for args in calls if args[3])
+        facet_sweeps = len(calls) - edge_sweeps
+        assert (stats.facet_sweeps, stats.edge_sweeps) == (facet_sweeps, edge_sweeps)
+        assert 0 < facet_sweeps <= len(P._forms)
         if len(hull) < 2:
             continue
-        edge_sweeps = len(calls) - len(P._forms)
         assert 0 < edge_sweeps <= 2 * len(hull), (P, edge_sweeps, len(hull))
         swept += 1
     assert swept > 300
+
+
+def needle(below: int) -> PolySet2:
+    """A convex chain near x = 0 with `below` vertices under y = 0 and
+    twice as many above, closed by the apex (1000, 0).  The opposite sweeps
+    of the chain's facets all stop at the apex, those of the two long
+    facets at the chain's ends: the first bisection splits the facets into
+    two ranges whose ends both stop at the apex, one of which turns by more
+    than a half-turn across the long facets."""
+    chain = [(Fraction(y * y, 100), y) for y in range(-below, 2 * below + 1)]
+    return polyset_from_vertices(chain + [(1000, 0)])
+
+
+def test_skipped_facet_sweeps_keep_every_hit_point():
+    # replace_facets sweeps a facet only where the normal-cone test cannot
+    # settle it; its points are those of sweeping every facet.
+    rng = random.Random(20)
+    polys = [random_polyset(random.Random(seed), max_num=30, max_den=8) for seed in range(300)]
+    polys += [instance_to_polyset(convex_chain_polygon(n)) for n in list(range(4, 201, 2)) + [250, 500, 750, 1000]]
+    polys += [octagon(rng, 10**12) for _ in range(10)]
+    polys += [lattice_facet_triangle(rng, S) for S in (5, 10, 20, 40, 80) for _ in range(10)]
+    polys += [needle(below) for below in (2, 5, 10, 21)]
+    for P in polys:
+        hits = hull_new.sweep_facets(P, inward=False)
+        assert set(replace_facets(P)) == (set() if hits is None else hull_new._hit_points(hits)), P
+
+
+def test_a_chain_of_1000_facets_sweeps_fewer_than_half():
+    # convex_chain_polygon(1000) has 108 integer hull vertices; each stops
+    # a run of neighbouring facets' sweeps, and only the runs' ends are
+    # found by sweeping.
+    P = instance_to_polyset(convex_chain_polygon(1000))
+    stats = RunStats()
+    assert len(replace_facets(P, stats)) == 108
+    assert stats.facet_sweeps == 358
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
