@@ -19,7 +19,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional, Sequence
 
 from .bench import engine_names, run_engine, run_suite, write_csv
@@ -39,7 +39,7 @@ from .instances import (
     save_instance,
 )
 from .generate import edgecase_halfplanes, random_polygon
-from .oracle import bbox_cell_count, integer_hull_oracle
+from .oracle import RunStats, bbox_cell_count, integer_hull_oracle
 from .svgplot import render_svg
 
 
@@ -60,6 +60,7 @@ def _build_parser() -> _Parser:
     p_hull.add_argument("file", help="instance JSON file")
     p_hull.add_argument("--engine", choices=engine_names(), default="new")
     p_hull.add_argument("--check", action="store_true", help="cross-verify against the oracle (exit 2 on mismatch)")
+    p_hull.add_argument("--stats", action="store_true", help="print the engine's RunStats as one JSON line on stderr")
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance file")
     p_gen.add_argument("--kind", choices=["random", "edgecase"], required=True)
@@ -85,7 +86,10 @@ def _build_parser() -> _Parser:
 def _cmd_hull(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    hull = run_engine(args.engine, P)
+    stats = RunStats()
+    hull = run_engine(args.engine, P, stats=stats)
+    if args.stats:
+        print(json.dumps(asdict(stats), separators=(",", ":")), file=sys.stderr)
     if args.check:
         reference = integer_hull_oracle(P)
         if tuple(hull) != tuple(reference):

@@ -1,22 +1,22 @@
-"""Integer hull via per-facet opposite-side sweeps, then one sweep per
-partial-hull edge.
+"""Integer hull via opposite-side sweeps of a half-turn cover of facets,
+then one sweep per partial-hull edge.
 
 For each facet direction the first lattice chord (scanning from the far side
 of the polygon toward the facet) yields the lattice points that are extreme
-in that direction; they are vertices-in-waiting of the integer hull.  A
-hull point's normal cone, the directions in which it is the lattice max, is
-convex, so once two facets less than a half-turn apart stop at the same
-point, every facet between them stops there alone: ``replace_facets``
-sweeps only the facets that bisection cannot settle that way.  What
-remains uncertain is only the part of P beyond each edge u -> w of their
-hull, and one sweep of P for the lattice max m of the edge's outward
-functional settles it: the sweep of the cut facet of the paper's residual
-region beyond the edge, with no clip and no recursion.  The edge is final
-at its own level; beyond it, the ends of the chord at m are new hull
-vertices and split the edge in three, of which the middle one, on the
-chord at m, is final unswept.  An edge sweep's descent starts at the
-opposite vertex of the facet that found u, near the top of P in the edge's
-direction.  A point, a segment or a polygon of at most
+in that direction; they are vertices of the integer hull H.
+``replace_facets`` sweeps only enough facets that each swept normal turns
+to the next by less than a half-turn, all the way round: those normals
+positively span the plane, so a single hit is the only lattice point, and
+otherwise the hits' hull is a partial hull of lattice points.  What remains
+uncertain is only the part of P beyond each edge u -> w of that hull, and
+one sweep of P for the lattice max m of the edge's outward functional
+settles it: the sweep of the cut facet of the paper's residual region
+beyond the edge, with no clip and no recursion.  The edge is final at its
+own level; beyond it, the ends of the chord at m are new hull vertices and
+split the edge in three, of which the middle one, on the chord at m, is
+final unswept.  The edge loop keeps H's CCW cycle as it splits edges, and
+each sweep's descent starts at the top vertex of P that the sweep which
+made its edge reached.  A point, a segment or a polygon of at most
 ``brute_force_cell_threshold`` cells is answered without a sweep.
 ``residual_regions`` cuts P outside a partial hull; only the ``baseline``
 engine's corner pass calls it.
@@ -78,21 +78,19 @@ def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
 
 
 def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoint2, int]:
-    """The extreme lattice points of every facet's stopping chord, swept
-    from the opposite side of P, each a vertex of the integer hull H and
-    mapped to the first facet whose sweep found it; empty when P has no
-    integer points.
+    """The extreme lattice points of the stopping chords of a half-turn
+    cover of P's facets, swept from the opposite side of P, each a vertex
+    of the integer hull H and mapped to the vertex of P at which its
+    sweep's levels began; empty when P has no integer points.
 
-    Not every facet is swept.  Facet i's sweep finds the face of H on which
-    -n_i is greatest, for the facet's outward normal n_i, and the
-    directions in which a hull point p is greatest form a convex cone, p's
-    normal cone.  If the chords of facets i < k both hold p and n_i turns
-    to n_k by less than a half-turn (cross(n_i, n_k) > 0), the normal of
-    every facet between them lies strictly inside that cone, so its chord
-    is p alone and needs no sweep.  Facet 0 is swept first (P has a lattice
-    point iff any sweep finds one), then the facet range [0, n], n standing
-    for facet 0 again, is bisected while a range fails that test.  The
-    answer is the point set of sweeping every facet.
+    Facet 0 is swept first (P has a lattice point iff any sweep finds
+    one), then the facet range [0, n], n standing for facet 0 again, is
+    bisected until each range's end normals n_i, n_k turn by less than a
+    half-turn (cross(n_i, n_k) > 0); neighbouring facets always do.  The
+    swept normals then positively span the plane, so if every sweep stops
+    at one point, it is P's only lattice point: any other would lie past
+    the level of every sweep.  The points are a subset of those of
+    sweeping every facet.
     """
     n = len(P._forms)
     a, c, top, hint = _facet_direction(P, 0, False)
@@ -101,15 +99,15 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoi
         stats.facet_sweeps += 1
     if hit is None:
         return {}
-    found = {hit.lo: 0, hit.hi: 0}
-    # (a, c, lo, hi) of each swept facet: its outward normal and chord ends.
-    ends: List[Optional[Tuple[int, int, IntPoint2, IntPoint2]]] = [None] * (n + 1)
-    ends[0] = ends[n] = a, c, hit.lo, hit.hi
+    found = {hit.lo: hit.vertex, hit.hi: hit.vertex}
+    # The outward normal of each swept facet.
+    normals: List[Tuple[int, int]] = [(0, 0)] * (n + 1)
+    normals[0] = normals[n] = a, c
     ranges = [(0, n)]
     while ranges:
         i, k = ranges.pop()
-        (ai, ci, lo, hi), (ak, ck, lo_k, hi_k) = ends[i], ends[k]
-        if ai * ck - ci * ak > 0 and (lo in (lo_k, hi_k) or hi in (lo_k, hi_k)):
+        (ai, ci), (ak, ck) = normals[i], normals[k]
+        if ai * ck - ci * ak > 0:
             continue
         m = (i + k) // 2
         a, c, top, hint = _facet_direction(P, m, False)
@@ -118,9 +116,9 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoi
             stats.facet_sweeps += 1
         if hit is None:
             raise GeometryError(f"the sweep of facet {m} found no lattice point, but facet 0's did")
-        ends[m] = a, c, hit.lo, hit.hi
-        found.setdefault(hit.lo, m)
-        found.setdefault(hit.hi, m)
+        normals[m] = a, c
+        found.setdefault(hit.lo, hit.vertex)
+        found.setdefault(hit.hi, hit.vertex)
         if k - m > 1:
             ranges.append((m, k))
         if m - i > 1:
@@ -197,33 +195,38 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequenc
     return enumerate_integer_points(P, stats=stats)
 
 
-def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunStats]) -> Set[IntPoint2]:
-    """The integer hull vertices of P, given sweep hits of P that are
-    extreme in every facet direction, each mapped to the facet i whose
-    opposite sweep found it.
+def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunStats]) -> HullResult:
+    """The integer hull of P, given sweep hits of P from a half-turn cover
+    of its facets (:func:`replace_facets`), each mapped to the vertex of P
+    at which its sweep's levels began.
 
     A stack holds the edges u -> w still open: the CCW cycle of the hits'
     hull at first (a two-point hull gives both directions).  An edge's
     sweep finds the lattice max m of its functional over P, at least its
-    level b as u is in P.  At m = b the edge is final.  Above it, the ends
-    p, q of the chord at m, ordered along w - u, are new hull vertices, and
-    u -> p and q -> w replace the edge.  The chord p -> q needs no sweep:
+    level b as u is in P.  At m = b the edge is final: no lattice point
+    lies beyond it, and none on its line outside it, as u and w are
+    vertices of H.  Above it, the ends p, q of the chord at m, ordered
+    along w - u, are new vertices of H, and u -> p and q -> w replace the
+    edge in the cycle and on the stack.  The chord p -> q needs no sweep:
     it has the edge's functional and lies at its lattice max m, so it is
     final.  So each sweep closes an edge or finds a vertex, and a sweep
-    that does neither raises GeometryError.
+    that does neither raises GeometryError.  Once every edge is closed,
+    the cycle holds every lattice point of P and each of its points is a
+    vertex of H: it is H, read from its lex-min vertex.
 
-    The edge's outward normal bounds u's normal cone, which holds -n_i, so
-    P's top vertex in the edge's direction lies near its top vertex in
-    direction -n_i, across P from facet i: the sweep's descent starts at
-    the vertex halfway round from the facet, i + (n + 1) // 2, and split
-    edges keep their parent's hint.
+    Each sweep's descent starts at the top vertex of P that the sweep
+    which made its edge reached: for the first edges, the hit's facet
+    sweep, at P's top vertex in a direction of u's normal cone, which the
+    edge's outward normal bounds; for a split edge, its parent's sweep.
     """
-    n = len(P._forms)
-    pts = list(convex_hull(hits))
-    found = set(pts)
-    # No hit means no lattice point; one hit, extreme in every facet
-    # direction (the normals positively span the plane), is the only one.
-    stack = [(u, w, hits[u] + (n + 1) // 2) for u, w in zip(pts, pts[1:] + pts[:1])] if len(pts) > 1 else []
+    start = convex_hull(hits)
+    # One hit, extreme in directions that positively span the plane, is
+    # the only lattice point; no hit means none.
+    if len(start) < 2:
+        return start
+    pts = start.points
+    cycle = dict(zip(pts, pts[1:] + pts[:1]))
+    stack = [(u, w, hits[u]) for u, w in cycle.items()]
     while stack:
         u, w, hint = stack.pop()
         a, c, b = _edge_functional(u, w)
@@ -237,11 +240,16 @@ def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunSta
         p, q = hit.lo, hit.hi
         if (q.x - p.x) * (w.x - u.x) + (q.y - p.y) * (w.y - u.y) < 0:
             p, q = q, p
-        if p in found or q in found:
+        if p in cycle or q in cycle:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found the known points {p}, {q} again")
-        found.update((p, q))
-        stack += [(u, p, hint), (q, w, hint)]
-    return found
+        # Assigned left to right, so p = q gives u -> p -> w.
+        cycle[u], cycle[p], cycle[q] = p, q, w
+        stack += [(u, p, hit.vertex), (q, w, hit.vertex)]
+    first = u = min(cycle)
+    points = [first]
+    while (u := cycle[u]) != first:
+        points.append(u)
+    return HullResult(tuple(points))
 
 
 def integer_hull_new(
@@ -259,4 +267,4 @@ def integer_hull_new(
     """
     if P is None or P.is_degenerate or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(_lattice_points(P, stats))
-    return convex_hull(_edge_points(P, replace_facets(P, stats), stats))
+    return _edge_points(P, replace_facets(P, stats), stats)

@@ -36,7 +36,7 @@ chord, and a polygon's far side is never visited when the hit is near.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -81,11 +81,15 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 @dataclass(frozen=True)
 class SweepHit:
     """The stopping chord of a sweep: its integer offset and the extreme
-    lattice points on it (lexicographically ordered, possibly equal)."""
+    lattice points on it (lexicographically ordered, possibly equal), and
+    the index of the vertex of P at which the swept levels begin (for the
+    lattice max of a*x + c*y, P's top vertex in the direction (a, c)): a
+    hint for later sweeps, not part of the answer."""
 
     offset: int
     lo: IntPoint2
     hi: IntPoint2
+    vertex: int = field(default=0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,12 @@ def _windows(frame: _Frame, hint: int) -> Iterator[Tuple[int, int, Line, Line]]:
     integer level.
     """
     j, low = _deepest(frame.t_pair, hint)
-    j %= frame.n
+    return _windows_from(frame, j % frame.n, low)
+
+
+def _windows_from(frame: _Frame, j: int, low: Tuple[int, int]) -> Iterator[Tuple[int, int, Line, Line]]:
+    """The windows of :func:`_windows`, climbing from a minimum vertex j of
+    t, where t is `low`."""
     t = -(-low[0] // low[1])  # ceil of the minimum
     lower, upper = _climb(frame, j, low, +1, t), _climb(frame, j, low, -1, t)
     while lower and upper:
@@ -286,13 +295,15 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     vertex `hint` finds (the hint changes only its speed), and stops at
     the first whose chord holds a lattice point.  Each window of the walk
     (``_windows``) costs one ``_first_hit`` solve, however many levels it
-    spans.
+    spans.  The hit reports the vertex where the descent ended.
     """
     if len(P._forms) < 3:
         raise ValueError("sweeps require a polygon with at least 3 vertices")
     sign = -1 if top else 1
     frame = _Frame(P._forms, sign * a, sign * c)
-    for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, hint):
+    j, low = _deepest(frame.t_pair, hint)
+    j %= frame.n
+    for t, end, (lp, lq, lr), (up, uq, ur) in _windows_from(frame, j, low):
         level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
         if level is not None:
             break
@@ -305,7 +316,7 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     if s_first > s_last:
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
     lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
-    return SweepHit(sign * t, lo_pt, hi_pt)
+    return SweepHit(sign * t, lo_pt, hi_pt, j)
 
 
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:
@@ -317,7 +328,7 @@ def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, 
         raise ValueError("facet sweeps require a polygon with at least 3 vertices")
     dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
     g = gcd(dx, dy)  # the outward normal of a CCW edge along (dx, dy) is (dy, -dx)
-    return dy // g, -dx // g, inward, facet_index if inward else facet_index + n // 2
+    return dy // g, -dx // g, inward, facet_index if inward else facet_index + (n + 1) // 2
 
 
 def sweep_inward(P: PolySet2, facet_index: int) -> Optional[SweepHit]:

@@ -60,8 +60,8 @@ def test_exit_code_1_on_bad_input():
 
 
 def assert_usage_error_for_every_engine(capsys, fixture, flag):
-    # `hull` takes only --engine and --check: sweeps have no limit and the
-    # engines run in their default configuration.
+    # `hull` takes no tuning flag, only --engine, --check and --stats:
+    # sweeps have no limit and the engines run in their default configuration.
     for engine in ("new", "baseline", "oracle"):
         argv = ["hull", str(FIXTURES / fixture), "--engine", engine, *flag]
         assert cli.main(argv) == 1, (fixture, flag, engine)
@@ -122,6 +122,34 @@ def test_check_catches_a_corrupted_engine(monkeypatch, capsys):
     code = cli.main(["hull", str(FIXTURES / "triangle_shallow.json"), "--engine", "new", "--check"])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+# (facet_sweeps, edge_sweeps) per engine under `hull --stats`.  `new`
+# enumerates polygons of at most 256 bounding-box cells without sweeping
+# them; `baseline` sweeps every facet inward.
+STATS_SWEEPS = {
+    "narrow_band": {"new": (4, 4), "baseline": (4, 0)},
+    "segment": {"new": (0, 0), "baseline": (0, 0)},
+    "triangle_shallow": {"new": (0, 0), "baseline": (3, 0)},
+    "triangle_slanted": {"new": (0, 0), "baseline": (3, 0)},
+    "unit_square": {"new": (0, 0), "baseline": (4, 0)},
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(STATS_SWEEPS))
+def test_hull_stats_print_run_stats_on_stderr_only(capsys, fixture):
+    path = str(FIXTURES / f"{fixture}.json")
+    for engine, sweeps in STATS_SWEEPS[fixture].items():
+        assert cli.main(["hull", path, "--engine", engine]) == 0
+        plain = capsys.readouterr()
+        assert cli.main(["hull", path, "--engine", engine, "--stats"]) == 0
+        out = capsys.readouterr()
+        assert (out.out, plain.err) == (plain.out, "")
+        lines = out.err.splitlines()
+        assert len(lines) == 1, out.err
+        stats = json.loads(lines[0])
+        assert set(stats) == {"brute_cells", "regions", "max_depth", "facet_sweeps", "edge_sweeps"}
+        assert (stats["facet_sweeps"], stats["edge_sweeps"]) == sweeps, (fixture, engine)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import inthull.geom as geom
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
 from inthull.geom import _hull_chain, _intersect_by_clipping, _intersect_halfplanes
-from inthull.hull_new import replace_facets, residual_regions
+from inthull.hull_new import residual_regions
 from inthull.lattice import _Frame
 from helpers import (
     empty_85_row_system,
@@ -447,7 +447,8 @@ def test_residual_regions_match_the_vertex_scan(monkeypatch):
     polys.append(instance_to_polyset(convex_chain_polygon(1000)))
     regions = 0
     for P in polys:
-        hull = convex_hull(replace_facets(P))
+        # The hull of every facet's opposite-side hit points.
+        hull = convex_hull(hull_new._hit_points(hull_new.sweep_facets(P, inward=False) or []))
         if len(hull) < 2:
             continue
         checked.clear()

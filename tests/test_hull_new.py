@@ -100,7 +100,7 @@ def test_residual_clips_walk_only_the_kept_arcs(monkeypatch):
     # here, where a scan of the 1000-gon per clip takes 108,000.  Each is
     # one call of _level on a vertex's integer form (X, Y, W).
     P = instance_to_polyset(convex_chain_polygon(1000))
-    hull = convex_hull(replace_facets(P))
+    hull = convex_hull(hull_new._hit_points(hull_new.sweep_facets(P, inward=False)))
     calls = []
     counted = lambda h, form: calls.append(form) or _level(h, form)
     monkeypatch.setattr("inthull.geom._level", counted)
@@ -320,28 +320,72 @@ def needle(below: int) -> PolySet2:
     return polyset_from_vertices(chain + [(1000, 0)])
 
 
-def test_skipped_facet_sweeps_keep_every_hit_point():
-    # replace_facets sweeps a facet only where the normal-cone test cannot
-    # settle it; its points are those of sweeping every facet.
+def cover_test_polygons():
+    """300 seeded random polygons, convex_chain_polygon(n) for every even n
+    from 4 to 200 and n in {250, 500, 750, 1000}, 10 octagons with ~10**10
+    denominators moved ~10**12, 50 lattice-facet triangles and 4 needles."""
     rng = random.Random(20)
     polys = [random_polyset(random.Random(seed), max_num=30, max_den=8) for seed in range(300)]
     polys += [instance_to_polyset(convex_chain_polygon(n)) for n in list(range(4, 201, 2)) + [250, 500, 750, 1000]]
     polys += [octagon(rng, 10**12) for _ in range(10)]
     polys += [lattice_facet_triangle(rng, S) for S in (5, 10, 20, 40, 80) for _ in range(10)]
     polys += [needle(below) for below in (2, 5, 10, 21)]
-    for P in polys:
-        hits = hull_new.sweep_facets(P, inward=False)
-        assert set(replace_facets(P)) == (set() if hits is None else hull_new._hit_points(hits)), P
+    return polys
+
+
+# The oracle's cell budget in the cover test: larger polygons are certified.
+COVER_ORACLE_CELLS = 10**4
+
+
+def check_facet_cover(P, certify):
+    """replace_facets(P) finds a subset of every facet's opposite-side hit
+    points, from facets whose neighbouring normals turn by less than a
+    half-turn all the way round, and `new` under RefineConfig(1) returns
+    the oracle's hull (the certificate's verdict where the oracle refuses
+    by COVER_ORACLE_CELLS) as a cycle that convex_hull keeps as it is."""
+    facet_of = {(h.a, h.c): i for i, h in enumerate(P.halfplanes)}
+    swept = []
+    real = hull_new._run_sweep
+
+    def recording(Q, a, c, top, hint):
+        swept.append(facet_of[a, c])
+        return real(Q, a, c, top, hint)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull_new, "_run_sweep", recording)
+        points = set(hull_new.replace_facets(P))
+    every = hull_new.sweep_facets(P, inward=False)
+    assert points <= hull_new._hit_points(every or []), P
+    if every is not None:
+        normals = [(P.halfplanes[i].a, P.halfplanes[i].c) for i in sorted(swept)]
+        for (a, c), (a2, c2) in zip(normals, normals[1:] + normals[:1]):
+            assert a * c2 - c * a2 > 0, (P, sorted(swept))
+    hull = integer_hull_new(P, RefineConfig(1))
+    try:
+        reference = convex_hull(enumerate_integer_points(P, budget=COVER_ORACLE_CELLS))
+    except BudgetExceeded:
+        assert certify(inthull, P, hull) is None, P
+    else:
+        assert hull == reference, P
+    assert hull == convex_hull(hull), P
+
+
+def test_the_facet_cover_turns_by_less_than_a_half_turn_and_keeps_the_hull():
+    # replace_facets sweeps facets until each swept normal turns to the
+    # next by less than a half-turn; the edge loop finds the rest of H.
+    certify = load_perfbench("certify").certify
+    for P in cover_test_polygons():
+        check_facet_cover(P, certify)
 
 
 def test_a_chain_of_1000_facets_sweeps_fewer_than_half():
-    # convex_chain_polygon(1000) has 108 integer hull vertices; each stops
-    # a run of neighbouring facets' sweeps, and only the runs' ends are
-    # found by sweeping.
+    # Four facet sweeps, a quarter-turn apart, cover convex_chain_polygon(1000)
+    # and find 4 of its 108 integer hull vertices; each edge sweep then
+    # closes an edge of H or finds new vertices.
     P = instance_to_polyset(convex_chain_polygon(1000))
     stats = RunStats()
-    assert len(replace_facets(P, stats)) == 108
-    assert stats.facet_sweeps == 358
+    hull = integer_hull_new(P, stats=stats)
+    assert (stats.facet_sweeps, stats.edge_sweeps, len(hull)) == (4, 202, 108)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
