@@ -30,7 +30,8 @@ from .errors import (
     UnboundedSet,
 )
 from .geom import HalfPlane
-from .hull_new import RefineConfig, sweep_facets
+from .hull_baseline import normalize_facets
+from .hull_new import RefineConfig, replace_facets
 from .instances import (
     Instance,
     instance_to_polyset,
@@ -126,6 +127,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidInstance("no engines selected")
     if args.reps < 1:
         raise InvalidInstance("--reps must be >= 1")
+    if not os.path.isdir(args.suite):
+        raise InvalidInstance(f"--suite {args.suite!r} is not a directory")
     paths = sorted(glob.glob(os.path.join(args.suite, "*.json")))
     instances: List[Instance] = []
     for path in paths:
@@ -143,17 +146,17 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
     hull = run_engine(args.engine, P)
-    chords: List[HalfPlane] = []
-    if P is not None and not P.is_degenerate and (
-        args.engine == "baseline"
-        or args.engine == "new" and bbox_cell_count(P) > RefineConfig().brute_force_cell_threshold
-    ):
-        # The stopping chords the engine started from: inward normalization
-        # for `baseline`, outward sweeps for `new` (which enumerates a
-        # polygon of at most the threshold's cells without sweeping it).
-        hits = sweep_facets(P, inward=args.engine == "baseline")
-        if hits is not None:
-            chords = [HalfPlane(h.a, h.c, hit.offset) for h, hit in zip(P.halfplanes, hits)]
+    # The facet sweeps the engine ran: inward normalization of every facet
+    # for `baseline`, the half-turn cover swept from the opposite side for
+    # `new` (which enumerates a polygon of at most the threshold's cells
+    # without sweeping it), each drawn as its stopping chord.
+    hits = {}
+    if P is not None and not P.is_degenerate:
+        if args.engine == "baseline":
+            hits = dict(enumerate(normalize_facets(P)[1]))
+        elif args.engine == "new" and bbox_cell_count(P) > RefineConfig().brute_force_cell_threshold:
+            hits = replace_facets(P)
+    chords = [HalfPlane(P.halfplanes[i].a, P.halfplanes[i].c, hit.offset) for i, hit in sorted(hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

@@ -1,7 +1,8 @@
 """Integer hull via inward facet normalization and corner enumeration.
 
 Every facet line is translated inward to the last integer offset whose chord
-still contains a lattice point; rebuilding the set from the tightened
+still contains a lattice point, one sweep per facet in this engine's own
+facet pass (``normalize_facets``); rebuilding the set from the tightened
 half-planes yields Q with the same lattice points as P but with every facet
 supported by a lattice chord.  The hull of all stopping-chord extremes is a
 central core of the integer hull; what remains are the corner regions of Q
@@ -23,8 +24,8 @@ from .geom import (
     _intersect_halfplanes,
     convex_hull,
 )
-from .hull_new import _hit_points, _lattice_points, residual_regions, sweep_facets
-from .lattice import SweepHit
+from .hull_new import _lattice_points, residual_regions
+from .lattice import SweepHit, _facet_direction, _run_sweep
 from .oracle import RunStats
 
 
@@ -35,9 +36,12 @@ def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
     (None, []) when some facet sweep finds no lattice chord — which happens
     iff P contains no integer points at all.
     """
-    hits = sweep_facets(P, inward=True)
-    if hits is None:
-        return None, []
+    hits: List[SweepHit] = []
+    for i in range(len(P._forms)):
+        hit = _run_sweep(P, *_facet_direction(P, i, True))
+        if hit is None:
+            return None, []
+        hits.append(hit)
     Q = _intersect_halfplanes(
         [HalfPlane(hp.a, hp.c, Fraction(hit.offset)) for hp, hit in zip(P.halfplanes, hits)]
     )
@@ -59,7 +63,7 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
         P, hits = normalize_facets(P)
         if stats is not None:
             stats.facet_sweeps += len(hits) or 1  # only the first fails, iff all do
-        points = _hit_points(hits)
+        points = {p for hit in hits for p in (hit.lo, hit.hi)}
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_lattice_points(P, stats))
     for region in residual_regions(P, convex_hull(points)):

@@ -4,10 +4,11 @@ then one sweep per partial-hull edge.
 For each facet direction the first lattice chord (scanning from the far side
 of the polygon toward the facet) yields the lattice points that are extreme
 in that direction; they are vertices of the integer hull H.
-``replace_facets`` sweeps only enough facets that each swept normal turns
-to the next by less than a half-turn, all the way round: those normals
-positively span the plane, so a single hit is the only lattice point, and
-otherwise the hits' hull is a partial hull of lattice points.  What remains
+``replace_facets``, this engine's one facet pass, sweeps only enough
+facets that each swept normal turns to the next by less than a half-turn,
+all the way round: those normals positively span the plane, so a single
+hit is the only lattice point, and otherwise the hits' hull is a partial
+hull of lattice points.  What remains
 uncertain is only the part of P beyond each edge u -> w of that hull, and
 one sweep of P for the lattice max m of the edge's outward functional
 settles it: the sweep of the cut facet of the paper's residual region
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
 from .geom import (
@@ -58,30 +59,11 @@ class RefineConfig:
             raise ValueError("brute_force_cell_threshold must be >= 1")
 
 
-def sweep_facets(P: PolySet2, *, inward: bool) -> Optional[List[SweepHit]]:
-    """Sweep every facet of P inward or from the opposite side, in order
-    (:func:`lattice._facet_direction`): one hit per facet, or None at the
-    first facet whose sweep finds no lattice chord (iff P has no integer
-    points at all)."""
-    hits: List[SweepHit] = []
-    for i in range(len(P._forms)):
-        hit = _run_sweep(P, *_facet_direction(P, i, inward))
-        if hit is None:
-            return None
-        hits.append(hit)
-    return hits
-
-
-def _hit_points(hits: List[SweepHit]) -> Set[IntPoint2]:
-    """The extreme lattice points of every stopping chord."""
-    return {p for hit in hits for p in (hit.lo, hit.hi)}
-
-
-def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoint2, int]:
-    """The extreme lattice points of the stopping chords of a half-turn
-    cover of P's facets, swept from the opposite side of P, each a vertex
-    of the integer hull H and mapped to the vertex of P at which its
-    sweep's levels began; empty when P has no integer points.
+def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[int, SweepHit]:
+    """The hit of each facet of a half-turn cover of P's facets, swept
+    from the opposite side of P, keyed by facet index in sweep order; empty
+    when P has no integer points.  The ends of each hit's chord are
+    vertices of the integer hull H.
 
     Facet 0 is swept first (P has a lattice point iff any sweep finds
     one), then the facet range [0, n], n standing for facet 0 again, is
@@ -89,8 +71,7 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoi
     half-turn (cross(n_i, n_k) > 0); neighbouring facets always do.  The
     swept normals then positively span the plane, so if every sweep stops
     at one point, it is P's only lattice point: any other would lie past
-    the level of every sweep.  The points are a subset of those of
-    sweeping every facet.
+    the level of every sweep.
     """
     n = len(P._forms)
     a, c, top, hint = _facet_direction(P, 0, False)
@@ -99,7 +80,7 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoi
         stats.facet_sweeps += 1
     if hit is None:
         return {}
-    found = {hit.lo: hit.vertex, hit.hi: hit.vertex}
+    hits = {0: hit}
     # The outward normal of each swept facet.
     normals: List[Tuple[int, int]] = [(0, 0)] * (n + 1)
     normals[0] = normals[n] = a, c
@@ -117,13 +98,12 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[IntPoi
         if hit is None:
             raise GeometryError(f"the sweep of facet {m} found no lattice point, but facet 0's did")
         normals[m] = a, c
-        found.setdefault(hit.lo, hit.vertex)
-        found.setdefault(hit.hi, hit.vertex)
+        hits[m] = hit
         if k - m > 1:
             ranges.append((m, k))
         if m - i > 1:
             ranges.append((i, m))
-    return found
+    return hits
 
 
 def _edge_functional(u: IntPoint2, w: IntPoint2) -> Tuple[int, int, int]:
@@ -195,10 +175,9 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequenc
     return enumerate_integer_points(P, stats=stats)
 
 
-def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunStats]) -> HullResult:
-    """The integer hull of P, given sweep hits of P from a half-turn cover
-    of its facets (:func:`replace_facets`), each mapped to the vertex of P
-    at which its sweep's levels began.
+def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStats]) -> HullResult:
+    """The integer hull of P, given the sweep hits of a half-turn cover of
+    its facets (:func:`replace_facets`), in sweep order.
 
     A stack holds the edges u -> w still open: the CCW cycle of the hits'
     hull at first (a two-point hull gives both directions).  An edge's
@@ -219,14 +198,20 @@ def _edge_points(P: PolySet2, hits: Dict[IntPoint2, int], stats: Optional[RunSta
     sweep, at P's top vertex in a direction of u's normal cone, which the
     edge's outward normal bounds; for a split edge, its parent's sweep.
     """
-    start = convex_hull(hits)
+    # Each hit point starts from the vertex of P at which the first sweep
+    # that found it began its levels.
+    hints: Dict[IntPoint2, int] = {}
+    for hit in hits.values():
+        hints.setdefault(hit.lo, hit.vertex)
+        hints.setdefault(hit.hi, hit.vertex)
+    start = convex_hull(hints)
     # One hit, extreme in directions that positively span the plane, is
     # the only lattice point; no hit means none.
     if len(start) < 2:
         return start
     pts = start.points
     cycle = dict(zip(pts, pts[1:] + pts[:1]))
-    stack = [(u, w, hits[u]) for u, w in cycle.items()]
+    stack = [(u, w, hints[u]) for u, w in cycle.items()]
     while stack:
         u, w, hint = stack.pop()
         a, c, b = _edge_functional(u, w)

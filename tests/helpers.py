@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from inthull import HalfPlane, PolySet2, polyset_from_halfplanes, polyset_from_vertices
+from inthull import HalfPlane, IntPoint2, PolySet2, polyset_from_halfplanes, polyset_from_vertices, sweep_from_opposite
 
 RatPoint = Tuple[Fraction, Fraction]
 
@@ -31,6 +31,16 @@ def load_perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def opposite_sweep_points(P: PolySet2) -> Set[IntPoint2]:
+    """The extreme lattice points of every facet's sweep from the opposite
+    side (the public ``sweep_from_opposite``, facet by facet): empty iff P
+    has no lattice point, and then every facet's sweep must find none."""
+    hits = [sweep_from_opposite(P, i) for i in range(len(P.halfplanes))]
+    found = [hit for hit in hits if hit is not None]
+    assert len(found) in (0, len(hits)), P
+    return {p for hit in found for p in (hit.lo, hit.hi)}
 
 
 def cli_env() -> Dict[str, str]:

@@ -12,7 +12,8 @@ import pytest
 
 import inthull.bench as bench
 import inthull.cli as cli
-from inthull import enumerate_integer_points, instance_to_polyset, load_instance
+from inthull import enumerate_integer_points, instance_to_polyset, load_instance, save_instance
+from inthull.generate import convex_chain_polygon
 from helpers import cli_env, empty_85_row_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,6 +251,21 @@ def test_bench_status_column_records_refusals(tmp_path):
     }
 
 
+def test_bench_refuses_a_suite_that_is_not_a_directory(tmp_path, capsys):
+    # A missing path and a file both exit 1 and write no CSV; an empty
+    # directory is still a suite of no instances.
+    instance = FIXTURES / "unit_square.json"
+    for suite in (tmp_path / "nonexistent", instance):
+        out = tmp_path / "b.csv"
+        assert cli.main(["bench", "--suite", str(suite), "-o", str(out)]) == 1
+        assert "not a directory" in capsys.readouterr().err
+        assert not out.exists()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["bench", "--suite", str(empty), "--no-timing", "-o", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "e.csv").read_text().strip() == CSV_HEADER
+
+
 # ---------------------------------------------------------------------------
 # plot
 
@@ -303,6 +319,17 @@ def test_plot_marks_exactly_the_lattice_points(tmp_path, fixture):
     assert cli.main(["plot", str(path), "-o", str(out)]) == 0
     P = instance_to_polyset(load_instance(str(path)))
     assert out.read_text().count('class="lp-in"') == len(enumerate_integer_points(P))
+
+
+def test_plot_new_draws_the_chords_of_the_facets_it_swept(tmp_path, capsys):
+    # `new` sweeps a half-turn cover of the 1000-gon's facets, not each one.
+    path = tmp_path / "chain.json"
+    save_instance(convex_chain_polygon(1000), str(path))
+    assert cli.main(["hull", str(path), "--stats"]) == 0
+    facet_sweeps = json.loads(capsys.readouterr().err)["facet_sweeps"]
+    out = tmp_path / "chain.svg"
+    assert cli.main(["plot", str(path), "--engine", "new", "-o", str(out)]) == 0
+    assert out.read_text().count('class="chord"') == facet_sweeps == 4
 
 
 def test_plot_degenerate_instance_renders_line(tmp_path):

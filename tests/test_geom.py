@@ -44,6 +44,7 @@ from helpers import (
     frame_line,
     octagon,
     on_segment,
+    opposite_sweep_points,
     random_halfplane_system,
     random_polyset,
     rational_hull,
@@ -448,7 +449,7 @@ def test_residual_regions_match_the_vertex_scan(monkeypatch):
     regions = 0
     for P in polys:
         # The hull of every facet's opposite-side hit points.
-        hull = convex_hull(hull_new._hit_points(hull_new.sweep_facets(P, inward=False) or []))
+        hull = convex_hull(opposite_sweep_points(P))
         if len(hull) < 2:
             continue
         checked.clear()

@@ -38,7 +38,15 @@ from inthull.geom import _level
 import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
-from helpers import brute_points_in, hull_tuples, lattice_facet_triangle, load_perfbench, octagon, random_polyset
+from helpers import (
+    brute_points_in,
+    hull_tuples,
+    lattice_facet_triangle,
+    load_perfbench,
+    octagon,
+    opposite_sweep_points,
+    random_polyset,
+)
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -100,7 +108,7 @@ def test_residual_clips_walk_only_the_kept_arcs(monkeypatch):
     # here, where a scan of the 1000-gon per clip takes 108,000.  Each is
     # one call of _level on a vertex's integer form (X, Y, W).
     P = instance_to_polyset(convex_chain_polygon(1000))
-    hull = convex_hull(hull_new._hit_points(hull_new.sweep_facets(P, inward=False)))
+    hull = convex_hull(opposite_sweep_points(P))
     calls = []
     counted = lambda h, form: calls.append(form) or _level(h, form)
     monkeypatch.setattr("inthull.geom._level", counted)
@@ -121,8 +129,8 @@ def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
         P = random_polyset(random.Random(seed), **kw)
         lattice = brute_points_in(P)
         _, baseline_hits = normalize_facets(P)
-        for hits in (replace_facets(P), {p for hit in baseline_hits for p in (hit.lo, hit.hi)}):
-            hull = hull_tuples(convex_hull(hits))
+        for hits in (list(replace_facets(P).values()), baseline_hits):
+            hull = hull_tuples(convex_hull(p for hit in hits for p in (hit.lo, hit.hi)))
             if len(hull) < 2:
                 continue
             segments += len(hull) == 2
@@ -136,14 +144,21 @@ def test_no_lattice_point_extends_an_edge_of_the_hit_hull():
     assert segments > 0
 
 
+TWO_POINT_SEEDS = (2566, 2897, 3827, 4231, 17157)
+
+
+def two_point_start(seed: int) -> PolySet2:
+    rng = random.Random(seed)
+    return random_polyset(rng, max_num=rng.choice([6, 12, 30]), max_den=rng.choice([3, 8]))
+
+
 def test_a_two_point_partial_hull_is_swept_on_both_sides():
     # The opposite sweeps of these polygons hit only the two ends u, w of a
     # segment, and their integer hulls have vertices on both sides of it:
     # the edge loop must sweep u -> w and w -> u.
-    for seed in (2566, 2897, 3827, 4231, 17157):
-        rng = random.Random(seed)
-        P = random_polyset(rng, max_num=rng.choice([6, 12, 30]), max_den=rng.choice([3, 8]))
-        u, w = convex_hull(replace_facets(P))
+    for seed in TWO_POINT_SEEDS:
+        P = two_point_start(seed)
+        u, w = convex_hull(p for hit in replace_facets(P).values() for p in (hit.lo, hit.hi))
         hull = integer_hull_new(P, RefineConfig(1))
         assert hull == integer_hull_oracle(P)
         sides = {(w.x - u.x) * (p.y - u.y) - (w.y - u.y) * (p.x - u.x) for p in hull}
@@ -338,11 +353,12 @@ COVER_ORACLE_CELLS = 10**4
 
 
 def check_facet_cover(P, certify):
-    """replace_facets(P) finds a subset of every facet's opposite-side hit
-    points, from facets whose neighbouring normals turn by less than a
-    half-turn all the way round, and `new` under RefineConfig(1) returns
-    the oracle's hull (the certificate's verdict where the oracle refuses
-    by COVER_ORACLE_CELLS) as a cycle that convex_hull keeps as it is."""
+    """replace_facets(P) reports the hit of each facet it swept, from
+    facets whose neighbouring normals turn by less than a half-turn all the
+    way round; the hits' points are a subset of every facet's opposite-side
+    hit points; and `new` under RefineConfig(1) returns the oracle's hull
+    (the certificate's verdict where the oracle refuses by
+    COVER_ORACLE_CELLS) as a cycle that convex_hull keeps as it is."""
     facet_of = {(h.a, h.c): i for i, h in enumerate(P.halfplanes)}
     swept = []
     real = hull_new._run_sweep
@@ -353,10 +369,12 @@ def check_facet_cover(P, certify):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hull_new, "_run_sweep", recording)
-        points = set(hull_new.replace_facets(P))
-    every = hull_new.sweep_facets(P, inward=False)
-    assert points <= hull_new._hit_points(every or []), P
-    if every is not None:
+        hits = hull_new.replace_facets(P)
+    # Every swept facet reports its hit, or facet 0's sweep found nothing.
+    assert sorted(hits) == sorted(swept) if hits else swept == [0], P
+    every = opposite_sweep_points(P)
+    assert {p for hit in hits.values() for p in (hit.lo, hit.hi)} <= every, P
+    if every:
         normals = [(P.halfplanes[i].a, P.halfplanes[i].c) for i in sorted(swept)]
         for (a, c), (a2, c2) in zip(normals, normals[1:] + normals[:1]):
             assert a * c2 - c * a2 > 0, (P, sorted(swept))

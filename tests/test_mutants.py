@@ -21,7 +21,7 @@ import pytest
 import inthull.hull_new as hull_new
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
-from test_hull_new import check_facet_cover, needle
+from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 
 
 def mutant(function, old: str, new: str):
@@ -45,6 +45,10 @@ def small_random():
     return [random_polyset(random.Random(seed), max_num=30, max_den=8) for seed in range(10)]
 
 
+def two_point_starts():
+    return [two_point_start(seed) for seed in TWO_POINT_SEEDS]
+
+
 # name: (function, edit, inputs of test_hull_new's cover check, error).
 MUTANTS = {
     # A range [0, n] turns by nothing, so only facet 0 is swept.
@@ -56,6 +60,21 @@ MUTANTS = {
     # The split edges then point back across the chord, and their sweeps
     # find known points.
     "p and q not ordered along w - u": (hull_new._edge_points, ("p, q = q, p", "pass"), small_random, GeometryError),
+    # Edges one level short of final are closed, and the vertices on the
+    # chord one level beyond them are lost.
+    "an edge closed at m <= b + 1": (
+        hull_new._edge_points,
+        ("if hit.offset == b:", "if hit.offset <= b + 1:"),
+        small_random,
+        AssertionError,
+    ),
+    # Hull vertices lie on both sides of the two hits' segment.
+    "a two-point start hull swept one way only": (
+        hull_new._edge_points,
+        ("for u, w in cycle.items()]", "for u, w in cycle.items() if len(cycle) > 2 or u < w]"),
+        two_point_starts,
+        AssertionError,
+    ),
     # p has no successor, so the walk round the cycle stops at it.
     "a split without the p -> q link": (
         hull_new._edge_points,

@@ -26,7 +26,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # Bindings that no longer exist in the package; the tracer reports them as
 # "not traced".  This list may shrink, never grow.
 KNOWN_MISSING = {
-    "inthull.hull_baseline._run_sweep",
     "inthull.hull_baseline.area",
     "inthull.hull_baseline.enumerate_integer_points",
 }
@@ -47,7 +46,7 @@ def test_every_trace_hook_resolves_but_the_known_missing():
 # opposite side (one `lattice.sweep`), then 7 partial-hull edges, and
 # builds the hits' hull with the one `geom.convex_hull`: the edge loop
 # keeps the final cycle itself.
-# `baseline` sweeps 3 facets inward, cuts 3 corner regions out of 4 clips
+# `baseline` sweeps 3 facets inward in its own facet pass, cuts 3 corner regions out of 4 clips
 # (one area for Q, one per region) and enumerates each.
 SPANS = {
     "new": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
