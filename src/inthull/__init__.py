@@ -2,10 +2,11 @@
 
 The package computes the convex hull of the integer points of a bounded
 polygon with exact rational arithmetic throughout.  Three engines share one
-canonical result type: a facet-sweep engine that then sweeps once per
-partial-hull edge (:func:`integer_hull_new`), a facet-normalization engine with corner
-enumeration (:func:`integer_hull_baseline`), and a direct-enumeration
-oracle (:func:`integer_hull_oracle`) that defines ground truth.
+canonical result type: a facet-sweep engine that then sweeps each
+partial-hull edge its ends' sweeps leave open (:func:`integer_hull_new`),
+a facet-normalization engine with corner enumeration
+(:func:`integer_hull_baseline`), and a direct-enumeration oracle
+(:func:`integer_hull_oracle`) that defines ground truth.
 """
 
 from .errors import (

@@ -1,5 +1,5 @@
 """Integer hull via opposite-side sweeps of a half-turn cover of facets,
-then one sweep per partial-hull edge.
+then at most one sweep per partial-hull edge.
 
 For each facet direction the first lattice chord (scanning from the far side
 of the polygon toward the facet) yields the lattice points that are extreme
@@ -15,7 +15,11 @@ settles it: the sweep of the cut facet of the paper's residual region
 beyond the edge, with no clip and no recursion.  The edge is final at its
 own level; beyond it, the ends of the chord at m are new hull vertices and
 split the edge in three, of which the middle one, on the chord at m, is
-final unswept.  The edge loop keeps H's CCW cycle as it splits edges, and
+final unswept.  Many edges need no sweep at all: each point of the cycle
+keeps the line at which the first sweep that found it stopped, a bound on
+every lattice point of P, and an edge whose functional is a nonnegative
+combination of its ends' lines with a combined bound below its level plus
+one is final.  The edge loop keeps H's CCW cycle as it splits edges, and
 each sweep's descent starts at the top vertex of P that the sweep which
 made its edge reached.  A point, a segment or a polygon of at most
 ``brute_force_cell_threshold`` cells is answered without a sweep.
@@ -43,6 +47,9 @@ from .geom import (
 )
 from .lattice import SweepHit, _facet_direction, _lattice_extremes, _run_sweep
 from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
+
+# (a, c, beta): a*x + c*y <= beta at every lattice point of P.
+Certificate = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,28 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequenc
     return enumerate_integer_points(P, stats=stats)
 
 
+def _closed_by(cert_u: Certificate, cert_w: Certificate, a: int, c: int, b: int) -> bool:
+    """Whether the certificates h_u <= beta_u and h_w <= beta_w of the ends
+    of an edge with outward functional f = a*x + c*y at level b show that
+    no lattice point of P has f > b.
+
+    Every lattice point of P satisfies both, so when f = lam*h_u + mu*h_w
+    with lam, mu >= 0 it has f <= lam*beta_u + mu*beta_w, and below b + 1
+    that bound leaves b as f's lattice max.  Cramer's rule gives lam and mu
+    over the denominator D, whose sign is flipped positive.  A bound of
+    exactly b + 1 also leaves the edge final, so `<=` would be as sound:
+    the only lattice point of level b + 1 would be the apex h_u = beta_u,
+    h_w = beta_w, which lies on the chord of u's sweep between its ends,
+    both in the cycle, and so at level at most b.
+    """
+    au, cu, beta_u = cert_u
+    aw, cw, beta_w = cert_w
+    D, lam, mu = au * cw - cu * aw, a * cw - c * aw, au * c - cu * a
+    if D < 0:
+        D, lam, mu = -D, -lam, -mu
+    return D != 0 and lam >= 0 and mu >= 0 and lam * beta_u + mu * beta_w < (b + 1) * D
+
+
 def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStats]) -> HullResult:
     """The integer hull of P, given the sweep hits of a half-turn cover of
     its facets (:func:`replace_facets`), in sweep order.
@@ -193,17 +222,28 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     the cycle holds every lattice point of P and each of its points is a
     vertex of H: it is H, read from its lex-min vertex.
 
+    Many edges are closed with no sweep.  Each cycle point carries the
+    certificate (a, c, beta) of the first sweep that found it: that sweep's
+    functional, oriented to be maximized, and its lattice max over P, which
+    the point attains.  An edge whose ends' certificates bound its
+    functional below b + 1 over P's lattice points (:func:`_closed_by`) is
+    final at b; only the other edges are swept.
+
     Each sweep's descent starts at the top vertex of P that the sweep
     which made its edge reached: for the first edges, the hit's facet
     sweep, at P's top vertex in a direction of u's normal cone, which the
     edge's outward normal bounds; for a split edge, its parent's sweep.
     """
     # Each hit point starts from the vertex of P at which the first sweep
-    # that found it began its levels.
+    # that found it began its levels, and is certified by that sweep: a
+    # facet sweep finds the lattice min of its facet's outward functional.
     hints: Dict[IntPoint2, int] = {}
-    for hit in hits.values():
-        hints.setdefault(hit.lo, hit.vertex)
-        hints.setdefault(hit.hi, hit.vertex)
+    certs: Dict[IntPoint2, Certificate] = {}
+    for i, hit in hits.items():
+        a, c, _, _ = _facet_direction(P, i, False)
+        for p in (hit.lo, hit.hi):
+            hints.setdefault(p, hit.vertex)
+            certs.setdefault(p, (-a, -c, -hit.offset))
     start = convex_hull(hints)
     # One hit, extreme in directions that positively span the plane, is
     # the only lattice point; no hit means none.
@@ -215,6 +255,8 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     while stack:
         u, w, hint = stack.pop()
         a, c, b = _edge_functional(u, w)
+        if _closed_by(certs[u], certs[w], a, c, b):
+            continue
         hit = _run_sweep(P, a, c, True, hint)
         if stats is not None:
             stats.edge_sweeps += 1
@@ -229,6 +271,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found the known points {p}, {q} again")
         # Assigned left to right, so p = q gives u -> p -> w.
         cycle[u], cycle[p], cycle[q] = p, q, w
+        certs[p] = certs[q] = a, c, hit.offset
         stack += [(u, p, hit.vertex), (q, w, hit.vertex)]
     first = u = min(cycle)
     points = [first]
@@ -244,7 +287,7 @@ def integer_hull_new(
     stats: Optional[RunStats] = None,
 ) -> HullResult:
     """Canonical integer hull of a bounded set by facet sweeps from the
-    opposite side and one sweep per edge of the partial hull.
+    opposite side and at most one sweep per edge of the partial hull.
 
     Accepts None (empty set) and degenerate sets.  A polygon of at most
     `cfg.brute_force_cell_threshold` bounding-box cells is enumerated and

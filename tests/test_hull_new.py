@@ -235,7 +235,8 @@ def test_stats_are_populated():
 def test_sweep_counters_count_each_kind_of_sweep():
     # TRI_SHALLOW's 24 cells: `new` enumerates them by default; under a
     # threshold of 1 it sweeps its 3 facets from the opposite side and then
-    # 7 partial-hull edges.  `baseline` sweeps the 3 facets inward.  A
+    # 3 of its 7 partial-hull edges, as its ends' certificates close the
+    # other 4.  `baseline` sweeps the 3 facets inward.  A
     # lattice-free sliver of 110 cells stops both after the first sweep.
     thin = polyset_from_vertices([(0, Fraction(1, 2)), (10, Fraction(21, 2)), (10, Fraction(65, 6))])
     runs = [
@@ -249,7 +250,7 @@ def test_sweep_counters_count_each_kind_of_sweep():
             stats = RunStats()
             run(P, stats)
             got.append((stats.facet_sweeps, stats.edge_sweeps))
-    assert got == [(0, 0), (3, 7), (3, 0), (0, 0), (1, 0), (1, 0)]
+    assert got == [(0, 0), (3, 3), (3, 0), (0, 0), (1, 0), (1, 0)]
 
 
 def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
@@ -269,15 +270,16 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
 
 # Over 20 triangles per S whose facet lines carry lattice points (the
 # paper's edge case): the summed brute_cells of `baseline`, and the sweeps
-# of default `new`, 3 facet sweeps per triangle and the rest edge sweeps.
-LATTICE_FACET_COSTS = {5: (418, 214), 10: (1645, 314), 20: (5120, 394), 40: (26315, 470), 80: (72693, 532)}
+# of default `new`, 3 facet sweeps per triangle and the rest edge sweeps of
+# the edges that their ends' certificates leave open.
+LATTICE_FACET_COSTS = {5: (418, 152), 10: (1645, 195), 20: (5120, 237), 40: (26315, 291), 80: (72693, 337)}
 
 
 def test_lattice_facet_triangles_cost_baseline_cells_and_new_sweeps(monkeypatch):
     # Inward sweeps stop at once on a facet line that holds lattice points,
     # so `baseline` enumerates whole corners, which grow like S^2; `new`
-    # sweeps from the opposite vertex, then once per partial-hull edge, and
-    # enumerates nothing.
+    # sweeps from the opposite vertex, then once per open partial-hull edge,
+    # and enumerates nothing.
     calls = []
     real = hull_new._run_sweep
     monkeypatch.setattr(hull_new, "_run_sweep", lambda *args, **kw: calls.append(args) or real(*args, **kw))
@@ -356,9 +358,7 @@ def check_facet_cover(P, certify):
     """replace_facets(P) reports the hit of each facet it swept, from
     facets whose neighbouring normals turn by less than a half-turn all the
     way round; the hits' points are a subset of every facet's opposite-side
-    hit points; and `new` under RefineConfig(1) returns the oracle's hull
-    (the certificate's verdict where the oracle refuses by
-    COVER_ORACLE_CELLS) as a cycle that convex_hull keeps as it is."""
+    hit points; and `new` under RefineConfig(1) passes check_hull."""
     facet_of = {(h.a, h.c): i for i, h in enumerate(P.halfplanes)}
     swept = []
     real = hull_new._run_sweep
@@ -378,7 +378,13 @@ def check_facet_cover(P, certify):
         normals = [(P.halfplanes[i].a, P.halfplanes[i].c) for i in sorted(swept)]
         for (a, c), (a2, c2) in zip(normals, normals[1:] + normals[:1]):
             assert a * c2 - c * a2 > 0, (P, sorted(swept))
-    hull = integer_hull_new(P, RefineConfig(1))
+    check_hull(P, integer_hull_new(P, RefineConfig(1)), certify)
+
+
+def check_hull(P, hull, certify):
+    """`hull` is the oracle's hull of P (the certificate's verdict where
+    the oracle refuses by COVER_ORACLE_CELLS), as a cycle that convex_hull
+    keeps as it is."""
     try:
         reference = convex_hull(enumerate_integer_points(P, budget=COVER_ORACLE_CELLS))
     except BudgetExceeded:
@@ -396,14 +402,45 @@ def test_the_facet_cover_turns_by_less_than_a_half_turn_and_keeps_the_hull():
         check_facet_cover(P, certify)
 
 
+def test_every_edge_closed_by_certificates_is_final(monkeypatch):
+    # An edge that its ends' certificates close runs no sweep; the sweep it
+    # skips would stop at the edge's own level b.
+    certify = load_perfbench("certify").certify
+    rng = random.Random(23)
+    polys = [random_polyset(random.Random(seed), max_num=30, max_den=8) for seed in range(200)]
+    polys += [lattice_facet_triangle(rng, S) for S in (5, 10, 20, 40, 80) for _ in range(10)]
+    polys += [octagon(rng, 10**12) for _ in range(10)]
+    polys += [needle(below) for below in (2, 5, 10, 21)]
+    polys += [two_point_start(seed) for seed in TWO_POINT_SEEDS]
+    closed = []
+    real = hull_new._closed_by
+
+    def recording(cert_u, cert_w, a, c, b):
+        shut = real(cert_u, cert_w, a, c, b)
+        if shut:
+            closed.append((a, c, b))
+        return shut
+
+    monkeypatch.setattr(hull_new, "_closed_by", recording)
+    total = 0
+    for P in polys:
+        closed.clear()
+        check_hull(P, integer_hull_new(P, RefineConfig(1)), certify)
+        for a, c, b in closed:
+            assert hull_new._run_sweep(P, a, c, True, 0).offset == b, (P, a, c, b)
+        total += len(closed)
+    assert total > 1000, total
+
+
 def test_a_chain_of_1000_facets_sweeps_fewer_than_half():
     # Four facet sweeps, a quarter-turn apart, cover convex_chain_polygon(1000)
     # and find 4 of its 108 integer hull vertices; each edge sweep then
-    # closes an edge of H or finds new vertices.
+    # closes an edge of H or finds new vertices, and the certificates of
+    # their ends close 84 more edges with no sweep.
     P = instance_to_polyset(convex_chain_polygon(1000))
     stats = RunStats()
     hull = integer_hull_new(P, stats=stats)
-    assert (stats.facet_sweeps, stats.edge_sweeps, len(hull)) == (4, 202, 108)
+    assert (stats.facet_sweeps, stats.edge_sweeps, len(hull)) == (4, 118, 108)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -75,6 +75,23 @@ MUTANTS = {
         two_point_starts,
         AssertionError,
     ),
+    # An edge whose functional is no nonnegative combination of its ends'
+    # certificate lines is closed, though the lines bound nothing past it.
+    "the certificate sign test dropped": (
+        hull_new._closed_by,
+        ("lam >= 0 and mu >= 0 and ", ""),
+        two_point_starts,
+        AssertionError,
+    ),
+    # A facet hit's line then bounds the min side of P, not the max side.
+    "a facet hit's certificate left un-negated": (
+        hull_new._edge_points,
+        ("(-a, -c, -hit.offset)", "(a, c, hit.offset)"),
+        two_point_starts,
+        AssertionError,
+    ),
+    # The certificate test as `<=` is no mutant: a bound of b + 1 also
+    # leaves the edge final (see hull_new._closed_by).
     # p has no successor, so the walk round the cycle stops at it.
     "a split without the p -> q link": (
         hull_new._edge_points,

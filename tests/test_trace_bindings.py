@@ -43,14 +43,15 @@ def test_every_trace_hook_resolves_but_the_known_missing():
 
 # Spans per name for one hull of triangle_shallow.json.  `new` enumerates
 # its 24 cells by default; with RefineConfig(1) it sweeps 3 facets from the
-# opposite side (one `lattice.sweep`), then 7 partial-hull edges, and
-# builds the hits' hull with the one `geom.convex_hull`: the edge loop
-# keeps the final cycle itself.
+# opposite side (one `lattice.sweep`), then the 3 of its 7 partial-hull
+# edges that its hits' certificates leave open, and builds the hits' hull
+# with the one `geom.convex_hull`: the edge loop keeps the final cycle
+# itself.
 # `baseline` sweeps 3 facets inward in its own facet pass, cuts 3 corner regions out of 4 clips
 # (one area for Q, one per region) and enumerates each.
 SPANS = {
     "new": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
-    "new, RefineConfig(1)": {"engine": 1, "lattice.sweep": 1, "lattice.sweep.facet": 10, "geom.convex_hull": 1},
+    "new, RefineConfig(1)": {"engine": 1, "lattice.sweep": 1, "lattice.sweep.facet": 6, "geom.convex_hull": 1},
     "baseline": {
         "engine": 1,
         "lattice.sweep": 1,
