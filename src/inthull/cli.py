@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geom import HalfPlane
 from .hull_baseline import normalize_facets
-from .hull_new import RefineConfig, replace_facets
+from .hull_new import replace_facets
 from .instances import (
     Instance,
     instance_to_polyset,
@@ -40,7 +40,7 @@ from .instances import (
     save_instance,
 )
 from .generate import edgecase_halfplanes, random_polygon
-from .oracle import RunStats, bbox_cell_count, integer_hull_oracle
+from .oracle import RunStats, integer_hull_oracle
 from .svgplot import render_svg
 
 
@@ -145,17 +145,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    hull = run_engine(args.engine, P)
-    # The facet sweeps the engine ran: inward normalization of every facet
-    # for `baseline`, the half-turn cover swept from the opposite side for
-    # `new` (which enumerates a polygon of at most the threshold's cells
-    # without sweeping it), each drawn as its stopping chord.
+    stats = RunStats()
+    hull = run_engine(args.engine, P, stats=stats)
+    # The facet sweeps the engine ran, each drawn as its stopping chord:
+    # inward normalization of every facet for `baseline`, the half-turn
+    # cover swept from the opposite side for `new`.  An engine that swept
+    # no facet (`oracle`, or `new` on a set it enumerates) draws none.
     hits = {}
-    if P is not None and not P.is_degenerate:
-        if args.engine == "baseline":
-            hits = dict(enumerate(normalize_facets(P)[1]))
-        elif args.engine == "new" and bbox_cell_count(P) > RefineConfig().brute_force_cell_threshold:
-            hits = replace_facets(P)
+    if stats.facet_sweeps:
+        hits = dict(enumerate(normalize_facets(P)[1])) if args.engine == "baseline" else replace_facets(P)
     chords = [HalfPlane(P.halfplanes[i].a, P.halfplanes[i].c, hit.offset) for i, hit in sorted(hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)

@@ -28,7 +28,7 @@ from math import gcd, isqrt
 from typing import List, Tuple
 
 from .errors import UnboundedSet
-from .geom import HalfPlane, Rational, _by_angle, _frac, _hull_chain, polyset_from_halfplanes
+from .geom import HalfPlane, Rational, _by_angle, _frac, _hull_chain, area, polyset_from_halfplanes, polyset_from_vertices
 from .instances import Instance, format_rational
 
 
@@ -210,12 +210,7 @@ def convex_chain_polygon(n: int, target_area: Rational = Fraction(70000)) -> Ins
         verts.append((x + dx, y + dy))
     # n distinct directions in angle order: a strictly convex CCW polygon,
     # so its area is positive.
-    twice_area = 0
-    for i in range(n):
-        px, py = verts[i]
-        qx, qy = verts[(i + 1) % n]
-        twice_area += px * qy - qx * py
-    area0 = Fraction(twice_area, 2)
+    area0 = area(polyset_from_vertices(verts))
     ratio = area0 / target_area
     q0 = max(1, isqrt(ratio.numerator // ratio.denominator))
     # Choose the divisor whose squared scaling lands closest to the target.

@@ -21,8 +21,12 @@ Conventions used throughout:
   counter-clockwise vertex cycle starting at the lexicographically smallest
   vertex; its ``halfplanes[i]``, derived on first use and cached, is the
   supporting half-plane of the edge ``vertices[i] -> vertices[i+1]``.  Sets
-  with one or two vertices are degenerate (a point or a segment) and have no
-  half-planes.
+  with one or two vertices are degenerate (a point, or a segment with its
+  ends in lex order) and have no half-planes.  One constructor,
+  :func:`_polyset_from_forms`, puts reduced forms in this canonical form
+  (or refuses them); every set the package builds comes from it, and
+  ``PolySet2(...)`` accepts exactly its output.  The half-plane deque hands
+  it only cycles with no zero turn and falls back to box clipping on one.
 * A :class:`PolySet2` stores only the reduced integer form ``(X, Y, W)``,
   ``W > 0`` and ``gcd(X, Y, W) = 1``, of each vertex ``(X/W, Y/W)``
   (:func:`_form`).  Reduced forms are equal exactly when the points are, so
@@ -179,13 +183,12 @@ class PolySet2:
     def __init__(self, vertices: Iterable[Sequence[Rational]]) -> None:
         verts = tuple(Point2(_frac(p[0]), _frac(p[1])) for p in vertices)
         forms = tuple(map(_form, verts))
-        n = len(verts)
-        if n == 0:
-            raise ValueError("a PolySet2 must have at least one vertex; use None for the empty set")
-        if n == 2 and not verts[0] < verts[1]:
-            raise ValueError("degenerate segment vertices must be distinct and in lex order")
-        if n >= 3 and _cycle_start(forms) != 0:
-            raise ValueError("vertex cycle must start at the lexicographically smallest vertex")
+        canonical = _polyset_from_forms(forms)
+        if canonical is None or canonical._forms != forms:
+            raise ValueError(
+                "vertices must be canonical: one point, two distinct points in lex order, or a cycle "
+                "starting at the lexicographically smallest vertex (None is the empty set)"
+            )
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "vertices", verts)
 
@@ -318,35 +321,31 @@ def _edge_halfplane(p: Form, q: Form) -> HalfPlane:
     return HalfPlane(dy // g, -dx // g, Fraction(dy * p[0] - dx * p[1], p[2] * g))
 
 
-def _polyset_of(forms: Tuple[Form, ...]) -> PolySet2:
-    """A PolySet2 holding reduced forms already in canonical order, unchecked."""
+def _polyset_from_forms(forms: Sequence[Form]) -> Optional[PolySet2]:
+    """The canonical PolySet2 of a sequence of reduced integer forms, the one
+    constructor every set of this package comes from.
+
+    None when there are no forms; a point, or a segment with its ends in lex
+    order, when at most two distinct points remain; otherwise the cycle,
+    checked by :func:`_cycle_start` (ValueError unless strictly convex and
+    counter-clockwise) and rotated to start at its lex-smallest vertex.
+    """
+    if len(set(forms[:3])) == 3:
+        k = _cycle_start(forms)  # which also refuses any later repeat
+        forms = tuple(forms[k:]) + tuple(forms[:k])
+    else:
+        # Three forms of at most two points repeat one; distinct later forms
+        # leave a cycle with a repeated vertex.
+        forms = tuple(dict.fromkeys(forms))
+        if len(forms) > 2:
+            raise ValueError("vertices must form a strictly convex counter-clockwise cycle")
+        if not forms:
+            return None
+        if _direction(forms[0], forms[-1]) < (0, 0):
+            forms = forms[::-1]
     P = object.__new__(PolySet2)
     object.__setattr__(P, "_forms", forms)
     return P
-
-
-def _polyset_from_cycle(forms: Sequence[Form]) -> PolySet2:
-    """Build a PolySet2 from a strictly convex CCW cycle (>= 3 vertices) of
-    reduced integer forms.
-
-    The constructor's cycle check (:func:`_cycle_start`) runs once and finds
-    the lex-smallest vertex, where the built set starts.
-    """
-    k = _cycle_start(forms)
-    return _polyset_of(tuple(forms[k:]) + tuple(forms[:k]))
-
-
-def _degenerate_polyset(forms: Iterable[Form]) -> Optional[PolySet2]:
-    """A point or segment PolySet2 from reduced forms of <= 2 distinct
-    points (None if there are none); a segment's ends go in lex order."""
-    ends = list(dict.fromkeys(forms))
-    if not ends:
-        return None
-    if len(ends) > 2:
-        raise ValueError("degenerate sets have at most two distinct vertices")
-    if _direction(ends[0], ends[-1]) < (0, 0):
-        ends.reverse()
-    return _polyset_of(tuple(ends))
 
 
 def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
@@ -356,10 +355,10 @@ def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
     :class:`DegenerateSet` when fewer than three distinct points remain or all
     points are collinear.
     """
-    hull = _hull_chain(point(p[0], p[1]) for p in vertices)
-    if len(hull) < 3:
+    P = _polyset_from_forms(_hull_chain(point(p[0], p[1]) for p in vertices))
+    if P is None or P.is_degenerate:
         raise DegenerateSet("need at least three distinct, not all collinear points")
-    return _polyset_from_cycle(hull)
+    return P
 
 
 def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
@@ -395,29 +394,6 @@ def bounding_box(P: PolySet2) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """(xmin, xmax, ymin, ymax) over the vertices."""
     xs, ys = zip(*P.vertices)
     return min(xs), max(xs), min(ys), max(ys)
-
-
-def _clean_cycle(forms: Sequence[Form]) -> list:
-    """Drop consecutive duplicates and collinear middle vertices of a cycle
-    of reduced integer forms (equal points have equal forms)."""
-    # Consecutive duplicates (cyclically).
-    dedup: list = []
-    for f in forms:
-        if not dedup or dedup[-1] != f:
-            dedup.append(f)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    # Collinear middles (cyclically); the loop re-scans until stable.
-    changed = True
-    while changed and len(dedup) >= 3:
-        changed = False
-        n = len(dedup)
-        for i in range(n):
-            if _turn(dedup[i - 1], dedup[i], dedup[(i + 1) % n]) == 0:
-                del dedup[i]
-                changed = True
-                break
-    return dedup
 
 
 def _vertex_levels(forms: Sequence[Form], h: HalfPlane) -> Callable[[int], Tuple[int, int]]:
@@ -485,13 +461,12 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     kept, and adds at most two crossings where it stops.  Levels and
     crossings come from the vertices' integer forms, which kept vertices
     keep, so a clip costs the descent plus the kept arc, not a pass over P.
-    A clip of a strictly convex cycle is strictly convex; the constructor's
-    cycle check (:func:`_cycle_start`) checks it.
-
-    Degenerate results (a segment or point) are returned as degenerate
-    PolySet2 values, not errors.  A point or segment P is clipped as the
-    1- or 2-cycle of its vertices: a segment's crossing is found once from
-    each end, at the same point, and the duplicate is dropped.
+    The kept arc and crossings go to :func:`_polyset_from_forms`, which
+    checks that a clip of a strictly convex cycle is strictly convex and
+    returns fewer than three points as a degenerate PolySet2, not an error.
+    A point or segment P is clipped as the 1- or 2-cycle of its vertices: a
+    segment's crossing is found once from each end, at the same point, and
+    the constructor drops the repeat.
     """
     forms = P._forms
     n = len(forms)
@@ -518,9 +493,7 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
         cycle.append(_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out))
     if f_start[0] < 0:
         cycle.append(_crossing(forms[(start - 1) % n], f_in, forms[start % n], f_start))
-    if n < 3 or len(cycle) < 3:
-        return _degenerate_polyset(cycle)
-    return _polyset_from_cycle(cycle)
+    return _polyset_from_forms(cycle)
 
 
 def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
@@ -614,7 +587,7 @@ def _intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
     max_b = max(abs(h.b) for h in hps)
     max_ac = max(max(abs(h.a), abs(h.c)) for h in hps)
     m = 1 + 2 * (max_b.numerator // max_b.denominator + 1) * max_ac
-    square = _polyset_from_cycle([(-m, -m, 1), (m, -m, 1), (m, m, 1), (-m, m, 1)])
+    square = _polyset_from_forms([(-m, -m, 1), (m, -m, 1), (m, m, 1), (-m, m, 1)])
     region: Optional[PolySet2] = square
     for h in hps:
         region = clip(region, h)
@@ -628,15 +601,17 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
 
     Classic deque construction: a half-plane is popped when it becomes
     redundant against the intersection point of its neighbors.  Intersection
-    points are reduced integer forms (:func:`_hp_intersection_point`), sides
-    are the signs of their levels and collinear vertices are dropped by
-    :func:`_turn`, so no ``Fraction`` is built until the vertices of the
-    result.  Returns a polygon with at least three vertices, or None for an
-    empty slab between antiparallel neighbors (input normals are distinct,
-    so neighbors with parallel normals are antiparallel).  Raises
-    :class:`_NeedsFallback` on ambiguous degenerate configurations and
-    whenever fewer than three vertices remain, since the deque can report
-    an empty set as a point or segment.
+    points are reduced integer forms (:func:`_hp_intersection_point`) and
+    sides are the signs of their levels, so no ``Fraction`` is built until
+    the vertices of the result.  Consecutive repeats of a point (rows
+    through one vertex) are dropped.  Returns a polygon with at least three
+    vertices, or None for an empty slab between antiparallel neighbors
+    (input normals are distinct, so neighbors with parallel normals are
+    antiparallel).  Raises :class:`_NeedsFallback` on ambiguous degenerate
+    configurations and whenever a turn of the remaining cycle is zero
+    (:func:`_turn`), which includes fewer than three points, since the
+    deque can report an empty set as a point or segment; a clockwise turn
+    is a ValueError from :func:`_polyset_from_forms`.
     """
     def outside(h: HalfPlane, p: Form) -> bool:
         return _level(h, p)[0] > 0
@@ -662,11 +637,12 @@ def _intersect_sorted_deque(sorted_hps: Sequence[HalfPlane]) -> Optional[PolySet
         dq.pop(0)
     if len(dq) < 3:
         raise _NeedsFallback
-    n = len(dq)
-    forms = _clean_cycle([_hp_intersection_point(dq[i], dq[(i + 1) % n]) for i in range(n)])
-    if len(forms) < 3:
+    points = [_hp_intersection_point(dq[i - 1], dq[i]) for i in range(len(dq))]
+    # Rows through one point meet there more than once: drop the repeats.
+    forms = [p for i, p in enumerate(points) if p != points[i - 1]]
+    if not forms or any(_turn(forms[i - 2], forms[i - 1], p) == 0 for i, p in enumerate(forms)):
         raise _NeedsFallback
-    return _polyset_from_cycle(forms)
+    return _polyset_from_forms(forms)
 
 
 def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
@@ -677,9 +653,9 @@ def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
 
     Bounded-shaped input (normals that positively span the plane) goes to
     the deque first; box clipping answers whenever the deque gives up or
-    finds fewer than three vertices.  Input whose normals leave a gap of at
-    least pi has a recession direction, so it is unbounded unless empty, and
-    box clipping decides which: a nonempty intersection always meets the box
+    meets a zero turn.  Input whose normals leave a gap of at least pi has
+    a recession direction, so it is unbounded unless empty, and box
+    clipping decides which: a nonempty intersection always meets the box
     (see :func:`_intersect_by_clipping`).
     """
     deduped = _dedupe_halfplanes(hps)

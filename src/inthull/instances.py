@@ -29,11 +29,10 @@ from .geom import (
     HalfPlane,
     PolySet2,
     Rational,
-    _degenerate_polyset,
     _frac,
     _hull_chain,
     _intersect_halfplanes,
-    _polyset_from_cycle,
+    _polyset_from_forms,
     point,
 )
 
@@ -180,8 +179,7 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     empty.  Unbounded inequality systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
-        chain = _hull_chain(point(x, y) for x, y in inst.vertices)
-        return _polyset_from_cycle(chain) if len(chain) >= 3 else _degenerate_polyset(chain)
+        return _polyset_from_forms(_hull_chain(point(x, y) for x, y in inst.vertices))
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:
         if a == 0 and c == 0:

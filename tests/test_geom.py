@@ -305,6 +305,38 @@ def test_intersect_halfplanes_on_systems_built_from_polygons():
         assert _rule(pushed) == _clipping_reference(pushed), pushed
 
 
+def check_rows_through_a_vertex():
+    """Redundant rows through a vertex of P leave P on the deque.
+
+    A row whose line touches P at one vertex, with its normal inside that
+    vertex's normal cone, meets both neighbours there: the deque's cycle
+    repeats the vertex.  The repeat must be dropped before any turn is
+    tested, so the deque answers P without box clipping.
+    """
+    def no_clipping(hps):
+        raise AssertionError("the deque fell back to box clipping")
+
+    rng = random.Random(12)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(geom, "_intersect_by_clipping", no_clipping)
+        for _ in range(120):
+            P = random_polyset(rng, max_num=30, max_den=6)
+            hps = P.halfplanes
+            rows = list(hps)
+            for i in rng.sample(range(len(hps)), rng.randint(1, len(hps))):
+                v = P.vertices[i]
+                for s, t in [(1, 1)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]:
+                    a, c = s * hps[i - 1].a + t * hps[i].a, s * hps[i - 1].c + t * hps[i].c
+                    rows.append(HalfPlane(a, c, a * v.x + c * v.y))
+            rng.shuffle(rows)
+            assert _intersect_halfplanes(rows) == P
+            assert polyset_from_halfplanes(rows) == P
+
+
+def test_rows_through_a_vertex_stay_on_the_deque():
+    check_rows_through_a_vertex()
+
+
 # ---------------------------------------------------------------------------
 # V-rep / H-rep round trip
 
@@ -505,11 +537,17 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
     assert len(sets) > 250 and lines > 5000
 
 
-def test_every_construction_path_stores_reduced_forms(monkeypatch):
-    # A PolySet2 stores only its vertices' integer forms (X, Y, W).  Every
-    # way of building one must reduce them (W > 0, gcd(X, Y, W) = 1): then
-    # equal points have equal forms, so a set rebuilt from its vertices is
-    # equal to it and hashes alike.
+def check_construction_paths():
+    """Every way of building a PolySet2 stores reduced forms in canonical
+    order.
+
+    A PolySet2 stores only its vertices' integer forms (X, Y, W).  Every
+    path must reduce them (W > 0, gcd(X, Y, W) = 1): then equal points have
+    equal forms, so a set rebuilt from its vertices is equal to it and
+    hashes alike.  Its vertices must be their own plain-Fraction hull: a
+    point, a segment's ends in lex order, or a CCW cycle from its lex-min
+    vertex.
+    """
     rng = random.Random(1414)
     F = Fraction
     built = {
@@ -526,9 +564,9 @@ def test_every_construction_path_stores_reduced_forms(monkeypatch):
     def no_deque(hps):
         raise geom._NeedsFallback
 
-    monkeypatch.setattr(geom, "_intersect_sorted_deque", no_deque)
-    built["box clipping"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(geom, "_intersect_sorted_deque", no_deque)
+        built["box clipping"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
     clips = [Q for P in polygons for h in _clip_cases(P, rng) if (Q := clip(P, h, rng.randrange(len(P._forms))))]
     for S in [Q for Q in clips if len(Q._forms) == 2]:
         (X, Y, W), (X2, Y2, W2) = S._forms
@@ -552,6 +590,7 @@ def test_every_construction_path_stores_reduced_forms(monkeypatch):
         assert sets, path
         for S in sets:
             assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in S._forms), (path, S._forms)
+            assert list(S.vertices) == rational_hull(S.vertices), (path, S)
             rebuilt = PolySet2(S.vertices)
             assert rebuilt == S and hash(rebuilt) == hash(S), (path, S)
     # A segment from its forms in either order, vertical or not, has its
@@ -563,8 +602,12 @@ def test_every_construction_path_stores_reduced_forms(monkeypatch):
         if p == q:
             continue
         for ends in ([p, q], [q, p]):
-            S = geom._degenerate_polyset([geom._form(v) for v in ends])
+            S = geom._polyset_from_forms([geom._form(v) for v in ends])
             assert S.vertices == tuple(sorted(ends)) and S == PolySet2(sorted(ends)), ends
+
+
+def test_every_construction_path_stores_reduced_forms():
+    check_construction_paths()
 
 
 def _far_rational(rng: random.Random, shift: int) -> Fraction:

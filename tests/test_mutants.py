@@ -1,11 +1,11 @@
 """Faults the tests must catch, injected in-process.
 
 Each mutant rebuilds one function of the package from its own source with
-one edit, binds it in the function's module with monkeypatch, and runs the
-check that should catch it on a seeded subset of that check's inputs that
-does: the check must fail, with the error named.  A mutant whose edit no
-longer applies fails here, so a change that rewrites the targeted code must
-retarget the mutant or say why it is gone.
+one edit, binds it in the function's own module with monkeypatch, and runs
+the check its entry names, on a seeded subset of that check's inputs that
+catches it: the check passes before and must fail after, with the error
+named.  A mutant whose edit no longer applies fails here, so a change that
+rewrites the targeted code must retarget the mutant or say why it is gone.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import types
 
 import pytest
 
+import inthull.geom as geom
 import inthull.hull_new as hull_new
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
+from test_geom import check_construction_paths, check_rows_through_a_vertex
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 
 
@@ -49,30 +51,44 @@ def two_point_starts():
     return [two_point_start(seed) for seed in TWO_POINT_SEEDS]
 
 
-# name: (function, edit, inputs of test_hull_new's cover check, error).
+def facet_cover(inputs):
+    """The check that test_hull_new's facet-cover check passes on every
+    polygon `inputs` builds."""
+    def check():
+        certify = load_perfbench("certify").certify
+        for P in inputs():
+            check_facet_cover(P, certify)
+
+    return check
+
+
+ON_NEEDLES, ON_SMALL_RANDOM, ON_TWO_POINT_STARTS = map(facet_cover, (needles, small_random, two_point_starts))
+FACET_COVER = (ON_NEEDLES, ON_SMALL_RANDOM, ON_TWO_POINT_STARTS)
+
+# name: (function, edit, check, error).
 MUTANTS = {
     # A range [0, n] turns by nothing, so only facet 0 is swept.
-    "the half-turn test as >= 0": (hull_new.replace_facets, ("ak > 0:", "ak >= 0:"), needles, AssertionError),
-    "the half-turn test dropped": (hull_new.replace_facets, ("if ai * ck - ci * ak > 0:", "if True:"), needles, AssertionError),
+    "the half-turn test as >= 0": (hull_new.replace_facets, ("ak > 0:", "ak >= 0:"), ON_NEEDLES, AssertionError),
+    "the half-turn test dropped": (hull_new.replace_facets, ("if ai * ck - ci * ak > 0:", "if True:"), ON_NEEDLES, AssertionError),
     # The skip test that kept only k - i < n: facets 0 and n // 2 alone,
     # which on a needle both stop at the apex.
-    "every range but the whole one settled": (hull_new.replace_facets, ("ai * ck - ci * ak > 0", "k - i < n"), needles, AssertionError),
+    "every range but the whole one settled": (hull_new.replace_facets, ("ai * ck - ci * ak > 0", "k - i < n"), ON_NEEDLES, AssertionError),
     # The split edges then point back across the chord, and their sweeps
     # find known points.
-    "p and q not ordered along w - u": (hull_new._edge_points, ("p, q = q, p", "pass"), small_random, GeometryError),
+    "p and q not ordered along w - u": (hull_new._edge_points, ("p, q = q, p", "pass"), ON_SMALL_RANDOM, GeometryError),
     # Edges one level short of final are closed, and the vertices on the
     # chord one level beyond them are lost.
     "an edge closed at m <= b + 1": (
         hull_new._edge_points,
         ("if hit.offset == b:", "if hit.offset <= b + 1:"),
-        small_random,
+        ON_SMALL_RANDOM,
         AssertionError,
     ),
     # Hull vertices lie on both sides of the two hits' segment.
     "a two-point start hull swept one way only": (
         hull_new._edge_points,
         ("for u, w in cycle.items()]", "for u, w in cycle.items() if len(cycle) > 2 or u < w]"),
-        two_point_starts,
+        ON_TWO_POINT_STARTS,
         AssertionError,
     ),
     # An edge whose functional is no nonnegative combination of its ends'
@@ -80,14 +96,14 @@ MUTANTS = {
     "the certificate sign test dropped": (
         hull_new._closed_by,
         ("lam >= 0 and mu >= 0 and ", ""),
-        two_point_starts,
+        ON_TWO_POINT_STARTS,
         AssertionError,
     ),
     # A facet hit's line then bounds the min side of P, not the max side.
     "a facet hit's certificate left un-negated": (
         hull_new._edge_points,
         ("(-a, -c, -hit.offset)", "(a, c, hit.offset)"),
-        two_point_starts,
+        ON_TWO_POINT_STARTS,
         AssertionError,
     ),
     # The certificate test as `<=` is no mutant: a bound of b + 1 also
@@ -96,20 +112,50 @@ MUTANTS = {
     "a split without the p -> q link": (
         hull_new._edge_points,
         ("cycle[u], cycle[p], cycle[q] = p, q, w", "cycle[u], cycle[q] = p, w"),
-        small_random,
+        ON_SMALL_RANDOM,
         KeyError,
+    ),
+    # The canonical form, at the one constructor every set comes from.
+    "a segment's ends left in the order given": (
+        geom._polyset_from_forms,
+        ("if _direction(forms[0], forms[-1]) < (0, 0):", "if False:"),
+        check_construction_paths,
+        AssertionError,
+    ),
+    "a cycle not rotated to its lex-min vertex": (
+        geom._polyset_from_forms,
+        ("forms = tuple(forms[k:]) + tuple(forms[:k])", "forms = tuple(forms)"),
+        check_construction_paths,
+        AssertionError,
+    ),
+    # A crossing whose form has W < 0 turns the directions into and out of
+    # it around, and the cycle check refuses the clip.
+    "_reduced without its sign fix of W": (geom._reduced, ("if W < 0:", "if False:"), check_construction_paths, ValueError),
+    "_reduced without its gcd": (geom._reduced, ("g = gcd(X, Y, W)", "g = 1"), check_construction_paths, AssertionError),
+    # A vertex met by more than two rows repeats in the deque's cycle; its
+    # zero turn with itself then sends the system to box clipping.
+    "deque repeats tested for a zero turn": (
+        geom._intersect_sorted_deque,
+        ("forms = [p for i, p in enumerate(points) if p != points[i - 1]]", "forms = points"),
+        check_rows_through_a_vertex,
+        AssertionError,
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_the_facet_cover_check_catches(monkeypatch, name):
-    function, (old, new), inputs, error = MUTANTS[name]
-    certify = load_perfbench("certify").certify
-    polys = inputs()
-    for P in polys:
-        check_facet_cover(P, certify)
-    monkeypatch.setattr(hull_new, function.__name__, mutant(function, old, new))
+def assert_caught(monkeypatch, name):
+    function, (old, new), check, error = MUTANTS[name]
+    check()
+    monkeypatch.setattr(sys.modules[function.__module__], function.__name__, mutant(function, old, new))
     with pytest.raises(error):
-        for P in polys:
-            check_facet_cover(P, certify)
+        check()
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in MUTANTS.items() if entry[2] in FACET_COVER))
+def test_the_facet_cover_check_catches(monkeypatch, name):
+    assert_caught(monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in MUTANTS.items() if entry[2] not in FACET_COVER))
+def test_the_named_check_catches(monkeypatch, name):
+    assert_caught(monkeypatch, name)
