@@ -47,7 +47,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
@@ -271,17 +271,26 @@ def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
     The hull runs in strict CCW order from the lexicographically smallest
     point.  Fewer than three distinct points (or an all-collinear set)
     collapse to the sorted distinct points / the two extreme points.  Only
-    the lowest and highest point of a column x = X can be a vertex, so each
-    run of equal x is cut to its two ends, and only those are turned into
-    forms, before the chain runs on them (:func:`_turn`).
+    the lowest and highest point of a column x = X can be a vertex, so one
+    pass keeps each column's ``[lo, hi]`` in a dict keyed by x, with one
+    lookup per point and a store per new column (a Fraction x hashes in
+    Python); only the distinct columns are sorted, and only their ends are
+    turned into forms before the chain runs on them (:func:`_turn`).
     """
-    pts: list = []
-    for p in sorted(set(points)):
-        if len(pts) >= 2 and pts[-2][0] == pts[-1][0] == p[0]:
-            pts[-1] = p
-        else:
-            pts.append(p)
-    forms = [_form(p) for p in pts]
+    columns: dict = {}
+    for x, y in points:
+        ends = columns.get(x)
+        if ends is None:
+            columns[x] = [y, y]
+        elif y < ends[0]:
+            ends[0] = y
+        elif y > ends[1]:
+            ends[1] = y
+    forms: list = []
+    for x, (lo, hi) in sorted(columns.items(), key=itemgetter(0)):
+        forms.append(_form((x, lo)))
+        if hi is not lo:  # an end moves only to a strictly smaller or larger y
+            forms.append(_form((x, hi)))
     if len(forms) <= 2:
         return forms
     hull: list = []
@@ -303,8 +312,10 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
 
     Each point is read once, as ``(index(p[0]), index(p[1]))``: coordinates
     must be integers, and a ``Fraction`` or ``float`` raises ``TypeError``
-    rather than being truncated to another lattice point.  Only the hull's
-    vertices become :class:`IntPoint2` values.
+    rather than being truncated to another lattice point.  The chain
+    (:func:`_hull_chain`) keeps only each column's two ends, in one dict
+    pass with no sort of the points (only the distinct columns are
+    sorted), and only the hull's vertices become :class:`IntPoint2` values.
     """
     hull = _hull_chain((index(p[0]), index(p[1])) for p in points)
     return HullResult(tuple((X, Y) for X, Y, _ in hull))

@@ -12,6 +12,7 @@ completes or raises without burning time first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import List, Optional
 
@@ -42,10 +43,12 @@ def enumerate_integer_points(
     budget: int = 10**8,
     stats: Optional[RunStats] = None,
 ) -> List[IntPoint2]:
-    """All integer points of P in lexicographic order.
+    """All integer points of P in lexicographic order, as IntPoint2s.
 
-    Raises BudgetExceeded when the bounding box holds more than `budget`
-    cells (checked before any scanning).  P may be degenerate or None.
+    Each column from the column walk is expanded by C-level iteration, with
+    no Python frame per point.  Raises BudgetExceeded when the bounding box
+    holds more than `budget` cells (checked before any scanning).  P may be
+    degenerate or None.
     """
     if P is None:
         return []
@@ -58,7 +61,9 @@ def enumerate_integer_points(
         return _enumerate_degenerate(P)
     points: List[IntPoint2] = []
     for x, y_lo, y_hi in _columns(P):
-        points.extend(IntPoint2(x, y) for y in range(y_lo, y_hi + 1))
+        # tuple.__new__(IntPoint2, (x, y)) is IntPoint2(x, y) without the
+        # named tuple's Python-level __new__ frame.
+        points.extend(map(tuple.__new__, repeat(IntPoint2), zip(repeat(x), range(y_lo, y_hi + 1))))
     return points
 
 

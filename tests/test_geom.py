@@ -667,12 +667,13 @@ def test_convex_hull_matches_reference_hull(pts):
     assert ours == ref
 
 
-def test_convex_hull_of_full_columns_matches_the_uncollapsed_chain():
-    # Many points per column, whole columns, one vertical line and one
-    # slanted line: only column ends reach the chain, which must not change
-    # the hull.
+def check_full_column_hulls(cases: int = 400):
+    """convex_hull of many points per column, of whole columns, of one
+    vertical line and of one slanted line is the plain-Fraction hull of all
+    the points: only column ends reach the chain, which must not change the
+    hull.  The first `cases` of one seeded sequence of point sets."""
     rng = random.Random(11)
-    for i in range(400):
+    for i in range(cases):
         kind = i % 4
         if kind == 0:
             pts = [(rng.randint(-6, 6), rng.randint(-40, 40)) for _ in range(rng.randint(1, 120))]
@@ -686,3 +687,35 @@ def test_convex_hull_of_full_columns_matches_the_uncollapsed_chain():
             pts = [(x + k * dx, y + k * dy) for k in rng.sample(range(-20, 20), rng.randint(1, 12))]
         ref = [(int(x), int(y)) for x, y in rational_hull(pts)]
         assert [(p.x, p.y) for p in convex_hull(pts)] == ref
+
+
+def test_convex_hull_of_full_columns_matches_the_uncollapsed_chain():
+    check_full_column_hulls()
+
+
+def test_hull_chain_keys_a_column_given_as_int_and_fraction_once():
+    # 2 and Fraction(2) are equal and hash alike, so the column pass keys
+    # them as one column.  With duplicate points, each repeated with its x in
+    # the other type, and one-point columns, the forms must be plain ints,
+    # reduced, the plain-Fraction hull's, and the same when every coordinate
+    # arrives as a Fraction.
+    F = Fraction
+    rng = random.Random(25)
+
+    def y():
+        v = F(rng.randint(-30, 30), rng.randint(1, 3))
+        return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+    mixed = 0
+    for _ in range(300):
+        pts = [(rng.choice([2, F(2)]), y()) for _ in range(rng.randint(1, 6))]
+        pts += [(x, y()) for x in rng.sample([-3, -1, 0, 1, 4, 6], rng.randint(0, 3))]
+        pts += [(F(x) if type(x) is int else int(x), v) for x, v in rng.sample(pts, rng.randint(0, len(pts)))]
+        rng.shuffle(pts)
+        mixed += {type(x) for x, _ in pts if x == 2} == {int, F}
+        forms = _hull_chain(pts)
+        assert all(type(v) is int for form in forms for v in form), forms
+        assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in forms), forms
+        assert [(F(X, W), F(Y, W)) for X, Y, W in forms] == rational_hull(pts), pts
+        assert _hull_chain([(F(x), F(v)) for x, v in pts]) == forms
+    assert mixed > 150

@@ -20,9 +20,11 @@ import pytest
 
 import inthull.geom as geom
 import inthull.hull_new as hull_new
+import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
-from test_geom import check_construction_paths, check_rows_through_a_vertex
+from test_geom import check_construction_paths, check_full_column_hulls, check_rows_through_a_vertex
+from test_oracle import check_enumerate_matches_full_box_scan
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 
 
@@ -36,7 +38,9 @@ def mutant(function, old: str, new: str):
     code = compile(source.replace(old, new), module.__file__, "exec", __future__.annotations.compiler_flag, True)
     exec(code, scratch)
     built = scratch[function.__name__]
-    return types.FunctionType(built.__code__, vars(module), built.__name__, built.__defaults__, built.__closure__)
+    rebuilt = types.FunctionType(built.__code__, vars(module), built.__name__, built.__defaults__, built.__closure__)
+    rebuilt.__kwdefaults__ = built.__kwdefaults__
+    return rebuilt
 
 
 def needles():
@@ -64,6 +68,18 @@ def facet_cover(inputs):
 
 ON_NEEDLES, ON_SMALL_RANDOM, ON_TWO_POINT_STARTS = map(facet_cover, (needles, small_random, two_point_starts))
 FACET_COVER = (ON_NEEDLES, ON_SMALL_RANDOM, ON_TWO_POINT_STARTS)
+
+
+def full_column_hulls():
+    """test_geom's full-column hull check on its first 40 point sets."""
+    check_full_column_hulls(40)
+
+
+def box_scans():
+    """test_oracle's box-scan check on ten seeded polygons of its inputs."""
+    for seed in range(10):
+        check_enumerate_matches_full_box_scan(random_polyset(random.Random(seed), max_num=25, max_den=6))
+
 
 # name: (function, edit, check, error).
 MUTANTS = {
@@ -140,6 +156,15 @@ MUTANTS = {
         check_rows_through_a_vertex,
         AssertionError,
     ),
+    # The hull chain's column cut and turn test, and the oracle's columns.
+    "the column cut never lowers a column's low end": (geom._hull_chain, ("ends[0] = y", "pass"), full_column_hulls, AssertionError),
+    "a hull chain that keeps collinear points": (
+        geom._hull_chain,
+        ("_turn(chain[-2], chain[-1], f) <= 0", "_turn(chain[-2], chain[-1], f) < 0"),
+        full_column_hulls,
+        AssertionError,
+    ),
+    "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from inthull import (
     BudgetExceeded,
     HalfPlane,
+    IntPoint2,
     PolySet2,
     RunStats,
     bbox_cell_count,
@@ -22,6 +23,7 @@ from inthull import (
     integer_hull_oracle,
     polyset_from_vertices,
 )
+import inthull.oracle as oracle
 from helpers import brute_points_in, hull_tuples, random_polyset
 
 
@@ -43,6 +45,18 @@ def far_octagon() -> PolySet2:
     return P
 
 
+def check_enumerate_matches_full_box_scan(P: PolySet2):
+    """P's enumeration is its box scan, in lexicographic order, and every
+    point is an IntPoint2 inside P.  Called through its module, so that a
+    rebinding of the function reaches it."""
+    assert bbox_cell_count(P) <= 10**4
+    pts = oracle.enumerate_integer_points(P)
+    assert [(p.x, p.y) for p in pts] == brute_points_in(P)
+    assert pts == sorted(pts)  # lexicographic output order
+    for p in pts:
+        assert type(p) is IntPoint2 and contains(P, (p.x, p.y))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6).map(lambda seed: random_polyset(random.Random(seed), max_num=25, max_den=6)))
 # A vertical left edge, a vertical right edge, both, one integer column
@@ -57,12 +71,7 @@ def far_octagon() -> PolySet2:
 @example(polyset_from_vertices([(0, Fraction(1, 3)), (140, Fraction(599, 10)), (140, Fraction(601, 10))]))
 @example(far_octagon())
 def test_enumerate_matches_full_box_scan(P):
-    assert bbox_cell_count(P) <= 10**4
-    pts = enumerate_integer_points(P)
-    assert [(p.x, p.y) for p in pts] == brute_points_in(P)
-    assert pts == sorted(pts)  # lexicographic output order
-    for p in pts:
-        assert contains(P, (p.x, p.y))
+    check_enumerate_matches_full_box_scan(P)
 
 
 @settings(max_examples=80, deadline=None)
