@@ -275,7 +275,11 @@ def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
     pass keeps each column's ``[lo, hi]`` in a dict keyed by x, with one
     lookup per point and a store per new column (a Fraction x hashes in
     Python); only the distinct columns are sorted, and only their ends are
-    turned into forms before the chain runs on them (:func:`_turn`).
+    turned into forms, once for a one-point column.  Only a column's low end
+    can be on the lower hull and only its high end on the upper hull, so the
+    lower chain runs over the lows by increasing x and the upper chain over
+    the highs by decreasing x (:func:`_turn`); the chains share the first
+    and last column's end where that column holds one point.
     """
     columns: dict = {}
     for x, y in points:
@@ -286,38 +290,45 @@ def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
             ends[0] = y
         elif y > ends[1]:
             ends[1] = y
-    forms: list = []
+    lows: list = []
+    highs: list = []
     for x, (lo, hi) in sorted(columns.items(), key=itemgetter(0)):
-        forms.append(_form((x, lo)))
-        if hi is not lo:  # an end moves only to a strictly smaller or larger y
-            forms.append(_form((x, hi)))
-    if len(forms) <= 2:
-        return forms
+        low = _form((x, lo))
+        lows.append(low)
+        # An end moves only to a strictly smaller or larger y.
+        highs.append(low if hi is lo else _form((x, hi)))
+    if len(lows) <= 1:  # no point, or one column's one or two ends
+        return lows if highs == lows else lows + highs
     hull: list = []
-    for run in (forms, forms[::-1]):  # the lower chain, then the upper
+    # The lower chain, then the upper; each drops its last end when the
+    # other chain starts there, at a first or last column of one point.  A
+    # collinear set spans two or more columns of one point each, so it
+    # leaves just its two extremes.
+    for run, shared in ((lows, highs[-1] is lows[-1]), (highs[::-1], highs[0] is lows[0])):
         chain: list = []
         for f in run:
             while len(chain) >= 2 and _turn(chain[-2], chain[-1], f) <= 0:
                 chain.pop()
             chain.append(f)
-        hull += chain[:-1]
-    if len(hull) < 3:
-        # All points collinear: keep the two extremes.
-        return [forms[0], forms[-1]]
+        hull += chain[:-1] if shared else chain
     return hull
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     """Canonical convex hull of a finite set of integer points.
 
-    Each point is read once, as ``(index(p[0]), index(p[1]))``: coordinates
-    must be integers, and a ``Fraction`` or ``float`` raises ``TypeError``
+    The input is iterated once (any iterable that is not a list is first
+    made one) and every coordinate is coerced by ``index`` in C-level
+    ``map`` calls, with no Python frame per point: coordinates must be
+    integers, and a ``Fraction`` or ``float`` anywhere raises ``TypeError``
     rather than being truncated to another lattice point.  The chain
     (:func:`_hull_chain`) keeps only each column's two ends, in one dict
     pass with no sort of the points (only the distinct columns are
     sorted), and only the hull's vertices become :class:`IntPoint2` values.
     """
-    hull = _hull_chain((index(p[0]), index(p[1])) for p in points)
+    if type(points) is not list:
+        points = list(points)
+    hull = _hull_chain(zip(map(index, map(itemgetter(0), points)), map(index, map(itemgetter(1), points))))
     return HullResult(tuple((X, Y) for X, Y, _ in hull))
 
 

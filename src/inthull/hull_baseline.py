@@ -56,18 +56,22 @@ def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
 def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced, each counted in ``stats.regions``."""
-    points = set()
+    always brute-forced, each counted in ``stats.regions``.
+
+    The distinct stopping-chord points and every region's lattice points
+    are pooled in one list, not a set: points shared by regions repeat,
+    and the final :func:`convex_hull` keeps only each column's two ends."""
+    points: list = []
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.
         P, hits = normalize_facets(P)
         if stats is not None:
             stats.facet_sweeps += len(hits) or 1  # only the first fails, iff all do
-        points = {p for hit in hits for p in (hit.lo, hit.hi)}
+        points = list({p for hit in hits for p in (hit.lo, hit.hi)})
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_lattice_points(P, stats))
     for region in residual_regions(P, convex_hull(points)):
         if stats is not None:
             stats.regions += 1
-        points.update(_lattice_points(region, stats))
+        points += _lattice_points(region, stats)
     return convex_hull(points)

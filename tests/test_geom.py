@@ -110,20 +110,24 @@ def test_convex_hull_small_cases():
 
 
 def test_convex_hull_reads_any_iterable_of_integer_pairs_once():
-    # Each input point is coerced once, before the column cut: a one-shot
-    # generator, lists and IntPoint2 values give the same hull, and a
-    # non-integer coordinate is refused even strictly inside a column,
-    # where the cut would drop the point.
+    # The input is iterated once and every coordinate is coerced before the
+    # column cut: a one-shot generator, lists, IntPoint2 values and a dict
+    # keyed by points (as the edge loop's hints are) give the same hull, and
+    # a non-integer coordinate is refused even strictly inside a column,
+    # where the cut would drop the point, or in the last point's x.
     pts = [(0, 0), (0, 2), (0, 5), (3, 0), (1, 1), (3, 4)]
     expected = convex_hull(pts)
     assert [(p.x, p.y) for p in expected] == [(0, 0), (3, 0), (3, 4), (0, 5)]
     assert convex_hull(p for p in pts) == expected
     assert convex_hull([list(p) for p in pts]) == expected
     assert convex_hull({IntPoint2(x, y) for x, y in pts}) == expected
+    assert convex_hull({IntPoint2(x, y): (x, -y) for x, y in pts}) == expected
     with pytest.raises(TypeError):
         convex_hull([(0, 0), (0, Fraction(1, 2)), (0, 5), (3, 0)])
     with pytest.raises(TypeError):
         convex_hull([(0, 0), (0, 2.0), (0, 5), (3, 0)])
+    with pytest.raises(TypeError):
+        convex_hull(p for p in [(0, 0), (0, 5), (3, 0), (Fraction(3), 4)])
 
 
 def test_convex_hull_drops_interior_and_collinear_points():
@@ -659,8 +663,33 @@ def test_contains_boundary_and_interior():
 # independent cross-check of the hull against plain-Fraction reference code
 
 
-@settings(max_examples=150)
-@given(st.lists(int_points_st, min_size=1, max_size=25))
+def chain_join_shapes(rng: random.Random, coord) -> list:
+    """A point set where the hull chain's lower and upper runs meet at a
+    column end, with coordinates from coord(rng): one column (a vertical
+    segment or a point), a first or last column of one or two points beside
+    a scattered set, two columns, or a collinear non-vertical set."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = coord(rng)
+        return [(x, coord(rng)) for _ in range(rng.randint(1, 5))]
+    if kind == 1:
+        pts = [(coord(rng), coord(rng)) for _ in range(rng.randint(1, 12))]
+        x = rng.choice([min(pts)[0] - 1, max(pts)[0] + 1])
+        return pts + [(x, coord(rng)) for _ in range(rng.randint(1, 2))]
+    if kind == 2:
+        x = coord(rng)
+        return [(x + dx, coord(rng)) for dx in (0, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    (x, y), dx, dy = (coord(rng), coord(rng)), rng.randint(1, 3), rng.randint(-3, 3)
+    return [(x + k * dx, y + k * dy) for k in rng.sample(range(-6, 7), rng.randint(1, 8))]
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(int_points_st, min_size=1, max_size=25),
+        st.randoms(use_true_random=False).map(lambda rng: chain_join_shapes(rng, lambda r: r.randint(-40, 40))),
+    )
+)
 def test_convex_hull_matches_reference_hull(pts):
     ours = [(p.x, p.y) for p in convex_hull(pts)]
     ref = [(int(x), int(y)) for x, y in rational_hull([(Fraction(x), Fraction(y)) for x, y in pts])]
@@ -693,18 +722,29 @@ def test_convex_hull_of_full_columns_matches_the_uncollapsed_chain():
     check_full_column_hulls()
 
 
-def test_hull_chain_keys_a_column_given_as_int_and_fraction_once():
-    # 2 and Fraction(2) are equal and hash alike, so the column pass keys
-    # them as one column.  With duplicate points, each repeated with its x in
-    # the other type, and one-point columns, the forms must be plain ints,
-    # reduced, the plain-Fraction hull's, and the same when every coordinate
-    # arrives as a Fraction.
+def check_hull_chain_on_fractions():
+    """The hull chain against the plain-Fraction hull on rational points.
+
+    2 and Fraction(2) are equal and hash alike, so the column pass keys
+    them as one column.  With duplicate points, each repeated with its x in
+    the other type, and one-point columns, the forms must be plain ints,
+    reduced, the plain-Fraction hull's, and the same when every coordinate
+    arrives as a Fraction.  The chain-join shapes with rational coordinates
+    must give the plain-Fraction hull too.
+    """
     F = Fraction
     rng = random.Random(25)
 
     def y():
         v = F(rng.randint(-30, 30), rng.randint(1, 3))
         return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+    def check(pts):
+        forms = _hull_chain(pts)
+        assert all(type(v) is int for form in forms for v in form), forms
+        assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in forms), forms
+        assert [(F(X, W), F(Y, W)) for X, Y, W in forms] == rational_hull(pts), pts
+        assert _hull_chain([(F(x), F(v)) for x, v in pts]) == forms
 
     mixed = 0
     for _ in range(300):
@@ -713,9 +753,11 @@ def test_hull_chain_keys_a_column_given_as_int_and_fraction_once():
         pts += [(F(x) if type(x) is int else int(x), v) for x, v in rng.sample(pts, rng.randint(0, len(pts)))]
         rng.shuffle(pts)
         mixed += {type(x) for x, _ in pts if x == 2} == {int, F}
-        forms = _hull_chain(pts)
-        assert all(type(v) is int for form in forms for v in form), forms
-        assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in forms), forms
-        assert [(F(X, W), F(Y, W)) for X, Y, W in forms] == rational_hull(pts), pts
-        assert _hull_chain([(F(x), F(v)) for x, v in pts]) == forms
+        check(pts)
     assert mixed > 150
+    for _ in range(300):
+        check(chain_join_shapes(rng, lambda r: F(r.randint(-30, 30), r.randint(1, 3))))
+
+
+def test_hull_chain_keys_a_column_given_as_int_and_fraction_once():
+    check_hull_chain_on_fractions()

@@ -23,7 +23,12 @@ import inthull.hull_new as hull_new
 import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
-from test_geom import check_construction_paths, check_full_column_hulls, check_rows_through_a_vertex
+from test_geom import (
+    check_construction_paths,
+    check_full_column_hulls,
+    check_hull_chain_on_fractions,
+    check_rows_through_a_vertex,
+)
 from test_oracle import check_enumerate_matches_full_box_scan
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 
@@ -156,7 +161,7 @@ MUTANTS = {
         check_rows_through_a_vertex,
         AssertionError,
     ),
-    # The hull chain's column cut and turn test, and the oracle's columns.
+    # The hull chain's column cut and turn test.
     "the column cut never lowers a column's low end": (geom._hull_chain, ("ends[0] = y", "pass"), full_column_hulls, AssertionError),
     "a hull chain that keeps collinear points": (
         geom._hull_chain,
@@ -164,6 +169,28 @@ MUTANTS = {
         full_column_hulls,
         AssertionError,
     ),
+    # The split chain: the upper chain over the column highs, and the
+    # chains' runs joined once at a first or last column of one point.
+    "the upper chain run over the column lows": (
+        geom._hull_chain,
+        ("(highs[::-1], highs[0] is lows[0])", "(lows[::-1], highs[0] is lows[0])"),
+        full_column_hulls,
+        AssertionError,
+    ),
+    "a chain join that keeps the shared end twice": (
+        geom._hull_chain,
+        ("hull += chain[:-1] if shared else chain", "hull += chain"),
+        full_column_hulls,
+        AssertionError,
+    ),
+    # A turn blind to W: only points of unequal W tell it apart.
+    "_direction blind to W": (
+        geom._direction,
+        ("q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]", "q[0] - p[0], q[1] - p[1]"),
+        check_hull_chain_on_fractions,
+        AssertionError,
+    ),
+    # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
 }
 

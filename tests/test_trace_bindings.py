@@ -1,7 +1,7 @@
 """The benchmark's tracer hooks layer entry points by module attribute, so a
 renamed or moved function silently drops its layer from the traced split.
 This pins the set of hooks that find nothing, and the spans each engine
-records through the hooks that do."""
+records through the hooks that do, with the work they count."""
 
 from __future__ import annotations
 
@@ -66,6 +66,20 @@ SPANS = {
     "oracle": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
 }
 
+# Total span work per name for the same hulls: the points each engine's
+# enumerations return, and the points handed to `convex_hull`.  `baseline`
+# hands it its 4 distinct facet hits, then those hits again with the 9
+# points of its 3 corner regions in one list (4 + 13): a hit that a region
+# holds, or a point of two regions, counts each time.  The benchmark's
+# `enumerated_points` and `convex_hull_points` counters are these sums, so
+# a change that moves them fails here.
+WORK = {
+    "new": {"oracle.enumerate": 11, "geom.convex_hull": 11},
+    "new, RefineConfig(1)": {"oracle.enumerate": 0, "geom.convex_hull": 3},
+    "baseline": {"oracle.enumerate": 9, "geom.convex_hull": 17},
+    "oracle": {"oracle.enumerate": 11, "geom.convex_hull": 11},
+}
+
 ENGINES = {
     "new": integer_hull_new,
     "new, RefineConfig(1)": lambda P: integer_hull_new(P, RefineConfig(1)),
@@ -87,3 +101,7 @@ def test_each_engine_records_its_layers(engine):
     finally:
         tracer.restore()
     assert Counter(span[0] for span in tracer.spans) == SPANS[engine]
+    work = Counter()
+    for name, *_, count in tracer.spans:
+        work[name] += count
+    assert {name: work[name] for name in WORK[engine]} == WORK[engine]
