@@ -154,7 +154,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     hits = {}
     if stats.facet_sweeps:
         hits = dict(enumerate(normalize_facets(P)[1])) if args.engine == "baseline" else replace_facets(P)
-    chords = [HalfPlane(P.halfplanes[i].a, P.halfplanes[i].c, hit.offset) for i, hit in sorted(hits.items())]
+    chords = [HalfPlane(*hit.line) for _, hit in sorted(hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

@@ -13,7 +13,6 @@ sweeps of the ``new`` engine improve on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import GeometryError
@@ -30,7 +29,8 @@ from .oracle import RunStats
 
 
 def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
-    """Tighten every facet offset to its inward stopping offset.
+    """Tighten every facet offset to its inward stopping offset: Q's rows
+    are the lines the facet sweeps prove.
 
     Returns (Q, hits) where Q has exactly the lattice points of P, or
     (None, []) when some facet sweep finds no lattice chord — which happens
@@ -42,9 +42,7 @@ def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
         if hit is None:
             return None, []
         hits.append(hit)
-    Q = _intersect_halfplanes(
-        [HalfPlane(hp.a, hp.c, Fraction(hit.offset)) for hp, hit in zip(P.halfplanes, hits)]
-    )
+    Q = _intersect_halfplanes([HalfPlane(*hit.line) for hit in hits])
     # Every stopping offset is the maximum of its functional over the lattice
     # of P, so each hit point satisfies all tightened constraints: Q is
     # nonempty (though it may be degenerate).

@@ -16,13 +16,14 @@ beyond the edge, with no clip and no recursion.  The edge is final at its
 own level; beyond it, the ends of the chord at m are new hull vertices and
 split the edge in three, of which the middle one, on the chord at m, is
 final unswept.  Many edges need no sweep at all: each point of the cycle
-keeps the line at which the first sweep that found it stopped, a bound on
-every lattice point of P, and an edge whose functional is a nonnegative
-combination of its ends' lines with a combined bound below its level plus
-one is final.  The edge loop keeps H's CCW cycle as it splits edges, and
-each sweep's descent starts at the top vertex of P that the sweep which
-made its edge reached.  A point, a segment or a polygon of at most
-``brute_force_cell_threshold`` cells is answered without a sweep.
+keeps the hit of the first sweep that found it, whose line
+(``SweepHit.line``) bounds every lattice point of P, and an edge whose
+functional is a nonnegative combination of its ends' lines with a
+combined bound below its level plus one is final.  The edge loop keeps
+H's CCW cycle as it splits edges, and each sweep's descent starts at the
+top vertex of P that the sweep which made its edge reached.  A point, a
+segment or a polygon of at most ``brute_force_cell_threshold`` cells is
+answered without a sweep.
 ``residual_regions`` cuts P outside a partial hull; only the ``baseline``
 engine's corner pass calls it.
 """
@@ -81,30 +82,25 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[int, S
     the level of every sweep.
     """
     n = len(P._forms)
-    a, c, top, hint = _facet_direction(P, 0, False)
-    hit = _run_sweep(P, a, c, top, hint)
+    hit = _run_sweep(P, *_facet_direction(P, 0, False))
     if stats is not None:
         stats.facet_sweeps += 1
     if hit is None:
         return {}
     hits = {0: hit}
-    # The outward normal of each swept facet.
-    normals: List[Tuple[int, int]] = [(0, 0)] * (n + 1)
-    normals[0] = normals[n] = a, c
     ranges = [(0, n)]
     while ranges:
         i, k = ranges.pop()
-        (ai, ci), (ak, ck) = normals[i], normals[k]
+        # Each hit's line is its facet's normal negated, which keeps the turn.
+        (ai, ci, _), (ak, ck, _) = hits[i].line, hits[k % n].line
         if ai * ck - ci * ak > 0:
             continue
         m = (i + k) // 2
-        a, c, top, hint = _facet_direction(P, m, False)
-        hit = _run_sweep(P, a, c, top, hint)
+        hit = _run_sweep(P, *_facet_direction(P, m, False))
         if stats is not None:
             stats.facet_sweeps += 1
         if hit is None:
             raise GeometryError(f"the sweep of facet {m} found no lattice point, but facet 0's did")
-        normals[m] = a, c
         hits[m] = hit
         if k - m > 1:
             ranges.append((m, k))
@@ -222,40 +218,34 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     the cycle holds every lattice point of P and each of its points is a
     vertex of H: it is H, read from its lex-min vertex.
 
-    Many edges are closed with no sweep.  Each cycle point carries the
-    certificate (a, c, beta) of the first sweep that found it: that sweep's
-    functional, oriented to be maximized, and its lattice max over P, which
-    the point attains.  An edge whose ends' certificates bound its
-    functional below b + 1 over P's lattice points (:func:`_closed_by`) is
-    final at b; only the other edges are swept.
+    Many edges are closed with no sweep.  Each cycle point keeps the first
+    sweep hit that found it, and with it the hit's line (a, c, beta), a
+    bound on every lattice point of P that the point attains: its
+    certificate.  An edge whose ends' certificates bound its functional
+    below b + 1 over P's lattice points (:func:`_closed_by`) is final at b;
+    only the other edges are swept.
 
     Each sweep's descent starts at the top vertex of P that the sweep
-    which made its edge reached: for the first edges, the hit's facet
+    which made its edge reached: for the first edges, the hit of u's facet
     sweep, at P's top vertex in a direction of u's normal cone, which the
     edge's outward normal bounds; for a split edge, its parent's sweep.
     """
-    # Each hit point starts from the vertex of P at which the first sweep
-    # that found it began its levels, and is certified by that sweep: a
-    # facet sweep finds the lattice min of its facet's outward functional.
-    hints: Dict[IntPoint2, int] = {}
-    certs: Dict[IntPoint2, Certificate] = {}
-    for i, hit in hits.items():
-        a, c, _, _ = _facet_direction(P, i, False)
-        for p in (hit.lo, hit.hi):
-            hints.setdefault(p, hit.vertex)
-            certs.setdefault(p, (-a, -c, -hit.offset))
-    start = convex_hull(hints)
+    found: Dict[IntPoint2, SweepHit] = {}
+    for hit in hits.values():
+        found.setdefault(hit.lo, hit)
+        found.setdefault(hit.hi, hit)
+    start = convex_hull(found)
     # One hit, extreme in directions that positively span the plane, is
     # the only lattice point; no hit means none.
     if len(start) < 2:
         return start
     pts = start.points
     cycle = dict(zip(pts, pts[1:] + pts[:1]))
-    stack = [(u, w, hints[u]) for u, w in cycle.items()]
+    stack = [(u, w, found[u].vertex) for u, w in cycle.items()]
     while stack:
         u, w, hint = stack.pop()
         a, c, b = _edge_functional(u, w)
-        if _closed_by(certs[u], certs[w], a, c, b):
+        if _closed_by(found[u].line, found[w].line, a, c, b):
             continue
         hit = _run_sweep(P, a, c, True, hint)
         if stats is not None:
@@ -271,7 +261,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found the known points {p}, {q} again")
         # Assigned left to right, so p = q gives u -> p -> w.
         cycle[u], cycle[p], cycle[q] = p, q, w
-        certs[p] = certs[q] = a, c, hit.offset
+        found[p] = found[q] = hit
         stack += [(u, p, hit.vertex), (q, w, hit.vertex)]
     first = u = min(cycle)
     points = [first]

@@ -6,7 +6,9 @@ This module answers the discrete questions the hull engines are built on:
 * given a primitive integer direction (a, c), what is the lattice max or
   min of a*x + c*y over a polygon: the first integer level, sweeping a line
   across it from one side, whose chord holds a lattice point.  Every sweep
-  is one call of ``_run_sweep``.  A facet sweep only picks the direction
+  is one call of ``_run_sweep``, and its hit carries the line it proves
+  (``SweepHit.line``), so no caller rebuilds it from the direction it
+  chose.  A facet sweep only picks the direction
   and the vertex its descent starts from (``_facet_direction``): the
   facet's normal, maximized from the facet (:func:`sweep_inward`) or, as in
   the paper, minimized from the opposite vertex (:func:`sweep_from_opposite`);
@@ -81,14 +83,18 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 @dataclass(frozen=True)
 class SweepHit:
     """The stopping chord of a sweep: its integer offset and the extreme
-    lattice points on it (lexicographically ordered, possibly equal), and
-    the index of the vertex of P at which the swept levels begin (for the
-    lattice max of a*x + c*y, P's top vertex in the direction (a, c)): a
-    hint for later sweeps, not part of the answer."""
+    lattice points on it (lexicographically ordered, possibly equal); the
+    line (a, c, beta) the sweep proves, a*x + c*y <= beta at every lattice
+    point of P with equality on the chord: the swept functional and its
+    lattice max, or for a min sweep both negated, so beta is -offset; and
+    the index of the vertex of P at which the swept levels begin (P's top
+    vertex in the direction (a, c)): a hint for later sweeps, not part of
+    the answer."""
 
     offset: int
     lo: IntPoint2
     hi: IntPoint2
+    line: Tuple[int, int, int]
     vertex: int = field(default=0, compare=False)
 
 
@@ -295,7 +301,9 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     vertex `hint` finds (the hint changes only its speed), and stops at
     the first whose chord holds a lattice point.  Each window of the walk
     (``_windows``) costs one ``_first_hit`` solve, however many levels it
-    spans.  The hit reports the vertex where the descent ended.
+    spans.  The first hit level t of the scanned functional A*x + C*y
+    proves A*x + C*y >= t at every lattice point of P: the hit reports that
+    as its line (-A, -C, -t), with the vertex where the descent ended.
     """
     if len(P._forms) < 3:
         raise ValueError("sweeps require a polygon with at least 3 vertices")
@@ -316,7 +324,7 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     if s_first > s_last:
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
     lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
-    return SweepHit(sign * t, lo_pt, hi_pt, j)
+    return SweepHit(sign * t, lo_pt, hi_pt, (-frame.A, -frame.C, -t), j)
 
 
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:

@@ -37,6 +37,21 @@ def test_no_assert_statements(module):
     assert lines == [], f"{module} has assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_used(module):
+    # __init__.py imports to re-export; a __future__ import is a flag.
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"{module} imports names it never uses: {unused}"
+
+
 def test_residual_regions_must_shrink(monkeypatch):
     # residual_regions checks each region's area against P's, so both a
     # direct call and baseline's corner pass (3 regions of TRI) refuse.
@@ -60,7 +75,7 @@ def _faked_edge_sweeps(monkeypatch, fake):
     monkeypatch.setattr(hull_new, "_run_sweep", sweep)
 
 
-@pytest.mark.parametrize("fake", [lambda hit: None, lambda hit: SweepHit(hit.offset - 1, hit.lo, hit.hi)])
+@pytest.mark.parametrize("fake", [lambda hit: None, lambda hit: SweepHit(hit.offset - 1, hit.lo, hit.hi, hit.line)])
 def test_an_edge_sweep_must_reach_the_edge(monkeypatch, fake):
     _faked_edge_sweeps(monkeypatch, fake)
     with pytest.raises(GeometryError, match="less than the edge's own level"):
@@ -70,7 +85,7 @@ def test_an_edge_sweep_must_reach_the_edge(monkeypatch, fake):
 def test_an_edge_sweep_beyond_the_edge_must_find_new_points(monkeypatch):
     # A final edge's chord is the edge itself: reported one level further
     # out, its ends would be pushed again and the loop would never end.
-    _faked_edge_sweeps(monkeypatch, lambda hit: SweepHit(hit.offset + 1, hit.lo, hit.hi))
+    _faked_edge_sweeps(monkeypatch, lambda hit: SweepHit(hit.offset + 1, hit.lo, hit.hi, hit.line))
     with pytest.raises(GeometryError, match="again"):
         integer_hull_new(TRI, RefineConfig(1))
 

@@ -620,11 +620,11 @@ def _far_rational(rng: random.Random, shift: int) -> Fraction:
     return shift + Fraction(rng.randint(-100 * q, 100 * q), q)
 
 
-def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
-    # Points with ~10**10 denominators moved ~10**12: points on a segment,
-    # on its line beyond either end, one ~10**-10 step off the line, and
-    # scattered around it.  The hull chain's turns and segment membership
-    # read integer forms; the references use plain Fraction cross products.
+def check_hull_turns_and_segment_membership():
+    """Points with ~10**10 denominators moved ~10**12: points on a segment,
+    on its line beyond either end, one ~10**-10 step off the line, and
+    scattered around it.  The hull chain's turns and segment membership
+    read integer forms; the references use plain Fraction cross products."""
     rng = random.Random(1213)
     kinds = set()
     for _ in range(150):
@@ -648,6 +648,10 @@ def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
             kinds.add((inside, frac_cross(u, w, p) == 0))
             assert contains(S, p) == inside, (u, w, p)
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
+    check_hull_turns_and_segment_membership()
 
 
 def test_contains_boundary_and_interior():

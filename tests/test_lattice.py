@@ -26,7 +26,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.lattice import _Frame, _first_hit, _windows
+from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows
 from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -409,6 +409,37 @@ def test_sweep_stop_lines_bracket_every_integer_point(seed):
             assert outer.offset <= h.a * x + h.c * y <= inner.offset
 
 
+def test_a_sweep_hit_carries_the_line_it_proves():
+    """hit.line = (a, c, beta) bounds every lattice point of P, a*x + c*y
+    <= beta, the chord's extreme points attain it, and beta is the offset
+    of a max sweep or minus that of a min sweep: for both sweeps of every
+    facet and max sweeps in random primitive directions, on random
+    polygons, a rectangle (flat minimum and maximum faces) and octagons
+    moved ~10**12."""
+    rng = random.Random(27)
+    polygons = [polyset_from_vertices([(0, 0), (5, 0), (5, 3), (0, 3)])]
+    polygons += [random_polyset(random.Random(seed), max_num=30, max_den=7) for seed in range(30)]
+    polygons += [octagon(rng, reach=10**12) for _ in range(2)]
+    for P in polygons:
+        pts = brute_points_in(P)
+        hits = []
+        for i in range(len(P.vertices)):
+            hits += [(sweep_inward(P, i), True), (sweep_from_opposite(P, i), False)]
+        for _ in range(4):
+            a, c = 0, 0
+            while gcd(a, c) != 1:
+                a, c = rng.randint(-9, 9), rng.randint(-9, 9)
+            hits.append((_run_sweep(P, a, c, True, 0), True))
+        for hit, top in hits:
+            assert (hit is None) == (not pts), P
+            if hit is None:
+                continue
+            a, c, beta = hit.line
+            assert all(a * x + c * y <= beta for x, y in pts), (P, hit)
+            assert a * hit.lo.x + c * hit.lo.y == beta == a * hit.hi.x + c * hit.hi.y, (P, hit)
+            assert hit.offset == (beta if top else -beta), (P, hit)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_tightening_to_the_stop_offset_preserves_the_lattice_set(seed):
@@ -460,11 +491,11 @@ def hint_test_polygons():
         yield random_polyset(random.Random(seed), max_num=30, max_den=7)
 
 
-def test_sweeps_do_not_depend_on_their_hint():
+def check_sweeps_do_not_depend_on_their_hint(polygons):
     """A sweep's window walk gives the same windows, lines included, from
     every start in [-n, 2n), for the functional of every facet taken either
-    way."""
-    for P in hint_test_polygons():
+    way, on each of `polygons`."""
+    for P in polygons:
         n = len(P.vertices)
         for h in P.halfplanes:
             for sign in (1, -1):
@@ -472,6 +503,10 @@ def test_sweeps_do_not_depend_on_their_hint():
                 windows = list(_windows(frame, 0))
                 for hint in range(-n, 2 * n):
                     assert list(_windows(frame, hint)) == windows, (P, h, sign, hint)
+
+
+def test_sweeps_do_not_depend_on_their_hint():
+    check_sweeps_do_not_depend_on_their_hint(hint_test_polygons())
 
 
 def reference_chord(P, frame, T):
@@ -506,12 +541,13 @@ def window_test_polygons():
         yield octagon(rng, reach=10**12)
 
 
-def test_windows_tile_the_levels_and_give_the_chord_ends():
+def check_windows_tile_the_levels(polygons) -> int:
     """The windows tile [ceil(min t), floor(max t)] with no gap or overlap,
     and at both ends of each the two lines give the ends of the chord, in
-    the x frame and in both directions of every facet frame."""
+    the x frame and in both directions of every facet frame, on each of
+    `polygons`; the number of windows seen."""
     windows_seen = 0
-    for P in window_test_polygons():
+    for P in polygons:
         for a, c in [(1, 0)] + [(sign * h.a, sign * h.c) for h in P.halfplanes for sign in (1, -1)]:
             frame = _Frame(P._forms, a, c)
             levels = [a * p.x + c * p.y for p in P.vertices]
@@ -524,4 +560,8 @@ def test_windows_tile_the_levels_and_give_the_chord_ends():
                 t = end + 1
                 windows_seen += 1
             assert t == max(ceil(min(levels)), floor(max(levels)) + 1), (P, a, c)
-    assert windows_seen > 3000
+    return windows_seen
+
+
+def test_windows_tile_the_levels_and_give_the_chord_ends():
+    assert check_windows_tile_the_levels(window_test_polygons()) > 3000

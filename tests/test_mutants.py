@@ -1,8 +1,10 @@
 """Faults the tests must catch, injected in-process.
 
 Each mutant rebuilds one function of the package from its own source with
-one edit, binds it in the function's own module with monkeypatch, and runs
-the check its entry names, on a seeded subset of that check's inputs that
+one edit and binds it with monkeypatch wherever the original is bound: in
+every module of the package and in the check's own module, so a name
+imported with `from ... import` reaches the mutant too.  It then runs the
+check its entry names, on a seeded subset of that check's inputs that
 catches it: the check passes before and must fail after, with the error
 named.  A mutant whose edit no longer applies fails here, so a change that
 rewrites the targeted code must retarget the mutant or say why it is gone.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import __future__
 import inspect
+import itertools
 import random
 import sys
 import types
@@ -20,6 +23,7 @@ import pytest
 
 import inthull.geom as geom
 import inthull.hull_new as hull_new
+import inthull.lattice as lattice
 import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
@@ -27,7 +31,14 @@ from test_geom import (
     check_construction_paths,
     check_full_column_hulls,
     check_hull_chain_on_fractions,
+    check_hull_turns_and_segment_membership,
     check_rows_through_a_vertex,
+)
+from test_lattice import (
+    check_sweeps_do_not_depend_on_their_hint,
+    check_windows_tile_the_levels,
+    hint_test_polygons,
+    window_test_polygons,
 )
 from test_oracle import check_enumerate_matches_full_box_scan
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
@@ -86,6 +97,18 @@ def box_scans():
         check_enumerate_matches_full_box_scan(random_polyset(random.Random(seed), max_num=25, max_den=6))
 
 
+def hint_free_windows():
+    """test_lattice's hint check on its two rectangles."""
+    check_sweeps_do_not_depend_on_their_hint(itertools.islice(hint_test_polygons(), 2))
+
+
+def tiling_windows():
+    """test_lattice's tiling check on its four polygons with parallel faces
+    and its first five random ones."""
+    polygons = list(window_test_polygons())
+    check_windows_tile_the_levels(polygons[:4] + polygons[5:10])
+
+
 # name: (function, edit, check, error).
 MUTANTS = {
     # A range [0, n] turns by nothing, so only facet 0 is swept.
@@ -121,9 +144,10 @@ MUTANTS = {
         AssertionError,
     ),
     # A facet hit's line then bounds the min side of P, not the max side.
+    # (An edge sweep's line stays right: its sign is -1.)
     "a facet hit's certificate left un-negated": (
-        hull_new._edge_points,
-        ("(-a, -c, -hit.offset)", "(a, c, hit.offset)"),
+        lattice._run_sweep,
+        ("(-frame.A, -frame.C, -t)", "(a, c, sign * t)"),
         ON_TWO_POINT_STARTS,
         AssertionError,
     ),
@@ -190,6 +214,37 @@ MUTANTS = {
         check_hull_chain_on_fractions,
         AssertionError,
     ),
+    # The turn's sign, which every chain reads.
+    "_turn with its cross product swapped": (
+        geom._turn,
+        ("ux * vy - uy * vx", "uy * vx - ux * vy"),
+        full_column_hulls,
+        AssertionError,
+    ),
+    # A segment holds a point on its line beyond its ends, or one off its
+    # line between them in lex order.
+    "a segment's membership without its range": (
+        geom.contains,
+        ("_turn(*forms, form) == 0 and u <= p <= w", "_turn(*forms, form) == 0"),
+        check_hull_turns_and_segment_membership,
+        AssertionError,
+    ),
+    "a segment's membership without its turn": (
+        geom.contains,
+        ("_turn(*forms, form) == 0 and u <= p <= w", "u <= p <= w"),
+        check_hull_turns_and_segment_membership,
+        AssertionError,
+    ),
+    # The level walk's chains.  A flat edge returned by _climb has no line
+    # in t (the tiling check meets it as a ZeroDivisionError).
+    "_climb returning a flat edge": (lattice._climb, ("if rise and end >= t", "if end >= t"), hint_free_windows, AssertionError),
+    "_climb ending a chain at a flat edge": (lattice._climb, ("if rise < 0:", "if rise <= 0:"), tiling_windows, AssertionError),
+    "windows cut at the lower chain's edge ends only": (
+        lattice._windows_from,
+        ("end = min(lo_end, hi_end)", "end = lo_end"),
+        tiling_windows,
+        AssertionError,
+    ),
     # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
 }
@@ -198,7 +253,12 @@ MUTANTS = {
 def assert_caught(monkeypatch, name):
     function, (old, new), check, error = MUTANTS[name]
     check()
-    monkeypatch.setattr(sys.modules[function.__module__], function.__name__, mutant(function, old, new))
+    rebuilt = mutant(function, old, new)
+    modules = [module for key, module in list(sys.modules.items()) if key.startswith("inthull.")]
+    for module in modules + [sys.modules[check.__module__]]:
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, rebuilt)
     with pytest.raises(error):
         check()
 
