@@ -34,6 +34,10 @@ descent on the two lines' slopes, as in two-variable integer programming, in
 O(log) integer steps.  A sweep thus costs one solve per pair of edges
 crossed, however many levels separate the facet from its first lattice
 chord, and a polygon's far side is never visited when the hit is near.
+Each vertex a chain passes costs a few integer operations on its form in
+``_climb``'s locals, with no Python call; the calls left per sweep are the
+descent's ``t_pair`` reads, one ``edge_line`` per edge that holds a level,
+one ``_first_hit`` per window and one hit, filled as a dict (``_hit``).
 """
 
 from __future__ import annotations
@@ -98,6 +102,14 @@ class SweepHit:
     vertex: int = field(default=0, compare=False)
 
 
+def _hit(offset: int, lo: IntPoint2, hi: IntPoint2, line: Tuple[int, int, int], vertex: int) -> SweepHit:
+    """SweepHit(offset, lo, hi, line, vertex), filled as one dict instead of
+    through the frozen __init__'s five object.__setattr__ calls."""
+    hit = object.__new__(SweepHit)
+    object.__setattr__(hit, "__dict__", {"offset": offset, "lo": lo, "hi": hi, "line": line, "vertex": vertex})
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # Facet sweeps
 # ---------------------------------------------------------------------------
@@ -110,7 +122,11 @@ class _Frame:
     determinant +1, so counter-clockwise orientation is preserved and the
     inverse is x = u*t - C*s, y = v*t + A*s; integer (t, s) pairs correspond
     exactly to integer (x, y) points.  t and s at vertex j are over W_j.
+    Its fields are slots: ``t_pair`` reads them at every vertex a descent
+    (:func:`geom._deepest`) passes, and :func:`_climb` once per climb.
     """
+
+    __slots__ = ("forms", "n", "A", "C", "u", "v")
 
     def __init__(self, forms: Sequence[Form], A: int, C: int) -> None:
         if gcd(A, C) != 1:
@@ -135,22 +151,22 @@ class _Frame:
         return self.u * Y - self.v * X, W
 
     def point_at(self, t: int, s: int) -> IntPoint2:
-        return IntPoint2(self.u * t - self.C * s, self.v * t + self.A * s)
+        return tuple.__new__(IntPoint2, (self.u * t - self.C * s, self.v * t + self.A * s))
 
     def edge_line(self, j: int, k: int) -> Tuple[int, int, int]:
         """Integer (p, q, r) in lowest terms, r > 0, with s = (p*t + q)/r on
-        the line through vertices j and k (t differs); with t, s = tj/wj,
+        the line through vertices j and k (t differs).  With t, s = tj/wj,
         sj/wj at j and tk/wk, sk/wk at k, it is ((sk*wj - sj*wk)*t +
-        sj*tk - sk*tj) / (tk*wj - tj*wk)."""
-        A, C, u, v = self.A, self.C, self.u, self.v
+        sj*tk - sk*tj) / (tk*wj - tj*wk); read from the forms, with (dx, dy)
+        = (xk*wj - xj*wk, yk*wj - yj*wk), that is ((u*dy - v*dx)*t + xk*yj -
+        xj*yk) / (A*dx + C*dy), since A*u + C*v = 1."""
         xj, yj, wj = self.forms[j]
         xk, yk, wk = self.forms[k]
-        tj, sj = A * xj + C * yj, u * yj - v * xj
-        tk, sk = A * xk + C * yk, u * yk - v * xk
-        p, q, r = sk * wj - sj * wk, sj * tk - sk * tj, tk * wj - tj * wk
+        dx, dy = xk * wj - xj * wk, yk * wj - yj * wk
+        p, q, r = self.u * dy - self.v * dx, xk * yj - xj * yk, self.A * dx + self.C * dy
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(p, q), r)
+        g = gcd(p, q, r)
         return p // g, q // g, r // g
 
 
@@ -185,18 +201,22 @@ def _climb(frame: _Frame, j: int, t_j: Tuple[int, int], step: int, t: int) -> Op
     `step`, that holds integer level t: (its top vertex k, t at k as
     (num, den), floor of t at k, its line (p, q, r) with s = (p*T + q)/r).
     An edge on which t is constant holds no level of its own and is stepped
-    over; None when t falls first, past the top of the chain."""
-    n = frame.n
+    over; None when t falls first, past the top of the chain.  A step reads
+    t at the next vertex from its form, (A*X + C*Y)/W, in locals with no
+    call; ``edge_line`` runs once, for the edge returned."""
+    forms, n, A, C = frame.forms, frame.n, frame.A, frame.C
+    tn, td = t_j
     while True:
         k = (j + step) % n
-        t_k = frame.t_pair(k)
-        rise = t_k[0] * t_j[1] - t_j[0] * t_k[1]
+        X, Y, W = forms[k]
+        kn = A * X + C * Y
+        rise = kn * td - tn * W
         if rise < 0:
             return None
-        end = t_k[0] // t_k[1]
+        end = kn // W
         if rise and end >= t:
-            return k, t_k, end, frame.edge_line(j, k)
-        j, t_j = k, t_k
+            return k, (kn, W), end, frame.edge_line(j, k)
+        j, tn, td = k, kn, W
 
 
 def _windows(frame: _Frame, hint: int) -> Iterator[Tuple[int, int, Line, Line]]:
@@ -323,8 +343,10 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     s_last = (up * t + uq) // ur  # floor of s on the upper chain
     if s_first > s_last:
         raise GeometryError(f"sweep stopped at level {t}, whose chord holds no lattice point")
-    lo_pt, hi_pt = sorted((frame.point_at(t, s_first), frame.point_at(t, s_last)))
-    return SweepHit(sign * t, lo_pt, hi_pt, (-frame.A, -frame.C, -t), j)
+    lo_pt, hi_pt = frame.point_at(t, s_first), frame.point_at(t, s_last)
+    if hi_pt < lo_pt:
+        lo_pt, hi_pt = hi_pt, lo_pt
+    return _hit(sign * t, lo_pt, hi_pt, (-frame.A, -frame.C, -t), j)
 
 
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:

@@ -4,6 +4,7 @@ and facet-line sweeps."""
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from inthull import (
     HalfPlane,
+    IntPoint2,
     Point2,
     PolySet2,
+    SweepHit,
     chord,
     contains,
     enumerate_integer_points,
@@ -409,19 +412,15 @@ def test_sweep_stop_lines_bracket_every_integer_point(seed):
             assert outer.offset <= h.a * x + h.c * y <= inner.offset
 
 
-def test_a_sweep_hit_carries_the_line_it_proves():
-    """hit.line = (a, c, beta) bounds every lattice point of P, a*x + c*y
-    <= beta, the chord's extreme points attain it, and beta is the offset
-    of a max sweep or minus that of a min sweep: for both sweeps of every
-    facet and max sweeps in random primitive directions, on random
-    polygons, a rectangle (flat minimum and maximum faces) and octagons
-    moved ~10**12."""
+def line_test_sweeps():
+    """(P, [(hit, top)]) for both sweeps of every facet and max sweeps in
+    four random primitive directions, on a rectangle (flat minimum and
+    maximum faces), random polygons and octagons moved ~10**12."""
     rng = random.Random(27)
     polygons = [polyset_from_vertices([(0, 0), (5, 0), (5, 3), (0, 3)])]
     polygons += [random_polyset(random.Random(seed), max_num=30, max_den=7) for seed in range(30)]
     polygons += [octagon(rng, reach=10**12) for _ in range(2)]
     for P in polygons:
-        pts = brute_points_in(P)
         hits = []
         for i in range(len(P.vertices)):
             hits += [(sweep_inward(P, i), True), (sweep_from_opposite(P, i), False)]
@@ -430,6 +429,16 @@ def test_a_sweep_hit_carries_the_line_it_proves():
             while gcd(a, c) != 1:
                 a, c = rng.randint(-9, 9), rng.randint(-9, 9)
             hits.append((_run_sweep(P, a, c, True, 0), True))
+        yield P, hits
+
+
+def test_a_sweep_hit_carries_the_line_it_proves():
+    """hit.line = (a, c, beta) bounds every lattice point of P, a*x + c*y
+    <= beta, the chord's extreme points attain it, and beta is the offset
+    of a max sweep or minus that of a min sweep, on every sweep of
+    line_test_sweeps."""
+    for P, hits in line_test_sweeps():
+        pts = brute_points_in(P)
         for hit, top in hits:
             assert (hit is None) == (not pts), P
             if hit is None:
@@ -438,6 +447,31 @@ def test_a_sweep_hit_carries_the_line_it_proves():
             assert all(a * x + c * y <= beta for x, y in pts), (P, hit)
             assert a * hit.lo.x + c * hit.lo.y == beta == a * hit.hi.x + c * hit.hi.y, (P, hit)
             assert hit.offset == (beta if top else -beta), (P, hit)
+
+
+def check_sweep_hits_are_frozen_values(sweeps):
+    """Each hit of `sweeps` (pairs of a polygon and its (hit, top) list)
+    equals, hashes and reprs as the SweepHit built from its fields, also
+    when the vertex hint differs; refuses every attribute set; and holds
+    two IntPoint2 chord ends in lex order."""
+    for P, hits in sweeps:
+        for hit, _ in hits:
+            if hit is None:
+                continue
+            fields = (hit.offset, hit.lo, hit.hi, hit.line, hit.vertex)
+            built = SweepHit(*fields)
+            assert type(hit) is SweepHit and hit == built, (P, hit)
+            assert hash(hit) == hash(built) and repr(hit) == repr(built), (P, hit)
+            assert hit == SweepHit(*fields[:4], hit.vertex + 1), (P, hit)
+            for name in ("offset", "lo", "hi", "line", "vertex"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(hit, name, getattr(hit, name))
+            assert type(hit.lo) is type(hit.hi) is IntPoint2, (P, hit)
+            assert hit.lo <= hit.hi, (P, hit)
+
+
+def test_a_sweep_hit_is_a_frozen_value():
+    check_sweep_hits_are_frozen_values(line_test_sweeps())
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,9 +35,11 @@ from test_geom import (
     check_rows_through_a_vertex,
 )
 from test_lattice import (
+    check_sweep_hits_are_frozen_values,
     check_sweeps_do_not_depend_on_their_hint,
     check_windows_tile_the_levels,
     hint_test_polygons,
+    line_test_sweeps,
     window_test_polygons,
 )
 from test_oracle import check_enumerate_matches_full_box_scan
@@ -107,6 +109,12 @@ def tiling_windows():
     and its first five random ones."""
     polygons = list(window_test_polygons())
     check_windows_tile_the_levels(polygons[:4] + polygons[5:10])
+
+
+def frozen_hits():
+    """test_lattice's hit value check on the sweeps of its rectangle and
+    first two random polygons."""
+    check_sweep_hits_are_frozen_values(itertools.islice(line_test_sweeps(), 3))
 
 
 # name: (function, edit, check, error).
@@ -239,6 +247,17 @@ MUTANTS = {
     # in t (the tiling check meets it as a ZeroDivisionError).
     "_climb returning a flat edge": (lattice._climb, ("if rise and end >= t", "if end >= t"), hint_free_windows, AssertionError),
     "_climb ending a chain at a flat edge": (lattice._climb, ("if rise < 0:", "if rise <= 0:"), tiling_windows, AssertionError),
+    # t read at each step: a rise with the two ends' denominators swapped,
+    # and a step that keeps the first vertex's denominator.
+    "_climb's rise with j's and k's denominators swapped": (
+        lattice._climb,
+        ("rise = kn * td - tn * W", "rise = kn * W - tn * td"),
+        tiling_windows,
+        AssertionError,
+    ),
+    "_climb keeping the start vertex's denominator": (lattice._climb, ("j, tn, td = k, kn, W", "j, tn = k, kn"), tiling_windows, AssertionError),
+    # A hit's chord ends, ordered with one comparison.
+    "a hit's chord ends swapped when in order": (lattice._run_sweep, ("if hi_pt < lo_pt:", "if lo_pt < hi_pt:"), frozen_hits, AssertionError),
     "windows cut at the lower chain's edge ends only": (
         lattice._windows_from,
         ("end = min(lo_end, hi_end)", "end = lo_end"),
