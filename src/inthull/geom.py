@@ -433,31 +433,30 @@ def _vertex_levels(forms: Sequence[Form], h: HalfPlane) -> Callable[[int], Tuple
     return level
 
 
-def _deepest(level: Callable[[int], Tuple[int, int]], hint: int) -> Tuple[int, Tuple[int, int]]:
-    """A vertex where `level` is least, and that level, by local descent
-    from `hint`.
+def _deepest(forms: Sequence[Form], a: int, c: int, hint: int) -> Tuple[int, Tuple[int, int]]:
+    """A vertex j of the cycle `forms` where a*x + c*y is least, and that
+    value as (num, den), den > 0, by local descent from vertex `hint`.
 
-    The level of a half-plane is unimodal on a strictly convex cycle, so a
-    vertex that neither neighbor undercuts is a minimum; the hint only
-    changes how far the descent walks.  The index is not reduced mod n.
+    The value is unimodal on a strictly convex cycle, so a vertex that
+    neither neighbor undercuts is a minimum; the hint only changes how far
+    the descent walks.  Each step reads a*X + c*Y and W from the next
+    vertex's form in locals, with no call, and compares two values cross-
+    multiplied; a half-plane's level a*x + c*y - b orders the vertices the
+    same way.  The index is reduced mod n.
     """
-    j, fj = hint, level(hint)
+    n = len(forms)
+    j = hint % n
+    X, Y, jw = forms[j]
+    jn = a * X + c * Y
     for step in (1, -1):
         while True:
-            fk = level(j + step)
-            if fk[0] * fj[1] >= fj[0] * fk[1]:
+            k = (j + step) % n
+            X, Y, W = forms[k]
+            kn = a * X + c * Y
+            if kn * jw >= jn * W:
                 break
-            j, fj = j + step, fk
-    return j, fj
-
-
-def _deepest_vertex(P: PolySet2, h: HalfPlane, hint: int = 0) -> int:
-    """The index of a vertex of P where the level of h is least.
-
-    Walks from vertex `hint`; the answer does not depend on it, but a hint
-    near the answer makes the walk short.
-    """
-    return _deepest(_vertex_levels(P._forms, h), hint)[0] % len(P._forms)
+            j, jn, jw = k, kn, W
+    return j, (jn, jw)
 
 
 def _crossing(p: Form, lp: Tuple[int, int], q: Form, lq: Tuple[int, int]) -> Form:
@@ -493,7 +492,8 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     forms = P._forms
     n = len(forms)
     level = _vertex_levels(forms, h)
-    j, f_j = _deepest(level, hint)
+    j = _deepest(forms, h.a, h.c, hint)[0]
+    f_j = level(j)
     if f_j[0] > 0:
         return None
     end, f_end = j, f_j

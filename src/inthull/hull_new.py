@@ -20,8 +20,9 @@ keeps the hit of the first sweep that found it, whose line
 (``SweepHit.line``) bounds every lattice point of P, and an edge whose
 functional is a nonnegative combination of its ends' lines with a
 combined bound below its level plus one is final.  The edge loop keeps
-H's CCW cycle as it splits edges, and each sweep's descent starts at the
-top vertex of P that the sweep which made its edge reached.  A point, a
+H's CCW cycle as it splits edges, and each sweep's descent starts midway
+between the top vertices of P that the sweeps which found the edge's ends
+reached, a range that holds the edge's own top vertex.  A point, a
 segment or a polygon of at most ``brute_force_cell_threshold`` cells is
 answered without a sweep.
 ``residual_regions`` cuts P outside a partial hull; only the ``baseline``
@@ -41,7 +42,7 @@ from .geom import (
     HullResult,
     IntPoint2,
     PolySet2,
-    _deepest_vertex,
+    _deepest,
     area,
     clip,
     convex_hull,
@@ -155,7 +156,7 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
         if n > 2 and a * z.x + c * z.y >= b:
             raise GeometryError(f"hull vertices {u}, {w} and {z} are collinear or turn clockwise")
         h = HalfPlane(-a, -c, -(b + shift))
-        deepest = _deepest_vertex(P, h, deepest)
+        deepest = _deepest(P._forms, h.a, h.c, deepest)[0]
         region = clip(P, h, deepest)
         if region is None:
             continue
@@ -225,10 +226,13 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     below b + 1 over P's lattice points (:func:`_closed_by`) is final at b;
     only the other edges are swept.
 
-    Each sweep's descent starts at the top vertex of P that the sweep
-    which made its edge reached: for the first edges, the hit of u's facet
-    sweep, at P's top vertex in a direction of u's normal cone, which the
-    edge's outward normal bounds; for a split edge, its parent's sweep.
+    Each sweep's descent starts at the CCW midpoint of the vertices of P
+    at which the hits of u and w began (``SweepHit.vertex``): P's top
+    vertices for the normals of their lines.  u attains its line and w its
+    own, so those normals lie in the normal cones of u and w in the cycle,
+    and the edge's outward normal lies between them, CCW; P's top vertex
+    for it therefore lies in the CCW range of vertices between the two.
+    The hint changes only the speed of the descent, never the hit.
     """
     found: Dict[IntPoint2, SweepHit] = {}
     for hit in hits.values():
@@ -241,13 +245,15 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
         return start
     pts = start.points
     cycle = dict(zip(pts, pts[1:] + pts[:1]))
-    stack = [(u, w, found[u].vertex) for u, w in cycle.items()]
+    n = len(P._forms)
+    stack = list(cycle.items())
     while stack:
-        u, w, hint = stack.pop()
+        u, w = stack.pop()
         a, c, b = _edge_functional(u, w)
         if _closed_by(found[u].line, found[w].line, a, c, b):
             continue
-        hit = _run_sweep(P, a, c, True, hint)
+        lo = found[u].vertex
+        hit = _run_sweep(P, a, c, True, lo + (found[w].vertex - lo) % n // 2)
         if stats is not None:
             stats.edge_sweeps += 1
         if hit is None or hit.offset < b:
@@ -262,7 +268,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
         # Assigned left to right, so p = q gives u -> p -> w.
         cycle[u], cycle[p], cycle[q] = p, q, w
         found[p] = found[q] = hit
-        stack += [(u, p, hit.vertex), (q, w, hit.vertex)]
+        stack += [(u, p), (q, w)]
     first = u = min(cycle)
     points = [first]
     while (u := cycle[u]) != first:

@@ -34,10 +34,11 @@ descent on the two lines' slopes, as in two-variable integer programming, in
 O(log) integer steps.  A sweep thus costs one solve per pair of edges
 crossed, however many levels separate the facet from its first lattice
 chord, and a polygon's far side is never visited when the hit is near.
-Each vertex a chain passes costs a few integer operations on its form in
-``_climb``'s locals, with no Python call; the calls left per sweep are the
-descent's ``t_pair`` reads, one ``edge_line`` per edge that holds a level,
-one ``_first_hit`` per window and one hit, filled as a dict (``_hit``).
+Each vertex that the descent (``geom._deepest``) or a chain (``_climb``)
+passes costs a few integer operations on its form in locals, with no
+Python call; the calls left per sweep are one descent, one ``edge_line``
+per edge that holds a level, one ``_first_hit`` per window and one hit,
+filled as a dict (``_hit``).
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class SweepHit:
     point of P with equality on the chord: the swept functional and its
     lattice max, or for a min sweep both negated, so beta is -offset; and
     the index of the vertex of P at which the swept levels begin (P's top
-    vertex in the direction (a, c)): a hint for later sweeps, not part of
-    the answer."""
+    vertex in the direction (a, c)), not part of the answer: the edge loop
+    of ``hull_new`` starts a later sweep's descent between the vertices of
+    the hits that found its edge's ends, so this one is a bracket end."""
 
     offset: int
     lo: IntPoint2
@@ -122,8 +124,8 @@ class _Frame:
     determinant +1, so counter-clockwise orientation is preserved and the
     inverse is x = u*t - C*s, y = v*t + A*s; integer (t, s) pairs correspond
     exactly to integer (x, y) points.  t and s at vertex j are over W_j.
-    Its fields are slots: ``t_pair`` reads them at every vertex a descent
-    (:func:`geom._deepest`) passes, and :func:`_climb` once per climb.
+    Its fields are slots, which :func:`_climb` reads into locals once per
+    climb.
     """
 
     __slots__ = ("forms", "n", "A", "C", "u", "v")
@@ -139,16 +141,6 @@ class _Frame:
         self.forms = forms
         self.n = len(forms)
         self.A, self.C, self.u, self.v = A, C, u, v
-
-    def t_pair(self, j: int) -> Tuple[int, int]:
-        """t at vertex j mod n as (num, den) with den > 0."""
-        X, Y, W = self.forms[j % self.n]
-        return self.A * X + self.C * Y, W
-
-    def s_pair(self, j: int) -> Tuple[int, int]:
-        """s at vertex j mod n as (num, den) with den > 0."""
-        X, Y, W = self.forms[j % self.n]
-        return self.u * Y - self.v * X, W
 
     def point_at(self, t: int, s: int) -> IntPoint2:
         return tuple.__new__(IntPoint2, (self.u * t - self.C * s, self.v * t + self.A * s))
@@ -185,12 +177,13 @@ def _lattice_extremes(S: PolySet2) -> Tuple[IntPoint2, ...]:
     g = gcd(dx, dy)
     # A point lies on a line of every direction: take t = x, s = y.
     frame = _Frame(forms, dy // g, -dx // g) if g else _Frame(forms, 1, 0)
-    tn, td = frame.t_pair(0)
-    if tn % td:
+    (X, Y, W), (Xq, Yq, Wq) = forms[0], forms[-1]
+    t = frame.A * X + frame.C * Y  # the segment's one level, over W
+    if t % W:
         return ()
-    (pn, pd), (qn, qd) = frame.s_pair(0), frame.s_pair(-1)
-    s_first, s_last = -(-pn // pd), qn // qd
-    return tuple(frame.point_at(tn // td, s) for s in sorted({s_first, s_last}) if s_first <= s_last)
+    u, v = frame.u, frame.v
+    s_first, s_last = -((v * X - u * Y) // W), (u * Yq - v * Xq) // Wq
+    return tuple(frame.point_at(t // W, s) for s in sorted({s_first, s_last}) if s_first <= s_last)
 
 
 Line = Tuple[int, int, int]
@@ -234,8 +227,7 @@ def _windows(frame: _Frame, hint: int) -> Iterator[Tuple[int, int, Line, Line]]:
     Each edge's line is computed once, and only for an edge that holds an
     integer level.
     """
-    j, low = _deepest(frame.t_pair, hint)
-    return _windows_from(frame, j % frame.n, low)
+    return _windows_from(frame, *_deepest(frame.forms, frame.A, frame.C, hint))
 
 
 def _windows_from(frame: _Frame, j: int, low: Tuple[int, int]) -> Iterator[Tuple[int, int, Line, Line]]:
@@ -329,8 +321,7 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
         raise ValueError("sweeps require a polygon with at least 3 vertices")
     sign = -1 if top else 1
     frame = _Frame(P._forms, sign * a, sign * c)
-    j, low = _deepest(frame.t_pair, hint)
-    j %= frame.n
+    j, low = _deepest(frame.forms, frame.A, frame.C, hint)
     for t, end, (lp, lq, lr), (up, uq, ur) in _windows_from(frame, j, low):
         level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
         if level is not None:

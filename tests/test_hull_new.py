@@ -443,6 +443,26 @@ def test_a_chain_of_1000_facets_sweeps_fewer_than_half():
     assert (stats.facet_sweeps, stats.edge_sweeps, len(hull)) == (4, 118, 108)
 
 
+def test_a_chain_of_1000_facets_descends_a_few_vertices_per_sweep(monkeypatch):
+    # Each edge sweep's descent starts midway between the top vertices its
+    # ends' hits began at, which bracket its own: on convex_chain_polygon(1000)
+    # the 122 descents walk 223 vertices in all, at most 11 each (2,420 and
+    # 125 from the top vertex of the sweep that made the edge).
+    P = instance_to_polyset(convex_chain_polygon(1000))
+    n = len(P.vertices)
+    moves = []
+    real = hull_new._run_sweep
+
+    def recording(Q, a, c, top, hint):
+        hit = real(Q, a, c, top, hint)
+        moves.append(min((hit.vertex - hint) % n, (hint - hit.vertex) % n))
+        return hit
+
+    monkeypatch.setattr(hull_new, "_run_sweep", recording)
+    integer_hull_new(P)
+    assert (len(moves), sum(moves), max(moves)) == (122, 223, 11)
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # (brute_cells, regions, max_depth) per engine: `new` with the default

@@ -139,7 +139,7 @@ MUTANTS = {
     # Hull vertices lie on both sides of the two hits' segment.
     "a two-point start hull swept one way only": (
         hull_new._edge_points,
-        ("for u, w in cycle.items()]", "for u, w in cycle.items() if len(cycle) > 2 or u < w]"),
+        ("stack = list(cycle.items())", "stack = [(u, w) for u, w in cycle.items() if len(cycle) > 2 or u < w]"),
         ON_TWO_POINT_STARTS,
         AssertionError,
     ),
@@ -256,6 +256,10 @@ MUTANTS = {
         AssertionError,
     ),
     "_climb keeping the start vertex's denominator": (lattice._climb, ("j, tn, td = k, kn, W", "j, tn = k, kn"), tiling_windows, AssertionError),
+    # The descent to the minimum vertex: a comparison with the two
+    # vertices' denominators swapped, and a walk that never goes back.
+    "_deepest with its denominators swapped": (geom._deepest, ("kn * jw >= jn * W", "kn * W >= jn * jw"), tiling_windows, AssertionError),
+    "_deepest walking one way only": (geom._deepest, ("for step in (1, -1):", "for step in (1,):"), hint_free_windows, AssertionError),
     # A hit's chord ends, ordered with one comparison.
     "a hit's chord ends swapped when in order": (lattice._run_sweep, ("if hi_pt < lo_pt:", "if lo_pt < hi_pt:"), frozen_hits, AssertionError),
     "windows cut at the lower chain's edge ends only": (
