@@ -370,6 +370,23 @@ def _polyset_from_forms(forms: Sequence[Form]) -> Optional[PolySet2]:
     return P
 
 
+def _spanned_polyset(vertices: Iterable[Sequence[Rational]]) -> Optional[PolySet2]:
+    """The canonical set spanned by exact rational points (None for none).
+
+    A list that is already a strictly convex CCW cycle is its own hull, and
+    :func:`_polyset_from_forms` proves that in O(n) and rotates it to its
+    lex-smallest vertex, so the points are first taken as listed.  Only a
+    list that it refuses is hulled (:func:`_hull_chain`); both ways give the
+    same set.
+    """
+    points = [point(p[0], p[1]) for p in vertices]
+    forms = list(map(_form, points))
+    try:
+        return _polyset_from_forms(forms)
+    except ValueError:
+        return _polyset_from_forms(_hull_chain(points))
+
+
 def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
     """The convex polygon spanned by the given points.
 
@@ -377,7 +394,7 @@ def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
     :class:`DegenerateSet` when fewer than three distinct points remain or all
     points are collinear.
     """
-    P = _polyset_from_forms(_hull_chain(point(p[0], p[1]) for p in vertices))
+    P = _spanned_polyset(vertices)
     if P is None or P.is_degenerate:
         raise DegenerateSet("need at least three distinct, not all collinear points")
     return P

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,10 +31,8 @@ from .geom import (
     PolySet2,
     Rational,
     _frac,
-    _hull_chain,
     _intersect_halfplanes,
-    _polyset_from_forms,
-    point,
+    _spanned_polyset,
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -50,7 +49,17 @@ def parse_rational(value: object) -> Fraction:
             raise InvalidInstance(
                 f"malformed rational {value!r} (write integers or \"p/q\")"
             )
-        return Fraction(value)
+        # The parts are validated ASCII numerals, so int() reads them once
+        # more and no Fraction string parse is needed.
+        num, slash, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except ValueError:  # a numeral over int()'s digit limit
+            digits = max(len(num.lstrip("+-")), len(den))
+            raise InvalidInstance(
+                f"a numeral of {digits} digits is over int()'s limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     raise InvalidInstance(f"expected a rational number, got {value!r}")
 
 
@@ -113,7 +122,7 @@ def _parse_pairs(raw: object, key: str, width: int) -> List[Tuple[Fraction, ...]
             raise InvalidInstance(
                 f"every '{key}' entry must be a list of {width} rationals, got {entry!r}"
             )
-        rows.append(tuple(parse_rational(v) for v in entry))
+        rows.append(tuple(map(parse_rational, entry)))
     return rows
 
 
@@ -123,6 +132,8 @@ def parse_instance(text: str) -> Instance:
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSON integer over int()'s digit limit
+        raise InvalidInstance(str(exc)) from exc
     if not isinstance(data, dict):
         raise InvalidInstance("instance file must contain a JSON object")
     unknown = set(data) - {"name", "vertices", "inequalities"}
@@ -173,13 +184,15 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     """Build the polyhedral set an instance describes (None = empty set).
 
     Vertex instances take the convex hull of the points, degenerating
-    gracefully to a segment or point.  Inequality instances are intersected;
-    rational coefficients are scaled to the canonical integer normal form,
-    trivially true rows are dropped, and a trivially false row makes the set
-    empty.  Unbounded inequality systems raise :class:`UnboundedSet`.
+    gracefully to a segment or point; a list that is already a strictly
+    convex counter-clockwise cycle is its own hull and is used as listed.
+    Inequality instances are intersected; rational coefficients are scaled
+    to the canonical integer normal form, trivially true rows are dropped,
+    and a trivially false row makes the set empty.  Unbounded inequality
+    systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
-        return _polyset_from_forms(_hull_chain(point(x, y) for x, y in inst.vertices))
+        return _spanned_polyset(inst.vertices)
     halfplanes: List[HalfPlane] = []
     for a, c, b in inst.inequalities:
         if a == 0 and c == 0:

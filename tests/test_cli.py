@@ -60,6 +60,14 @@ def test_exit_code_1_on_bad_input():
     assert run_cli("nonsense").returncode == 1
 
 
+def test_exit_code_1_on_an_over_long_numeral(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"vertices": [["1" * 5000, 0], [1, 0], [0, 1]]}), encoding="utf-8")
+    assert cli.main(["hull", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "5000 digits" in out.err
+
+
 def assert_usage_error_for_every_engine(capsys, fixture, flag):
     # `hull` takes no tuning flag, only --engine, --check and --stats:
     # sweeps have no limit and the engines run in their default configuration.

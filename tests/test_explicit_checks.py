@@ -52,14 +52,27 @@ def test_every_imported_name_is_used(module):
     assert unused == {}, f"{module} imports names it never uses: {unused}"
 
 
-def test_residual_regions_must_shrink(monkeypatch):
-    # residual_regions checks each region's area against P's, so both a
-    # direct call and baseline's corner pass (3 regions of TRI) refuse.
-    monkeypatch.setattr(hull_new, "area", lambda P: 1)
-    with pytest.raises(GeometryError, match="no smaller"):
-        residual_regions(TRI, [IntPoint2(-1, 0), IntPoint2(2, 0), IntPoint2(1, 3)])
-    with pytest.raises(GeometryError, match="no smaller"):
-        integer_hull_baseline(TRI)
+def check_residual_regions_must_shrink():
+    """residual_regions checks each region's area against P's, so with
+    every area read as 1 both a direct call and baseline's corner pass
+    (3 regions of TRI) refuse."""
+    calls = {
+        "residual_regions": lambda: residual_regions(TRI, [IntPoint2(-1, 0), IntPoint2(2, 0), IntPoint2(1, 3)]),
+        "integer_hull_baseline": lambda: integer_hull_baseline(TRI),
+    }
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(hull_new, "area", lambda P: 1)
+        for name, call in calls.items():
+            try:
+                call()
+            except GeometryError as exc:
+                assert "no smaller" in str(exc), (name, exc)
+            else:
+                raise AssertionError(f"{name} kept a region no smaller than its polygon")
+
+
+def test_residual_regions_must_shrink():
+    check_residual_regions_must_shrink()
 
 
 def _faked_edge_sweeps(monkeypatch, fake):

@@ -7,8 +7,18 @@ from math import gcd
 
 import pytest
 
-from inthull import area, instance_to_polyset, integer_hull_baseline, integer_hull_new, integer_hull_oracle, sweep_inward
+from inthull import (
+    area,
+    dump_instance,
+    instance_to_polyset,
+    integer_hull_baseline,
+    integer_hull_new,
+    integer_hull_oracle,
+    parse_instance,
+    sweep_inward,
+)
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
+from inthull.geom import _form, _polyset_from_forms, point
 
 
 def test_generators_are_deterministic():
@@ -90,3 +100,23 @@ def test_convex_chain_polygon_area_targeting_at_scale():
 def test_convex_chain_polygon_rejects_tiny_counts():
     with pytest.raises(ValueError):
         convex_chain_polygon(2)
+
+
+def test_generated_vertex_lists_load_as_listed():
+    # A vertex list that is already a strictly convex CCW cycle is its own
+    # hull, and loading it hulls nothing: the benchmark's setup_s counts on
+    # the generators writing such lists, so one that stops doing so fails
+    # here rather than only costing time.
+    insts = [
+        random_polygon(n, scale, seed)
+        for n, scale in ((3, 5), (7, Fraction(29, 2)), (12, 20), (12, 10**9), (50, 10**12))
+        for seed in range(6)
+    ]
+    insts += [convex_chain_polygon(n) for n in (4, 20, 250)]
+    for inst in insts:
+        loaded = parse_instance(dump_instance(inst))
+        try:
+            listed = _polyset_from_forms([_form(point(x, y)) for x, y in loaded.vertices])
+        except ValueError:
+            pytest.fail(f"{inst.name} is not a strictly convex CCW cycle")
+        assert listed == instance_to_polyset(loaded), inst.name

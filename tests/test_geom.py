@@ -177,6 +177,63 @@ def test_polyset_from_vertices_rejects_degenerate_input():
         polyset_from_vertices([(0, 0), (0, 0)])
 
 
+def spanned_vertex_lists(rng: random.Random):
+    """Seeded vertex lists, of ints and of Fractions: convex cycles at every
+    rotation and reversed; the same cycles with a repeated vertex, an edge's
+    midpoint or an interior point put in; and lists of 1 or 2 distinct
+    points, or of collinear points."""
+    F = Fraction
+    cycles = [[tuple(v) for v in random_polyset(rng, max_num=30, max_den=7).vertices] for _ in range(12)]
+    while len(cycles) < 24:
+        hull = convex_hull([(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(3, 15))])
+        if len(hull) >= 3:
+            cycles.append([tuple(v) for v in hull])
+    for cycle in cycles:
+        n = len(cycle)
+        for k in range(n):
+            rotated = cycle[k:] + cycle[:k]
+            yield rotated
+            yield rotated[::-1]
+        (ux, uy), (wx, wy), (zx, zy) = rng.sample(cycle, 3)
+        i = rng.randrange(n)
+        (px, py), (qx, qy) = cycle[i], cycle[(i + 1) % n]
+        for extra in (rng.choice(cycle), (F(px + qx, 2), F(py + qy, 2)), (F(ux + wx + zx, 3), F(uy + wy + zy, 3))):
+            at = rng.randrange(n + 1)
+            yield cycle[:at] + [extra] + cycle[at:]
+    for _ in range(40):
+        p, q = [(F(rng.randint(-9, 9), rng.randint(1, 3)), rng.randint(-9, 9)) for _ in range(2)]
+        mid = ((p[0] + q[0]) / 2, F(p[1] + q[1], 2))
+        for pts in ([p], [p, p, p], [p, q], [q, p], [p, q, p], [q, q, p, p], [p, q, mid], [mid, p, q, p]):
+            yield pts
+
+
+def check_spanned_sets_match_their_hulls():
+    """A vertex list becomes the set its hull chain gives, whether it is
+    taken as listed or hulled: through instance_to_polyset, and through
+    polyset_from_vertices, which refuses a point or a segment."""
+    rng = random.Random(30)
+    listed = hulled = 0
+    for pts in spanned_vertex_lists(rng):
+        points = [Point2(Fraction(x), Fraction(y)) for x, y in pts]
+        expected = geom._polyset_from_forms(_hull_chain(points))
+        try:
+            geom._polyset_from_forms([geom._form(v) for v in points])
+            listed += 1
+        except ValueError:
+            hulled += 1
+        assert instance_to_polyset(Instance(None, vertices=tuple(pts))) == expected, pts
+        if expected.is_degenerate:
+            with pytest.raises(DegenerateSet):
+                polyset_from_vertices(pts)
+        else:
+            assert polyset_from_vertices(pts) == expected, pts
+    assert listed > 200 and hulled > 200, (listed, hulled)
+
+
+def test_spanned_sets_match_their_hulls():
+    check_spanned_sets_match_their_hulls()
+
+
 def test_polyset_canonical_start_and_orientation():
     P = polyset_from_vertices([(4, 4), (0, 4), (0, 0), (4, 0)])  # CW, odd start
     assert [(v.x, v.y) for v in P.vertices] == [(0, 0), (4, 0), (4, 4), (0, 4)]

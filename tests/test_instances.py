@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +64,35 @@ def test_rational_parsing_and_formatting():
     for bad in ("0.5", "1e3", "3/0", "/2", "1/", "3\n", "1/2\n", "\u0663", "1/\u0663", True, None, [1]):
         with pytest.raises(InvalidInstance):
             parse_rational(bad)
+
+
+def check_rationals_read_as_fraction_reads_them():
+    """parse_rational reads every "p" and "p/q" string as Fraction does,
+    on a fixed list and on seeded strings, signs and padding zeros."""
+    rng = random.Random(0)
+    texts = ["3/4", "-1/5", "+6/4", "10/1", "7", "-0", "+0/9", "007/12"]
+    for _ in range(200):
+        sign = rng.choice(["", "+", "-"])
+        num = str(rng.randrange(10 ** rng.randint(1, 30))).zfill(rng.randint(1, 3))
+        den = str(rng.randrange(1, 10 ** rng.randint(1, 30)))
+        texts += [sign + num, f"{sign}{num}/{den}"]
+    for text in texts:
+        assert parse_rational(text) == Fraction(text), text
+
+
+def test_rationals_read_as_fraction_reads_them():
+    check_rationals_read_as_fraction_reads_them()
+
+
+def test_an_over_long_numeral_is_an_invalid_instance():
+    # int() refuses a numeral over its digit limit (4300 by default) with a
+    # bare ValueError; the library's refusal is typed and names the count.
+    for text in ("1" * 5000, "-" + "7" * 5000, "1/" + "3" * 5000):
+        with pytest.raises(InvalidInstance, match="5000 digits"):
+            parse_rational(text)
+    for number in (f'"{"9" * 5000}"', "9" * 5000):  # a string and a JSON integer
+        with pytest.raises(InvalidInstance, match="5000 digits"):
+            parse_instance(f'{{"vertices": [[{number}, 0]]}}')
 
 
 def test_floats_are_rejected_everywhere():

@@ -23,17 +23,21 @@ import pytest
 
 import inthull.geom as geom
 import inthull.hull_new as hull_new
+import inthull.instances as instances
 import inthull.lattice as lattice
 import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
+from test_explicit_checks import check_residual_regions_must_shrink
 from test_geom import (
     check_construction_paths,
     check_full_column_hulls,
     check_hull_chain_on_fractions,
     check_hull_turns_and_segment_membership,
     check_rows_through_a_vertex,
+    check_spanned_sets_match_their_hulls,
 )
+from test_instances import check_rationals_read_as_fraction_reads_them
 from test_lattice import (
     check_sweep_hits_are_frozen_values,
     check_sweeps_do_not_depend_on_their_hint,
@@ -181,6 +185,14 @@ MUTANTS = {
         check_construction_paths,
         AssertionError,
     ),
+    # A vertex list is taken as listed only when it is its own hull; one
+    # that the constructor refused and that is not hulled is refused again.
+    "a refused vertex list kept unhulled": (
+        geom._spanned_polyset,
+        ("_polyset_from_forms(_hull_chain(points))", "_polyset_from_forms(forms)"),
+        check_spanned_sets_match_their_hulls,
+        ValueError,
+    ),
     # A crossing whose form has W < 0 turns the directions into and out of
     # it around, and the cycle check refuses the clip.
     "_reduced without its sign fix of W": (geom._reduced, ("if W < 0:", "if False:"), check_construction_paths, ValueError),
@@ -266,6 +278,26 @@ MUTANTS = {
         lattice._windows_from,
         ("end = min(lo_end, hi_end)", "end = lo_end"),
         tiling_windows,
+        AssertionError,
+    ),
+    # baseline's check that each residual region is smaller than P.
+    "residual regions without their shrink check": (
+        hull_new.residual_regions,
+        ("if not area(region) < whole:", "if False:"),
+        check_residual_regions_must_shrink,
+        AssertionError,
+    ),
+    # An instance's "p/q" read with its denominator dropped or swapped.
+    "parse_rational dropping the denominator": (
+        instances.parse_rational,
+        ("Fraction(int(num), int(den))", "Fraction(int(num))"),
+        check_rationals_read_as_fraction_reads_them,
+        AssertionError,
+    ),
+    "parse_rational swapping the numerator and denominator": (
+        instances.parse_rational,
+        ("Fraction(int(num), int(den))", "Fraction(int(den), int(num))"),
+        check_rationals_read_as_fraction_reads_them,
         AssertionError,
     ),
     # The oracle's columns.
