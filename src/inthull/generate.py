@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Tuple
 
-from .errors import UnboundedSet
 from .geom import HalfPlane, Rational, _by_angle, _frac, _hull_chain, area, polyset_from_halfplanes, polyset_from_vertices
 from .instances import Instance, format_rational
 
@@ -144,22 +143,15 @@ def edgecase_halfplanes(n: int, scale: Rational, seed: int) -> Instance:
         (a, -b, 1 + eps()),
         (-a2, b2, 1 + eps()),
     ]
-    # The wedge's one recession direction is perpendicular to (a, -b); the
-    # cap's normal must have positive inner product with it to bound the set.
+    # The facet normals are not parallel: cross((a, -b), (-a2, b2)) =
+    # da*b - db*a != 0.  The wedge's recession cone is spanned by
+    # sigma*(b, a) and sigma*(b2, a2), and the cap normal sigma*(b, a) has a
+    # positive inner product with both, so the cap bounds the set; the
+    # origin satisfies every row strictly, so the set has an interior.
     sigma = -1 if da * b - db * a > 0 else 1
-    cap_eps = eps()
-    for cap in ((sigma * b, sigma * a), (-sigma * b, -sigma * a)):
-        try:
-            P = polyset_from_halfplanes(
-                [HalfPlane(r[0], r[1], r[2]) for r in rows]
-                + [HalfPlane(cap[0], cap[1], (a + b) * cap_reach + cap_eps)]
-            )
-            break
-        except UnboundedSet:
-            continue
-    else:
-        raise AssertionError("one of the two cap orientations must bound the wedge")
-    rows.append((cap[0], cap[1], (a + b) * cap_reach + cap_eps))
+    cap = (sigma * b, sigma * a)
+    rows.append((cap[0], cap[1], (a + b) * cap_reach + eps()))
+    P = polyset_from_halfplanes([HalfPlane(*r) for r in rows])
     for j in range(n - 3):
         sgn = 1 if j % 2 == 0 else -1
         ux = (j + 2) * cap[0] - sgn * cap[1]

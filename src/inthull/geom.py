@@ -5,9 +5,10 @@ of integer points, the bounded 2D polyhedral-set type (a vertex cycle whose
 edge half-planes are derived from it), and cutting such a set with a
 half-plane or with a line.
 
-All coordinates are exact rationals (`fractions.Fraction`, with plain `int`
-accepted anywhere a rational is expected) and every predicate is computed
-exactly.  No floating point is used anywhere in this package's core.
+All coordinates are exact rationals (`fractions.Fraction`, with an `int`
+that is not a `bool` accepted anywhere a rational is expected; see
+:func:`_integer`) and every predicate is computed exactly.  No floating
+point is used anywhere in this package's core.
 
 Conventions used throughout:
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
@@ -56,15 +57,20 @@ Rational = Union[int, Fraction]
 Form = Tuple[int, int, int]  # the integer form (X, Y, W), W > 0, of the point (X/W, Y/W)
 
 
+def _integer(value: object) -> int:
+    """`value` if it is an exact integer, the package's one rule for the
+    numbers it takes: an integer is an ``int`` that is not a ``bool``, and a
+    rational (:func:`_frac`) is an integer or a ``Fraction``.  Anything else,
+    a ``float``, a ``str`` or a ``bool`` among them, raises ``TypeError``;
+    strings enter only through :func:`inthull.instances.parse_rational`."""
+    if type(value) is not int:
+        raise TypeError(f"expected an int, or a Fraction where a rational is allowed; got {type(value).__name__}")
+    return value
+
+
 def _frac(value: Rational) -> Fraction:
-    """Coerce to Fraction, rejecting floats (exactness is mandatory)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    """`value` as a Fraction, by the rule of :func:`_integer`."""
+    return value if isinstance(value, Fraction) else Fraction(_integer(value))
 
 
 class Point2(NamedTuple):
@@ -127,9 +133,7 @@ class HalfPlane:
     b: Fraction
 
     def __post_init__(self) -> None:
-        a, c = self.a, self.c
-        if not isinstance(a, int) or not isinstance(c, int):
-            raise TypeError("half-plane coefficients must be integers")
+        a, c = _integer(self.a), _integer(self.c)
         if a == 0 and c == 0:
             raise ValueError("half-plane normal must be nonzero")
         b = _frac(self.b)
@@ -435,21 +439,6 @@ def bounding_box(P: PolySet2) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _vertex_levels(forms: Sequence[Form], h: HalfPlane) -> Callable[[int], Tuple[int, int]]:
-    """j -> the level of h at vertex j mod n, once per vertex, from its form."""
-    n = len(forms)
-    memo: dict = {}
-
-    def level(j: int) -> Tuple[int, int]:
-        j %= n
-        value = memo.get(j)
-        if value is None:
-            value = memo[j] = _level(h, forms[j])
-        return value
-
-    return level
-
-
 def _deepest(forms: Sequence[Form], a: int, c: int, hint: int) -> Tuple[int, Tuple[int, int]]:
     """A vertex j of the cycle `forms` where a*x + c*y is least, and that
     value as (num, den), den > 0, by local descent from vertex `hint`.
@@ -508,14 +497,13 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     """
     forms = P._forms
     n = len(forms)
-    level = _vertex_levels(forms, h)
     j = _deepest(forms, h.a, h.c, hint)[0]
-    f_j = level(j)
+    f_j = _level(h, forms[j])
     if f_j[0] > 0:
         return None
     end, f_end = j, f_j
     while end - j < n - 1:
-        f_out = level(end + 1)
+        f_out = _level(h, forms[(end + 1) % n])
         if f_out[0] > 0:
             break
         end, f_end = end + 1, f_out
@@ -523,7 +511,7 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
         return P  # every vertex is kept
     start, f_start = j, f_j
     while True:
-        f_in = level(start - 1)
+        f_in = _level(h, forms[(start - 1) % n])
         if f_in[0] > 0:
             break
         start, f_start = start - 1, f_in

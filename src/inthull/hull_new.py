@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
@@ -43,6 +42,7 @@ from .geom import (
     IntPoint2,
     PolySet2,
     _deepest,
+    _integer,
     area,
     clip,
     convex_hull,
@@ -63,8 +63,8 @@ class RefineConfig:
     brute_force_cell_threshold: int = 256
 
     def __post_init__(self) -> None:
-        # A count: a float is refused (TypeError), as in the core.
-        if index(self.brute_force_cell_threshold) < 1:
+        # A count: a float or a bool is refused (TypeError), as in the core.
+        if _integer(self.brute_force_cell_threshold) < 1:
             raise ValueError("brute_force_cell_threshold must be >= 1")
 
 

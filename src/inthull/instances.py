@@ -194,7 +194,8 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     if inst.vertices is not None:
         return _spanned_polyset(inst.vertices)
     halfplanes: List[HalfPlane] = []
-    for a, c, b in inst.inequalities:
+    for row in inst.inequalities:
+        a, c, b = map(_frac, row)
         if a == 0 and c == 0:
             if b < 0:
                 return None  # 0 <= b fails: the set is empty

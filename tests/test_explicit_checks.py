@@ -3,26 +3,37 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import inthull
+import inthull.generate as generate
 import inthull.geom as geom
 import inthull.hull_baseline as hull_baseline
 import inthull.hull_new as hull_new
 from inthull import (
     GeometryError,
     HalfPlane,
+    Instance,
     IntPoint2,
     Point2,
     PolySet2,
     RefineConfig,
     clip,
+    contains,
+    format_decimal,
+    format_rational,
+    instance_to_polyset,
     integer_hull_baseline,
     integer_hull_new,
+    line_through,
+    point,
     polyset_from_vertices,
 )
+from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.hull_new import residual_regions
 from inthull.lattice import SweepHit
 
@@ -155,3 +166,78 @@ def test_polyset_refuses_a_pentagram_without_building_halfplanes(monkeypatch):
     PolySet2(tuple(pentagon))
     with pytest.raises(ValueError, match="strictly convex"):
         PolySet2(tuple(pentagon[(2 * i) % 5] for i in range(5)))
+
+
+# Every number the library takes follows one rule (geom._integer): an
+# integer is an int that is not a bool, and a rational is an integer or a
+# Fraction.  Each row is (entry point, the parameter or field that takes
+# the number, whether it takes rationals or integers only, a call that
+# passes the number v there).
+RATIONAL, INTEGER = "rational", "integer"
+EXACT_INPUTS = [
+    (point, "x", RATIONAL, lambda v: point(v, 0)),
+    (point, "y", RATIONAL, lambda v: point(0, v)),
+    (HalfPlane, "a", INTEGER, lambda v: HalfPlane(v, 1, 0)),
+    (HalfPlane, "c", INTEGER, lambda v: HalfPlane(1, v, 0)),
+    (HalfPlane, "b", RATIONAL, lambda v: HalfPlane(1, 0, v)),
+    (PolySet2, "vertices", RATIONAL, lambda v: PolySet2([(v, 0)])),
+    (polyset_from_vertices, "vertices", RATIONAL, lambda v: polyset_from_vertices([(0, 0), (v, 0), (0, 1)])),
+    (line_through, "p", RATIONAL, lambda v: line_through((v, 0), (0, 1))),
+    (line_through, "q", RATIONAL, lambda v: line_through((0, 1), (v, 0))),
+    (contains, "p", RATIONAL, lambda v: contains(TRI, (v, 0))),
+    (format_rational, "value", RATIONAL, format_rational),
+    (format_decimal, "value", RATIONAL, format_decimal),
+    (random_polygon, "scale", RATIONAL, lambda v: random_polygon(5, v, 1)),
+    (edgecase_halfplanes, "scale", RATIONAL, lambda v: edgecase_halfplanes(3, v, 1)),
+    (convex_chain_polygon, "target_area", RATIONAL, lambda v: convex_chain_polygon(8, v)),
+    (RefineConfig, "brute_force_cell_threshold", INTEGER, RefineConfig),
+    (instance_to_polyset, "vertices", RATIONAL, lambda v: instance_to_polyset(Instance(None, vertices=((v, 0), (4, 0), (0, 3))))),
+    (
+        instance_to_polyset,
+        "inequalities",
+        RATIONAL,
+        lambda v: instance_to_polyset(Instance(None, inequalities=((v, 1, 5), (-1, 0, 0), (0, -1, 0)))),
+    ),
+]
+# Strings enter only through parse_rational; a bool is an int subclass.
+NOT_EXACT = ("1", "1/2", "1e3", True, 0.5)
+
+
+def check_exact_numbers():
+    """Each entry point of EXACT_INPUTS takes an int and, where a rational
+    is allowed, a Fraction, and refuses every other number with TypeError."""
+    for entry, where, kind, call in EXACT_INPUTS:
+        accepted, refused = (3, Fraction(7, 2)), NOT_EXACT
+        if kind == INTEGER:
+            accepted, refused = accepted[:1], refused + accepted[1:]
+        for v in accepted:
+            call(v)
+        for v in refused:
+            try:
+                call(v)
+            except TypeError:
+                continue
+            raise AssertionError(f"{entry.__name__} took {v!r} as its {where}")
+
+
+def test_every_entry_point_takes_only_exact_numbers():
+    check_exact_numbers()
+
+
+def test_every_rational_parameter_is_in_the_exactness_table():
+    # A new entry point that takes a Rational cannot skip the rule: the
+    # table must name each such parameter of the package's public callables
+    # and of its generators.
+    callables = [getattr(inthull, name) for name in inthull.__all__]
+    callables += [value for name, value in vars(generate).items() if not name.startswith("_")]
+    annotated = set()
+    for entry in callables:
+        if not (inspect.isfunction(entry) or inspect.isclass(entry)):
+            continue
+        try:
+            parameters = inspect.signature(entry).parameters.values()
+        except ValueError:  # a class without a Python signature
+            continue
+        annotated |= {(entry, p.name) for p in parameters if "Rational" in str(p.annotation)}
+    assert (point, "x") in annotated and (convex_chain_polygon, "target_area") in annotated
+    assert annotated - {(entry, where) for entry, where, _, _ in EXACT_INPUTS} == set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -63,6 +64,21 @@ def test_edgecase_facet_lines_carry_lattice_points():
         assert a.denominator == 1 and c.denominator == 1
         assert gcd(int(a), int(c)) == 1
         assert b.denominator > 1  # integer offset nudged by a non-integer rational
+
+
+# sha256 of dump_instance(edgecase_halfplanes(n, scale, seed)).
+EDGECASE_SHA256 = {
+    (3, 10, 1): "ee1d8bda7d6c2a034d14fcb9d889961982a886a5d96b3069828ff74f64ea9709",
+    (4, 3, 0): "62702e8251ff4501fd6ea88af0adeb1bae204e801bf106997e1136472dd23b21",
+    (5, 150, 7): "47deec6747617e9b9a8826ad15c5a361d49755d3d4130a64c0509e7933f8149d",
+    (8, 10**6, 39): "eb81d8be54dbc1cce7e0115306ab81569d02e25aedc1bbd48cc1d6bb48f52d01",
+    (3, Fraction(31, 2), 2): "13597743459793192baf338d9457b8f2596f85a70546a58b62614f997d65f938",
+}
+
+
+def test_edgecase_bytes_are_pinned():
+    for args, digest in EDGECASE_SHA256.items():
+        assert hashlib.sha256(dump_instance(edgecase_halfplanes(*args)).encode()).hexdigest() == digest, args
 
 
 def test_edgecase_supports_more_facets():

@@ -3,7 +3,8 @@
 Each mutant rebuilds one function of the package from its own source with
 one edit and binds it with monkeypatch wherever the original is bound: in
 every module of the package and in the check's own module, so a name
-imported with `from ... import` reaches the mutant too.  It then runs the
+imported with `from ... import` reaches the mutant too, and a method on its
+class.  It then runs the
 check its entry names, on a seeded subset of that check's inputs that
 catches it: the check passes before and must fail after, with the error
 named.  A mutant whose edit no longer applies fails here, so a change that
@@ -17,6 +18,7 @@ import inspect
 import itertools
 import random
 import sys
+import textwrap
 import types
 
 import pytest
@@ -28,8 +30,9 @@ import inthull.lattice as lattice
 import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
-from test_explicit_checks import check_residual_regions_must_shrink
+from test_explicit_checks import check_exact_numbers, check_residual_regions_must_shrink
 from test_geom import (
+    check_clip_matches_the_vertex_scan,
     check_construction_paths,
     check_full_column_hulls,
     check_hull_chain_on_fractions,
@@ -52,9 +55,10 @@ from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_
 
 def mutant(function, old: str, new: str):
     """`function` rebuilt from its source with the one occurrence of `old`
-    replaced by `new`, reading its module's live globals."""
+    replaced by `new`, reading its module's live globals; a method is
+    rebuilt from its dedented source."""
     module = sys.modules[function.__module__]
-    source = inspect.getsource(function)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, (function.__name__, old)
     scratch = dict(vars(module))
     code = compile(source.replace(old, new), module.__file__, "exec", __future__.annotations.compiler_flag, True)
@@ -300,6 +304,38 @@ MUTANTS = {
         check_rationals_read_as_fraction_reads_them,
         AssertionError,
     ),
+    # The one exactness rule (geom._integer): a string parsed by Fraction,
+    # a bool taken as an int, and RefineConfig's count read by
+    # operator.index, which takes a bool.
+    "_frac with its str branch restored": (
+        geom._frac,
+        ("Fraction(_integer(value))", "Fraction(value if isinstance(value, str) else _integer(value))"),
+        check_exact_numbers,
+        AssertionError,
+    ),
+    "the exactness rule letting a bool through": (
+        geom._integer,
+        ("type(value) is not int", "not isinstance(value, int)"),
+        check_exact_numbers,
+        AssertionError,
+    ),
+    "RefineConfig back on operator.index": (
+        hull_new.RefineConfig.__post_init__,
+        ("_integer(self.brute_force_cell_threshold)", "__import__('operator').index(self.brute_force_cell_threshold)"),
+        check_exact_numbers,
+        AssertionError,
+    ),
+    # A clip's forward crossing solved with the levels of its two ends
+    # swapped lands at its mirror image about the edge's midpoint.
+    "a clip crossing with its end levels swapped": (
+        geom.clip,
+        (
+            "_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out)",
+            "_crossing(forms[end % n], f_out, forms[(end + 1) % n], f_end)",
+        ),
+        check_clip_matches_the_vertex_scan,
+        AssertionError,
+    ),
     # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
 }
@@ -314,6 +350,9 @@ def assert_caught(monkeypatch, name):
         for attr, value in list(vars(module).items()):
             if value is function:
                 monkeypatch.setattr(module, attr, rebuilt)
+    owner, _, method = function.__qualname__.rpartition(".")
+    if owner:  # a method is bound on its class
+        monkeypatch.setattr(getattr(sys.modules[function.__module__], owner), method, rebuilt)
     with pytest.raises(error):
         check()
 
