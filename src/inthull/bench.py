@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median_low
 from typing import List, Optional, Sequence, Tuple
@@ -54,31 +53,11 @@ def run_engine(name: str, P: Optional[PolySet2], *, stats: Optional[RunStats] = 
     raise ValueError(f"unknown engine {name!r} (expected one of {engine_names()})")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One CSV row: an (instance, engine) pair with cost counters."""
-
-    name: str
-    n_vertices: int
-    area: Fraction
-    engine: str
-    wall_time_ns: int
-    hull_size: int
-    brute_cells: int
-    status: str
-
-    def to_row(self) -> List[str]:
-        return [
-            self.name,
-            str(self.n_vertices),
-            format_rational(self.area),
-            format_decimal(self.area, 6),
-            self.engine,
-            str(self.wall_time_ns),
-            str(self.hull_size),
-            str(self.brute_cells),
-            self.status,
-        ]
+def _row(name: str, n_vertices: int, poly_area: Fraction, engine: str, status: str, *counts: int) -> List[str]:
+    """One CSV row in CSV_COLUMNS order; `counts` are the run's wall_time_ns,
+    hull_size and brute_cells, and a failed run, which has none, reports zeros."""
+    instance = [name, str(n_vertices), format_rational(poly_area), format_decimal(poly_area, 6)]
+    return [*instance, engine, *map(str, counts or (0, 0, 0)), status]
 
 
 def _timed_run(engine: str, P: Optional[PolySet2]) -> Tuple[HullResult, RunStats, int]:
@@ -95,69 +74,41 @@ def bench_instance(
     reps: int,
     *,
     timing: bool = True,
-) -> List[BenchRecord]:
-    """Benchmark one instance under each engine; failures become status rows."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+) -> List[List[str]]:
+    """The CSV rows of one instance, one per engine; failures become status rows."""
     name = inst.name or "unnamed"
     try:
         P = instance_to_polyset(inst)
     except GeometryError as exc:
-        return [
-            BenchRecord(name, 0, Fraction(0), engine, 0, 0, 0, f"error:{type(exc).__name__}")
-            for engine in engines
-        ]
+        return [_row(name, 0, Fraction(0), engine, f"error:{type(exc).__name__}") for engine in engines]
     n_vertices = 0 if P is None else len(P.vertices)
     poly_area = Fraction(0) if P is None else area(P)
-    records: List[BenchRecord] = []
+    rows: List[List[str]] = []
     for engine in engines:
         try:
             runs = [_timed_run(engine, P) for _ in range(reps)]
-        except BudgetExceeded:
-            records.append(
-                BenchRecord(name, n_vertices, poly_area, engine, 0, 0, 0, "skipped:budget")
-            )
-            continue
         except GeometryError as exc:
-            records.append(
-                BenchRecord(
-                    name, n_vertices, poly_area, engine, 0, 0, 0, f"error:{type(exc).__name__}"
-                )
-            )
+            status = "skipped:budget" if isinstance(exc, BudgetExceeded) else f"error:{type(exc).__name__}"
+            rows.append(_row(name, n_vertices, poly_area, engine, status))
             continue
         hull, stats, _ = runs[-1]  # counters are per-run; keep the last
-        records.append(
-            BenchRecord(
-                name,
-                n_vertices,
-                poly_area,
-                engine,
-                median_low([ns for _, _, ns in runs]) if timing else 0,
-                len(hull),
-                stats.brute_cells,
-                "ok",
-            )
-        )
-    return records
+        wall_time_ns = median_low([ns for _, _, ns in runs]) if timing else 0
+        rows.append(_row(name, n_vertices, poly_area, engine, "ok", wall_time_ns, len(hull), stats.brute_cells))
+    return rows
 
 
-def run_suite(
+def write_csv(
     instances: Sequence[Instance],
     engines: Sequence[str],
     reps: int,
+    path: str,
     *,
     timing: bool = True,
-) -> List[BenchRecord]:
-    records: List[BenchRecord] = []
-    for inst in instances:
-        records.extend(bench_instance(inst, engines, reps, timing=timing))
-    return records
-
-
-def write_csv(records: Sequence[BenchRecord], path: str) -> None:
-    """CSV with the frozen column order and unix line endings (stable bytes)."""
+) -> None:
+    """Run the suite, then write its CSV with the frozen column order and
+    unix line endings (stable bytes); a run that raises writes no file."""
+    rows = [row for inst in instances for row in bench_instance(inst, engines, reps, timing=timing)]
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.to_row())
+        writer.writerows(rows)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, replace
 from typing import List, Optional, Sequence
 
-from .bench import engine_names, run_engine, run_suite, write_csv
+from .bench import engine_names, run_engine, write_csv
 from .errors import (
     BudgetExceeded,
     GeometryError,
@@ -137,8 +137,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             stem = os.path.splitext(os.path.basename(path))[0]
             inst = replace(inst, name=stem)
         instances.append(inst)
-    records = run_suite(instances, engines, args.reps, timing=not args.no_timing)
-    write_csv(records, args.out)
+    write_csv(instances, engines, args.reps, args.out, timing=not args.no_timing)
     return 0
 
 

@@ -93,6 +93,16 @@ def random_polygon(n: int, scale: Rational, seed: int) -> Instance:
     )
 
 
+# The draws of edgecase_halfplanes' twist (da, db); (0, 0) is redrawn.
+_TWIST_DA = (0, 1, 1, 2)
+_TWIST_DB = (0, 1)
+
+
+def _coprime_twist(a: int, b: int, da: int, db: int) -> bool:
+    """Whether (a - da, b - db) is a coprime positive pair other than (a, b)."""
+    return (da, db) != (0, 0) and a - da >= 1 and b - db >= 1 and gcd(a - da, b - db) == 1
+
+
 def edgecase_halfplanes(n: int, scale: Rational, seed: int) -> Instance:
     """A long thin wedge whose facet lines are perturbed integer-offset lines.
 
@@ -124,16 +134,16 @@ def edgecase_halfplanes(n: int, scale: Rational, seed: int) -> Instance:
     while True:
         a = rng.randrange(low, 2 * low + 1)
         b = rng.randrange(low, 2 * low + 1)
-        if gcd(a, b) == 1:
+        # A pair none of whose twists is coprime is redrawn; testing the
+        # twists draws nothing, so every other pair keeps its draws.
+        if gcd(a, b) == 1 and any(_coprime_twist(a, b, da, db) for da in _TWIST_DA for db in _TWIST_DB):
             break
     while True:
-        da = rng.choice([0, 1, 1, 2])
-        db = rng.choice([0, 1])
-        if (da, db) == (0, 0):
-            continue
-        a2, b2 = a - da, b - db
-        if a2 >= 1 and b2 >= 1 and gcd(a2, b2) == 1:
+        da = rng.choice(_TWIST_DA)
+        db = rng.choice(_TWIST_DB)
+        if _coprime_twist(a, b, da, db):
             break
+    a2, b2 = a - da, b - db
 
     def eps() -> Fraction:
         return Fraction(1, rng.randrange(3, 60))

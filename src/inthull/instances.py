@@ -31,6 +31,7 @@ from .geom import (
     PolySet2,
     Rational,
     _frac,
+    _integer,
     _intersect_halfplanes,
     _spanned_polyset,
 )
@@ -75,7 +76,7 @@ def format_decimal(value: Rational, places: int = 6) -> str:
     decimal is needed (CSV area column, SVG coordinates) so output bytes are
     deterministic across platforms.
     """
-    if places < 0:
+    if _integer(places) < 0:
         raise ValueError("places must be >= 0")
     fr = _frac(value)
     negative = fr < 0

@@ -22,6 +22,7 @@ from .geom import (
     HalfPlane,
     HullResult,
     PolySet2,
+    Rational,
     bounding_box,
     chord,
 )
@@ -57,14 +58,11 @@ class _View:
         self.width = inner_w + 2 * self.margin
         self.height = world_h * self.scale + 2 * self.margin
 
-    def x(self, wx: Fraction) -> str:
+    def x(self, wx: Rational) -> str:
         return format_decimal(self.margin + (wx - self.xmin) * self.scale, 3)
 
-    def y(self, wy: Fraction) -> str:
+    def y(self, wy: Rational) -> str:
         return format_decimal(self.margin + (self.ymax - wy) * self.scale, 3)
-
-    def pt(self, p: Sequence) -> str:
-        return f"{self.x(Fraction(p[0]))},{self.y(Fraction(p[1]))}"
 
 
 def _world_box(
@@ -111,15 +109,16 @@ def render_svg(
     )
     if P is not None:
         out.extend(_lattice_dots(P, view))
-        out.extend(_polygon_outline(P, view))
-    out.extend(_hull_shape(hull, view))
+        if len(P.vertices) == 1:
+            out.append(_dot(view, "poly", P.vertices[0], 3, _STYLE["poly_degenerate"]))
+        else:
+            out.extend(_shape(view, "poly", P.vertices))
+    out.extend(_shape(view, "hull", hull))  # a one-point hull is its vertex marker
     for h in chords:
-        out.extend(_chord_overlay(P, h, view))
-    for p in hull:
-        out.append(
-            f'<circle class="hull-vertex" cx="{view.x(Fraction(p.x))}" '
-            f'cy="{view.y(Fraction(p.y))}" r="4" style="{_STYLE["hull_vertex"]}"/>'
-        )
+        ch = None if P is None else chord(P, h)
+        if ch is not None:
+            out.extend(_shape(view, "chord", ch.vertices))
+    out.extend(_dot(view, "hull-vertex", p, 4, _STYLE["hull_vertex"]) for p in hull)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -136,57 +135,27 @@ def _lattice_dots(P: PolySet2, view: _View) -> List[str]:
     dots: List[str] = []
     for x in range(ceil(xmin), floor(xmax) + 1):
         for y in range(ceil(ymin), floor(ymax) + 1):
-            inside = (x, y) in lattice
-            cls = "lp-in" if inside else "lp-out"
-            style = _STYLE["lattice_in"] if inside else _STYLE["lattice_out"]
-            r = "3" if inside else "2"
-            dots.append(
-                f'<circle class="{cls}" cx="{view.x(Fraction(x))}" '
-                f'cy="{view.y(Fraction(y))}" r="{r}" style="{style}"/>'
-            )
+            if (x, y) in lattice:
+                dots.append(_dot(view, "lp-in", (x, y), 3, _STYLE["lattice_in"]))
+            else:
+                dots.append(_dot(view, "lp-out", (x, y), 2, _STYLE["lattice_out"]))
     return dots
 
 
-def _polygon_outline(P: PolySet2, view: _View) -> List[str]:
-    verts = P.vertices
-    if len(verts) == 1:
-        return [
-            f'<circle class="poly" cx="{view.x(verts[0].x)}" cy="{view.y(verts[0].y)}" '
-            f'r="3" style="{_STYLE["poly_degenerate"]}"/>'
-        ]
-    if len(verts) == 2:
-        return [
-            f'<line class="poly" x1="{view.x(verts[0].x)}" y1="{view.y(verts[0].y)}" '
-            f'x2="{view.x(verts[1].x)}" y2="{view.y(verts[1].y)}" style="{_STYLE["poly"]}"/>'
-        ]
-    pts = " ".join(view.pt(v) for v in verts)
-    return [f'<polygon class="poly" points="{pts}" style="{_STYLE["poly"]}"/>']
+def _dot(view: _View, cls: str, p: Sequence[Rational], r: int, style: str) -> str:
+    return f'<circle class="{cls}" cx="{view.x(p[0])}" cy="{view.y(p[1])}" r="{r}" style="{style}"/>'
 
 
-def _hull_shape(hull: HullResult, view: _View) -> List[str]:
-    pts = list(hull)
-    if not pts:
+def _shape(view: _View, cls: str, pts: Sequence[Sequence[Rational]]) -> List[str]:
+    """The segment or polygon through `pts` in the style of `cls`; fewer
+    than two points draw nothing."""
+    if len(pts) < 2:
         return []
-    if len(pts) == 1:
-        return []  # the hull-vertex marker covers it
     if len(pts) == 2:
+        (x1, y1), (x2, y2) = pts
         return [
-            f'<line class="hull" x1="{view.x(Fraction(pts[0].x))}" '
-            f'y1="{view.y(Fraction(pts[0].y))}" x2="{view.x(Fraction(pts[1].x))}" '
-            f'y2="{view.y(Fraction(pts[1].y))}" style="{_STYLE["hull"]}"/>'
+            f'<line class="{cls}" x1="{view.x(x1)}" y1="{view.y(y1)}" '
+            f'x2="{view.x(x2)}" y2="{view.y(y2)}" style="{_STYLE[cls]}"/>'
         ]
-    joined = " ".join(view.pt(p) for p in pts)
-    return [f'<polygon class="hull" points="{joined}" style="{_STYLE["hull"]}"/>']
-
-
-def _chord_overlay(P: Optional[PolySet2], h: HalfPlane, view: _View) -> List[str]:
-    if P is None:
-        return []
-    ch = chord(P, h)
-    if ch is None or len(ch.vertices) < 2:
-        return []
-    p, q = ch.vertices
-    return [
-        f'<line class="chord" x1="{view.x(p.x)}" y1="{view.y(p.y)}" '
-        f'x2="{view.x(q.x)}" y2="{view.y(q.y)}" style="{_STYLE["chord"]}"/>'
-    ]
+    joined = " ".join(f"{view.x(x)},{view.y(y)}" for x, y in pts)
+    return [f'<polygon class="{cls}" points="{joined}" style="{_STYLE[cls]}"/>']

@@ -19,14 +19,14 @@ from helpers import cli_env, empty_85_row_system
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "inthull", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=cli_env(),
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -187,6 +187,15 @@ def test_gen_random_round_trips_through_hull(tmp_path):
     assert r.stdout.startswith("[[")
 
 
+def test_gen_edgecase_redraws_a_pair_with_no_coprime_twist(tmp_path):
+    # Seed 15 at scale 30 first draws (a, b) = (22, 15), whose five twists
+    # all share a factor; the generator draws a new pair instead of hanging.
+    out = tmp_path / "e.json"
+    r = run_cli("gen", "--kind", "edgecase", "--n", "3", "--scale", "30", "--seed", "15", "-o", str(out), timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text())["name"] == "edgecase-n3-s30-seed15"
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -237,8 +246,8 @@ def test_bench_engine_selection(tmp_path):
     assert rows and all(r.split(",")[4] == "oracle" for r in rows)
 
 
-def test_bench_status_column_records_refusals(tmp_path):
-    suite = tmp_path / "suite"
+def make_refusal_suite(tmp_path):
+    suite = tmp_path / "refusals"
     suite.mkdir()
     # x >= 0, y >= 0: an unbounded quadrant, refused by every engine
     quadrant = {"name": "quadrant", "inequalities": [["-1", "0", "0"], ["0", "-1", "0"]]}
@@ -246,9 +255,16 @@ def test_bench_status_column_records_refusals(tmp_path):
     huge = {"name": "huge", "vertices": [["0", "0"], ["20000", "0"], ["0", "20000"]]}
     for inst in (quadrant, huge):
         (suite / f"{inst['name']}.json").write_text(json.dumps(inst), encoding="utf-8")
+    return suite
+
+
+def bench_all_engines(suite, out):
+    return cli.main(["bench", "--suite", str(suite), "--engines", "new,baseline,oracle", "--reps", "1", "--no-timing", "-o", str(out)])
+
+
+def test_bench_status_column_records_refusals(tmp_path):
     out = tmp_path / "s.csv"
-    args = ["bench", "--suite", str(suite), "--engines", "new,baseline,oracle", "--reps", "1", "--no-timing", "-o", str(out)]
-    assert cli.main(args) == 0
+    assert bench_all_engines(make_refusal_suite(tmp_path), out) == 0
     rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
     assert {(r[0], r[4]): r[8] for r in rows} == {
         ("huge", "new"): "ok",
@@ -273,6 +289,34 @@ def test_bench_refuses_a_suite_that_is_not_a_directory(tmp_path, capsys):
     empty.mkdir()
     assert cli.main(["bench", "--suite", str(empty), "--no-timing", "-o", str(tmp_path / "e.csv")]) == 0
     assert (tmp_path / "e.csv").read_text().strip() == CSV_HEADER
+
+
+# sha256 of `bench --engines new,baseline,oracle --no-timing` on each
+# suite.  A change here means the CSV bytes changed: mend it only on
+# purpose, and log it.
+BENCH_SHA256 = {
+    "generated": "09ceb8557a7652987a9a600e099d6ecd0abb987d79c55d255d4efee8e7214593",
+    "refusals": "35d394135793698b4946f5227b1084a45027af9c4da2a3260e0fd0afa17c879c",
+}
+SUITES = {"generated": make_suite, "refusals": make_refusal_suite}
+
+
+@pytest.mark.parametrize("suite", sorted(BENCH_SHA256))
+def test_bench_bytes_are_pinned(tmp_path, suite):
+    out = tmp_path / "b.csv"
+    assert bench_all_engines(SUITES[suite](tmp_path), out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_SHA256[suite]
+
+
+@pytest.mark.parametrize("flag", [["--reps", "0"], ["--engines", ","], ["--engines", "new,foo"]])
+def test_bench_refuses_a_bad_flag_and_writes_no_csv(tmp_path, capsys, flag):
+    # An empty directory is a valid suite, so the flag alone is refused.
+    suite = tmp_path / "empty"
+    suite.mkdir()
+    out = tmp_path / "b.csv"
+    assert cli.main(["bench", "--suite", str(suite), *flag, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,7 @@ EXACT_INPUTS = [
     (contains, "p", RATIONAL, lambda v: contains(TRI, (v, 0))),
     (format_rational, "value", RATIONAL, format_rational),
     (format_decimal, "value", RATIONAL, format_decimal),
+    (format_decimal, "places", INTEGER, lambda v: format_decimal(Fraction(1, 8), v)),
     (random_polygon, "scale", RATIONAL, lambda v: random_polygon(5, v, 1)),
     (edgecase_halfplanes, "scale", RATIONAL, lambda v: edgecase_halfplanes(3, v, 1)),
     (convex_chain_polygon, "target_area", RATIONAL, lambda v: convex_chain_polygon(8, v)),

@@ -81,6 +81,20 @@ def test_edgecase_bytes_are_pinned():
         assert hashlib.sha256(dump_instance(edgecase_halfplanes(*args)).encode()).hexdigest() == digest, args
 
 
+def test_edgecase_redraws_a_pair_with_no_coprime_twist():
+    # At scale 30, seeds 15 and 21 both draw (a, b) = (22, 15) first, and
+    # none of its five twists is coprime; the generator draws a new pair.
+    for seed in (15, 21):
+        for n in (3, 4, 5, 8):
+            inst = edgecase_halfplanes(n, 30, seed)
+            (a, b, _), (a2, b2, _) = inst.inequalities[:2]
+            assert gcd(int(a), int(b)) == gcd(int(a2), int(b2)) == 1, (n, seed)
+            assert (a, b) != (22, -15), (n, seed)
+            P = instance_to_polyset(inst)
+            assert P is not None and not P.is_degenerate, (n, seed)
+            assert integer_hull_new(P) == integer_hull_baseline(P), (n, seed)
+
+
 def test_edgecase_supports_more_facets():
     for n, seed in ((4, 0), (6, 5), (8, 11)):
         inst = edgecase_halfplanes(n, 30, seed)

@@ -326,6 +326,47 @@ def test_edge_sweeps_past_the_root_are_at_most_twice_the_hull(monkeypatch):
     assert swept > 300
 
 
+def acceptance_polygons():
+    """The polygons of acceptance gates 1, 4 and 5, and the fixtures."""
+    polys = [random_polyset(random.Random(seed), max_num=50, max_den=10, min_pts=3, max_pts=12) for seed in range(1000)]
+    polys += [instance_to_polyset(edgecase_halfplanes(3, 150 + 5 * seed, seed)) for seed in range(50)]
+    polys.append(instance_to_polyset(convex_chain_polygon(1000)))
+    return polys + [instance_to_polyset(load_instance(str(path))) for path in sorted(FIXTURES.glob("*.json"))]
+
+
+@pytest.mark.parametrize("corpus", ["acceptance", "small-random", "chain-1000", "bignum", "wedge"])
+def test_sweep_counts_stay_within_their_bounds(corpus):
+    # replace_facets sweeps facet 0 and then distinct midpoints, so at most
+    # n facets.  Each edge sweep closes an edge of H or adds a vertex of H
+    # to a cycle that starts as the hull of the facet hits, so at most
+    # 2|H| - |start| of them.  Both bounds are loose: the largest measured
+    # ratio to each is printed beside it.  Workloads are at seed 1.
+    if corpus == "acceptance":
+        polys = acceptance_polygons()
+    else:
+        polys = [instance_to_polyset(inst) for inst in load_perfbench("workloads").WORKLOADS[corpus](1)]
+    swept = edge_sweeps = hull_vertices = 0
+    facet_ratio = edge_ratio = Fraction(0)
+    for P in polys:
+        stats = RunStats()
+        hull = integer_hull_new(P, stats=stats)
+        if not stats.facet_sweeps:
+            continue
+        start = convex_hull({p for hit in replace_facets(P).values() for p in (hit.lo, hit.hi)})
+        n, bound = len(P.halfplanes), 2 * len(hull) - len(start)
+        assert stats.facet_sweeps <= n, (P, stats)
+        assert stats.edge_sweeps <= bound, (P, stats, len(hull), len(start))
+        facet_ratio = max(facet_ratio, Fraction(stats.facet_sweeps, n))
+        edge_ratio = max(edge_ratio, Fraction(stats.edge_sweeps, bound or 1))
+        swept, edge_sweeps, hull_vertices = swept + 1, edge_sweeps + stats.edge_sweeps, hull_vertices + len(hull)
+    print(
+        f"\n{corpus}: {swept} of {len(polys)} polygons swept; largest facet_sweeps/n {float(facet_ratio):.3f}, "
+        f"largest edge_sweeps/(2|H| - |start|) {float(edge_ratio):.2f} (each bound 1); "
+        f"{edge_sweeps / hull_vertices:.2f} edge sweeps per vertex of H"
+    )
+    assert swept > 0
+
+
 def needle(below: int) -> PolySet2:
     """A convex chain near x = 0 with `below` vertices under y = 0 and
     twice as many above, closed by the apex (1000, 0).  The opposite sweeps
