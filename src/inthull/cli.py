@@ -30,8 +30,6 @@ from .errors import (
     UnboundedSet,
 )
 from .geom import HalfPlane
-from .hull_baseline import normalize_facets
-from .hull_new import replace_facets
 from .instances import (
     Instance,
     instance_to_polyset,
@@ -141,19 +139,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _FacetHits(RunStats):
+    """RunStats that also keeps the hits of the facet pass an engine reports."""
+
+    hits = {}  # none from an engine that swept no facet
+
+    def facets(self, hits) -> None:
+        super().facets(hits)
+        self.hits = hits
+
+
 def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
-    stats = RunStats()
+    stats = _FacetHits()
     hull = run_engine(args.engine, P, stats=stats)
-    # The facet sweeps the engine ran, each drawn as its stopping chord:
-    # inward normalization of every facet for `baseline`, the half-turn
-    # cover swept from the opposite side for `new`.  An engine that swept
-    # no facet (`oracle`, or `new` on a set it enumerates) draws none.
-    hits = {}
-    if stats.facet_sweeps:
-        hits = dict(enumerate(normalize_facets(P)[1])) if args.engine == "baseline" else replace_facets(P)
-    chords = [HalfPlane(*hit.line) for _, hit in sorted(hits.items())]
+    chords = [HalfPlane(*hit.line) for _, hit in sorted(stats.hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

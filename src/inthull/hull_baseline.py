@@ -64,7 +64,7 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.
         P, hits = normalize_facets(P)
         if stats is not None:
-            stats.facet_sweeps += len(hits) or 1  # only the first fails, iff all do
+            stats.facets(dict(enumerate(hits)))
         points = list({p for hit in hits for p in (hit.lo, hit.hi)})
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_lattice_points(P, stats))

@@ -68,7 +68,7 @@ class RefineConfig:
             raise ValueError("brute_force_cell_threshold must be >= 1")
 
 
-def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[int, SweepHit]:
+def replace_facets(P: PolySet2) -> Dict[int, SweepHit]:
     """The hit of each facet of a half-turn cover of P's facets, swept
     from the opposite side of P, keyed by facet index in sweep order; empty
     when P has no integer points.  The ends of each hit's chord are
@@ -84,8 +84,6 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[int, S
     """
     n = len(P._forms)
     hit = _run_sweep(P, *_facet_direction(P, 0, False))
-    if stats is not None:
-        stats.facet_sweeps += 1
     if hit is None:
         return {}
     hits = {0: hit}
@@ -98,8 +96,6 @@ def replace_facets(P: PolySet2, stats: Optional[RunStats] = None) -> Dict[int, S
             continue
         m = (i + k) // 2
         hit = _run_sweep(P, *_facet_direction(P, m, False))
-        if stats is not None:
-            stats.facet_sweeps += 1
         if hit is None:
             raise GeometryError(f"the sweep of facet {m} found no lattice point, but facet 0's did")
         hits[m] = hit
@@ -291,4 +287,7 @@ def integer_hull_new(
     """
     if P is None or P.is_degenerate or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(_lattice_points(P, stats))
-    return _edge_points(P, replace_facets(P, stats), stats)
+    hits = replace_facets(P)
+    if stats is not None:
+        stats.facets(hits)
+    return _edge_points(P, hits, stats)

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from .errors import BudgetExceeded
 from .geom import HullResult, IntPoint2, PolySet2, convex_hull
-from .lattice import _columns, _lattice_extremes
+from .lattice import SweepHit, _columns, _lattice_extremes
 
 
 @dataclass
@@ -30,6 +30,12 @@ class RunStats:
     max_depth: int = 0  # always 0: no engine recurses; kept for the benchmark's readers
     facet_sweeps: int = 0  # sweeps of one facet's direction, inward or from the opposite side
     edge_sweeps: int = 0  # sweeps of `new` beyond one edge of its partial hull
+
+    def facets(self, hits: Mapping[int, SweepHit]) -> None:
+        """Count an engine's facet pass from its hits, keyed by facet index:
+        one sweep per hit, or the one sweep that found no lattice point, as
+        a pass stops there and P then has none for any sweep to find."""
+        self.facet_sweeps += len(hits) or 1
 
 
 def bbox_cell_count(P: PolySet2) -> int:

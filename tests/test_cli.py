@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import inthull.bench as bench
 import inthull.cli as cli
+import inthull.hull_baseline as hull_baseline
+import inthull.hull_new as hull_new
 from inthull import enumerate_integer_points, instance_to_polyset, load_instance, save_instance
 from inthull.generate import convex_chain_polygon
 from helpers import cli_env, empty_85_row_system
@@ -160,6 +164,33 @@ def test_hull_stats_print_run_stats_on_stderr_only(capsys, fixture):
         stats = json.loads(lines[0])
         assert set(stats) == {"brute_cells", "regions", "max_depth", "facet_sweeps", "edge_sweeps"}
         assert (stats["facet_sweeps"], stats["edge_sweeps"]) == sweeps, (fixture, engine)
+
+
+# A lattice-free sliver of 10,100 bounding-box cells.  The facet pass of
+# `new` and of `baseline` stops at its first sweep, which finds nothing and
+# counts as one; the oracle sweeps nothing and enumerates every cell.
+SLIVER = {"name": "sliver", "vertices": [["0", "1/10"], ["100", "1001/10"], ["0", "9/10"]]}
+SLIVER_STATS = {
+    "new": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0},
+    "baseline": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0},
+    "oracle": {"brute_cells": 10100, "regions": 0, "max_depth": 0, "facet_sweeps": 0, "edge_sweeps": 0},
+}
+
+
+def check_lattice_free_sliver_stats(directory: Path) -> None:
+    """`hull --stats` on SLIVER, written to `directory`, prints `[]` and
+    SLIVER_STATS for every engine."""
+    path = directory / "sliver.json"
+    path.write_text(json.dumps(SLIVER), encoding="utf-8")
+    for engine, expected in SLIVER_STATS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["hull", str(path), "--engine", engine, "--stats"])
+        assert (code, out.getvalue(), json.loads(err.getvalue())) == (0, "[]\n", expected), engine
+
+
+def test_hull_stats_count_the_one_sweep_of_a_lattice_free_sliver(tmp_path):
+    check_lattice_free_sliver_stats(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +414,25 @@ def test_plot_new_draws_the_chords_of_the_facets_it_swept(tmp_path, capsys):
     out = tmp_path / "chain.svg"
     assert cli.main(["plot", str(path), "--engine", "new", "-o", str(out)]) == 0
     assert out.read_text().count('class="chord"') == facet_sweeps == 4
+
+
+def test_plot_runs_the_engines_facet_pass_once(tmp_path, monkeypatch):
+    # plot draws the facet pass that the engine reports and runs no second
+    # one: `new` makes 4 facet and 118 edge sweeps, `baseline` sweeps all
+    # 1,000 facets inward and intersects the tightened rows once, and
+    # `oracle` sweeps nothing.
+    path = tmp_path / "chain.json"
+    save_instance(convex_chain_polygon(1000), str(path))
+    calls = []
+    for module, name in ((hull_new, "_run_sweep"), (hull_baseline, "_run_sweep"), (hull_baseline, "_intersect_halfplanes")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw: calls.append(name) or real(*args, **kw))
+    got = {}
+    for engine in ("new", "baseline", "oracle"):
+        calls.clear()
+        assert cli.main(["plot", str(path), "--engine", engine, "-o", str(tmp_path / "chain.svg")]) == 0
+        got[engine] = (calls.count("_run_sweep"), calls.count("_intersect_halfplanes"))
+    assert got == {"new": (122, 0), "baseline": (1000, 1), "oracle": (0, 0)}
 
 
 def test_plot_degenerate_instance_renders_line(tmp_path):

@@ -258,7 +258,7 @@ def test_a_small_root_is_enumerated_and_a_larger_one_swept(monkeypatch):
     # are enumerated without a sweep, one cell more and it is swept.
     cells = bbox_cell_count(TRI_SHALLOW)
     sweeps = []
-    counted = lambda P, stats: sweeps.append(P) or replace_facets(P, stats)
+    counted = lambda P: sweeps.append(P) or replace_facets(P)
     monkeypatch.setattr("inthull.hull_new.replace_facets", counted)
     stats = RunStats()
     hull = integer_hull_new(TRI_SHALLOW, RefineConfig(cells), stats=stats)

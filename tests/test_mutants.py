@@ -18,8 +18,10 @@ import inspect
 import itertools
 import random
 import sys
+import tempfile
 import textwrap
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ import inthull.lattice as lattice
 import inthull.oracle as oracle
 from inthull import GeometryError
 from helpers import load_perfbench, random_polyset
+from test_cli import check_lattice_free_sliver_stats
 from test_explicit_checks import check_exact_numbers, check_residual_regions_must_shrink
 from test_geom import (
     check_clip_matches_the_vertex_scan,
@@ -123,6 +126,13 @@ def frozen_hits():
     """test_lattice's hit value check on the sweeps of its rectangle and
     first two random polygons."""
     check_sweep_hits_are_frozen_values(itertools.islice(line_test_sweeps(), 3))
+
+
+def lattice_free_sliver():
+    """test_cli's `hull --stats` check on its lattice-free sliver, in a
+    temporary directory."""
+    with tempfile.TemporaryDirectory() as directory:
+        check_lattice_free_sliver_stats(Path(directory))
 
 
 # name: (function, edit, check, error).
@@ -334,6 +344,14 @@ MUTANTS = {
             "_crossing(forms[end % n], f_out, forms[(end + 1) % n], f_end)",
         ),
         check_clip_matches_the_vertex_scan,
+        AssertionError,
+    ),
+    # The one counting rule of a facet pass: a pass that found no lattice
+    # point swept once, not never.
+    "a facet pass that found nothing counted as no sweep": (
+        oracle.RunStats.facets,
+        ("len(hits) or 1", "len(hits)"),
+        lattice_free_sliver,
         AssertionError,
     ),
     # The oracle's columns.
