@@ -16,7 +16,8 @@ from math import gcd
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from inthull import HalfPlane, IntPoint2, PolySet2, polyset_from_halfplanes, polyset_from_vertices, sweep_from_opposite
+from inthull import HalfPlane, IntPoint2, PolySet2, clip, polyset_from_halfplanes, polyset_from_vertices, sweep_from_opposite
+from inthull.geom import _polyset_from_forms
 
 RatPoint = Tuple[Fraction, Fraction]
 
@@ -128,6 +129,32 @@ def reference_clip(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
         return PolySet2(tuple(sorted(set(cycle))))
     k = cycle.index(min(cycle))
     return PolySet2(tuple(cycle[k:] + cycle[:k]))
+
+
+def intersect_by_clipping(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
+    """Intersect half-planes by clipping a large box; None when empty.
+
+    The reference for the library's half-plane intersection: the same box,
+    clipped through the public ``clip``, which walks the arc it keeps
+    rather than the arc a row removes.  A nonempty intersection always has
+    a point strictly inside the box.  If it has a vertex, that vertex solves
+    two input rows, so its coordinates are bounded by 2 * max|b| * max|coef|
+    (the 2x2 determinant of integer rows is a nonzero integer).  If it has
+    none, every row is parallel to one line and the point nearest the origin
+    lies within max|b| of it.  For a bounded intersection box edges
+    therefore never survive into the result; for an unbounded one only
+    emptiness is meaningful.
+    """
+    max_b = max(abs(h.b) for h in hps)
+    max_ac = max(max(abs(h.a), abs(h.c)) for h in hps)
+    m = 1 + 2 * (max_b.numerator // max_b.denominator + 1) * max_ac
+    square = _polyset_from_forms([(-m, -m, 1), (m, -m, 1), (m, m, 1), (-m, m, 1)])
+    region: Optional[PolySet2] = square
+    for h in hps:
+        region = clip(region, h)
+        if region is None:
+            return None
+    return region
 
 
 def shoelace_area(vertices: Sequence[Sequence[Fraction]]) -> Fraction:

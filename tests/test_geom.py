@@ -35,13 +35,14 @@ from inthull import (
 import inthull.geom as geom
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
-from inthull.geom import _hull_chain, _intersect_by_clipping, _intersect_halfplanes
+from inthull.geom import _hull_chain, _intersect_halfplanes
 from inthull.hull_new import residual_regions
 from inthull.lattice import _Frame
 from helpers import (
     empty_85_row_system,
     frac_cross,
     frame_line,
+    intersect_by_clipping,
     octagon,
     on_segment,
     opposite_sweep_points,
@@ -337,12 +338,68 @@ def _rule(rows):
 def _clipping_reference(rows):
     """Box clipping, repeated in a larger box: only a bounded intersection
     comes out the same from both."""
-    small = _intersect_by_clipping(rows)
+    small = intersect_by_clipping(rows)
     if small is None:
         return None
     far = 4 * (max(abs(h.b) for h in rows) + 1) * max(max(abs(h.a), abs(h.c)) for h in rows)
-    large = _intersect_by_clipping(list(rows) + [HalfPlane(1, 0, far)])
+    large = intersect_by_clipping(list(rows) + [HalfPlane(1, 0, far)])
     return small if small == large else "unbounded"
+
+
+def _public(rows):
+    """What polyset_from_halfplanes gives for rows: the set, or the name of
+    the error it raises."""
+    try:
+        return polyset_from_halfplanes(rows)
+    except (EmptySet, UnboundedSet, DegenerateSet) as error:
+        return type(error).__name__
+
+
+_SLANT = [(1, -1, Fraction(1, 2)), (-1, 1, Fraction(-1, 2))]  # the line x - y = 1/2
+_CAPPED = _SLANT + [(1, 0, 2), (-1, 0, 0)]  # its segment 0 <= x <= 2
+_TRIANGLE = [(-1, 0, 0), (0, -1, 0), (1, 1, 3)]
+
+# name: (rows (a, c, b), the set's vertices in canonical order, None for
+# the empty set, or "unbounded").
+HALFPLANE_CASES = {
+    "a point from 4 rows": ([(1, 0, 1), (-1, 0, -1), (0, 1, 2), (0, -1, -2)], [(1, 2)]),
+    "a point from 3 rows through it": ([(1, 0, 1), (0, 1, 2), (-1, -1, -3)], [(1, 2)]),
+    "a segment": (_CAPPED, [(0, Fraction(-1, 2)), (2, Fraction(3, 2))]),
+    "a line": (_SLANT, "unbounded"),
+    "a ray": (_SLANT + [(1, 0, 2)], "unbounded"),
+    "one half-plane": ([(1, 2, 3)], "unbounded"),
+    "an open slab": ([(1, 0, 1), (-1, 0, 0)], "unbounded"),
+    "an empty slab": ([(1, 0, 0), (-1, 0, -1)], None),
+    "an empty triangle": ([(-1, 0, 0), (0, -1, 0), (1, 1, -1)], None),
+    "duplicate rows": (_TRIANGLE + _TRIANGLE + [(2, 2, 6), (0, -1, 0)], [(0, 0), (3, 0), (0, 3)]),
+    "a segment cut down to a point": (_CAPPED + [(1, 0, 0)], [(0, Fraction(-1, 2))]),
+    "a segment cut to nothing": (_CAPPED + [(1, 0, -1)], None),
+}
+
+
+def check_halfplane_edge_cases():
+    """Points, segments, unbounded and empty systems and duplicate rows
+    through the half-plane intersection and polyset_from_halfplanes, and
+    the shuffled facets of a 1000-gon, which intersect back to it."""
+    for name, (rows, expected) in HALFPLANE_CASES.items():
+        rows = [HalfPlane(a, c, b) for a, c, b in rows]
+        if expected == "unbounded":
+            want, public = expected, "UnboundedSet"
+        elif expected is None:
+            want, public = None, "EmptySet"
+        else:
+            want = PolySet2(expected)
+            public = want if len(expected) > 2 else "DegenerateSet"
+        assert _rule(rows) == want, name
+        assert _public(rows) == public, name
+    P = instance_to_polyset(convex_chain_polygon(1000))
+    rows = list(P.halfplanes)
+    random.Random(1000).shuffle(rows)
+    assert _intersect_halfplanes(rows) == P
+
+
+def test_halfplane_edge_cases():
+    check_halfplane_edge_cases()
 
 
 def test_intersect_halfplanes_matches_box_clipping_on_random_systems():
@@ -367,34 +424,28 @@ def test_intersect_halfplanes_on_systems_built_from_polygons():
 
 
 def check_rows_through_a_vertex():
-    """Redundant rows through a vertex of P leave P on the deque.
+    """Redundant rows through a vertex of P leave P.
 
     A row whose line touches P at one vertex, with its normal inside that
-    vertex's normal cone, meets both neighbours there: the deque's cycle
-    repeats the vertex.  The repeat must be dropped before any turn is
-    tested, so the deque answers P without box clipping.
+    vertex's normal cone, meets both neighbours there: its cut passes
+    through a vertex of the cycle and must remove nothing from P.
     """
-    def no_clipping(hps):
-        raise AssertionError("the deque fell back to box clipping")
-
     rng = random.Random(12)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(geom, "_intersect_by_clipping", no_clipping)
-        for _ in range(120):
-            P = random_polyset(rng, max_num=30, max_den=6)
-            hps = P.halfplanes
-            rows = list(hps)
-            for i in rng.sample(range(len(hps)), rng.randint(1, len(hps))):
-                v = P.vertices[i]
-                for s, t in [(1, 1)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]:
-                    a, c = s * hps[i - 1].a + t * hps[i].a, s * hps[i - 1].c + t * hps[i].c
-                    rows.append(HalfPlane(a, c, a * v.x + c * v.y))
-            rng.shuffle(rows)
-            assert _intersect_halfplanes(rows) == P
-            assert polyset_from_halfplanes(rows) == P
+    for _ in range(120):
+        P = random_polyset(rng, max_num=30, max_den=6)
+        hps = P.halfplanes
+        rows = list(hps)
+        for i in rng.sample(range(len(hps)), rng.randint(1, len(hps))):
+            v = P.vertices[i]
+            for s, t in [(1, 1)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]:
+                a, c = s * hps[i - 1].a + t * hps[i].a, s * hps[i - 1].c + t * hps[i].c
+                rows.append(HalfPlane(a, c, a * v.x + c * v.y))
+        rng.shuffle(rows)
+        assert _intersect_halfplanes(rows) == P
+        assert polyset_from_halfplanes(rows) == P
 
 
-def test_rows_through_a_vertex_stay_on_the_deque():
+def test_rows_through_a_vertex_leave_the_set():
     check_rows_through_a_vertex()
 
 
@@ -571,8 +622,7 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
     for P in list(sets):
         sets += [Q for h in rng.sample(_clip_cases(P, rng), 4) if (Q := clip(P, h, rng.randrange(len(P.vertices))))]
     # Half-plane intersections of random systems and of systems built from
-    # polygons.  The deque answers every polygon-built one, and its vertex
-    # forms are the reduced line-pair solutions.
+    # polygons, whose vertex forms are the reduced line-pair solutions.
     hp_rng = random.Random(13)
     sets += [S for _ in range(120) if isinstance(S := _rule(random_halfplane_system(hp_rng, hp_rng.randint(3, 40))), PolySet2)]
     for _ in range(40):
@@ -627,14 +677,8 @@ def check_construction_paths():
         "polyset_from_vertices": [random_polyset(rng, max_num=40, max_den=12) for _ in range(20)],
     }
     polygons = built["polyset_from_vertices"]
-    built["deque"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
-
-    def no_deque(hps):
-        raise geom._NeedsFallback
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(geom, "_intersect_sorted_deque", no_deque)
-        built["box clipping"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
+    built["intersection"] = [polyset_from_halfplanes(list(P.halfplanes)) for P in polygons]
+    built["clipping reference"] = [intersect_by_clipping(list(P.halfplanes)) for P in polygons]
     clips = [Q for P in polygons for h in _clip_cases(P, rng) if (Q := clip(P, h, rng.randrange(len(P._forms))))]
     for S in [Q for Q in clips if len(Q._forms) == 2]:
         (X, Y, W), (X2, Y2, W2) = S._forms

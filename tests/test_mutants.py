@@ -38,6 +38,7 @@ from test_geom import (
     check_clip_matches_the_vertex_scan,
     check_construction_paths,
     check_full_column_hulls,
+    check_halfplane_edge_cases,
     check_hull_chain_on_fractions,
     check_hull_turns_and_segment_membership,
     check_rows_through_a_vertex,
@@ -208,15 +209,28 @@ MUTANTS = {
         ValueError,
     ),
     # A crossing whose form has W < 0 turns the directions into and out of
-    # it around, and the cycle check refuses the clip.
+    # it around, and the cycle check refuses the clip.  (The half-plane cut
+    # passes each crossing its kept end first, which makes W > 0.)
     "_reduced without its sign fix of W": (geom._reduced, ("if W < 0:", "if False:"), check_construction_paths, ValueError),
     "_reduced without its gcd": (geom._reduced, ("g = gcd(X, Y, W)", "g = 1"), check_construction_paths, AssertionError),
-    # A vertex met by more than two rows repeats in the deque's cycle; its
-    # zero turn with itself then sends the system to box clipping.
-    "deque repeats tested for a zero turn": (
-        geom._intersect_sorted_deque,
-        ("forms = [p for i, p in enumerate(points) if p != points[i - 1]]", "forms = points"),
-        check_rows_through_a_vertex,
+    # An unbounded intersection reaches the box at a vertex; a ray running
+    # down and left, or an open slab between two vertical lines, reaches it
+    # at its bottom or top only.
+    "the unbounded test reading x only": (
+        geom._intersect_halfplanes,
+        ("abs(X) == m * W or abs(Y) == m * W", "abs(X) == m * W"),
+        check_halfplane_edge_cases,
+        AssertionError,
+    ),
+    # A row through a vertex and no further, cut as if it removed that
+    # vertex: both crossings are the vertex, which the cycle then repeats.
+    "a row through the top vertex cut": (geom._cut, ("if l_top <= 0:", "if l_top < 0:"), check_rows_through_a_vertex, ValueError),
+    # A crossing with its W negated is the crossing reflected through the
+    # origin, once _reduced fixes the sign.
+    "_crossing with its W term negated": (
+        geom._crossing,
+        ("lq * pw - lp * qw", "lp * qw - lq * pw"),
+        check_halfplane_edge_cases,
         AssertionError,
     ),
     # The hull chain's column cut and turn test.
