@@ -202,8 +202,8 @@ def convex_chain_polygon(n: int, target_area: Rational = Fraction(70000)) -> Ins
     # The pool is closed under negation, so k >= n/2 and the picks are distinct.
     k = len(upper)
     chosen = [upper[(i * k) // (n // 2)] for i in range(n // 2)]
+    # Already in angle order: `chosen` is the upper half-turn, its negation the lower.
     edges = chosen + [(-a, -c) for a, c in chosen]
-    edges = sorted(edges, key=_by_angle)
     # The edges come in opposite pairs, so the walk closes: the last edge
     # leads back to the origin.
     verts: List[Tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]

@@ -41,9 +41,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from a JSON value: an int or a "p"/"p/q" string."""
-    if isinstance(value, bool):
-        raise InvalidInstance(f"expected a rational number, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # geom._integer's rule: a bool is not an integer
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
@@ -114,7 +112,10 @@ def _reject_float(text: str) -> None:
     )
 
 
-def _parse_pairs(raw: object, key: str, width: int) -> List[Tuple[Fraction, ...]]:
+def _parse_pairs(data: dict, key: str, width: int) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
+    if key not in data:
+        return None
+    raw = data[key]
     if not isinstance(raw, list) or not raw:
         raise InvalidInstance(f"'{key}' must be a non-empty list")
     rows: List[Tuple[Fraction, ...]] = []
@@ -124,7 +125,7 @@ def _parse_pairs(raw: object, key: str, width: int) -> List[Tuple[Fraction, ...]
                 f"every '{key}' entry must be a list of {width} rationals, got {entry!r}"
             )
         rows.append(tuple(map(parse_rational, entry)))
-    return rows
+    return tuple(rows)
 
 
 def parse_instance(text: str) -> Instance:
@@ -143,17 +144,8 @@ def parse_instance(text: str) -> Instance:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InvalidInstance("'name' must be a string")
-    has_v = "vertices" in data
-    has_i = "inequalities" in data
-    if has_v == has_i:
-        raise InvalidInstance(
-            "an instance needs exactly one of 'vertices' or 'inequalities'"
-        )
-    if has_v:
-        rows = _parse_pairs(data["vertices"], "vertices", 2)
-        return Instance(name, vertices=tuple(rows))  # type: ignore[arg-type]
-    rows = _parse_pairs(data["inequalities"], "inequalities", 3)
-    return Instance(name, inequalities=tuple(rows))  # type: ignore[arg-type]
+    # An absent payload is None, and Instance refuses neither or both.
+    return Instance(name, _parse_pairs(data, "vertices", 2), _parse_pairs(data, "inequalities", 3))  # type: ignore[arg-type]
 
 
 def load_instance(path: str) -> Instance:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .geom import (
     HalfPlane,
@@ -65,24 +65,6 @@ class _View:
         return format_decimal(self.margin + (self.ymax - wy) * self.scale, 3)
 
 
-def _world_box(
-    P: Optional[PolySet2], hull: HullResult
-) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs: List[Fraction] = []
-    ys: List[Fraction] = []
-    if P is not None:
-        xmin, xmax, ymin, ymax = bounding_box(P)
-        xs += [xmin, xmax]
-        ys += [ymin, ymax]
-    for p in hull:
-        xs.append(Fraction(p.x))
-        ys.append(Fraction(p.y))
-    if not xs:
-        xs = [Fraction(0), Fraction(1)]
-        ys = [Fraction(0), Fraction(1)]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def render_svg(
     P: Optional[PolySet2],
     hull: HullResult,
@@ -91,8 +73,9 @@ def render_svg(
     name: Optional[str] = None,
 ) -> str:
     """The complete SVG document as a string (trailing newline included);
-    each of `chords` is drawn as the chord of P on its boundary line."""
-    view = _View(*_world_box(P, hull))
+    each of `chords` is drawn as the chord of P on its boundary line.
+    Precondition: the hull lies in P, so P's box (a unit box for None) frames it."""
+    view = _View(*(bounding_box(P) if P is not None else (Fraction(0), Fraction(1)) * 2))
     out: List[str] = []
     w = format_decimal(view.width, 3)
     h = format_decimal(view.height, 3)

@@ -396,6 +396,25 @@ def test_plot_bytes_are_pinned(tmp_path, fixture, engine):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[(fixture, engine)]
 
 
+# sha256 of `plot NAME.json --engine ENGINE` output, the same for every
+# engine, on an empty set and a one-point set.  The file's stem is the SVG
+# title, so the name is part of the pin.
+EDGE_PLOT_SHA256 = {
+    ("empty", '{"inequalities": [[1, 0, 0], [-1, 0, -1]]}'): "e1b17a1ac84a24e6f2221b703b331e85bd07d3124f0bbaee1cf640a4d83fe4ed",
+    ("point", '{"vertices": [["1/3", "1/2"]]}'): "42a67594a4e12725d31a70b3f341739ffd269f11c75b606d9543be58e92ace75",
+}
+
+
+@pytest.mark.parametrize("engine", ["new", "baseline", "oracle"])
+@pytest.mark.parametrize("name,text", sorted(EDGE_PLOT_SHA256))
+def test_plot_bytes_of_an_empty_and_a_one_point_set_are_pinned(tmp_path, name, text, engine):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text + "\n")
+    out = tmp_path / "p.svg"
+    assert cli.main(["plot", str(path), "--engine", engine, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_PLOT_SHA256[(name, text)]
+
+
 @pytest.mark.parametrize("fixture", ["triangle_slanted", "segment"])
 def test_plot_marks_exactly_the_lattice_points(tmp_path, fixture):
     path = FIXTURES / f"{fixture}.json"

@@ -31,6 +31,7 @@ from inthull import (
     point,
     polyset_from_halfplanes,
     polyset_from_vertices,
+    sweep_from_opposite,
 )
 from inthull.bench import run_engine
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
@@ -297,6 +298,30 @@ def test_lattice_facet_triangles_cost_baseline_cells_and_new_sweeps(monkeypatch)
         assert (new.brute_cells, new.regions, new.max_depth) == (0, 0, 0)
         got[S] = (base.brute_cells, sweeps)
     assert got == LATTICE_FACET_COSTS
+
+
+# The summed `brute_cells` of the paper's first proposed procedure on the
+# same triangles: README's "opposite sweeps + brute force" column.
+OPPOSITE_SWEEP_CELLS = {5: 14239, 10: 202245, 20: 3105092, 40: 4192764, 80: 23438385}
+
+
+def test_opposite_sweeps_then_brute_force_cost_the_papers_cells():
+    # Sweep every facet from the opposite side, then enumerate each region
+    # of P outside the hull of the hits.  Run with -s to print the column.
+    got = {}
+    for S in OPPOSITE_SWEEP_CELLS:
+        rng = random.Random(S)
+        stats = RunStats()
+        for _ in range(20):
+            P = lattice_facet_triangle(rng, S)
+            hits = [sweep_from_opposite(P, i) for i in range(len(P.halfplanes))]
+            points = list({p for hit in hits for p in (hit.lo, hit.hi)})
+            for region in residual_regions(P, convex_hull(points)):
+                points += hull_new._lattice_points(region, stats)
+            assert convex_hull(points) == integer_hull_new(P)
+        got[S] = stats.brute_cells
+        print(f"S = {S}: opposite sweeps + brute force enumerate {stats.brute_cells:,} cells")
+    assert got == OPPOSITE_SWEEP_CELLS
 
 
 def test_edge_sweeps_past_the_root_are_at_most_twice_the_hull(monkeypatch):

@@ -123,6 +123,18 @@ def test_schema_validation():
         parse_instance("{bad json")
 
 
+def check_the_payload_rule():
+    """A file with both payloads, and one with neither, is refused by the
+    one payload rule, Instance's."""
+    for text in ('{"vertices": [[0, 0], [1, 0]], "inequalities": [[1, 0, 1]]}', '{"name": "x"}'):
+        with pytest.raises(InvalidInstance, match="exactly one of"):
+            parse_instance(text)
+
+
+def test_an_instance_has_exactly_one_payload():
+    check_the_payload_rule()
+
+
 def test_vertex_and_inequality_forms_describe_the_same_square():
     v = parse_instance('{"vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]}')
     i = parse_instance(

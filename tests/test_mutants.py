@@ -44,7 +44,8 @@ from test_geom import (
     check_rows_through_a_vertex,
     check_spanned_sets_match_their_hulls,
 )
-from test_instances import check_rationals_read_as_fraction_reads_them
+import test_instances
+from test_instances import check_rationals_read_as_fraction_reads_them, check_the_payload_rule
 from test_lattice import (
     check_sweep_hits_are_frozen_values,
     check_sweeps_do_not_depend_on_their_hint,
@@ -327,6 +328,21 @@ MUTANTS = {
         ("Fraction(int(num), int(den))", "Fraction(int(den), int(num))"),
         check_rationals_read_as_fraction_reads_them,
         AssertionError,
+    ),
+    # The one payload rule, Instance's: two payloads accepted.  Only the
+    # both-payload file catches it; the file with neither is still refused.
+    "Instance accepting two payloads": (
+        instances.Instance.__post_init__,
+        ("(self.vertices is None) == (self.inequalities is None)", "(self.vertices is None) and (self.inequalities is None)"),
+        check_the_payload_rule,
+        pytest.fail.Exception,
+    ),
+    # parse_rational under the one integer rule: a bool is no integer.
+    "parse_rational taking a bool": (
+        instances.parse_rational,
+        ("type(value) is int", "isinstance(value, int)"),
+        test_instances.test_rational_parsing_and_formatting,
+        pytest.fail.Exception,
     ),
     # The one exactness rule (geom._integer): a string parsed by Fraction,
     # a bool taken as an int, and RefineConfig's count read by
