@@ -7,8 +7,10 @@ half-planes yields Q with the same lattice points as P but with every facet
 supported by a lattice chord.  The hull of all stopping-chord extremes is a
 central core of the integer hull; what remains are the corner regions of Q
 outside that core (``hull_new.residual_regions``), which this engine always
-resolves by direct enumeration, so its cost profile isolates what the edge
-sweeps of the ``new`` engine improve on.
+resolves by a brute-force walk of their columns, so its cost profile
+isolates what the edge sweeps of the ``new`` engine improve on.  The walk
+hands the final hull only each column's lowest and highest lattice point,
+the only ones that can be its vertices.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
 def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
     """Canonical integer hull by normalization and corner enumeration: the
     corner regions of Q outside the hull of the stopping-chord extremes are
-    always brute-forced, each counted in ``stats.regions``.
+    always brute-forced, each counted in ``stats.regions``, with every
+    cell charged to ``stats.brute_cells`` and every lattice point to
+    ``stats.enumerated_points``.
 
-    The distinct stopping-chord points and every region's lattice points
-    are pooled in one list, not a set: points shared by regions repeat,
-    and the final :func:`convex_hull` keeps only each column's two ends."""
+    The distinct stopping-chord points and the two ends of every region's
+    columns are pooled in one list, not a set: points shared by regions
+    repeat, and the final :func:`convex_hull` keeps only each column's two
+    ends."""
     points: list = []
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.

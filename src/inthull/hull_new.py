@@ -48,7 +48,7 @@ from .geom import (
     convex_hull,
 )
 from .lattice import SweepHit, _facet_direction, _lattice_extremes, _run_sweep
-from .oracle import RunStats, bbox_cell_count, enumerate_integer_points
+from .oracle import RunStats, _column_ends, bbox_cell_count, enumerate_integer_points
 
 # (a, c, beta): a*x + c*y <= beta at every lattice point of P.
 Certificate = Tuple[int, int, int]
@@ -164,15 +164,16 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
     return regions
 
 
-def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[IntPoint2]:
+def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[Sequence[int]]:
     """Distinct lattice points of P whose hull is P's integer hull, with no
-    sweep, as the layer below returns them: none for None, the lattice
-    extremes of a point or segment, and every lattice point of a polygon."""
+    sweep and without listing every lattice point: none for None, the
+    lattice extremes of a point or segment, and the two ends of each column
+    of a polygon (:func:`oracle._column_ends`)."""
     if P is None:
         return ()
     if P.is_degenerate:
         return _lattice_extremes(P)
-    return enumerate_integer_points(P, stats=stats)
+    return _column_ends(P, stats=stats)
 
 
 def _closed_by(cert_u: Certificate, cert_w: Certificate, a: int, c: int, b: int) -> bool:
@@ -285,8 +286,10 @@ def integer_hull_new(
     `cfg.brute_force_cell_threshold` bounding-box cells is enumerated and
     runs no sweep; the result is independent of `cfg`.
     """
-    if P is None or P.is_degenerate or bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
+    if P is None or P.is_degenerate:
         return convex_hull(_lattice_points(P, stats))
+    if bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
+        return convex_hull(enumerate_integer_points(P, stats=stats))
     hits = replace_facets(P)
     if stats is not None:
         stats.facets(hits)

@@ -3,10 +3,12 @@
 The oracle lists a polygon's lattice points column by column, taking each
 integer column's lowest and highest lattice point from a walk along the
 polygon's two boundary chains in x.  It is the trusted reference the fast
-engines are tested against, and also the subroutine both engines use on
-regions deemed small enough to enumerate directly.  Budgets are checked
-against the bounding-box cell count *before* scanning, so a call either
-completes or raises without burning time first.
+engines are tested against.  ``new`` enumerates a small input polygon
+with it; ``baseline`` hulls its corner regions from the same walk's column
+ends (``_column_ends``), the only points of a column that can be hull
+vertices.  Budgets are checked against the bounding-box cell count
+*before* scanning, so a call either completes or raises without burning
+time first.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from .errors import BudgetExceeded
 from .geom import HullResult, IntPoint2, PolySet2, convex_hull
@@ -30,6 +32,7 @@ class RunStats:
     max_depth: int = 0  # always 0: no engine recurses; kept for the benchmark's readers
     facet_sweeps: int = 0  # sweeps of one facet's direction, inward or from the opposite side
     edge_sweeps: int = 0  # sweeps of `new` beyond one edge of its partial hull
+    enumerated_points: int = 0  # lattice points of brute-forced sets, listed or counted per column
 
     def facets(self, hits: Mapping[int, SweepHit]) -> None:
         """Count an engine's facet pass from its hits, keyed by facet index:
@@ -43,10 +46,23 @@ def bbox_cell_count(P: PolySet2) -> int:
     return P._cells
 
 
+_CELL_BUDGET = 10**8  # the default bounding-box cells of one brute-forced set
+
+
+def _charge(P: PolySet2, budget: int, stats: Optional[RunStats]) -> None:
+    """Refuse P with BudgetExceeded when its bounding box holds more than
+    `budget` cells, before any scan, else add its cells to `brute_cells`."""
+    cells = bbox_cell_count(P)
+    if cells > budget:
+        raise BudgetExceeded(f"bounding box has {cells} cells (budget {budget})")
+    if stats is not None:
+        stats.brute_cells += cells
+
+
 def enumerate_integer_points(
     P: Optional[PolySet2],
     *,
-    budget: int = 10**8,
+    budget: int = _CELL_BUDGET,
     stats: Optional[RunStats] = None,
 ) -> List[IntPoint2]:
     """All integer points of P in lexicographic order, as IntPoint2s.
@@ -58,19 +74,37 @@ def enumerate_integer_points(
     """
     if P is None:
         return []
-    cells = bbox_cell_count(P)
-    if cells > budget:
-        raise BudgetExceeded(f"bounding box has {cells} cells (budget {budget})")
-    if stats is not None:
-        stats.brute_cells += cells
+    _charge(P, budget, stats)
     if P.is_degenerate:
-        return _enumerate_degenerate(P)
-    points: List[IntPoint2] = []
-    for x, y_lo, y_hi in _columns(P):
-        # tuple.__new__(IntPoint2, (x, y)) is IntPoint2(x, y) without the
-        # named tuple's Python-level __new__ frame.
-        points.extend(map(tuple.__new__, repeat(IntPoint2), zip(repeat(x), range(y_lo, y_hi + 1))))
+        points = _enumerate_degenerate(P)
+    else:
+        points = []
+        for x, y_lo, y_hi in _columns(P):
+            # tuple.__new__(IntPoint2, (x, y)) is IntPoint2(x, y) without the
+            # named tuple's Python-level __new__ frame.
+            points.extend(map(tuple.__new__, repeat(IntPoint2), zip(repeat(x), range(y_lo, y_hi + 1))))
+    if stats is not None:
+        stats.enumerated_points += len(points)
     return points
+
+
+def _column_ends(P: PolySet2, *, stats: Optional[RunStats] = None) -> List[Tuple[int, int]]:
+    """The lowest and highest lattice point (x, y) of each integer column
+    of the polygon P, by increasing x, and one point for a column of one:
+    every lattice point of P that can be a vertex of its integer hull.
+
+    Charged and refused as :func:`enumerate_integer_points` is at its
+    default budget; that function lists the points between the ends too,
+    and `enumerated_points` counts them all.
+    """
+    _charge(P, _CELL_BUDGET, stats)
+    columns = list(_columns(P))
+    ends: List[Tuple[int, int]] = []
+    for x, y_lo, y_hi in columns:
+        ends += ((x, y_lo), (x, y_hi)) if y_lo < y_hi else ((x, y_lo),)
+    if stats is not None:
+        stats.enumerated_points += sum(y_hi - y_lo + 1 for _, y_lo, y_hi in columns)
+    return ends
 
 
 def _enumerate_degenerate(P: PolySet2) -> List[IntPoint2]:

@@ -162,18 +162,19 @@ def test_hull_stats_print_run_stats_on_stderr_only(capsys, fixture):
         lines = out.err.splitlines()
         assert len(lines) == 1, out.err
         stats = json.loads(lines[0])
-        assert set(stats) == {"brute_cells", "regions", "max_depth", "facet_sweeps", "edge_sweeps"}
+        assert set(stats) == {"brute_cells", "regions", "max_depth", "facet_sweeps", "edge_sweeps", "enumerated_points"}
         assert (stats["facet_sweeps"], stats["edge_sweeps"]) == sweeps, (fixture, engine)
 
 
 # A lattice-free sliver of 10,100 bounding-box cells.  The facet pass of
 # `new` and of `baseline` stops at its first sweep, which finds nothing and
-# counts as one; the oracle sweeps nothing and enumerates every cell.
+# counts as one; the oracle sweeps nothing and scans every cell, finding no
+# point.
 SLIVER = {"name": "sliver", "vertices": [["0", "1/10"], ["100", "1001/10"], ["0", "9/10"]]}
 SLIVER_STATS = {
-    "new": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0},
-    "baseline": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0},
-    "oracle": {"brute_cells": 10100, "regions": 0, "max_depth": 0, "facet_sweeps": 0, "edge_sweeps": 0},
+    "new": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0, "enumerated_points": 0},
+    "baseline": {"brute_cells": 0, "regions": 0, "max_depth": 0, "facet_sweeps": 1, "edge_sweeps": 0, "enumerated_points": 0},
+    "oracle": {"brute_cells": 10100, "regions": 0, "max_depth": 0, "facet_sweeps": 0, "edge_sweeps": 0, "enumerated_points": 0},
 }
 
 

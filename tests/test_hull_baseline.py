@@ -5,14 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inthull import (
+    BudgetExceeded,
     RunStats,
     area,
     contains,
     convex_hull,
+    instance_to_polyset,
     integer_hull_baseline,
     integer_hull_new,
     integer_hull_oracle,
@@ -20,7 +23,7 @@ from inthull import (
     polyset_from_vertices,
 )
 from inthull.hull_new import residual_regions
-from helpers import brute_points_in, hull_tuples, random_polyset
+from helpers import brute_points_in, hull_tuples, load_perfbench, random_polyset
 
 TRI_SHALLOW = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
 HULL_SHALLOW = [(-1, 0), (2, 0), (2, 2), (1, 3), (0, 2)]
@@ -91,6 +94,24 @@ def test_three_engine_agreement(seed):
 
 
 def test_stats_record_brute_work():
+    # The corner regions are walked directly: 15 cells holding 9 lattice
+    # points, 8 of them column ends.
     stats = RunStats()
     integer_hull_baseline(TRI_SHALLOW, stats=stats)
-    assert stats.brute_cells > 0  # the corner regions are enumerated directly
+    assert (stats.brute_cells, stats.regions, stats.enumerated_points) == (15, 3, 9)
+
+
+def test_bignum_scaled_polygons_are_refused_by_budget_and_the_octagons_answered():
+    # bignum at seed 1: the polygons at scales 10**9 and 10**12 have corner
+    # regions past the cell budget, and their refusal comes before any scan.
+    answered = []
+    for k, inst in enumerate(load_perfbench("workloads").bignum(1)):
+        P, stats = instance_to_polyset(inst), RunStats()
+        try:
+            hull = integer_hull_baseline(P, stats=stats)
+        except BudgetExceeded:
+            assert k < 2 and stats.brute_cells == 0, k
+            continue
+        assert hull == integer_hull_new(P)
+        answered.append(k)
+    assert answered == list(range(2, 10))

@@ -54,7 +54,7 @@ from test_lattice import (
     line_test_sweeps,
     window_test_polygons,
 )
-from test_oracle import check_enumerate_matches_full_box_scan
+from test_oracle import check_column_ends_match_enumeration, check_enumerate_matches_full_box_scan
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 
 
@@ -110,6 +110,12 @@ def box_scans():
     """test_oracle's box-scan check on ten seeded polygons of its inputs."""
     for seed in range(10):
         check_enumerate_matches_full_box_scan(random_polyset(random.Random(seed), max_num=25, max_den=6))
+
+
+def column_ends():
+    """test_oracle's column-walk check on ten seeded polygons of its inputs."""
+    for seed in range(10):
+        check_column_ends_match_enumeration(random_polyset(random.Random(seed), max_num=25, max_den=6))
 
 
 def hint_free_windows():
@@ -386,6 +392,26 @@ MUTANTS = {
     ),
     # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
+    # The column walk: a column's high end dropped, the walk left uncharged,
+    # and its point count one short per column.
+    "a column's high end dropped": (
+        oracle._column_ends,
+        ("((x, y_lo), (x, y_hi)) if y_lo < y_hi else ((x, y_lo),)", "((x, y_lo),)"),
+        column_ends,
+        AssertionError,
+    ),
+    "the column walk skipping its cell charge": (
+        oracle._column_ends,
+        ("_charge(P, _CELL_BUDGET, stats)", "_charge(P, _CELL_BUDGET, None)"),
+        column_ends,
+        AssertionError,
+    ),
+    "the column walk counting one point short per column": (
+        oracle._column_ends,
+        ("y_hi - y_lo + 1 for", "y_hi - y_lo for"),
+        column_ends,
+        AssertionError,
+    ),
 }
 
 

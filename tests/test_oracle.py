@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,13 @@ from inthull import (
     contains,
     convex_hull,
     enumerate_integer_points,
+    instance_to_polyset,
     integer_hull_oracle,
     polyset_from_vertices,
 )
 import inthull.oracle as oracle
-from helpers import brute_points_in, hull_tuples, random_polyset
+from inthull.generate import edgecase_halfplanes
+from helpers import brute_points_in, hull_tuples, octagon, random_polyset
 
 
 def test_enumerate_handles_missing_input():
@@ -86,12 +89,56 @@ def test_enumerate_count_monotone_under_clipping(seed, a, c, b):
     assert n_q <= n_p
 
 
+def check_column_ends_match_enumeration(P: PolySet2):
+    """The column walk hands on at most two points per column, whose hull
+    is the hull of P's enumeration, and charges P's cells and lattice
+    points to RunStats as the enumeration does.  Called through its module,
+    so that a rebinding of either function reaches it."""
+    walked, listed = RunStats(), RunStats()
+    ends = oracle._column_ends(P, stats=walked)
+    points = oracle.enumerate_integer_points(P, stats=listed)
+    assert convex_hull(ends) == convex_hull(points)
+    assert max(Counter(x for x, _ in ends).values(), default=0) <= 2
+    assert walked == listed == RunStats(brute_cells=bbox_cell_count(P), enumerated_points=len(points))
+
+
+def translated(P: PolySet2, dx: int, dy: int) -> PolySet2:
+    return polyset_from_vertices([(v.x + dx, v.y + dy) for v in P.vertices])
+
+
+def column_walk_polygons():
+    """60 seeded random polygons, 20 of them moved ~10**12; 12 thin wedges
+    of the paper's edge case and 10 random slivers; 6 octagons with ~10**10
+    denominators moved ~10**12."""
+    rng = random.Random(36)
+    polys = [random_polyset(random.Random(seed), max_num=25, max_den=6) for seed in range(60)]
+    polys += [translated(P, rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)) for P in polys[:20]]
+    polys += [instance_to_polyset(edgecase_halfplanes(3 + k % 3, 3 + k, k)) for k in range(12)]
+    for _ in range(10):
+        X, Y, L = rng.randint(-10**6, 10**6), Fraction(rng.randint(0, 999), 1000), rng.randint(50, 2000)
+        rise, width = Fraction(rng.randint(-3 * L, 3 * L), rng.randint(1, 7)), Fraction(rng.randint(1, 9), 10)
+        polys.append(polyset_from_vertices([(X, Y), (X + L, Y + rise), (X + L, Y + rise + width)]))
+    return polys + [octagon(rng, 10**12) for _ in range(6)]
+
+
+def test_column_ends_have_the_hull_of_every_lattice_point():
+    for P in column_walk_polygons():
+        check_column_ends_match_enumeration(P)
+
+
 def test_budget_guard_refuses_large_boxes_up_front():
     P = polyset_from_vertices([(0, 0), (1000, 0), (1000, 1000), (0, 1000)])
     stats = RunStats()
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^bounding box has 1002001 cells \(budget 10000\)$"):
         enumerate_integer_points(P, budget=10**4, stats=stats)
-    assert stats.brute_cells == 0  # refused before counting any work
+    assert stats == RunStats()  # refused before counting any work
+    # At the default budget of 10**8 cells, the enumeration and the column
+    # walk refuse alike, before a scan that would take minutes.
+    P = polyset_from_vertices([(0, 0), (10**4, 0), (10**4, 10**4), (0, 10**4)])
+    for walk in (enumerate_integer_points, oracle._column_ends):
+        with pytest.raises(BudgetExceeded, match=r"^bounding box has 100020001 cells \(budget 100000000\)$"):
+            walk(P, stats=stats)
+        assert stats == RunStats()
 
 
 def test_degenerate_enumeration():
