@@ -28,7 +28,6 @@ from .geom import (
     Rational,
     area,
     bounding_box,
-    chord,
     clip,
     contains,
     convex_hull,
@@ -92,7 +91,6 @@ __all__ = [
     "area",
     "bounding_box",
     "clip",
-    "chord",
     # lattice
     "floor_sum",
     "SweepHit",

@@ -26,16 +26,19 @@ Conventions used throughout:
   ends in lex order) and have no half-planes.  One constructor,
   :func:`_polyset_from_forms`, puts reduced forms in this canonical form
   (or refuses them); every set the package builds comes from it, and
-  ``PolySet2(...)`` accepts exactly its output.  The half-plane intersection
-  hands it a box cut by every row (:func:`_cut`), with no zero turn.
+  ``PolySet2(...)`` accepts exactly its output.
+* Every half-plane cut is one walk (:func:`_arc`) over the arc of a cycle
+  on one side of a row, from a vertex found by descent (:func:`_deepest`):
+  :func:`clip` builds a set from the arc a row keeps, and the half-plane
+  intersection (:func:`_cut`) splices the crossings over the arc it removes.
 * A :class:`PolySet2` stores only the reduced integer form ``(X, Y, W)``,
   ``W > 0`` and ``gcd(X, Y, W) = 1``, of each vertex ``(X/W, Y/W)``
   (:func:`_form`).  Reduced forms are equal exactly when the points are, so
   equality and hashing read them; the ``Point2`` vertices are built from
   them on first read.  Edge directions, turns (:func:`_turn`), levels
   as one integer with the sign of ``a*x + c*y - b`` (:func:`_level`),
-  half-planes, areas, clip crossings, the half-plane intersection and the
-  sweep frames of :mod:`inthull.lattice` read the forms as a few integer
+  half-planes, areas, the cuts' levels and crossings and the sweep
+  frames of :mod:`inthull.lattice` read the forms as a few integer
   products; ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
@@ -474,49 +477,64 @@ def _crossing(p: Form, lp: int, q: Form, lq: int) -> Form:
     return _reduced(lq * px - lp * qx, lq * py - lp * qy, lq * pw - lp * qw)
 
 
+def _arc(forms: Sequence[Form], A: int, C: int, B: int, t: int, j: int, l_j: int) -> Optional[Tuple[int, int, list, list]]:
+    """The arc of the cycle `forms` around vertex j where the integer level
+    ``A*X + C*Y - B*W`` of each vertex form is at most t (l_j at j), as
+    ``(start, end, head, tail)``; None when it is the whole cycle.
+
+    The walk runs forward and backward from j while levels, read inline,
+    stay at most t, so it costs the arc, not the cycle.  ``start <= j <=
+    end`` are the arc's ends, not reduced mod n.  head and tail are ``[]``
+    or the ``[form]`` where the row's line (level 0) crosses the edge into
+    start or out of end strictly between its ends, built from its arc end
+    first (:func:`_crossing`), so with W > 0.  A point or segment is the 1-
+    or 2-cycle of its vertices, and a segment's two crossings are one point.
+    """
+    n = len(forms)
+    end, l_end = j, l_j
+    while True:
+        if end - j == n - 1:
+            return None
+        X, Y, W = forms[(end + 1) % n]
+        l_after = A * X + C * Y - B * W
+        if l_after > t:
+            break
+        end, l_end = end + 1, l_after
+    start, l_start = j, l_j
+    while True:
+        X, Y, W = forms[(start - 1) % n]
+        l_before = A * X + C * Y - B * W
+        if l_before > t:
+            break
+        start, l_start = start - 1, l_before
+    head = [_crossing(forms[start % n], l_start, forms[(start - 1) % n], l_before)] if l_start < 0 < l_before else []
+    tail = [_crossing(forms[end % n], l_end, forms[(end + 1) % n], l_after)] if l_end < 0 < l_after else []
+    return start, end, head, tail
+
+
 def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     """P intersected with a half-plane; None when the intersection is empty.
 
-    The vertices of P on the kept side of h form one contiguous arc of the
-    cycle, around h's deepest vertex.  That vertex is found by a local
-    descent from vertex `hint`, which changes only the speed, never the
-    result; the walk then runs forward and backward while vertices are
-    kept, and adds at most two crossings where it stops.  Levels and
-    crossings come from the vertices' integer forms, which kept vertices
-    keep, so a clip costs the descent plus the kept arc, not a pass over P.
-    The kept arc and crossings go to :func:`_polyset_from_forms`, which
-    checks that a clip of a strictly convex cycle is strictly convex and
-    returns fewer than three points as a degenerate PolySet2, not an error.
-    A point or segment P is clipped as the 1- or 2-cycle of its vertices: a
-    segment's crossing is found once from each end, at the same point, and
-    the constructor drops the repeat.
+    The kept vertices are the arc (:func:`_arc`, t = 0) around h's deepest
+    vertex, found by a local descent from vertex `hint` (:func:`_deepest`),
+    which changes only the speed, never the result.  So a clip costs the
+    descent plus the kept arc, not a pass over P.  The arc and its
+    crossings go to :func:`_polyset_from_forms`, which checks that the clip
+    is strictly convex and returns fewer than three points as a degenerate
+    PolySet2, not an error; it drops a segment's repeated crossing.
     """
     forms = P._forms
-    n = len(forms)
-    j = _deepest(forms, h.a, h.c, hint)[0]
-    f_j = _level(h, forms[j])
-    if f_j > 0:
+    d, B = h.b.denominator, h.b.numerator
+    j, (low, W) = _deepest(forms, h.a, h.c, hint)  # low = a*X + c*Y at j
+    l_j = low * d - B * W
+    if l_j > 0:
         return None
-    end, f_end = j, f_j
-    while end - j < n - 1:
-        f_out = _level(h, forms[(end + 1) % n])
-        if f_out > 0:
-            break
-        end, f_end = end + 1, f_out
-    else:
+    arc = _arc(forms, h.a * d, h.c * d, B, 0, j, l_j)
+    if arc is None:
         return P  # every vertex is kept
-    start, f_start = j, f_j
-    while True:
-        f_in = _level(h, forms[(start - 1) % n])
-        if f_in > 0:
-            break
-        start, f_start = start - 1, f_in
-    cycle = [forms[k % n] for k in range(start, end + 1)]
-    if f_end < 0:
-        cycle.append(_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out))
-    if f_start < 0:
-        cycle.append(_crossing(forms[(start - 1) % n], f_in, forms[start % n], f_start))
-    return _polyset_from_forms(cycle)
+    start, end, head, tail = arc
+    n = len(forms)
+    return _polyset_from_forms([forms[k % n] for k in range(start, end + 1)] + tail + head)
 
 
 def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
@@ -554,43 +572,23 @@ def _cut(cycle: list, h: HalfPlane, hint: int) -> Optional[int]:
     """Cut the convex cycle of integer forms `cycle` by h, in place; None
     when h removes every vertex, else the index to start the next descent.
 
-    The removed vertices (level > 0, read inline as :func:`_level`) are one
-    arc around h's top vertex, found by a descent from `hint`; the walk runs
-    both ways over that arc only, and at most two crossings, each from its
-    kept end first (so W > 0), replace it.  A point or segment is the 1- or
-    2-cycle of its vertices, and a segment's two edges give one crossing.
+    The removed vertices are the arc (:func:`_arc`) where h negated is at
+    most -1, as levels are integers, around h's top vertex, found by a
+    descent from `hint`; the arc's crossings replace it.
     """
-    n = len(cycle)
     d, B = h.b.denominator, h.b.numerator
-    A, C = h.a * d, h.c * d
     top, (low, W) = _deepest(cycle, -h.a, -h.c, hint)  # low = -(a*X + c*Y) at the top
-    l_top = -low * d - B * W
-    if l_top <= 0:
+    l_top = low * d + B * W  # minus the top's level
+    if l_top >= 0:
         return top  # every vertex is kept
-    end, l_end = top, l_top
-    while True:
-        if end - top == n - 1:
-            return None  # every vertex is removed
-        X, Y, W = cycle[(end + 1) % n]
-        l_after = A * X + C * Y - B * W
-        if l_after <= 0:
-            break
-        end, l_end = end + 1, l_after
-    start, l_start = top, l_top
-    while True:
-        X, Y, W = cycle[(start - 1) % n]
-        l_before = A * X + C * Y - B * W
-        if l_before <= 0:
-            break
-        start, l_start = start - 1, l_before
-    crossings = []
-    if l_before < 0:
-        crossings.append(_crossing(cycle[(start - 1) % n], l_before, cycle[start % n], l_start))
-    if l_after < 0 and n > 2:
-        crossings.append(_crossing(cycle[(end + 1) % n], l_after, cycle[end % n], l_end))
+    arc = _arc(cycle, -h.a * d, -h.c * d, -B, -1, top, l_top)
+    if arc is None:
+        return None  # every vertex is removed
+    start, end, head, tail = arc
+    n = len(cycle)
     s, removed = start % n, end - start + 1
     over = max(s + removed - n, 0)  # removed vertices at the head of the list
-    cycle[s : s + removed] = crossings
+    cycle[s : s + removed] = head + tail
     del cycle[:over]
     return s - over
 

@@ -34,6 +34,17 @@ def load_perfbench(name: str):
     return module
 
 
+class CountedForms(tuple):
+    """A tuple of vertex forms that counts its indexed reads, the only way
+    a descent or an arc walk reads a cycle."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        CountedForms.reads += 1
+        return tuple.__getitem__(self, k)
+
+
 def opposite_sweep_points(P: PolySet2) -> Set[IntPoint2]:
     """The extreme lattice points of every facet's sweep from the opposite
     side (the public ``sweep_from_opposite``, facet by facet): empty iff P

@@ -39,6 +39,7 @@ from inthull.geom import _hull_chain, _intersect_halfplanes
 from inthull.hull_new import residual_regions
 from inthull.lattice import _Frame
 from helpers import (
+    CountedForms,
     empty_85_row_system,
     frac_cross,
     frame_line,
@@ -421,6 +422,40 @@ def test_intersect_halfplanes_on_systems_built_from_polygons():
         shift = Fraction(rng.randint(1, 40), rng.randint(1, 4))
         pushed = [HalfPlane(h.a, h.c, h.b - shift) for h in rows]
         assert _rule(pushed) == _clipping_reference(pushed), pushed
+
+
+def test_halfplane_cuts_walk_only_the_removed_arcs(monkeypatch):
+    # Each row's descent starts at the last cut's crossings, and its walk
+    # covers the arc it removes: about 10 reads of the cycle per row here,
+    # 10,004 for these 1,000 rows, where a cut that walked the arc it keeps
+    # would read about 500,000.  The walks read a counted copy of the cycle,
+    # which _cut splices in place.
+    P = instance_to_polyset(convex_chain_polygon(1000))
+    rows = list(P.halfplanes)
+    random.Random(1000).shuffle(rows)
+    for name in ("_deepest", "_arc"):
+        walk = getattr(geom, name)
+        monkeypatch.setattr(geom, name, lambda forms, *args, walk=walk: walk(CountedForms(forms), *args))
+    monkeypatch.setattr(CountedForms, "reads", 0)
+    assert _intersect_halfplanes(rows) == P
+    assert 0 < CountedForms.reads <= 16 * len(rows)
+
+
+def check_crossings_are_symmetric():
+    """A crossing is the same reduced form from either end of its edge:
+    lq*p - lp*q has W < 0 when built from the end of positive level first,
+    and _reduced fixes its sign."""
+    rng = random.Random(17)
+    for _ in range(500):
+        p, q = (geom._form(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in 'xy')) for _ in 'pq')
+        lp, lq = -rng.randint(1, 10**6), rng.randint(1, 10**6)
+        X, Y, W = crossing = geom._crossing(p, lp, q, lq)
+        assert W > 0 and gcd(X, Y, W) == 1, (p, lp, q, lq)
+        assert geom._crossing(q, lq, p, lp) == crossing, (p, lp, q, lq)
+
+
+def test_crossings_are_symmetric():
+    check_crossings_are_symmetric()
 
 
 def check_rows_through_a_vertex():

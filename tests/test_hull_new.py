@@ -35,11 +35,11 @@ from inthull import (
 )
 from inthull.bench import run_engine
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
-from inthull.geom import _level
 import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
 from inthull.oracle import bbox_cell_count
 from helpers import (
+    CountedForms,
     brute_points_in,
     hull_tuples,
     lattice_facet_triangle,
@@ -105,18 +105,16 @@ def test_thin_sliver_wedge_completes_quickly():
 
 def test_residual_clips_walk_only_the_kept_arcs(monkeypatch):
     # The descents from one clip's deepest vertex to the next walk P about
-    # once, and each clip walks its kept arc: about 3,000 level evaluations
-    # here, where a scan of the 1000-gon per clip takes 108,000.  Each is
-    # one call of _level on a vertex's integer form (X, Y, W).
+    # once, and each clip walks its kept arc: about 5,000 indexed reads of
+    # P's vertex forms here, where a scan of the 1000-gon per clip reads
+    # 108,000.
     P = instance_to_polyset(convex_chain_polygon(1000))
     hull = convex_hull(opposite_sweep_points(P))
-    calls = []
-    counted = lambda h, form: calls.append(form) or _level(h, form)
-    monkeypatch.setattr("inthull.geom._level", counted)
+    object.__setattr__(P, "_forms", CountedForms(P._forms))
+    monkeypatch.setattr(CountedForms, "reads", 0)
     regions = residual_regions(P, hull)
     assert len(regions) == 108
-    assert 0 < len(calls) <= 3 * (len(P.vertices) + sum(len(r.vertices) for r in regions))
-    assert set(calls) <= set(P._forms)
+    assert 0 < CountedForms.reads <= 3 * (len(P.vertices) + sum(len(r.vertices) for r in regions))
 
 
 def test_no_lattice_point_extends_an_edge_of_the_hit_hull():

@@ -18,7 +18,6 @@ from inthull import (
     Point2,
     PolySet2,
     SweepHit,
-    chord,
     contains,
     enumerate_integer_points,
     floor_sum,
@@ -29,6 +28,7 @@ from inthull import (
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
+from inthull.geom import chord
 from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows
 from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 

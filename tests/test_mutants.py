@@ -37,6 +37,7 @@ from test_explicit_checks import check_exact_numbers, check_residual_regions_mus
 from test_geom import (
     check_clip_matches_the_vertex_scan,
     check_construction_paths,
+    check_crossings_are_symmetric,
     check_full_column_hulls,
     check_halfplane_edge_cases,
     check_hull_chain_on_fractions,
@@ -56,6 +57,7 @@ from test_lattice import (
 )
 from test_oracle import check_column_ends_match_enumeration, check_enumerate_matches_full_box_scan
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
+from test_unimodular import check_new_commutes_with_unimodular_maps
 
 
 def mutant(function, old: str, new: str):
@@ -136,6 +138,11 @@ def frozen_hits():
     check_sweep_hits_are_frozen_values(itertools.islice(line_test_sweeps(), 3))
 
 
+def unimodular_images():
+    """test_unimodular's check of `new` on two polygons per scale."""
+    check_new_commutes_with_unimodular_maps(2)
+
+
 def lattice_free_sliver():
     """test_cli's `hull --stats` check on its lattice-free sliver, in a
     temporary directory."""
@@ -185,6 +192,14 @@ MUTANTS = {
         ON_TWO_POINT_STARTS,
         AssertionError,
     ),
+    # A bound one level looser closes edges with a lattice point beyond
+    # them; at scale the oracle cannot check it, the unimodular images can.
+    "the certificate bound loosened by one level": (
+        hull_new._closed_by,
+        ("< (b + 1) * D", "< (b + 2) * D"),
+        unimodular_images,
+        AssertionError,
+    ),
     # The certificate test as `<=` is no mutant: a bound of b + 1 also
     # leaves the edge final (see hull_new._closed_by).
     # p has no successor, so the walk round the cycle stops at it.
@@ -215,10 +230,10 @@ MUTANTS = {
         check_spanned_sets_match_their_hulls,
         ValueError,
     ),
-    # A crossing whose form has W < 0 turns the directions into and out of
-    # it around, and the cycle check refuses the clip.  (The half-plane cut
-    # passes each crossing its kept end first, which makes W > 0.)
-    "_reduced without its sign fix of W": (geom._reduced, ("if W < 0:", "if False:"), check_construction_paths, ValueError),
+    # A crossing built from its end of positive level first has W < 0.  No
+    # cut builds one (each builds its crossings from the arc end first), but
+    # without the fix the two ends of an edge give two forms of one point.
+    "_reduced without its sign fix of W": (geom._reduced, ("if W < 0:", "if False:"), check_crossings_are_symmetric, AssertionError),
     "_reduced without its gcd": (geom._reduced, ("g = gcd(X, Y, W)", "g = 1"), check_construction_paths, AssertionError),
     # An unbounded intersection reaches the box at a vertex; a ray running
     # down and left, or an open slab between two vertical lines, reaches it
@@ -230,8 +245,23 @@ MUTANTS = {
         AssertionError,
     ),
     # A row through a vertex and no further, cut as if it removed that
-    # vertex: both crossings are the vertex, which the cycle then repeats.
-    "a row through the top vertex cut": (geom._cut, ("if l_top <= 0:", "if l_top < 0:"), check_rows_through_a_vertex, ValueError),
+    # vertex: the vertex has level 0, so no crossing replaces it.
+    "a row through the top vertex cut": (geom._cut, ("if l_top >= 0:", "if l_top > 0:"), check_rows_through_a_vertex, AssertionError),
+    # The arc thresholds: a cut that also removes the vertices on its row's
+    # line, and a clip that does not keep them; neither adds a crossing
+    # there, so the vertex is lost.
+    "a cut removing the vertices on its line": (
+        geom._cut,
+        ("-h.c * d, -B, -1, top", "-h.c * d, -B, 0, top"),
+        check_rows_through_a_vertex,
+        AssertionError,
+    ),
+    "a clip dropping the vertices on its line": (
+        geom.clip,
+        ("h.c * d, B, 0, j", "h.c * d, B, -1, j"),
+        check_clip_matches_the_vertex_scan,
+        AssertionError,
+    ),
     # A crossing with its W negated is the crossing reflected through the
     # origin, once _reduced fixes the sign.
     "_crossing with its W term negated": (
@@ -371,15 +401,25 @@ MUTANTS = {
         check_exact_numbers,
         AssertionError,
     ),
-    # A clip's forward crossing solved with the levels of its two ends
-    # swapped lands at its mirror image about the edge's midpoint.
+    # An arc's crossing solved with the levels of its two ends swapped lands
+    # at its mirror image about the edge's midpoint: at the end side, seen
+    # by the clips, and at the start side, seen by the half-plane cuts.
     "a clip crossing with its end levels swapped": (
-        geom.clip,
+        geom._arc,
         (
-            "_crossing(forms[end % n], f_end, forms[(end + 1) % n], f_out)",
-            "_crossing(forms[end % n], f_out, forms[(end + 1) % n], f_end)",
+            "_crossing(forms[end % n], l_end, forms[(end + 1) % n], l_after)",
+            "_crossing(forms[end % n], l_after, forms[(end + 1) % n], l_end)",
         ),
         check_clip_matches_the_vertex_scan,
+        AssertionError,
+    ),
+    "an arc's start crossing with its levels swapped": (
+        geom._arc,
+        (
+            "_crossing(forms[start % n], l_start, forms[(start - 1) % n], l_before)",
+            "_crossing(forms[start % n], l_before, forms[(start - 1) % n], l_start)",
+        ),
+        check_halfplane_edge_cases,
         AssertionError,
     ),
     # The one counting rule of a facet pass: a pass that found no lattice

@@ -32,7 +32,6 @@ PUBLIC = {
     "area",
     "bounding_box",
     "clip",
-    "chord",
     # lattice
     "floor_sum",
     "SweepHit",
