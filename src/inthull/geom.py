@@ -18,6 +18,10 @@ Conventions used throughout:
 * A line is a half-plane's boundary ``a*x + c*y = b``; its offset ``b`` stays
   rational, and the line contains integer points iff ``b`` is an integer
   (given ``gcd(a, c) == 1``).
+* A row ``(A, C, B)`` (:data:`Row`) is ``A*x + C*y <= B`` with integers
+  ``A``, ``C``, ``B``, not necessarily primitive.  The cuts and levels work
+  on rows, and :func:`_row`, which scales a half-plane by its offset's
+  denominator, is the only code that reads that offset.
 * A :class:`PolySet2` with three or more vertices is a strictly convex
   counter-clockwise vertex cycle starting at the lexicographically smallest
   vertex; its ``halfplanes[i]``, derived on first use and cached, is the
@@ -58,6 +62,7 @@ from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
 Rational = Union[int, Fraction]
 Form = Tuple[int, int, int]  # the integer form (X, Y, W), W > 0, of the point (X/W, Y/W)
+Row = Tuple[int, int, int]  # the row a*x + c*y <= b: integers a, c, b with (a, c) != (0, 0)
 
 
 def _integer(value: object) -> int:
@@ -116,11 +121,12 @@ def _reduced(X: int, Y: int, W: int) -> Form:
 
 
 def _level(h: HalfPlane, p: Form) -> int:
-    """(h.a*X + h.c*Y)*d - n*W for h.b = n/d: W*d times h.a*x + h.c*y - h.b
-    at the point (X/W, Y/W) of the form p, and linear in p."""
+    """A*X + C*Y - B*W for h's row (A, C, B) (:func:`_row`): W*d times
+    h.a*x + h.c*y - h.b at the point (X/W, Y/W) of the form p, for h.b =
+    n/d, and linear in p."""
+    A, C, B = _row(h)
     X, Y, W = p
-    b = h.b
-    return (h.a * X + h.c * Y) * b.denominator - b.numerator * W
+    return A * X + C * Y - B * W
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,14 @@ class HalfPlane:
         object.__setattr__(self, "a", a // g)
         object.__setattr__(self, "c", c // g)
         object.__setattr__(self, "b", b if g == 1 else b / g)
+
+
+def _row(h: HalfPlane) -> Row:
+    """The integer row (h.a*d, h.c*d, n) of h, for h.b = n/d: the one place
+    that reads a half-plane's offset, so every cut and level below works on
+    integer rows, which need not be primitive."""
+    d = h.b.denominator
+    return h.a * d, h.c * d, h.b.numerator
 
 
 @dataclass(frozen=True)
@@ -524,12 +538,12 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     PolySet2, not an error; it drops a segment's repeated crossing.
     """
     forms = P._forms
-    d, B = h.b.denominator, h.b.numerator
-    j, (low, W) = _deepest(forms, h.a, h.c, hint)  # low = a*X + c*Y at j
-    l_j = low * d - B * W
+    A, C, B = _row(h)
+    j, (low, W) = _deepest(forms, A, C, hint)  # low = A*X + C*Y at j
+    l_j = low - B * W
     if l_j > 0:
         return None
-    arc = _arc(forms, h.a * d, h.c * d, B, 0, j, l_j)
+    arc = _arc(forms, A, C, B, 0, j, l_j)
     if arc is None:
         return P  # every vertex is kept
     start, end, head, tail = arc
@@ -552,7 +566,8 @@ def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
 
 
 def _angle_cmp(u: Sequence[int], w: Sequence[int]) -> int:
-    """Compare integer vectors by angle, exactly (no trigonometry).
+    """Compare integer vectors by angle, exactly (no trigonometry); a row
+    (A, C, B) compares by its normal (A, C).
 
     Vectors in the upper half plane (including the +x axis) come first, each
     half ordered by cross product.
@@ -568,20 +583,20 @@ def _angle_cmp(u: Sequence[int], w: Sequence[int]) -> int:
 _by_angle = functools.cmp_to_key(_angle_cmp)
 
 
-def _cut(cycle: list, h: HalfPlane, hint: int) -> Optional[int]:
-    """Cut the convex cycle of integer forms `cycle` by h, in place; None
-    when h removes every vertex, else the index to start the next descent.
+def _cut(cycle: list, A: int, C: int, B: int, hint: int) -> Optional[int]:
+    """Cut the convex cycle of integer forms `cycle` by the row A*x + C*y <=
+    B, in place; None when the row removes every vertex, else the index to
+    start the next descent.
 
-    The removed vertices are the arc (:func:`_arc`) where h negated is at
-    most -1, as levels are integers, around h's top vertex, found by a
-    descent from `hint`; the arc's crossings replace it.
+    The removed vertices are the arc (:func:`_arc`) where the row negated
+    is at most -1, as levels are integers, around the row's top vertex,
+    found by a descent from `hint`; the arc's crossings replace it.
     """
-    d, B = h.b.denominator, h.b.numerator
-    top, (low, W) = _deepest(cycle, -h.a, -h.c, hint)  # low = -(a*X + c*Y) at the top
-    l_top = low * d + B * W  # minus the top's level
+    top, (low, W) = _deepest(cycle, -A, -C, hint)  # low = -(A*X + C*Y) at the top
+    l_top = low + B * W  # minus the top's level
     if l_top >= 0:
         return top  # every vertex is kept
-    arc = _arc(cycle, -h.a * d, -h.c * d, -B, -1, top, l_top)
+    arc = _arc(cycle, -A, -C, -B, -1, top, l_top)
     if arc is None:
         return None  # every vertex is removed
     start, end, head, tail = arc
@@ -593,31 +608,35 @@ def _cut(cycle: list, h: HalfPlane, hint: int) -> Optional[int]:
     return s - over
 
 
-def _intersect_halfplanes(hps: Sequence[HalfPlane]) -> Optional[PolySet2]:
-    """Permissive intersection: PolySet2 (possibly degenerate) or None.
+def _intersect_halfplanes(rows: Sequence[Row]) -> Optional[PolySet2]:
+    """Permissive intersection of integer rows ``(A, C, B)``, each ``A*x +
+    C*y <= B`` (:data:`Row`; primitive or not): PolySet2 (possibly
+    degenerate) or None.
 
     Raises :class:`UnboundedSet` when the (nonempty) intersection is
     unbounded.  Callers that must reject degenerate output wrap this.
 
-    A square of half-width m = 1 + 2 * (floor(max|b|) + 1) * max|coef| is
-    cut by each row (:func:`_cut`).  A vertex of a bounded intersection
-    solves two integer rows, so it lies strictly inside the square.  A
-    nonempty unbounded one has a point strictly inside (a vertex, or the
-    point nearest the origin when all rows are parallel) and a ray from it,
-    so a vertex of the cut square lies on the square's boundary.  Rows are
-    cut in the angle order of their normals (:func:`_by_angle`): each row's
-    top vertex is then at or just past the last cut's crossings, where its
+    A square of half-width m = 1 + 2 * max|B| * max(|A|, |C|) is cut by
+    each row (:func:`_cut`).  A vertex of a bounded intersection solves two
+    rows, whose determinant is a nonzero integer, so by Cramer's rule |x|
+    and |y| are at most 2 * max|B| * max(|A|, |C|), whether or not the rows
+    are primitive: it lies strictly inside the square.  A nonempty
+    unbounded one has a point strictly inside (a vertex, or the point
+    nearest the origin when all rows are parallel) and a ray from it, so a
+    vertex of the cut square lies on the square's boundary.  Rows are cut
+    in the angle order of their normals (:func:`_by_angle`): each row's top
+    vertex is then at or just past the last cut's crossings, where its
     descent starts.  Shuffled, the facets of a 4000-gon cut ten times slower.
     """
-    if not hps:
+    if not rows:
         raise UnboundedSet("no constraints: the whole plane is unbounded")
-    floor_b = max(abs(h.b.numerator) // h.b.denominator for h in hps)  # floor(max|b|)
-    max_ac = max(max(abs(h.a), abs(h.c)) for h in hps)
-    m = 1 + 2 * (floor_b + 1) * max_ac
+    max_b = max(abs(B) for _, _, B in rows)
+    max_ac = max(max(abs(A), abs(C)) for A, C, _ in rows)
+    m = 1 + 2 * max_b * max_ac
     cycle = [(-m, -m, 1), (m, -m, 1), (m, m, 1), (-m, m, 1)]
     hint = 0
-    for h in sorted(hps, key=lambda h: _by_angle((h.a, h.c))):
-        hint = _cut(cycle, h, hint)
+    for A, C, B in sorted(rows, key=_by_angle):
+        hint = _cut(cycle, A, C, B, hint)
         if hint is None:
             return None
     if any(abs(X) == m * W or abs(Y) == m * W for X, Y, W in cycle):
@@ -632,7 +651,7 @@ def polyset_from_halfplanes(hps: Sequence[HalfPlane]) -> PolySet2:
     for an unbounded one, and :class:`DegenerateSet` when the intersection is
     a point or segment.  Redundant half-planes are dropped.
     """
-    result = _intersect_halfplanes(hps)
+    result = _intersect_halfplanes(list(map(_row, hps)))
     if result is None:
         raise EmptySet("the half-plane intersection is empty")
     if result.is_degenerate:

@@ -2,15 +2,16 @@
 
 Every facet line is translated inward to the last integer offset whose chord
 still contains a lattice point, one sweep per facet in this engine's own
-facet pass (``normalize_facets``); rebuilding the set from the tightened
-half-planes yields Q with the same lattice points as P but with every facet
-supported by a lattice chord.  The hull of all stopping-chord extremes is a
-central core of the integer hull; what remains are the corner regions of Q
-outside that core (``hull_new.residual_regions``), which this engine always
-resolves by a brute-force walk of their columns, so its cost profile
-isolates what the edge sweeps of the ``new`` engine improve on.  The walk
-hands the final hull only each column's lowest and highest lattice point,
-the only ones that can be its vertices.
+facet pass (``normalize_facets``).  Each sweep proves its line as an integer
+row (``SweepHit.line``), and intersecting those rows as they stand yields Q
+with the same lattice points as P but with every facet supported by a
+lattice chord.  The hull of all stopping-chord extremes is a central core of
+the integer hull; what remains are the corner regions of Q outside that
+core (``hull_new.residual_regions``), which this engine always resolves by
+a brute-force walk of their columns, so its cost profile isolates what the
+edge sweeps of the ``new`` engine improve on.  The walk hands the final hull
+only each column's lowest and highest lattice point, the only ones that can
+be its vertices.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .errors import GeometryError
-from .geom import (
-    HalfPlane,
-    HullResult,
-    PolySet2,
-    _intersect_halfplanes,
-    convex_hull,
-)
+from .geom import HullResult, PolySet2, _intersect_halfplanes, convex_hull
 from .hull_new import _lattice_points, residual_regions
 from .lattice import SweepHit, _facet_direction, _run_sweep
 from .oracle import RunStats
@@ -44,7 +39,7 @@ def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
         if hit is None:
             return None, []
         hits.append(hit)
-    Q = _intersect_halfplanes([HalfPlane(*hit.line) for hit in hits])
+    Q = _intersect_halfplanes([hit.line for hit in hits])
     # Every stopping offset is the maximum of its functional over the lattice
     # of P, so each hit point satisfies all tightened constraints: Q is
     # nonempty (though it may be degenerate).

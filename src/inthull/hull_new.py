@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import GeometryError
 from .geom import (
@@ -41,6 +41,7 @@ from .geom import (
     HullResult,
     IntPoint2,
     PolySet2,
+    Row,
     _deepest,
     _integer,
     area,
@@ -49,9 +50,6 @@ from .geom import (
 )
 from .lattice import SweepHit, _facet_direction, _lattice_extremes, _run_sweep
 from .oracle import RunStats, _column_ends, bbox_cell_count, enumerate_integer_points
-
-# (a, c, beta): a*x + c*y <= beta at every lattice point of P.
-Certificate = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def replace_facets(P: PolySet2) -> Dict[int, SweepHit]:
     return hits
 
 
-def _edge_functional(u: IntPoint2, w: IntPoint2) -> Tuple[int, int, int]:
+def _edge_functional(u: IntPoint2, w: IntPoint2) -> Row:
     """(a, c, b): the primitive outward normal (a, c) of the CCW edge
     u -> w, to its right, and its integer level b = a*u.x + c*u.y."""
     g = gcd(w.y - u.y, u.x - w.x)
@@ -176,8 +174,9 @@ def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequenc
     return _column_ends(P, stats=stats)
 
 
-def _closed_by(cert_u: Certificate, cert_w: Certificate, a: int, c: int, b: int) -> bool:
-    """Whether the certificates h_u <= beta_u and h_w <= beta_w of the ends
+def _closed_by(cert_u: Row, cert_w: Row, a: int, c: int, b: int) -> bool:
+    """Whether the certificates h_u <= beta_u and h_w <= beta_w, rows
+    (a, c, beta) that every lattice point of P satisfies, of the ends
     of an edge with outward functional f = a*x + c*y at level b show that
     no lattice point of P has f > b.
 

@@ -27,9 +27,9 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidInstance
 from .geom import (
-    HalfPlane,
     PolySet2,
     Rational,
+    Row,
     _frac,
     _integer,
     _intersect_halfplanes,
@@ -179,20 +179,21 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     Vertex instances take the convex hull of the points, degenerating
     gracefully to a segment or point; a list that is already a strictly
     convex counter-clockwise cycle is its own hull and is used as listed.
-    Inequality instances are intersected; rational coefficients are scaled
-    to the canonical integer normal form, trivially true rows are dropped,
-    and a trivially false row makes the set empty.  Unbounded inequality
-    systems raise :class:`UnboundedSet`.
+    Inequality instances are intersected as integer rows: each inequality
+    is scaled by the one lcm of its three denominators, and its rows need
+    not be primitive.  Trivially true rows are dropped, and a trivially
+    false row makes the set empty.  Unbounded inequality systems raise
+    :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
         return _spanned_polyset(inst.vertices)
-    halfplanes: List[HalfPlane] = []
+    rows: List[Row] = []
     for row in inst.inequalities:
         a, c, b = map(_frac, row)
         if a == 0 and c == 0:
             if b < 0:
                 return None  # 0 <= b fails: the set is empty
             continue
-        mult = lcm(a.denominator, c.denominator)
-        halfplanes.append(HalfPlane(int(a * mult), int(c * mult), b * mult))
-    return _intersect_halfplanes(halfplanes)
+        mult = lcm(a.denominator, c.denominator, b.denominator)
+        rows.append((int(a * mult), int(c * mult), int(b * mult)))
+    return _intersect_halfplanes(rows)

@@ -48,7 +48,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .geom import Form, IntPoint2, PolySet2, _deepest, _direction
+from .geom import Form, IntPoint2, PolySet2, Row, _deepest, _direction, _integer
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -100,11 +100,11 @@ class SweepHit:
     offset: int
     lo: IntPoint2
     hi: IntPoint2
-    line: Tuple[int, int, int]
+    line: Row
     vertex: int = field(default=0, compare=False)
 
 
-def _hit(offset: int, lo: IntPoint2, hi: IntPoint2, line: Tuple[int, int, int], vertex: int) -> SweepHit:
+def _hit(offset: int, lo: IntPoint2, hi: IntPoint2, line: Row, vertex: int) -> SweepHit:
     """SweepHit(offset, lo, hi, line, vertex), filled as one dict instead of
     through the frozen __init__'s five object.__setattr__ calls."""
     hit = object.__new__(SweepHit)
@@ -343,10 +343,14 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:
     """The (a, c, top, hint) of a facet sweep: the facet's primitive outward
     normal, read from the integer forms of its two ends, maximized from the
-    facet (inward) or minimized from the opposite vertex, as in the paper."""
+    facet (inward) or minimized from the opposite vertex, as in the paper.
+    The index is an integer (:func:`geom._integer`) in [0, n) for P's n
+    facets; any other raises TypeError or IndexError."""
     forms, n = P._forms, len(P._forms)
     if n < 3:
         raise ValueError("facet sweeps require a polygon with at least 3 vertices")
+    if not 0 <= _integer(facet_index) < n:
+        raise IndexError(f"facet index {facet_index} is out of range for a polygon of {n} facets")
     dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
     g = gcd(dx, dy)  # the outward normal of a CCW edge along (dx, dy) is (dy, -dx)
     return dy // g, -dx // g, inward, facet_index if inward else facet_index + (n + 1) // 2

@@ -19,7 +19,7 @@ from math import gcd
 from typing import List, Mapping, Optional, Tuple
 
 from .errors import BudgetExceeded
-from .geom import HullResult, IntPoint2, PolySet2, convex_hull
+from .geom import HullResult, IntPoint2, PolySet2, _integer, convex_hull
 from .lattice import SweepHit, _columns, _lattice_extremes
 
 
@@ -69,9 +69,11 @@ def enumerate_integer_points(
 
     Each column from the column walk is expanded by C-level iteration, with
     no Python frame per point.  Raises BudgetExceeded when the bounding box
-    holds more than `budget` cells (checked before any scanning).  P may be
-    degenerate or None.
+    holds more than `budget` cells (checked before any scanning), and
+    TypeError when `budget` is not an integer (:func:`geom._integer`).  P
+    may be degenerate or None.
     """
+    _integer(budget)
     if P is None:
         return []
     _charge(P, budget, stats)

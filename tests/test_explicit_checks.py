@@ -24,6 +24,7 @@ from inthull import (
     RefineConfig,
     clip,
     contains,
+    enumerate_integer_points,
     format_decimal,
     format_rational,
     instance_to_polyset,
@@ -32,6 +33,8 @@ from inthull import (
     line_through,
     point,
     polyset_from_vertices,
+    sweep_from_opposite,
+    sweep_inward,
 )
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.hull_new import residual_regions
@@ -39,6 +42,8 @@ from inthull.lattice import SweepHit
 
 SRC = Path(hull_new.__file__).parent
 TRI = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
+PENTAGON = polyset_from_vertices([(0, 0), (2, 0), (3, 2), (1, 3), (0, 2)])  # facet index 3 is in range
+SLIVER = polyset_from_vertices([(0, 0), (2, 0), (0, Fraction(1, 2))])  # its box holds 3 cells
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -61,6 +66,26 @@ def test_every_imported_name_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{module} imports names it never uses: {unused}"
+
+
+def test_only_the_row_rule_reads_a_halfplanes_offset():
+    # geom._row is the one place that turns a half-plane's rational offset
+    # b into an integer row; every other reader takes the row.
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("numerator", "denominator")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "b"
+            ):
+                # ast.walk lists an enclosing function before a nested one.
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                readers.add(f"{path.stem}.{inside[-1] if inside else '<module>'}")
+    assert readers == {"geom._row"}
 
 
 def check_residual_regions_must_shrink():
@@ -192,6 +217,9 @@ EXACT_INPUTS = [
     (edgecase_halfplanes, "scale", RATIONAL, lambda v: edgecase_halfplanes(3, v, 1)),
     (convex_chain_polygon, "target_area", RATIONAL, lambda v: convex_chain_polygon(8, v)),
     (RefineConfig, "brute_force_cell_threshold", INTEGER, RefineConfig),
+    (enumerate_integer_points, "budget", INTEGER, lambda v: enumerate_integer_points(SLIVER, budget=v)),
+    (sweep_inward, "facet_index", INTEGER, lambda v: sweep_inward(PENTAGON, v)),
+    (sweep_from_opposite, "facet_index", INTEGER, lambda v: sweep_from_opposite(PENTAGON, v)),
     (instance_to_polyset, "vertices", RATIONAL, lambda v: instance_to_polyset(Instance(None, vertices=((v, 0), (4, 0), (0, 3))))),
     (
         instance_to_polyset,
@@ -223,6 +251,16 @@ def check_exact_numbers():
 
 def test_every_entry_point_takes_only_exact_numbers():
     check_exact_numbers()
+
+
+@pytest.mark.parametrize("sweep", [sweep_inward, sweep_from_opposite])
+def test_facet_indices_outside_the_facets_are_refused(sweep):
+    # An index names one of P's n facets, in [0, n): no index counts from
+    # the end, and one past the last is refused before any sweep.
+    for index in (-1, -5, 5, 6):
+        with pytest.raises(IndexError, match=f"facet index {index} is out of range for a polygon of 5 facets"):
+            sweep(PENTAGON, index)
+    assert [sweep(PENTAGON, index) is not None for index in range(5)] == [True] * 5
 
 
 def test_every_rational_parameter_is_in_the_exactness_table():

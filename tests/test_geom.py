@@ -329,9 +329,14 @@ def test_polyset_from_halfplanes_rejects_empty():
 # half-plane intersection against the box-clipping reference
 
 
-def _rule(rows):
+def _rows(hps):
+    """The integer rows (geom._row) of half-planes, which the intersection takes."""
+    return [geom._row(h) for h in hps]
+
+
+def _rule(hps):
     try:
-        return _intersect_halfplanes(rows)
+        return _intersect_halfplanes(_rows(hps))
     except UnboundedSet:
         return "unbounded"
 
@@ -394,7 +399,7 @@ def check_halfplane_edge_cases():
         assert _rule(rows) == want, name
         assert _public(rows) == public, name
     P = instance_to_polyset(convex_chain_polygon(1000))
-    rows = list(P.halfplanes)
+    rows = _rows(P.halfplanes)
     random.Random(1000).shuffle(rows)
     assert _intersect_halfplanes(rows) == P
 
@@ -418,7 +423,11 @@ def test_intersect_halfplanes_on_systems_built_from_polygons():
         rows = list(P.halfplanes)
         rows += [HalfPlane(h.a, h.c, h.b + rng.randint(0, 5)) for h in rng.sample(rows, 2)]
         rng.shuffle(rows)
-        assert _intersect_halfplanes(rows) == P
+        assert _intersect_halfplanes(_rows(rows)) == P
+        # A row times a positive integer is the same half-plane, so rows
+        # that are not primitive give the same set.
+        scaled = [(k * A, k * C, k * B) for A, C, B in _rows(rows) for k in [rng.randint(1, 60)]]
+        assert _intersect_halfplanes(scaled) == P
         shift = Fraction(rng.randint(1, 40), rng.randint(1, 4))
         pushed = [HalfPlane(h.a, h.c, h.b - shift) for h in rows]
         assert _rule(pushed) == _clipping_reference(pushed), pushed
@@ -431,7 +440,7 @@ def test_halfplane_cuts_walk_only_the_removed_arcs(monkeypatch):
     # would read about 500,000.  The walks read a counted copy of the cycle,
     # which _cut splices in place.
     P = instance_to_polyset(convex_chain_polygon(1000))
-    rows = list(P.halfplanes)
+    rows = _rows(P.halfplanes)
     random.Random(1000).shuffle(rows)
     for name in ("_deepest", "_arc"):
         walk = getattr(geom, name)
@@ -476,7 +485,7 @@ def check_rows_through_a_vertex():
                 a, c = s * hps[i - 1].a + t * hps[i].a, s * hps[i - 1].c + t * hps[i].c
                 rows.append(HalfPlane(a, c, a * v.x + c * v.y))
         rng.shuffle(rows)
-        assert _intersect_halfplanes(rows) == P
+        assert _intersect_halfplanes(_rows(rows)) == P
         assert polyset_from_halfplanes(rows) == P
 
 
@@ -664,7 +673,7 @@ def test_integer_forms_edge_lines_and_areas_match_plain_fractions():
         P = random_polyset(hp_rng, max_num=40, max_den=9)
         rows = list(P.halfplanes) + [HalfPlane(h.a, h.c, h.b + hp_rng.randint(1, 5)) for h in P.halfplanes[:2]]
         hp_rng.shuffle(rows)
-        S = _intersect_halfplanes(rows)
+        S = _intersect_halfplanes(_rows(rows))
         assert S == P and all(gcd(X, Y, W) == 1 for X, Y, W in S._forms)
         sets.append(S)
     lines = 0

@@ -23,7 +23,7 @@ from inthull import (
     save_instance,
 )
 
-from helpers import empty_85_row_system
+from helpers import empty_85_row_system, random_polyset
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
@@ -167,6 +167,20 @@ def test_rational_inequality_rows_are_scaled_exactly():
     P = instance_to_polyset(inst)
     assert P is not None
     assert {(h.a, h.c, h.b) for h in P.halfplanes} == {(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0)}
+
+
+def test_inequality_rows_scaled_by_positive_rationals_give_the_same_set():
+    # Each row is scaled to integers by the lcm of its own denominators, and
+    # the intersection takes rows that are not primitive: a row times a
+    # positive rational is the same half-plane.
+    rng = random.Random(38)
+    for _ in range(60):
+        P = random_polyset(rng, max_num=30, max_den=6)
+        rows = [(Fraction(h.a), Fraction(h.c), h.b) for h in P.halfplanes]
+        factors = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in rows]
+        scaled = tuple(tuple(k * v for v in row) for row, k in zip(rows, factors))
+        assert instance_to_polyset(Instance(None, inequalities=tuple(rows))) == P
+        assert instance_to_polyset(Instance(None, inequalities=scaled)) == P
 
 
 def test_save_and_load(tmp_path):

@@ -252,14 +252,22 @@ MUTANTS = {
     # there, so the vertex is lost.
     "a cut removing the vertices on its line": (
         geom._cut,
-        ("-h.c * d, -B, -1, top", "-h.c * d, -B, 0, top"),
+        ("-C, -B, -1, top", "-C, -B, 0, top"),
         check_rows_through_a_vertex,
         AssertionError,
     ),
     "a clip dropping the vertices on its line": (
         geom.clip,
-        ("h.c * d, B, 0, j", "h.c * d, B, -1, j"),
+        ("C, B, 0, j", "C, B, -1, j"),
         check_clip_matches_the_vertex_scan,
+        AssertionError,
+    ),
+    # The one reader of a half-plane's offset: a row read with b's numerator
+    # only moves every rational offset, as on the line x - y = 1/2.
+    "_row dropping the offset's denominator": (
+        geom._row,
+        ("d = h.b.denominator", "d = 1"),
+        check_halfplane_edge_cases,
         AssertionError,
     ),
     # A crossing with its W negated is the crossing reflected through the
