@@ -29,7 +29,6 @@ from .errors import (
     InvalidInstance,
     UnboundedSet,
 )
-from .geom import HalfPlane
 from .instances import (
     Instance,
     instance_to_polyset,
@@ -154,7 +153,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     P = instance_to_polyset(inst)
     stats = _FacetHits()
     hull = run_engine(args.engine, P, stats=stats)
-    chords = [HalfPlane(*hit.line) for _, hit in sorted(stats.hits.items())]
+    chords = [hit.line for _, hit in sorted(stats.hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)
     with open(args.out, "w", encoding="utf-8") as f:

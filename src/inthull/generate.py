@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Tuple
 
-from .geom import HalfPlane, Rational, _by_angle, _frac, _hull_chain, area, polyset_from_halfplanes, polyset_from_vertices
-from .instances import Instance, format_rational
+from .geom import Rational, _by_angle, _frac, _hull_chain, area, polyset_from_vertices
+from .instances import Instance, format_rational, instance_to_polyset
 
 
 def _primitive_vectors(max_norm: int) -> List[Tuple[int, int]]:
@@ -161,7 +161,7 @@ def edgecase_halfplanes(n: int, scale: Rational, seed: int) -> Instance:
     sigma = -1 if da * b - db * a > 0 else 1
     cap = (sigma * b, sigma * a)
     rows.append((cap[0], cap[1], (a + b) * cap_reach + eps()))
-    P = polyset_from_halfplanes([HalfPlane(*r) for r in rows])
+    P = instance_to_polyset(Instance(None, inequalities=tuple(rows)))
     for j in range(n - 3):
         sgn = 1 if j % 2 == 0 else -1
         ux = (j + 2) * cap[0] - sgn * cap[1]

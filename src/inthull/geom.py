@@ -19,9 +19,13 @@ Conventions used throughout:
   rational, and the line contains integer points iff ``b`` is an integer
   (given ``gcd(a, c) == 1``).
 * A row ``(A, C, B)`` (:data:`Row`) is ``A*x + C*y <= B`` with integers
-  ``A``, ``C``, ``B``, not necessarily primitive.  The cuts and levels work
-  on rows, and :func:`_row`, which scales a half-plane by its offset's
-  denominator, is the only code that reads that offset.
+  ``A``, ``C``, ``B``, not necessarily primitive: the package's one line
+  type.  A :class:`HalfPlane` is read only where the public API takes one
+  (:func:`clip`, :func:`polyset_from_halfplanes`), by :func:`_row`, the one
+  reader of its offset; it is built only where the API returns one
+  (:func:`line_through`, ``PolySet2.halfplanes``) and in
+  ``hull_new.residual_regions``.  :func:`_normal` is the one rule for a
+  CCW edge's outward normal.
 * A :class:`PolySet2` with three or more vertices is a strictly convex
   counter-clockwise vertex cycle starting at the lexicographically smallest
   vertex; its ``halfplanes[i]``, derived on first use and cached, is the
@@ -33,17 +37,16 @@ Conventions used throughout:
   ``PolySet2(...)`` accepts exactly its output.
 * Every half-plane cut is one walk (:func:`_arc`) over the arc of a cycle
   on one side of a row, from a vertex found by descent (:func:`_deepest`):
-  :func:`clip` builds a set from the arc a row keeps, and the half-plane
+  :func:`_clip` builds a set from the arc a row keeps, and the half-plane
   intersection (:func:`_cut`) splices the crossings over the arc it removes.
 * A :class:`PolySet2` stores only the reduced integer form ``(X, Y, W)``,
   ``W > 0`` and ``gcd(X, Y, W) = 1``, of each vertex ``(X/W, Y/W)``
   (:func:`_form`).  Reduced forms are equal exactly when the points are, so
   equality and hashing read them; the ``Point2`` vertices are built from
-  them on first read.  Edge directions, turns (:func:`_turn`), levels
-  as one integer with the sign of ``a*x + c*y - b`` (:func:`_level`),
-  half-planes, areas, the cuts' levels and crossings and the sweep
-  frames of :mod:`inthull.lattice` read the forms as a few integer
-  products; ``Point2`` stays the public vertex type.
+  them on first read.  Edge directions, turns (:func:`_turn`), membership,
+  half-planes, areas, the cuts' levels ``A*X + C*Y - B*W`` and crossings
+  and the sweep frames of :mod:`inthull.lattice` read the forms as a few
+  integer products; ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -120,15 +123,6 @@ def _reduced(X: int, Y: int, W: int) -> Form:
     return X // g, Y // g, W // g
 
 
-def _level(h: HalfPlane, p: Form) -> int:
-    """A*X + C*Y - B*W for h's row (A, C, B) (:func:`_row`): W*d times
-    h.a*x + h.c*y - h.b at the point (X/W, Y/W) of the form p, for h.b =
-    n/d, and linear in p."""
-    A, C, B = _row(h)
-    X, Y, W = p
-    return A * X + C * Y - B * W
-
-
 @dataclass(frozen=True)
 class HalfPlane:
     """The closed half-plane a*x + c*y <= b.
@@ -154,8 +148,8 @@ class HalfPlane:
 
 def _row(h: HalfPlane) -> Row:
     """The integer row (h.a*d, h.c*d, n) of h, for h.b = n/d: the one place
-    that reads a half-plane's offset, so every cut and level below works on
-    integer rows, which need not be primitive."""
+    that reads a half-plane's offset, so every cut below works on integer
+    rows, which need not be primitive."""
     d = h.b.denominator
     return h.a * d, h.c * d, h.b.numerator
 
@@ -353,15 +347,18 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     return HullResult(tuple((X, Y) for X, Y, _ in hull))
 
 
+def _normal(dx: int, dy: int) -> Tuple[int, int]:
+    """The primitive outward normal of a CCW edge along the nonzero integer
+    direction (dx, dy): (dy, -dx), to its right, over their gcd."""
+    g = gcd(dx, dy)
+    return dy // g, -dx // g
+
+
 def _edge_halfplane(p: Form, q: Form) -> HalfPlane:
     """Supporting half-plane of the directed edge p -> q of a CCW polygon,
-    from the integer forms of its ends.
-
-    The outward normal of a CCW edge with direction d is (d.y, -d.x).
-    """
-    dx, dy = _direction(p, q)
-    g = gcd(dx, dy)
-    return HalfPlane(dy // g, -dx // g, Fraction(dy * p[0] - dx * p[1], p[2] * g))
+    from the integer forms of its ends (:func:`_normal`)."""
+    a, c = _normal(*_direction(p, q))
+    return HalfPlane(a, c, Fraction(a * p[0] + c * p[1], p[2]))
 
 
 def _polyset_from_forms(forms: Sequence[Form]) -> Optional[PolySet2]:
@@ -422,7 +419,8 @@ def polyset_from_vertices(vertices: Sequence[Sequence[Rational]]) -> PolySet2:
 
 
 def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
-    """Boundary-inclusive membership test."""
+    """Boundary-inclusive membership test: a polygon holds p when every CCW
+    edge turns left or not at all to it (:func:`_turn`)."""
     p = point(p[0], p[1])
     form, forms = _form(p), P._forms
     if len(forms) == 1:
@@ -430,7 +428,7 @@ def contains(P: PolySet2, p: Sequence[Rational]) -> bool:
     if len(forms) == 2:
         u, w = P.vertices
         return _turn(*forms, form) == 0 and u <= p <= w
-    return all(_level(h, form) <= 0 for h in P.halfplanes)
+    return all(_turn(forms[i - 1], forms[i], form) >= 0 for i in range(len(forms)))
 
 
 def area(P: PolySet2) -> Fraction:
@@ -484,7 +482,7 @@ def _deepest(forms: Sequence[Form], a: int, c: int, hint: int) -> Tuple[int, Tup
 
 def _crossing(p: Form, lp: int, q: Form, lq: int) -> Form:
     """The reduced form of the point of segment pq at level 0, given the
-    forms of p and q and their levels (:func:`_level`), of strictly opposite
+    forms of p and q and their levels A*X + C*Y - B*W, of strictly opposite
     signs: lq*p - lp*q, whose W is positive when lp < 0 < lq."""
     px, py, pw = p
     qx, qy, qw = q
@@ -527,18 +525,23 @@ def _arc(forms: Sequence[Form], A: int, C: int, B: int, t: int, j: int, l_j: int
 
 
 def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
-    """P intersected with a half-plane; None when the intersection is empty.
+    """P intersected with a half-plane; None when the intersection is empty
+    (:func:`_clip` of h's row)."""
+    return _clip(P, *_row(h), hint)
 
-    The kept vertices are the arc (:func:`_arc`, t = 0) around h's deepest
-    vertex, found by a local descent from vertex `hint` (:func:`_deepest`),
-    which changes only the speed, never the result.  So a clip costs the
-    descent plus the kept arc, not a pass over P.  The arc and its
-    crossings go to :func:`_polyset_from_forms`, which checks that the clip
-    is strictly convex and returns fewer than three points as a degenerate
-    PolySet2, not an error; it drops a segment's repeated crossing.
+
+def _clip(P: PolySet2, A: int, C: int, B: int, hint: int) -> Optional[PolySet2]:
+    """P intersected with the row A*x + C*y <= B; None when it is empty.
+
+    The kept vertices are the arc (:func:`_arc`, t = 0) around the row's
+    deepest vertex, found by a local descent from vertex `hint`
+    (:func:`_deepest`), which changes only the speed, never the result.  So
+    a clip costs the descent plus the kept arc, not a pass over P.  The arc
+    and its crossings go to :func:`_polyset_from_forms`, which checks that
+    the clip is strictly convex and returns fewer than three points as a
+    degenerate PolySet2, not an error; it drops a segment's repeated crossing.
     """
     forms = P._forms
-    A, C, B = _row(h)
     j, (low, W) = _deepest(forms, A, C, hint)  # low = A*X + C*Y at j
     l_j = low - B * W
     if l_j > 0:
@@ -551,13 +554,15 @@ def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     return _polyset_from_forms([forms[k % n] for k in range(start, end + 1)] + tail + head)
 
 
-def chord(P: PolySet2, h: HalfPlane) -> Optional[PolySet2]:
-    """P cut by the boundary line of h: a segment or a single point (as a
-    degenerate PolySet2), or None when the line misses P."""
+def chord(P: PolySet2, row: Row) -> Optional[PolySet2]:
+    """P cut by the line A*x + C*y = B of the row (A, C, B): a segment or
+    a single point (as a degenerate PolySet2), or None when the line misses
+    P; the clips by the row and by the row negated."""
     if P.is_degenerate:
         raise ValueError("chords require a polygon with at least 3 vertices")
-    below = clip(P, h)
-    return None if below is None else clip(below, HalfPlane(-h.a, -h.c, -h.b))
+    A, C, B = row
+    below = _clip(P, A, C, B, 0)
+    return None if below is None else _clip(below, -A, -C, -B, 0)
 
 
 # ---------------------------------------------------------------------------

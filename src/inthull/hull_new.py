@@ -32,7 +32,6 @@ engine's corner pass calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Sequence
 
 from .errors import GeometryError
@@ -44,6 +43,7 @@ from .geom import (
     Row,
     _deepest,
     _integer,
+    _normal,
     area,
     clip,
     convex_hull,
@@ -106,9 +106,9 @@ def replace_facets(P: PolySet2) -> Dict[int, SweepHit]:
 
 def _edge_functional(u: IntPoint2, w: IntPoint2) -> Row:
     """(a, c, b): the primitive outward normal (a, c) of the CCW edge
-    u -> w, to its right, and its integer level b = a*u.x + c*u.y."""
-    g = gcd(w.y - u.y, u.x - w.x)
-    a, c = (w.y - u.y) // g, (u.x - w.x) // g
+    u -> w, to its right (:func:`geom._normal`), and its integer level
+    b = a*u.x + c*u.y."""
+    a, c = _normal(w.x - u.x, w.y - u.y)
     return a, c, a * u.x + c * u.y
 
 

@@ -48,7 +48,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .geom import Form, IntPoint2, PolySet2, Row, _deepest, _direction, _integer
+from .geom import Form, IntPoint2, PolySet2, Row, _deepest, _direction, _integer, _normal
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -174,9 +174,8 @@ def _lattice_extremes(S: PolySet2) -> Tuple[IntPoint2, ...]:
     """
     forms = S._forms
     dx, dy = _direction(forms[0], forms[-1])
-    g = gcd(dx, dy)
     # A point lies on a line of every direction: take t = x, s = y.
-    frame = _Frame(forms, dy // g, -dx // g) if g else _Frame(forms, 1, 0)
+    frame = _Frame(forms, *_normal(dx, dy)) if dx or dy else _Frame(forms, 1, 0)
     (X, Y, W), (Xq, Yq, Wq) = forms[0], forms[-1]
     t = frame.A * X + frame.C * Y  # the segment's one level, over W
     if t % W:
@@ -342,18 +341,17 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
 
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:
     """The (a, c, top, hint) of a facet sweep: the facet's primitive outward
-    normal, read from the integer forms of its two ends, maximized from the
-    facet (inward) or minimized from the opposite vertex, as in the paper.
-    The index is an integer (:func:`geom._integer`) in [0, n) for P's n
-    facets; any other raises TypeError or IndexError."""
+    normal (:func:`geom._normal`) from the forms of its two ends, maximized
+    from the facet (inward) or minimized from the opposite vertex, as in
+    the paper.  The index is an integer (:func:`geom._integer`) in [0, n)
+    for P's n facets; any other raises TypeError or IndexError."""
     forms, n = P._forms, len(P._forms)
     if n < 3:
         raise ValueError("facet sweeps require a polygon with at least 3 vertices")
     if not 0 <= _integer(facet_index) < n:
         raise IndexError(f"facet index {facet_index} is out of range for a polygon of {n} facets")
-    dx, dy = _direction(forms[facet_index], forms[(facet_index + 1) % n])
-    g = gcd(dx, dy)  # the outward normal of a CCW edge along (dx, dy) is (dy, -dx)
-    return dy // g, -dx // g, inward, facet_index if inward else facet_index + (n + 1) // 2
+    a, c = _normal(*_direction(forms[facet_index], forms[(facet_index + 1) % n]))
+    return a, c, inward, facet_index if inward else facet_index + (n + 1) // 2
 
 
 def sweep_inward(P: PolySet2, facet_index: int) -> Optional[SweepHit]:

@@ -18,14 +18,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import List, Optional, Sequence
 
-from .geom import (
-    HalfPlane,
-    HullResult,
-    PolySet2,
-    Rational,
-    bounding_box,
-    chord,
-)
+from .geom import HullResult, PolySet2, Rational, Row, bounding_box, chord
 from .instances import format_decimal
 from .oracle import bbox_cell_count, enumerate_integer_points
 
@@ -69,11 +62,12 @@ def render_svg(
     P: Optional[PolySet2],
     hull: HullResult,
     *,
-    chords: Sequence[HalfPlane] = (),
+    chords: Sequence[Row] = (),
     name: Optional[str] = None,
 ) -> str:
     """The complete SVG document as a string (trailing newline included);
-    each of `chords` is drawn as the chord of P on its boundary line.
+    each of `chords`, an integer row (:data:`geom.Row`) such as a sweep
+    hit's line, is drawn as the chord of P on the row's line.
     Precondition: the hull lies in P, so P's box (a unit box for None) frames it."""
     view = _View(*(bounding_box(P) if P is not None else (Fraction(0), Fraction(1)) * 2))
     out: List[str] = []
@@ -97,8 +91,8 @@ def render_svg(
         else:
             out.extend(_shape(view, "poly", P.vertices))
     out.extend(_shape(view, "hull", hull))  # a one-point hull is its vertex marker
-    for h in chords:
-        ch = None if P is None else chord(P, h)
+    for row in chords:
+        ch = None if P is None else chord(P, row)
         if ch is not None:
             out.extend(_shape(view, "chord", ch.vertices))
     out.extend(_dot(view, "hull-vertex", p, 4, _STYLE["hull_vertex"]) for p in hull)

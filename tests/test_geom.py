@@ -806,6 +806,47 @@ def test_hull_turns_and_segment_membership_match_plain_fractions_at_scale():
     check_hull_turns_and_segment_membership()
 
 
+def check_polygon_membership():
+    """Polygons with ~10**10 denominators moved ~10**12, and points at their
+    vertices, on their edges, on an edge's line beyond its ends, one ~10**-10
+    step either side of an edge, and scattered around them.  Membership
+    reads the turns of integer forms; the reference tests every edge's
+    half-plane a*x + c*y <= b, with (a, c) the edge direction turned right,
+    in plain Fraction arithmetic.  The benchmark's certificate accepts a
+    hull through `contains`."""
+    rng = random.Random(1617)
+    kinds = set()
+    for _ in range(60):
+        dx, dy = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        P = polyset_from_vertices([(_far_rational(rng, dx), _far_rational(rng, dy)) for _ in range(rng.randint(3, 8))])
+        V = P.vertices
+        halfplanes = []
+        for u, w in zip(V, V[1:] + V[:1]):
+            a, c = w.y - u.y, u.x - w.x
+            halfplanes.append((a, c, a * u.x + c * u.y))
+        step = Fraction(1, rng.randrange(10**10, 2 * 10**10))
+        pts = list(V)
+        for u, w, (a, c, _) in zip(V, V[1:] + V[:1], halfplanes):
+            t = Fraction(rng.randint(1, 9), 10)
+            x, y = u.x + t * (w.x - u.x), u.y + t * (w.y - u.y)
+            # (sgn a, sgn c) * step moves a*x + c*y up by (|a| + |c|) * step.
+            sx, sy = (a > 0) - (a < 0), (c > 0) - (c < 0)
+            pts += [(x, y), (x + sx * step, y + sy * step), (x - sx * step, y - sy * step)]
+            beyond = Fraction(rng.randint(1, 4), 10)
+            t = rng.choice([-beyond, 1 + beyond])
+            pts += [(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y)), (_far_rational(rng, dx), _far_rational(rng, dy))]
+        for p in pts:
+            levels = [a * p[0] + c * p[1] - b for a, c, b in halfplanes]
+            inside = all(level <= 0 for level in levels)
+            kinds.add((inside, 0 in levels))
+            assert contains(P, p) == inside, (V, p)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_polygon_membership_matches_plain_fraction_halfplanes_at_scale():
+    check_polygon_membership()
+
+
 def test_contains_boundary_and_interior():
     tri = polyset_from_vertices([(0, 0), (4, 0), (0, 4)])
     assert contains(tri, (1, 1))

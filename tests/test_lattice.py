@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inthull import (
-    HalfPlane,
     IntPoint2,
     Point2,
     PolySet2,
@@ -182,33 +181,36 @@ def test_first_hit_none_between_lines_that_never_hold_a_lattice_point():
 
 def test_chord_segment_point_and_miss():
     tri = polyset_from_vertices([(0, 0), (4, 0), (0, 4)])
-    c1 = chord(tri, HalfPlane(0, 1, 2))  # y = 2 crosses
+    c1 = chord(tri, (0, 1, 2))  # y = 2 crosses
     assert c1.vertices == (Point2(0, 2), Point2(2, 2))
-    c2 = chord(tri, HalfPlane(1, 1, 4))  # touches the hypotenuse: full edge
+    c2 = chord(tri, (1, 1, 4))  # touches the hypotenuse: full edge
     assert c2.vertices == (Point2(0, 4), Point2(4, 0))
-    c3 = chord(tri, HalfPlane(0, 1, 4))  # touches apex only
+    c3 = chord(tri, (0, 1, 4))  # touches apex only
     assert c3.vertices == (Point2(0, 4),)
-    c4 = chord(tri, HalfPlane(1, -1, Fraction(1, 2)))  # a slanted cut, rational ends
+    c4 = chord(tri, (2, -2, 1))  # a slanted cut, rational ends
     assert c4.vertices == (Point2(Fraction(1, 2), 0), Point2(Fraction(9, 4), Fraction(7, 4)))
     assert c4.halfplanes == ()
-    assert chord(tri, HalfPlane(0, 1, 5)) is None
+    assert chord(tri, (0, 1, 5)) is None
+    assert chord(tri, (0, -3, -6)) == c1  # a row and its multiples, of either sign, share a line
 
 
 def test_chord_refuses_points_and_segments():
     for S in (point_set(0, 0), segment((0, 0), (2, 2))):
         with pytest.raises(ValueError):
-            chord(S, HalfPlane(1, -1, 0))
+            chord(S, (1, -1, 0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6))
 def test_chord_is_the_polygon_on_the_line(seed):
+    # The row (A, C, B) of a line a*x + c*y = b scales it by any nonzero
+    # integer: here by b's denominator and a random factor.
     rng = random.Random(seed)
     P = random_polyset(rng, max_num=20, max_den=5)
     kind = rng.randrange(5)
     if kind == 0:  # along an edge, from either side
         e = rng.choice(P.halfplanes)
-        h = rng.choice([e, HalfPlane(-e.a, -e.c, -e.b)])
+        a, c, b = e.a, e.c, e.b
     else:
         a, c = 0, 0
         while gcd(a, c) != 1:
@@ -224,18 +226,19 @@ def test_chord_is_the_polygon_on_the_line(seed):
         else:  # a line that misses P
             gap = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             b = rng.choice([lo - gap, hi + gap])
-        h = HalfPlane(a, c, b)
-    vals = [h.a * x + h.c * y for x, y in P.vertices]
-    piece = chord(P, h)
-    if not min(vals) <= h.b <= max(vals):
+    k = b.denominator * rng.choice([-3, -1, 1, 2])
+    A, C, B = a * k, c * k, int(b * k)
+    vals = [A * x + C * y for x, y in P.vertices]
+    piece = chord(P, (A, C, B))
+    if not min(vals) <= B <= max(vals):
         assert piece is None
         return
     assert piece is not None and piece.is_degenerate
     for p in piece.vertices:
-        assert h.a * p.x + h.c * p.y == h.b
+        assert A * p.x + C * p.y == B
         assert contains(P, p)
         assert any(g.a * p.x + g.c * p.y == g.b for g in P.halfplanes)  # on P's boundary
-    on_line = [(x, y) for x, y in brute_points_in(P) if h.a * x + h.c * y == h.b]
+    on_line = [(x, y) for x, y in brute_points_in(P) if A * x + C * y == B]
     assert [tuple(p) for p in enumerate_integer_points(piece)] == on_line
 
 

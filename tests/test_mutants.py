@@ -42,6 +42,7 @@ from test_geom import (
     check_halfplane_edge_cases,
     check_hull_chain_on_fractions,
     check_hull_turns_and_segment_membership,
+    check_polygon_membership,
     check_rows_through_a_vertex,
     check_spanned_sets_match_their_hulls,
 )
@@ -257,7 +258,7 @@ MUTANTS = {
         AssertionError,
     ),
     "a clip dropping the vertices on its line": (
-        geom.clip,
+        geom._clip,
         ("C, B, 0, j", "C, B, -1, j"),
         check_clip_matches_the_vertex_scan,
         AssertionError,
@@ -326,6 +327,20 @@ MUTANTS = {
         geom.contains,
         ("_turn(*forms, form) == 0 and u <= p <= w", "u <= p <= w"),
         check_hull_turns_and_segment_membership,
+        AssertionError,
+    ),
+    # A polygon holds a point when every edge, the closing one too, turns
+    # left or not at all to it.
+    "a polygon's membership excluding its boundary": (
+        geom.contains,
+        ("_turn(forms[i - 1], forms[i], form) >= 0", "_turn(forms[i - 1], forms[i], form) > 0"),
+        check_polygon_membership,
+        AssertionError,
+    ),
+    "a polygon's membership skipping its closing edge": (
+        geom.contains,
+        ("range(len(forms))", "range(1, len(forms))"),
+        check_polygon_membership,
         AssertionError,
     ),
     # The level walk's chains.  A flat edge returned by _climb has no line
