@@ -51,7 +51,6 @@ from .instances import (
 )
 from .lattice import (
     SweepHit,
-    floor_sum,
     sweep_from_opposite,
     sweep_inward,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "bounding_box",
     "clip",
     # lattice
-    "floor_sum",
     "SweepHit",
     "sweep_inward",
     "sweep_from_opposite",

@@ -35,22 +35,8 @@ CSV_COLUMNS = [
     "status",
 ]
 
-_ENGINES = ("new", "baseline", "oracle")
-
-
-def engine_names() -> List[str]:
-    return list(_ENGINES)
-
-
-def run_engine(name: str, P: Optional[PolySet2], *, stats: Optional[RunStats] = None) -> HullResult:
-    """Dispatch one hull engine by name, in its default configuration."""
-    if name == "new":
-        return integer_hull_new(P, stats=stats)
-    if name == "baseline":
-        return integer_hull_baseline(P, stats=stats)
-    if name == "oracle":
-        return integer_hull_oracle(P, stats=stats)
-    raise ValueError(f"unknown engine {name!r} (expected one of {engine_names()})")
+# The one engine dispatch, by name, each in its default configuration.
+ENGINES = {"new": integer_hull_new, "baseline": integer_hull_baseline, "oracle": integer_hull_oracle}
 
 
 def _row(name: str, n_vertices: int, poly_area: Fraction, engine: str, status: str, *counts: int) -> List[str]:
@@ -64,7 +50,7 @@ def _timed_run(engine: str, P: Optional[PolySet2]) -> Tuple[HullResult, RunStats
     """One engine run: its hull, its counters and its wall time in ns."""
     stats = RunStats()
     start = time.perf_counter_ns()
-    hull = run_engine(engine, P, stats=stats)
+    hull = ENGINES[engine](P, stats=stats)
     return hull, stats, time.perf_counter_ns() - start
 
 

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, replace
 from typing import List, Optional, Sequence
 
-from .bench import engine_names, run_engine, write_csv
+from .bench import ENGINES, write_csv
 from .errors import (
     BudgetExceeded,
     GeometryError,
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
 
     p_hull = sub.add_parser("hull", help="compute the integer hull of an instance")
     p_hull.add_argument("file", help="instance JSON file")
-    p_hull.add_argument("--engine", choices=engine_names(), default="new")
+    p_hull.add_argument("--engine", choices=list(ENGINES), default="new")
     p_hull.add_argument("--check", action="store_true", help="cross-verify against the oracle (exit 2 on mismatch)")
     p_hull.add_argument("--stats", action="store_true", help="print the engine's RunStats as one JSON line on stderr")
 
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
 
     p_plot = sub.add_parser("plot", help="render an instance and its hull as SVG")
     p_plot.add_argument("file", help="instance JSON file")
-    p_plot.add_argument("--engine", choices=engine_names(), default="new")
+    p_plot.add_argument("--engine", choices=list(ENGINES), default="new")
     p_plot.add_argument("-o", "--out", required=True, metavar="FILE")
     return parser
 
@@ -85,7 +85,7 @@ def _cmd_hull(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
     stats = RunStats()
-    hull = run_engine(args.engine, P, stats=stats)
+    hull = ENGINES[args.engine](P, stats=stats)
     if args.stats:
         print(json.dumps(asdict(stats), separators=(",", ":")), file=sys.stderr)
     if args.check:
@@ -117,9 +117,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    unknown = [e for e in engines if e not in engine_names()]
+    unknown = [e for e in engines if e not in ENGINES]
     if unknown:
-        raise InvalidInstance(f"unknown engines: {unknown} (expected from {engine_names()})")
+        raise InvalidInstance(f"unknown engines: {unknown} (expected from {list(ENGINES)})")
     if not engines:
         raise InvalidInstance("no engines selected")
     if args.reps < 1:
@@ -152,7 +152,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     P = instance_to_polyset(inst)
     stats = _FacetHits()
-    hull = run_engine(args.engine, P, stats=stats)
+    hull = ENGINES[args.engine](P, stats=stats)
     chords = [hit.line for _, hit in sorted(stats.hits.items())]
     name = inst.name or os.path.splitext(os.path.basename(args.file))[0]
     svg = render_svg(P, hull, chords=chords, name=name)

@@ -28,7 +28,7 @@ from math import gcd, isqrt
 from typing import List, Tuple
 
 from .geom import Rational, _by_angle, _frac, _hull_chain, area, polyset_from_vertices
-from .instances import Instance, format_rational, instance_to_polyset
+from .instances import Instance, _round_half_away, format_rational, instance_to_polyset
 
 
 def _primitive_vectors(max_norm: int) -> List[Tuple[int, int]]:
@@ -41,14 +41,6 @@ def _primitive_vectors(max_norm: int) -> List[Tuple[int, int]]:
             if gcd(abs(a), abs(c)) == 1:
                 vecs.append((a, c))
     return sorted(vecs, key=_by_angle)
-
-
-def _snap(value: Fraction, grid: int) -> Fraction:
-    """Round to the nearest multiple of 1/grid (half away from zero)."""
-    num, den = value.numerator, value.denominator
-    sign = -1 if num < 0 else 1
-    num = abs(num)
-    return sign * Fraction((2 * num * grid + den) // (2 * den), grid)
 
 
 def random_polygon(n: int, scale: Rational, seed: int) -> Instance:
@@ -81,7 +73,8 @@ def random_polygon(n: int, scale: Rational, seed: int) -> Instance:
         raw.append((scale * cx * radial, scale * Fraction(9, 10) * cy * radial))
     grid = 24
     for _ in range(6):
-        hull = _hull_chain((_snap(x, grid), _snap(y, grid)) for x, y in raw)
+        # Snap each coordinate to the nearest multiple of 1/grid, a half away from zero.
+        hull = _hull_chain(tuple(Fraction(_round_half_away(v, grid), grid) for v in xy) for xy in raw)
         if len(hull) >= 3:
             break
         grid *= 24

@@ -9,9 +9,10 @@ lattice chord.  The hull of all stopping-chord extremes is a central core of
 the integer hull; what remains are the corner regions of Q outside that
 core (``hull_new.residual_regions``), which this engine always resolves by
 a brute-force walk of their columns, so its cost profile isolates what the
-edge sweeps of the ``new`` engine improve on.  The walk hands the final hull
-only each column's lowest and highest lattice point, the only ones that can
-be its vertices.
+edge sweeps of the ``new`` engine improve on.  The walk
+(``oracle._hull_points``, which also answers a None, point or segment Q)
+hands the final hull only each column's lowest and highest lattice point,
+the only ones that can be its vertices.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import List, Optional, Tuple
 
 from .errors import GeometryError
 from .geom import HullResult, PolySet2, _intersect_halfplanes, convex_hull
-from .hull_new import _lattice_points, residual_regions
+from .hull_new import residual_regions
 from .lattice import SweepHit, _facet_direction, _run_sweep
-from .oracle import RunStats
+from .oracle import RunStats, _hull_points
 
 
 def normalize_facets(P: PolySet2) -> Tuple[Optional[PolySet2], List[SweepHit]]:
@@ -67,9 +68,9 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
             stats.facets(dict(enumerate(hits)))
         points = list({p for hit in hits for p in (hit.lo, hit.hi)})
     if P is None or P.is_degenerate or len(points) <= 1:
-        return convex_hull(_lattice_points(P, stats))
+        return convex_hull(_hull_points(P, stats))
     for region in residual_regions(P, convex_hull(points)):
         if stats is not None:
             stats.regions += 1
-        points += _lattice_points(region, stats)
+        points += _hull_points(region, stats)
     return convex_hull(points)

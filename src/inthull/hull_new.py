@@ -22,9 +22,10 @@ functional is a nonnegative combination of its ends' lines with a
 combined bound below its level plus one is final.  The edge loop keeps
 H's CCW cycle as it splits edges, and each sweep's descent starts midway
 between the top vertices of P that the sweeps which found the edge's ends
-reached, a range that holds the edge's own top vertex.  A point, a
-segment or a polygon of at most ``brute_force_cell_threshold`` cells is
-answered without a sweep.
+reached, a range that holds the edge's own top vertex.  A point or a
+segment is answered by its lattice extremes (``oracle._hull_points``), and
+a polygon of at most ``brute_force_cell_threshold`` cells by enumeration,
+without a sweep.
 ``residual_regions`` cuts P outside a partial hull; only the ``baseline``
 engine's corner pass calls it.
 """
@@ -32,7 +33,7 @@ engine's corner pass calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .errors import GeometryError
 from .geom import (
@@ -49,7 +50,7 @@ from .geom import (
     convex_hull,
 )
 from .lattice import SweepHit, _facet_direction, _lattice_extremes, _run_sweep
-from .oracle import RunStats, _column_ends, bbox_cell_count, enumerate_integer_points
+from .oracle import RunStats, _hull_points, bbox_cell_count, enumerate_integer_points
 
 
 @dataclass(frozen=True)
@@ -160,18 +161,6 @@ def residual_regions(P: PolySet2, hull_so_far: HullResult) -> List[PolySet2]:
             raise GeometryError("a residual region is no smaller than the polygon it came from")
         regions.append(region)
     return regions
-
-
-def _lattice_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[Sequence[int]]:
-    """Distinct lattice points of P whose hull is P's integer hull, with no
-    sweep and without listing every lattice point: none for None, the
-    lattice extremes of a point or segment, and the two ends of each column
-    of a polygon (:func:`oracle._column_ends`)."""
-    if P is None:
-        return ()
-    if P.is_degenerate:
-        return _lattice_extremes(P)
-    return _column_ends(P, stats=stats)
 
 
 def _closed_by(cert_u: Row, cert_w: Row, a: int, c: int, b: int) -> bool:
@@ -286,7 +275,7 @@ def integer_hull_new(
     runs no sweep; the result is independent of `cfg`.
     """
     if P is None or P.is_degenerate:
-        return convex_hull(_lattice_points(P, stats))
+        return convex_hull(_hull_points(P, stats))
     if bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(enumerate_integer_points(P, stats=stats))
     hits = replace_facets(P)

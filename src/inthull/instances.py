@@ -76,19 +76,23 @@ def format_decimal(value: Rational, places: int = 6) -> str:
     """
     if _integer(places) < 0:
         raise ValueError("places must be >= 0")
-    fr = _frac(value)
-    negative = fr < 0
-    num, den = abs(fr.numerator), fr.denominator
-    scaled = (2 * num * 10**places + den) // (2 * den)
-    digits = str(scaled)
+    scaled = _round_half_away(_frac(value), 10**places)
+    digits = str(abs(scaled))
     if places == 0:
         text = digits
     else:
         digits = digits.rjust(places + 1, "0")
         text = f"{digits[:-places]}.{digits[-places:]}"
-    if negative and scaled > 0:
+    if scaled < 0:
         return "-" + text
     return text
+
+
+def _round_half_away(value: Fraction, grid: int) -> int:
+    """The integer nearest value * grid, a half rounded away from zero."""
+    num, den = abs(value.numerator), value.denominator
+    rounded = (2 * num * grid + den) // (2 * den)
+    return -rounded if value.numerator < 0 else rounded
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ The oracle lists a polygon's lattice points column by column, taking each
 integer column's lowest and highest lattice point from a walk along the
 polygon's two boundary chains in x.  It is the trusted reference the fast
 engines are tested against.  ``new`` enumerates a small input polygon
-with it; ``baseline`` hulls its corner regions from the same walk's column
-ends (``_column_ends``), the only points of a column that can be hull
-vertices.  Budgets are checked against the bounding-box cell count
-*before* scanning, so a call either completes or raises without burning
-time first.
+with it.  Every other set an engine hulls without a sweep (none, a point,
+a segment, and each corner region of ``baseline``) goes through
+``_hull_points``: a point or segment by its lattice extremes, uncharged,
+and a polygon by the same walk's column ends, the only points of a column
+that can be hull vertices.  Budgets are checked against the bounding-box
+cell count *before* scanning, so a call either completes or raises without
+burning time first.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .geom import HullResult, IntPoint2, PolySet2, _integer, convex_hull
@@ -90,15 +92,21 @@ def enumerate_integer_points(
     return points
 
 
-def _column_ends(P: PolySet2, *, stats: Optional[RunStats] = None) -> List[Tuple[int, int]]:
-    """The lowest and highest lattice point (x, y) of each integer column
-    of the polygon P, by increasing x, and one point for a column of one:
-    every lattice point of P that can be a vertex of its integer hull.
+def _hull_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[Tuple[int, int]]:
+    """Lattice points of P whose hull is P's integer hull, without listing
+    every lattice point: none for None; the lattice extremes of a point or
+    segment, charged no cells and counted as no points; and the lowest and
+    highest lattice point of each integer column of a polygon, by
+    increasing x, one point for a column of one.
 
-    Charged and refused as :func:`enumerate_integer_points` is at its
-    default budget; that function lists the points between the ends too,
-    and `enumerated_points` counts them all.
+    A polygon is charged and refused as :func:`enumerate_integer_points` is
+    at its default budget; that function lists the points between the ends
+    too, and `enumerated_points` counts them all.
     """
+    if P is None:
+        return ()
+    if P.is_degenerate:
+        return _lattice_extremes(P)
     _charge(P, _CELL_BUDGET, stats)
     columns = list(_columns(P))
     ends: List[Tuple[int, int]] = []

@@ -125,13 +125,13 @@ def test_hull_check_prints_empty_hull_of_an_empty_wide_system(tmp_path, capsys):
 
 
 def test_check_catches_a_corrupted_engine(monkeypatch, capsys):
-    real = bench.integer_hull_new
+    real = bench.ENGINES["new"]
 
     def corrupted(P, *args, **kwargs):
         hull = real(P, *args, **kwargs)
         return hull[:-1]  # drop a vertex
 
-    monkeypatch.setattr(bench, "integer_hull_new", corrupted)
+    monkeypatch.setitem(bench.ENGINES, "new", corrupted)
     code = cli.main(["hull", str(FIXTURES / "triangle_shallow.json"), "--engine", "new", "--check"])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err

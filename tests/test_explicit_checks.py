@@ -112,6 +112,20 @@ def test_only_the_row_rule_reads_a_halfplanes_offset():
     assert importers == {"__init__", "hull_new"}
 
 
+def test_baseline_takes_only_residual_regions_from_hull_new():
+    # Both engines reach the brute-force rule through oracle._hull_points;
+    # baseline imports from hull_new only residual_regions, which the
+    # benchmark's tracer hooks in both modules.
+    tree = ast.parse((SRC / "hull_baseline.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hull_new"):
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.endswith("hull_new") for a in node.names):
+            taken.add("the whole module")
+    assert taken == {"residual_regions"}
+
+
 def check_residual_regions_must_shrink():
     """residual_regions checks each region's area against P's, so with
     every area read as 1 both a direct call and baseline's corner pass

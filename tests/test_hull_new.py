@@ -33,11 +33,11 @@ from inthull import (
     polyset_from_vertices,
     sweep_from_opposite,
 )
-from inthull.bench import run_engine
+from inthull.bench import ENGINES
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 import inthull.hull_new as hull_new
 from inthull.hull_new import replace_facets, residual_regions
-from inthull.oracle import bbox_cell_count
+from inthull.oracle import _hull_points, bbox_cell_count
 from helpers import (
     CountedForms,
     brute_points_in,
@@ -315,7 +315,7 @@ def test_opposite_sweeps_then_brute_force_cost_the_papers_cells():
             hits = [sweep_from_opposite(P, i) for i in range(len(P.halfplanes))]
             points = list({p for hit in hits for p in (hit.lo, hit.hi)})
             for region in residual_regions(P, convex_hull(points)):
-                points += hull_new._lattice_points(region, stats)
+                points += _hull_points(region, stats)
             assert convex_hull(points) == integer_hull_new(P)
         got[S] = stats.brute_cells
         print(f"S = {S}: opposite sweeps + brute force enumerate {stats.brute_cells:,} cells")
@@ -571,12 +571,12 @@ def test_counts_must_be_integers():
 
 def test_engines_answer_sweepless_sets(monkeypatch):
     # None, a point and a segment run no sweep in either engine, nor
-    # through bench.run_engine.
+    # through bench.ENGINES.
     monkeypatch.setattr(hull_new, "_run_sweep", lambda *args: pytest.fail("a sweepless set was swept"))
     sweepless = [None, PolySet2((Point2(Fraction(1, 2), Fraction(1, 3)),)), PolySet2((point(0, 0), point(3, 1)))]
     for engine, name in ((integer_hull_new, "new"), (integer_hull_baseline, "baseline")):
         for P in sweepless:
-            assert engine(P) == run_engine(name, P) == integer_hull_oracle(P)
+            assert engine(P) == ENGINES[name](P) == integer_hull_oracle(P)
 
 
 def big_polygons():

@@ -19,7 +19,6 @@ from inthull import (
     SweepHit,
     contains,
     enumerate_integer_points,
-    floor_sum,
     instance_to_polyset,
     integer_hull_new,
     polyset_from_vertices,
@@ -28,7 +27,7 @@ from inthull import (
 )
 from inthull.generate import convex_chain_polygon
 from inthull.geom import chord
-from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows
+from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows, floor_sum
 from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -30,7 +30,7 @@ import inthull.hull_new as hull_new
 import inthull.instances as instances
 import inthull.lattice as lattice
 import inthull.oracle as oracle
-from inthull import GeometryError
+from inthull import BudgetExceeded, GeometryError
 from helpers import load_perfbench, random_polyset
 from test_cli import check_lattice_free_sliver_stats
 from test_explicit_checks import check_exact_numbers, check_residual_regions_must_shrink
@@ -56,7 +56,11 @@ from test_lattice import (
     line_test_sweeps,
     window_test_polygons,
 )
-from test_oracle import check_column_ends_match_enumeration, check_enumerate_matches_full_box_scan
+from test_oracle import (
+    check_a_wide_segment_is_answered_uncharged,
+    check_column_ends_match_enumeration,
+    check_enumerate_matches_full_box_scan,
+)
 from test_hull_new import TWO_POINT_SEEDS, check_facet_cover, needle, two_point_start
 from test_unimodular import check_new_commutes_with_unimodular_maps
 
@@ -455,25 +459,35 @@ MUTANTS = {
     ),
     # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
-    # The column walk: a column's high end dropped, the walk left uncharged,
-    # and its point count one short per column.
+    # The brute-force door: a column's high end dropped, the walk left
+    # uncharged, its point count one short per column, and a point or
+    # segment charged its cells.
     "a column's high end dropped": (
-        oracle._column_ends,
+        oracle._hull_points,
         ("((x, y_lo), (x, y_hi)) if y_lo < y_hi else ((x, y_lo),)", "((x, y_lo),)"),
         column_ends,
         AssertionError,
     ),
     "the column walk skipping its cell charge": (
-        oracle._column_ends,
+        oracle._hull_points,
         ("_charge(P, _CELL_BUDGET, stats)", "_charge(P, _CELL_BUDGET, None)"),
         column_ends,
         AssertionError,
     ),
     "the column walk counting one point short per column": (
-        oracle._column_ends,
+        oracle._hull_points,
         ("y_hi - y_lo + 1 for", "y_hi - y_lo for"),
         column_ends,
         AssertionError,
+    ),
+    "the brute-force door charging a point or segment": (
+        oracle._hull_points,
+        (
+            "if P.is_degenerate:\n        return _lattice_extremes(P)\n    _charge(P, _CELL_BUDGET, stats)",
+            "_charge(P, _CELL_BUDGET, stats)\n    if P.is_degenerate:\n        return _lattice_extremes(P)",
+        ),
+        check_a_wide_segment_is_answered_uncharged,
+        BudgetExceeded,
     ),
 }
 

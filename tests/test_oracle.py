@@ -22,7 +22,10 @@ from inthull import (
     convex_hull,
     enumerate_integer_points,
     instance_to_polyset,
+    integer_hull_baseline,
+    integer_hull_new,
     integer_hull_oracle,
+    point,
     polyset_from_vertices,
 )
 import inthull.oracle as oracle
@@ -95,7 +98,7 @@ def check_column_ends_match_enumeration(P: PolySet2):
     points to RunStats as the enumeration does.  Called through its module,
     so that a rebinding of either function reaches it."""
     walked, listed = RunStats(), RunStats()
-    ends = oracle._column_ends(P, stats=walked)
+    ends = oracle._hull_points(P, walked)
     points = oracle.enumerate_integer_points(P, stats=listed)
     assert convex_hull(ends) == convex_hull(points)
     assert max(Counter(x for x, _ in ends).values(), default=0) <= 2
@@ -135,10 +138,29 @@ def test_budget_guard_refuses_large_boxes_up_front():
     # At the default budget of 10**8 cells, the enumeration and the column
     # walk refuse alike, before a scan that would take minutes.
     P = polyset_from_vertices([(0, 0), (10**4, 0), (10**4, 10**4), (0, 10**4)])
-    for walk in (enumerate_integer_points, oracle._column_ends):
+    for walk in (enumerate_integer_points, oracle._hull_points):
         with pytest.raises(BudgetExceeded, match=r"^bounding box has 100020001 cells \(budget 100000000\)$"):
             walk(P, stats=stats)
         assert stats == RunStats()
+
+
+def check_a_wide_segment_is_answered_uncharged():
+    """Both engines answer a segment by its lattice extremes, charging no
+    cell and counting no point, even when its bounding box holds more cells
+    than the default budget: (0, 0)-(10**6, 10**6 - 1) spans about 10**12
+    cells and holds only its two ends.  The oracle, which lists every
+    lattice point, refuses it before any scan."""
+    S = PolySet2((point(0, 0), point(10**6, 10**6 - 1)))
+    for engine in (integer_hull_new, integer_hull_baseline):
+        stats = RunStats()
+        assert hull_tuples(engine(S, stats=stats)) == [(0, 0), (10**6, 10**6 - 1)]
+        assert stats == RunStats()
+    with pytest.raises(BudgetExceeded, match=r"^bounding box has 1000001000000 cells \(budget 100000000\)$"):
+        integer_hull_oracle(S)
+
+
+def test_a_wide_segment_is_answered_uncharged():
+    check_a_wide_segment_is_answered_uncharged()
 
 
 def test_degenerate_enumeration():

@@ -33,7 +33,6 @@ PUBLIC = {
     "bounding_box",
     "clip",
     # lattice
-    "floor_sum",
     "SweepHit",
     "sweep_inward",
     "sweep_from_opposite",
