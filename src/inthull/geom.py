@@ -43,10 +43,11 @@ Conventions used throughout:
   ``W > 0`` and ``gcd(X, Y, W) = 1``, of each vertex ``(X/W, Y/W)``
   (:func:`_form`).  Reduced forms are equal exactly when the points are, so
   equality and hashing read them; the ``Point2`` vertices are built from
-  them on first read.  Edge directions, turns (:func:`_turn`), membership,
-  half-planes, areas, the cuts' levels ``A*X + C*Y - B*W`` and crossings
-  and the sweep frames of :mod:`inthull.lattice` read the forms as a few
-  integer products; ``Point2`` stays the public vertex type.
+  them on first read.  Edge directions, membership turns (:func:`_turn`),
+  the hull chain's inline turns (an integer end is its own form ``(x, y,
+  1)``), half-planes, areas, the cuts' levels ``A*X + C*Y - B*W`` and
+  crossings and the sweep frames of :mod:`inthull.lattice` read the forms
+  as a few integer products; ``Point2`` stays the public vertex type.
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -245,7 +246,8 @@ def _direction(p: Form, q: Form) -> Tuple[int, int]:
 
 def _turn(o: Form, a: Form, b: Form) -> int:
     """The cross product of _direction(o, a) and _direction(o, b): positive
-    when o -> a -> b turns left, 0 when the three points are collinear."""
+    when o -> a -> b turns left, 0 when the three points are collinear.  The
+    membership turn of :func:`contains`; the hull chain inlines its own."""
     ux, uy = _direction(o, a)
     vx, vy = _direction(o, b)
     return ux * vy - uy * vx
@@ -280,21 +282,18 @@ def line_through(p: Sequence[Rational], q: Sequence[Rational]) -> HalfPlane:
 
 
 def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
-    """Monotone-chain convex hull of hashable exact rational (x, y) pairs,
-    as the reduced integer forms (:func:`_form`) of its vertices.
-
-    The hull runs in strict CCW order from the lexicographically smallest
-    point.  Fewer than three distinct points (or an all-collinear set)
-    collapse to the sorted distinct points / the two extreme points.  Only
-    the lowest and highest point of a column x = X can be a vertex, so one
-    pass keeps each column's ``[lo, hi]`` in a dict keyed by x, with one
-    lookup per point and a store per new column (a Fraction x hashes in
-    Python); only the distinct columns are sorted, and only their ends are
-    turned into forms, once for a one-point column.  Only a column's low end
-    can be on the lower hull and only its high end on the upper hull, so the
-    lower chain runs over the lows by increasing x and the upper chain over
-    the highs by decreasing x (:func:`_turn`); the chains share the first
-    and last column's end where that column holds one point.
+    """Monotone-chain convex hull (A. M. Andrew, IPL 9(5), 1979) of hashable
+    exact rational (x, y) pairs, as the reduced integer forms of its
+    vertices in strict CCW order from the lex-smallest point; fewer than
+    three distinct points, or a collinear set, give the sorted distinct
+    points or the two extremes.  Only a column's lowest and highest point
+    can be a vertex: one pass keeps each column's ``[lo, hi]`` in a dict
+    keyed by x (an int and an equal Fraction key one column), and only the
+    distinct columns are sorted.  An integer end is its own form ``(x, y,
+    1)``; only a rational one goes through :func:`_form`.  The lower chain
+    runs over the lows by increasing x, the upper over the highs by
+    decreasing x, and each turn o -> a -> f is the cross product of a - o
+    and f - o from the forms, inline (left when positive, as W > 0).
     """
     columns: dict = {}
     for x, y in points:
@@ -308,21 +307,23 @@ def _hull_chain(points: Iterable[Tuple[Rational, Rational]]) -> list:
     lows: list = []
     highs: list = []
     for x, (lo, hi) in sorted(columns.items(), key=itemgetter(0)):
-        low = _form((x, lo))
+        low = (x, lo, 1) if type(x) is int and type(lo) is int else _form((x, lo))
         lows.append(low)
         # An end moves only to a strictly smaller or larger y.
-        highs.append(low if hi is lo else _form((x, hi)))
+        highs.append(low if hi is lo else (x, hi, 1) if type(x) is int and type(hi) is int else _form((x, hi)))
     if len(lows) <= 1:  # no point, or one column's one or two ends
         return lows if highs == lows else lows + highs
     hull: list = []
-    # The lower chain, then the upper; each drops its last end when the
-    # other chain starts there, at a first or last column of one point.  A
-    # collinear set spans two or more columns of one point each, so it
-    # leaves just its two extremes.
+    # Each chain drops its last end where the other starts, at a first or
+    # last column of one point; so a collinear set leaves its two extremes.
     for run, shared in ((lows, highs[-1] is lows[-1]), (highs[::-1], highs[0] is lows[0])):
         chain: list = []
         for f in run:
-            while len(chain) >= 2 and _turn(chain[-2], chain[-1], f) <= 0:
+            X, Y, W = f
+            while len(chain) >= 2:
+                (ox, oy, ow), (ax, ay, aw) = chain[-2], chain[-1]
+                if (ax * ow - ox * aw) * (Y * ow - oy * W) > (ay * ow - oy * aw) * (X * ow - ox * W):
+                    break
                 chain.pop()
             chain.append(f)
         hull += chain[:-1] if shared else chain
@@ -337,9 +338,8 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     ``map`` calls, with no Python frame per point: coordinates must be
     integers, and a ``Fraction`` or ``float`` anywhere raises ``TypeError``
     rather than being truncated to another lattice point.  The chain
-    (:func:`_hull_chain`) keeps only each column's two ends, in one dict
-    pass with no sort of the points (only the distinct columns are
-    sorted), and only the hull's vertices become :class:`IntPoint2` values.
+    (:func:`_hull_chain`) takes each column end as its own form ``(x, y,
+    1)``, and only the hull's vertices become :class:`IntPoint2` values.
     """
     if type(points) is not list:
         points = list(points)

@@ -81,6 +81,26 @@ def test_edgecase_bytes_are_pinned():
         assert hashlib.sha256(dump_instance(edgecase_halfplanes(*args)).encode()).hexdigest() == digest, args
 
 
+# sha256 of dump_instance(random_polygon(n, scale, seed)), which hulls its
+# snapped points through the hull chain.  At scale 10**-12 every snap grid
+# collapses the sample, so the raw unsnapped points are hulled.
+RANDOM_SHA256 = {
+    (3, 10, 0): "cd418f1e18b95215e7072ecd6eb9e02e3e9d32cbbf8dade6c7c38537f32d041c",
+    (8, 20, 3): "d3ce37c2112ee37c785d7f35d011db74392988ad14105dd71284134b6df58f80",
+    (12, 100, 5): "c4f7a6d355d0b0954db6a7a0559b770ff69a53511b87330f18939f575894af27",
+    (6, Fraction(7, 2), 1): "c85be990671d7a881ea1bfa0b8380dfdf0f09e9b4418e3531f5a6850616e4117",
+    (20, Fraction(7, 2), 4): "66dcded188d9cbdeb94a7fef6194551d79c2c102fb6d28cd274d99b187e4ee93",
+    (50, 10**12, 1): "153dca771f306ced8b0a0ace711fc71cc50d108c1f02084643be1291ed2c6edc",
+    (40, 10**30, 2): "f87f8cbd10df12d9993ef0d1a2ee5dd4b6f7088bca036d7c4faad3646fb8b1c8",
+    (5, Fraction(1, 10**12), 0): "9e76a346ecf401d1d72798baa83e756fc4a99dce380c99953682ff4ac4bd7d71",
+}
+
+
+def test_random_polygon_bytes_are_pinned():
+    for args, digest in RANDOM_SHA256.items():
+        assert hashlib.sha256(dump_instance(random_polygon(*args)).encode()).hexdigest() == digest, args
+
+
 def test_edgecase_redraws_a_pair_with_no_coprime_twist():
     # At scale 30, seeds 15 and 21 both draw (a, b) = (22, 15) first, and
     # none of its five twists is coprime; the generator draws a new pair.

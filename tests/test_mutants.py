@@ -40,7 +40,6 @@ from test_geom import (
     check_crossings_are_symmetric,
     check_full_column_hulls,
     check_halfplane_edge_cases,
-    check_hull_chain_on_fractions,
     check_hull_turns_and_segment_membership,
     check_polygon_membership,
     check_rows_through_a_vertex,
@@ -283,12 +282,23 @@ MUTANTS = {
         check_halfplane_edge_cases,
         AssertionError,
     ),
-    # The hull chain's column cut and turn test.
+    # The hull chain's column cut and its inlined turn test.
     "the column cut never lowers a column's low end": (geom._hull_chain, ("ends[0] = y", "pass"), full_column_hulls, AssertionError),
     "a hull chain that keeps collinear points": (
         geom._hull_chain,
-        ("_turn(chain[-2], chain[-1], f) <= 0", "_turn(chain[-2], chain[-1], f) < 0"),
+        ("(Y * ow - oy * W) > (ay", "(Y * ow - oy * W) >= (ay"),
         full_column_hulls,
+        AssertionError,
+    ),
+    # The inlined turn blind to W: integer ends (W = 1) cannot tell it
+    # apart, only rational ones, whose forms have unequal W.
+    "the inlined turn blind to W": (
+        geom._hull_chain,
+        (
+            "(ax * ow - ox * aw) * (Y * ow - oy * W) > (ay * ow - oy * aw) * (X * ow - ox * W)",
+            "(ax - ox) * (Y - oy) > (ay - oy) * (X - ox)",
+        ),
+        check_hull_turns_and_segment_membership,
         AssertionError,
     ),
     # The split chain: the upper chain over the column highs, and the
@@ -305,18 +315,20 @@ MUTANTS = {
         full_column_hulls,
         AssertionError,
     ),
-    # A turn blind to W: only points of unequal W tell it apart.
+    # A direction blind to W: only points of unequal W tell it apart.  A
+    # vertex list's cycle check (_cycle_start) reads it, and then refuses
+    # the list's true hull.
     "_direction blind to W": (
         geom._direction,
         ("q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]", "q[0] - p[0], q[1] - p[1]"),
-        check_hull_chain_on_fractions,
-        AssertionError,
+        check_spanned_sets_match_their_hulls,
+        ValueError,
     ),
-    # The turn's sign, which every chain reads.
+    # The membership turn's sign, which contains reads.
     "_turn with its cross product swapped": (
         geom._turn,
         ("ux * vy - uy * vx", "uy * vx - ux * vy"),
-        full_column_hulls,
+        check_polygon_membership,
         AssertionError,
     ),
     # A segment holds a point on its line beyond its ends, or one off its
