@@ -90,7 +90,7 @@ def _cmd_hull(args: argparse.Namespace) -> int:
         print(json.dumps(asdict(stats), separators=(",", ":")), file=sys.stderr)
     if args.check:
         reference = integer_hull_oracle(P)
-        if tuple(hull) != tuple(reference):
+        if hull != reference:
             print(
                 f"mismatch: engine {args.engine} returned {_hull_json(hull)}, "
                 f"oracle returned {_hull_json(reference)}",

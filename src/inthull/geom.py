@@ -47,7 +47,8 @@ Conventions used throughout:
   the hull chain's inline turns (an integer end is its own form ``(x, y,
   1)``), half-planes, areas, the cuts' levels ``A*X + C*Y - B*W`` and
   crossings and the sweep frames of :mod:`inthull.lattice` read the forms
-  as a few integer products; ``Point2`` stays the public vertex type.
+  as a few integer products; ``Point2`` stays the public vertex type, and
+  a vertex list is read as plain exact pairs (:func:`_spanned_polyset`).
 * The empty set is represented by ``None`` wherever an operation can produce
   it (e.g. :func:`clip`); public constructors raise :class:`EmptySet` instead
   of returning ``None``.
@@ -155,28 +156,23 @@ def _row(h: HalfPlane) -> Row:
     return h.a * d, h.c * d, h.b.numerator
 
 
-@dataclass(frozen=True)
-class HullResult:
-    """Canonical list of integer hull vertices.
+class HullResult(tuple):
+    """Canonical integer hull vertices: the tuple of their IntPoint2s.
 
     Forms: empty; one point; two points in lexicographic order; or three or
     more points in strictly convex counter-clockwise order starting at the
     lexicographically smallest point.
     """
 
-    points: Tuple[IntPoint2, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(IntPoint2(index(p[0]), index(p[1])) for p in self.points))
+    def __new__(cls, points: Iterable[Sequence[int]]) -> HullResult:
+        return tuple.__new__(cls, [IntPoint2(index(p[0]), index(p[1])) for p in points])
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
+    @property
+    def points(self) -> Tuple[IntPoint2, ...]:
+        """The vertices as a plain tuple."""
+        return tuple(self)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -344,7 +340,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> HullResult:
     if type(points) is not list:
         points = list(points)
     hull = _hull_chain(zip(map(index, map(itemgetter(0), points)), map(index, map(itemgetter(1), points))))
-    return HullResult(tuple((X, Y) for X, Y, _ in hull))
+    return HullResult((X, Y) for X, Y, _ in hull)
 
 
 def _normal(dx: int, dy: int) -> Tuple[int, int]:
@@ -391,13 +387,14 @@ def _polyset_from_forms(forms: Sequence[Form]) -> Optional[PolySet2]:
 def _spanned_polyset(vertices: Iterable[Sequence[Rational]]) -> Optional[PolySet2]:
     """The canonical set spanned by exact rational points (None for none).
 
-    A list that is already a strictly convex CCW cycle is its own hull, and
-    :func:`_polyset_from_forms` proves that in O(n) and rotates it to its
-    lex-smallest vertex, so the points are first taken as listed.  Only a
-    list that it refuses is hulled (:func:`_hull_chain`); both ways give the
-    same set.
+    Each point is read as a plain exact pair (:func:`_frac`), with no
+    ``Point2``.  A list that is already a strictly convex CCW cycle is its
+    own hull, and :func:`_polyset_from_forms` proves that in O(n) and
+    rotates it to its lex-smallest vertex, so the points are first taken as
+    listed.  Only a list that it refuses is hulled (:func:`_hull_chain`),
+    from the same pairs; both ways give the same set.
     """
-    points = [point(p[0], p[1]) for p in vertices]
+    points = [(_frac(p[0]), _frac(p[1])) for p in vertices]
     forms = list(map(_form, points))
     try:
         return _polyset_from_forms(forms)

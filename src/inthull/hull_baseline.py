@@ -60,17 +60,17 @@ def integer_hull_baseline(P: Optional[PolySet2], *, stats: Optional[RunStats] = 
     columns are pooled in one list, not a set: points shared by regions
     repeat, and the final :func:`convex_hull` keeps only each column's two
     ends."""
+    if stats is None:
+        stats = RunStats()
     points: list = []
     if P is not None and not P.is_degenerate:
         # Normalization keeps the lattice, so a None or degenerate Q answers as P.
         P, hits = normalize_facets(P)
-        if stats is not None:
-            stats.facets(dict(enumerate(hits)))
+        stats.facets(dict(enumerate(hits)))
         points = list({p for hit in hits for p in (hit.lo, hit.hi)})
     if P is None or P.is_degenerate or len(points) <= 1:
         return convex_hull(_hull_points(P, stats))
     for region in residual_regions(P, convex_hull(points)):
-        if stats is not None:
-            stats.regions += 1
+        stats.regions += 1
         points += _hull_points(region, stats)
     return convex_hull(points)

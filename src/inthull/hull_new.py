@@ -186,7 +186,7 @@ def _closed_by(cert_u: Row, cert_w: Row, a: int, c: int, b: int) -> bool:
     return D != 0 and lam >= 0 and mu >= 0 and lam * beta_u + mu * beta_w < (b + 1) * D
 
 
-def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStats]) -> HullResult:
+def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: RunStats) -> HullResult:
     """The integer hull of P, given the sweep hits of a half-turn cover of
     its facets (:func:`replace_facets`), in sweep order.
 
@@ -228,8 +228,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     # the only lattice point; no hit means none.
     if len(start) < 2:
         return start
-    pts = start.points
-    cycle = dict(zip(pts, pts[1:] + pts[:1]))
+    cycle = dict(zip(start, start[1:] + start[:1]))
     n = len(P._forms)
     stack = list(cycle.items())
     while stack:
@@ -239,8 +238,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
             continue
         lo = found[u].vertex
         hit = _run_sweep(P, a, c, True, lo + (found[w].vertex - lo) % n // 2)
-        if stats is not None:
-            stats.edge_sweeps += 1
+        stats.edge_sweeps += 1
         if hit is None or hit.offset < b:
             raise GeometryError(f"the sweep beyond edge {u} -> {w} found less than the edge's own level {b}")
         if hit.offset == b:
@@ -258,7 +256,7 @@ def _edge_points(P: PolySet2, hits: Dict[int, SweepHit], stats: Optional[RunStat
     points = [first]
     while (u := cycle[u]) != first:
         points.append(u)
-    return HullResult(tuple(points))
+    return HullResult(points)
 
 
 def integer_hull_new(
@@ -274,11 +272,12 @@ def integer_hull_new(
     `cfg.brute_force_cell_threshold` bounding-box cells is enumerated and
     runs no sweep; the result is independent of `cfg`.
     """
+    if stats is None:
+        stats = RunStats()
     if P is None or P.is_degenerate:
         return convex_hull(_hull_points(P, stats))
     if bbox_cell_count(P) <= cfg.brute_force_cell_threshold:
         return convex_hull(enumerate_integer_points(P, stats=stats))
     hits = replace_facets(P)
-    if stats is not None:
-        stats.facets(hits)
+    stats.facets(hits)
     return _edge_points(P, hits, stats)

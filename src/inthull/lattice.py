@@ -26,10 +26,11 @@ unimodular coordinate frame ``t = a*x + c*y``, ``s = -v*x + u*y`` (where
 lattice point iff ``floor(s_hi(T)) >= ceil(s_lo(T))``.  The frame reads the
 polygon's integer vertex forms (X, Y, W): t at a vertex is ``(a*X + c*Y)/W``.
 ``s_lo`` and ``s_hi`` run along the polygon's two boundary chains, which one
-walk, ``_windows``, climbs from the minimum vertex, only as far as its caller
-reads.  It cuts the levels into windows at each edge end of either chain and
-yields each with the two edges' lines, so ``_first_hit`` finds the first
-hitting level of a window in one solve: a continued-fraction (Euclid-style)
+walk, ``_windows``, climbs from a minimum vertex (a sweep's descent finds it;
+the column walk starts at vertex 0), only as far as its caller reads.  It
+cuts the levels into windows at each edge end of either chain and yields
+each with the two edges' lines, so ``_first_hit`` finds the first hitting
+level of a window in one solve: a continued-fraction (Euclid-style)
 descent on the two lines' slopes, as in two-variable integer programming, in
 O(log) integer steps.  A sweep thus costs one solve per pair of edges
 crossed, however many levels separate the facet from its first lattice
@@ -55,7 +56,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*i + b) / m) for i = 0 .. n-1, with m > 0.
 
     Runs in O(log) like the Euclidean algorithm; a and b may be negative.
-    A public helper: the sweeps find their first lattice level without it.
+    No engine calls it: the sweeps find their first lattice level without it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -211,27 +212,18 @@ def _climb(frame: _Frame, j: int, t_j: Tuple[int, int], step: int, t: int) -> Op
         j, tn, td = k, kn, W
 
 
-def _windows(frame: _Frame, hint: int) -> Iterator[Tuple[int, int, Line, Line]]:
+def _windows(frame: _Frame, j: int, low: Tuple[int, int]) -> Iterator[Tuple[int, int, Line, Line]]:
     """(t, end, lower line, upper line) for each run [t, end] of integer
     levels on which both boundary chains of the polygon are a single edge,
-    by increasing t.
-
-    The walk descends from vertex `hint` to a minimum vertex of t
-    (:func:`geom._deepest`; the hint changes only the speed).  The lower
-    chain leaves it counter-clockwise and the upper one clockwise, each
-    stepping over a minimum face parallel to the levels, and a chain ends
-    where t falls, past the maximum face.  The runs start at the ceiling of
-    the minimum, are cut at every edge end of either chain and stop where
-    either chain passes the top, so they tile the polygon's integer levels.
-    Each edge's line is computed once, and only for an edge that holds an
-    integer level.
+    by increasing t, from a minimum vertex j of t, where t is `low` (num,
+    den).  The lower chain leaves j counter-clockwise and the upper one
+    clockwise, each stepping over a minimum face parallel to the levels; a
+    chain ends where t falls, past the maximum face.  The runs start at the
+    ceiling of the minimum, are cut at every edge end of either chain and
+    stop where either chain passes the top, so they tile the polygon's
+    integer levels.  Each edge's line is computed once, and only for an
+    edge that holds an integer level.
     """
-    return _windows_from(frame, *_deepest(frame.forms, frame.A, frame.C, hint))
-
-
-def _windows_from(frame: _Frame, j: int, low: Tuple[int, int]) -> Iterator[Tuple[int, int, Line, Line]]:
-    """The windows of :func:`_windows`, climbing from a minimum vertex j of
-    t, where t is `low`."""
     t = -(-low[0] // low[1])  # ceil of the minimum
     lower, upper = _climb(frame, j, low, +1, t), _climb(frame, j, low, -1, t)
     while lower and upper:
@@ -248,8 +240,10 @@ def _windows_from(frame: _Frame, j: int, low: Tuple[int, int]) -> Iterator[Tuple
 def _columns(P: PolySet2) -> Iterator[Tuple[int, int, int]]:
     """(x, lowest y, highest y) of every integer column of the polygon P
     that holds a lattice point, by increasing x: the window walk in the
-    frame t = x, s = y, whose levels are the columns."""
-    for x0, end, (lp, lq, lr), (up, uq, ur) in _windows(_Frame(P._forms, 1, 0), 0):
+    frame t = x, s = y, whose levels are the columns, entered at vertex 0,
+    the lex-smallest and so a minimum of x, with no descent."""
+    X, _, W = P._forms[0]
+    for x0, end, (lp, lq, lr), (up, uq, ur) in _windows(_Frame(P._forms, 1, 0), 0, (X, W)):
         for x in range(x0, end + 1):
             y_lo, y_hi = -(-(lp * x + lq) // lr), (up * x + uq) // ur
             if y_lo <= y_hi:
@@ -321,7 +315,7 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     sign = -1 if top else 1
     frame = _Frame(P._forms, sign * a, sign * c)
     j, low = _deepest(frame.forms, frame.A, frame.C, hint)
-    for t, end, (lp, lq, lr), (up, uq, ur) in _windows_from(frame, j, low):
+    for t, end, (lp, lq, lr), (up, uq, ur) in _windows(frame, j, low):
         level = _first_hit(lp, lp * t + lq, lr, up, up * t + uq, ur, end - t)
         if level is not None:
             break

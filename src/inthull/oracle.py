@@ -10,7 +10,8 @@ a segment, and each corner region of ``baseline``) goes through
 and a polygon by the same walk's column ends, the only points of a column
 that can be hull vertices.  Budgets are checked against the bounding-box
 cell count *before* scanning, so a call either completes or raises without
-burning time first.
+burning time first.  Every call counts: a door given no :class:`RunStats`
+makes one, so ``_charge`` and ``_hull_points`` always hold one.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ def bbox_cell_count(P: PolySet2) -> int:
 _CELL_BUDGET = 10**8  # the default bounding-box cells of one brute-forced set
 
 
-def _charge(P: PolySet2, budget: int, stats: Optional[RunStats]) -> None:
+def _charge(P: PolySet2, budget: int, stats: RunStats) -> None:
     """Refuse P with BudgetExceeded when its bounding box holds more than
     `budget` cells, before any scan, else add its cells to `brute_cells`."""
     cells = bbox_cell_count(P)
     if cells > budget:
         raise BudgetExceeded(f"bounding box has {cells} cells (budget {budget})")
-    if stats is not None:
-        stats.brute_cells += cells
+    stats.brute_cells += cells
 
 
 def enumerate_integer_points(
@@ -76,6 +76,8 @@ def enumerate_integer_points(
     may be degenerate or None.
     """
     _integer(budget)
+    if stats is None:
+        stats = RunStats()
     if P is None:
         return []
     _charge(P, budget, stats)
@@ -87,12 +89,11 @@ def enumerate_integer_points(
             # tuple.__new__(IntPoint2, (x, y)) is IntPoint2(x, y) without the
             # named tuple's Python-level __new__ frame.
             points.extend(map(tuple.__new__, repeat(IntPoint2), zip(repeat(x), range(y_lo, y_hi + 1))))
-    if stats is not None:
-        stats.enumerated_points += len(points)
+    stats.enumerated_points += len(points)
     return points
 
 
-def _hull_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[Tuple[int, int]]:
+def _hull_points(P: Optional[PolySet2], stats: RunStats) -> Sequence[Tuple[int, int]]:
     """Lattice points of P whose hull is P's integer hull, without listing
     every lattice point: none for None; the lattice extremes of a point or
     segment, charged no cells and counted as no points; and the lowest and
@@ -112,8 +113,7 @@ def _hull_points(P: Optional[PolySet2], stats: Optional[RunStats]) -> Sequence[T
     ends: List[Tuple[int, int]] = []
     for x, y_lo, y_hi in columns:
         ends += ((x, y_lo), (x, y_hi)) if y_lo < y_hi else ((x, y_lo),)
-    if stats is not None:
-        stats.enumerated_points += sum(y_hi - y_lo + 1 for _, y_lo, y_hi in columns)
+    stats.enumerated_points += sum(y_hi - y_lo + 1 for _, y_lo, y_hi in columns)
     return ends
 
 

@@ -112,6 +112,32 @@ def test_only_the_row_rule_reads_a_halfplanes_offset():
     assert importers == {"__init__", "hull_new"}
 
 
+def test_stats_are_defaulted_only_at_the_engine_doors():
+    # Every engine call counts into a RunStats it always holds: the three
+    # doors that take `stats=None` replace it once, and nothing below them
+    # checks for None.
+    defaulted, guarded = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Name)
+                    and node.left.id == "stats"
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value is None
+                ):
+                    found = defaulted if isinstance(node.ops[0], ast.Is) else guarded
+                    found.append(f"{path.stem}.{function.name}")
+    assert guarded == []
+    assert sorted(defaulted) == [
+        "hull_baseline.integer_hull_baseline",
+        "hull_new.integer_hull_new",
+        "oracle.enumerate_integer_points",
+    ]
+
+
 def test_baseline_takes_only_residual_regions_from_hull_new():
     # Both engines reach the brute-force rule through oracle._hull_points;
     # baseline imports from hull_new only residual_regions, which the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -109,6 +110,21 @@ def test_convex_hull_small_cases():
         convex_hull([(0.9, 0), (2, 0), (0, 2)])
     with pytest.raises(TypeError):
         HullResult(((Fraction(1, 2), 0),))
+
+
+def test_a_hull_is_the_tuple_of_its_vertices():
+    hull = convex_hull([(0, 0), (2, 0), (1, 1), (0, 2)])
+    assert type(hull) is HullResult and isinstance(hull, tuple)
+    assert hull == ((0, 0), (2, 0), (0, 2)) and hash(hull) == hash(((0, 0), (2, 0), (0, 2)))
+    assert all(type(p) is IntPoint2 for p in hull) and repr(hull) == repr(tuple(hull))
+    # Slices are plain tuples, the whole one too.
+    assert type(hull[1:]) is type(hull[:]) is tuple and hull[1:] == ((2, 0), (0, 2))
+    assert type(hull.points) is tuple and hull.points == hull
+    with pytest.raises(AttributeError):
+        hull.points = ()
+    assert HullResult(()) == () and HullResult([IntPoint2(1, 2)]) == ((1, 2),)
+    restored = pickle.loads(pickle.dumps(hull))
+    assert type(restored) is HullResult and restored == hull
 
 
 def test_convex_hull_reads_any_iterable_of_integer_pairs_once():

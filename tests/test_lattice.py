@@ -7,11 +7,13 @@ import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import ceil, floor, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import inthull.lattice as lattice
 from inthull import (
     IntPoint2,
     Point2,
@@ -21,15 +23,17 @@ from inthull import (
     enumerate_integer_points,
     instance_to_polyset,
     integer_hull_new,
+    load_instance,
     polyset_from_vertices,
     sweep_from_opposite,
     sweep_inward,
 )
 from inthull.generate import convex_chain_polygon
-from inthull.geom import chord
-from inthull.lattice import _Frame, _first_hit, _run_sweep, _windows, floor_sum
+from inthull.geom import _deepest, chord
+from inthull.lattice import _columns, _Frame, _first_hit, _run_sweep, floor_sum
 from helpers import brute_points_in, frame_line, octagon, random_polyset, reference_stop
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 UNIT_SQUARE = polyset_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
@@ -527,6 +531,13 @@ def hint_test_polygons():
         yield random_polyset(random.Random(seed), max_num=30, max_den=7)
 
 
+def descended_windows(frame, hint):
+    """The window walk entered at the minimum vertex a descent from `hint`
+    finds, as a sweep enters it.  Called through its module, so that a
+    rebinding of the walk reaches it."""
+    return list(lattice._windows(frame, *_deepest(frame.forms, frame.A, frame.C, hint)))
+
+
 def check_sweeps_do_not_depend_on_their_hint(polygons):
     """A sweep's window walk gives the same windows, lines included, from
     every start in [-n, 2n), for the functional of every facet taken either
@@ -536,13 +547,53 @@ def check_sweeps_do_not_depend_on_their_hint(polygons):
         for h in P.halfplanes:
             for sign in (1, -1):
                 frame = _Frame(P._forms, sign * h.a, sign * h.c)
-                windows = list(_windows(frame, 0))
+                windows = descended_windows(frame, 0)
                 for hint in range(-n, 2 * n):
-                    assert list(_windows(frame, hint)) == windows, (P, h, sign, hint)
+                    assert descended_windows(frame, hint) == windows, (P, h, sign, hint)
 
 
 def test_sweeps_do_not_depend_on_their_hint():
-    check_sweeps_do_not_depend_on_their_hint(hint_test_polygons())
+    polygons = list(hint_test_polygons())
+    check_sweeps_do_not_depend_on_their_hint(polygons)
+    check_sweep_hits_do_not_depend_on_their_hint(polygons[:2] + polygons[3:13])
+
+
+def check_sweep_hits_do_not_depend_on_their_hint(polygons):
+    """`_run_sweep` finds the brute-force lattice max and min of every
+    facet's functional, with the chord's extreme points, from every start
+    of its descent in [-n, 2n), on each of `polygons`."""
+    for P in polygons:
+        n, pts = len(P.vertices), brute_points_in(P)
+        for h in P.halfplanes:
+            for top in (True, False):
+                sign = 1 if top else -1
+                best = max(sign * (h.a * x + h.c * y) for x, y in pts)
+                chord_pts = sorted(p for p in pts if sign * (h.a * p[0] + h.c * p[1]) == best)
+                expected = (sign * best, chord_pts[0], chord_pts[-1])
+                for hint in range(-n, 2 * n):
+                    hit = _run_sweep(P, h.a, h.c, top, hint)
+                    assert hit is not None and (hit.offset, hit.lo, hit.hi) == expected, (P, h, top, hint)
+
+
+def test_columns_enter_the_walk_at_vertex_0_with_no_descent():
+    # A cycle starts at its lex-smallest vertex, a minimum of x: where a
+    # descent from any hint in the x frame leads, or beside it on a
+    # vertical leftmost face, as in the unit square and the rectangles.
+    polygons = [UNIT_SQUARE, instance_to_polyset(load_instance(FIXTURES / "unit_square.json"))]
+    polygons += list(hint_test_polygons()) + list(window_test_polygons())
+    vertical = 0
+    for P in polygons:
+        frame = _Frame(P._forms, 1, 0)
+        vertical += P.vertices[-1].x == P.vertices[0].x
+        columns = list(_columns(P))
+        for hint in range(-len(P.vertices), 2 * len(P.vertices)):
+            walked = [
+                (x, -(-(lp * x + lq) // lr), (up * x + uq) // ur)
+                for x0, end, (lp, lq, lr), (up, uq, ur) in descended_windows(frame, hint)
+                for x in range(x0, end + 1)
+            ]
+            assert columns == [(x, lo, hi) for x, lo, hi in walked if lo <= hi], (P, hint)
+    assert vertical >= 6
 
 
 def reference_chord(P, frame, T):
@@ -588,7 +639,7 @@ def check_windows_tile_the_levels(polygons) -> int:
             frame = _Frame(P._forms, a, c)
             levels = [a * p.x + c * p.y for p in P.vertices]
             t = ceil(min(levels))
-            for start, end, lower, upper in _windows(frame, 0):
+            for start, end, lower, upper in descended_windows(frame, 0):
                 assert start == t <= end, (P, a, c)
                 for T in (start, end):
                     (lp, lq, lr), (up, uq, ur) = lower, upper

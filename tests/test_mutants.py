@@ -45,10 +45,13 @@ from test_geom import (
     check_rows_through_a_vertex,
     check_spanned_sets_match_their_hulls,
 )
+import test_geom
+import test_hull_new
 import test_instances
 from test_instances import check_rationals_read_as_fraction_reads_them, check_the_payload_rule
 from test_lattice import (
     check_sweep_hits_are_frozen_values,
+    check_sweep_hits_do_not_depend_on_their_hint,
     check_sweeps_do_not_depend_on_their_hint,
     check_windows_tile_the_levels,
     hint_test_polygons,
@@ -127,6 +130,13 @@ def column_ends():
 def hint_free_windows():
     """test_lattice's hint check on its two rectangles."""
     check_sweeps_do_not_depend_on_their_hint(itertools.islice(hint_test_polygons(), 2))
+
+
+def hint_free_sweeps():
+    """test_lattice's check of _run_sweep from every hint on its two
+    rectangles and first three random polygons."""
+    polygons = list(itertools.islice(hint_test_polygons(), 6))
+    check_sweep_hits_do_not_depend_on_their_hint(polygons[:2] + polygons[3:])
 
 
 def tiling_windows():
@@ -372,14 +382,15 @@ MUTANTS = {
         AssertionError,
     ),
     "_climb keeping the start vertex's denominator": (lattice._climb, ("j, tn, td = k, kn, W", "j, tn = k, kn"), tiling_windows, AssertionError),
-    # The descent to the minimum vertex: a comparison with the two
-    # vertices' denominators swapped, and a walk that never goes back.
-    "_deepest with its denominators swapped": (geom._deepest, ("kn * jw >= jn * W", "kn * W >= jn * jw"), tiling_windows, AssertionError),
-    "_deepest walking one way only": (geom._deepest, ("for step in (1, -1):", "for step in (1,):"), hint_free_windows, AssertionError),
+    # The descent to the minimum vertex, reached through _run_sweep: a
+    # comparison with the two vertices' denominators swapped, and a walk
+    # that never goes back.
+    "_deepest with its denominators swapped": (geom._deepest, ("kn * jw >= jn * W", "kn * W >= jn * jw"), hint_free_sweeps, AssertionError),
+    "_deepest walking one way only": (geom._deepest, ("for step in (1, -1):", "for step in (1,):"), hint_free_sweeps, AssertionError),
     # A hit's chord ends, ordered with one comparison.
     "a hit's chord ends swapped when in order": (lattice._run_sweep, ("if hi_pt < lo_pt:", "if lo_pt < hi_pt:"), frozen_hits, AssertionError),
     "windows cut at the lower chain's edge ends only": (
-        lattice._windows_from,
+        lattice._windows,
         ("end = min(lo_end, hi_end)", "end = lo_end"),
         tiling_windows,
         AssertionError,
@@ -469,6 +480,21 @@ MUTANTS = {
         lattice_free_sliver,
         AssertionError,
     ),
+    # A hull's vertices coerced by operator.index: one that is not an
+    # integer is refused, never truncated.
+    "HullResult without its index coercion": (
+        geom.HullResult.__new__,
+        ("IntPoint2(index(p[0]), index(p[1]))", "IntPoint2(p[0], p[1])"),
+        test_geom.test_convex_hull_small_cases,
+        pytest.fail.Exception,
+    ),
+    # Each engine door counts into the caller's RunStats, never a fresh one.
+    "an engine door that ignores the caller's RunStats": (
+        hull_new.integer_hull_new,
+        ("if stats is None:", "if True:"),
+        test_hull_new.test_sweep_counters_count_each_kind_of_sweep,
+        AssertionError,
+    ),
     # The oracle's columns.
     "a column's range cut one short": (oracle.enumerate_integer_points, ("y_hi + 1", "y_hi"), box_scans, AssertionError),
     # The brute-force door: a column's high end dropped, the walk left
@@ -482,7 +508,7 @@ MUTANTS = {
     ),
     "the column walk skipping its cell charge": (
         oracle._hull_points,
-        ("_charge(P, _CELL_BUDGET, stats)", "_charge(P, _CELL_BUDGET, None)"),
+        ("_charge(P, _CELL_BUDGET, stats)", "_charge(P, _CELL_BUDGET, RunStats())"),
         column_ends,
         AssertionError,
     ),

@@ -49,7 +49,7 @@ def test_every_trace_hook_resolves_but_the_known_missing():
 # itself.
 # `baseline` sweeps 3 facets inward in its own facet pass, cuts 3 corner regions out of 4 clips
 # (one area for Q, one per region) and walks the columns of each, which no
-# hook times: the walk is `oracle._column_ends`, not `enumerate_integer_points`.
+# hook times: the walk is `oracle._hull_points`, not `enumerate_integer_points`.
 SPANS = {
     "new": {"engine": 1, "oracle.enumerate": 1, "geom.convex_hull": 1},
     "new, RefineConfig(1)": {"engine": 1, "lattice.sweep": 1, "lattice.sweep.facet": 6, "geom.convex_hull": 1},
