@@ -39,7 +39,7 @@ CSV_COLUMNS = [
 ENGINES = {"new": integer_hull_new, "baseline": integer_hull_baseline, "oracle": integer_hull_oracle}
 
 
-def _row(name: str, n_vertices: int, poly_area: Fraction, engine: str, status: str, *counts: int) -> List[str]:
+def _csv_row(name: str, n_vertices: int, poly_area: Fraction, engine: str, status: str, *counts: int) -> List[str]:
     """One CSV row in CSV_COLUMNS order; `counts` are the run's wall_time_ns,
     hull_size and brute_cells, and a failed run, which has none, reports zeros."""
     instance = [name, str(n_vertices), format_rational(poly_area), format_decimal(poly_area, 6)]
@@ -66,7 +66,7 @@ def bench_instance(
     try:
         P = instance_to_polyset(inst)
     except GeometryError as exc:
-        return [_row(name, 0, Fraction(0), engine, f"error:{type(exc).__name__}") for engine in engines]
+        return [_csv_row(name, 0, Fraction(0), engine, f"error:{type(exc).__name__}") for engine in engines]
     n_vertices = 0 if P is None else len(P.vertices)
     poly_area = Fraction(0) if P is None else area(P)
     rows: List[List[str]] = []
@@ -75,11 +75,11 @@ def bench_instance(
             runs = [_timed_run(engine, P) for _ in range(reps)]
         except GeometryError as exc:
             status = "skipped:budget" if isinstance(exc, BudgetExceeded) else f"error:{type(exc).__name__}"
-            rows.append(_row(name, n_vertices, poly_area, engine, status))
+            rows.append(_csv_row(name, n_vertices, poly_area, engine, status))
             continue
         hull, stats, _ = runs[-1]  # counters are per-run; keep the last
         wall_time_ns = median_low([ns for _, _, ns in runs]) if timing else 0
-        rows.append(_row(name, n_vertices, poly_area, engine, "ok", wall_time_ns, len(hull), stats.brute_cells))
+        rows.append(_csv_row(name, n_vertices, poly_area, engine, "ok", wall_time_ns, len(hull), stats.brute_cells))
     return rows
 
 

@@ -20,9 +20,11 @@ Conventions used throughout:
   (given ``gcd(a, c) == 1``).
 * A row ``(A, C, B)`` (:data:`Row`) is ``A*x + C*y <= B`` with integers
   ``A``, ``C``, ``B``, not necessarily primitive: the package's one line
-  type.  A :class:`HalfPlane` is read only where the public API takes one
-  (:func:`clip`, :func:`polyset_from_halfplanes`), by :func:`_row`, the one
-  reader of its offset; it is built only where the API returns one
+  type, made from exact rationals only by :func:`_row`, whose callers are
+  :func:`clip`, :func:`polyset_from_halfplanes` (the public doors that
+  take a :class:`HalfPlane`) and ``instances.instance_to_polyset``.  A
+  zero normal may enter only :func:`_intersect_halfplanes`, which decides
+  it.  A half-plane is built only where the API returns one
   (:func:`line_through`, ``PolySet2.halfplanes``) and in
   ``hull_new.residual_regions``.  :func:`_normal` is the one rule for a
   CCW edge's outward normal.
@@ -67,7 +69,7 @@ from .errors import DegenerateSet, EmptySet, IdenticalPoints, UnboundedSet
 
 Rational = Union[int, Fraction]
 Form = Tuple[int, int, int]  # the integer form (X, Y, W), W > 0, of the point (X/W, Y/W)
-Row = Tuple[int, int, int]  # the row a*x + c*y <= b: integers a, c, b with (a, c) != (0, 0)
+Row = Tuple[int, int, int]  # a*x + c*y <= b in integers; rationals enter by _row; (a, c) != (0, 0) past _intersect_halfplanes
 
 
 def _integer(value: object) -> int:
@@ -148,12 +150,15 @@ class HalfPlane:
         object.__setattr__(self, "b", b if g == 1 else b / g)
 
 
-def _row(h: HalfPlane) -> Row:
-    """The integer row (h.a*d, h.c*d, n) of h, for h.b = n/d: the one place
-    that reads a half-plane's offset, so every cut below works on integer
-    rows, which need not be primitive."""
-    d = h.b.denominator
-    return h.a * d, h.c * d, h.b.numerator
+def _row(a: Rational, c: Rational, b: Rational) -> Row:
+    """The integer row of a*x + c*y <= b for exact rationals: each times the
+    one lcm of their denominators, in integer products.  The one rule from a
+    rational inequality to a row, called by :func:`clip`,
+    :func:`polyset_from_halfplanes` and ``instances.instance_to_polyset``;
+    the row need not be primitive."""
+    ad, cd, bd = a.denominator, c.denominator, b.denominator
+    d = lcm(ad, cd, bd)
+    return a.numerator * (d // ad), c.numerator * (d // cd), b.numerator * (d // bd)
 
 
 class HullResult(tuple):
@@ -524,7 +529,7 @@ def _arc(forms: Sequence[Form], A: int, C: int, B: int, t: int, j: int, l_j: int
 def clip(P: PolySet2, h: HalfPlane, hint: int = 0) -> Optional[PolySet2]:
     """P intersected with a half-plane; None when the intersection is empty
     (:func:`_clip` of h's row)."""
-    return _clip(P, *_row(h), hint)
+    return _clip(P, *_row(h.a, h.c, h.b), hint)
 
 
 def _clip(P: PolySet2, A: int, C: int, B: int, hint: int) -> Optional[PolySet2]:
@@ -612,11 +617,13 @@ def _cut(cycle: list, A: int, C: int, B: int, hint: int) -> Optional[int]:
 
 def _intersect_halfplanes(rows: Sequence[Row]) -> Optional[PolySet2]:
     """Permissive intersection of integer rows ``(A, C, B)``, each ``A*x +
-    C*y <= B`` (:data:`Row`; primitive or not): PolySet2 (possibly
-    degenerate) or None.
+    C*y <= B`` (:data:`Row`: a sweep's line, or :func:`_row` of an exact
+    inequality; primitive or not): PolySet2 (possibly degenerate) or None.
 
     Raises :class:`UnboundedSet` when the (nonempty) intersection is
-    unbounded.  Callers that must reject degenerate output wrap this.
+    unbounded, or when no row has a nonzero normal.  A zero-normal row ``0
+    <= B``, which has no place in the angle order, is decided first: it
+    empties the set when B < 0 and is dropped otherwise.
 
     A square of half-width m = 1 + 2 * max|B| * max(|A|, |C|) is cut by
     each row (:func:`_cut`).  A vertex of a bounded intersection solves two
@@ -630,6 +637,9 @@ def _intersect_halfplanes(rows: Sequence[Row]) -> Optional[PolySet2]:
     vertex is then at or just past the last cut's crossings, where its
     descent starts.  Shuffled, the facets of a 4000-gon cut ten times slower.
     """
+    if any(B < 0 for A, C, B in rows if not A and not C):
+        return None
+    rows = [row for row in rows if row[0] or row[1]]
     if not rows:
         raise UnboundedSet("no constraints: the whole plane is unbounded")
     max_b = max(abs(B) for _, _, B in rows)
@@ -653,7 +663,7 @@ def polyset_from_halfplanes(hps: Sequence[HalfPlane]) -> PolySet2:
     for an unbounded one, and :class:`DegenerateSet` when the intersection is
     a point or segment.  Redundant half-planes are dropped.
     """
-    result = _intersect_halfplanes(list(map(_row, hps)))
+    result = _intersect_halfplanes([_row(h.a, h.c, h.b) for h in hps])
     if result is None:
         raise EmptySet("the half-plane intersection is empty")
     if result.is_degenerate:

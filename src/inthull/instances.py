@@ -22,17 +22,16 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .errors import InvalidInstance
 from .geom import (
     PolySet2,
     Rational,
-    Row,
     _frac,
     _integer,
     _intersect_halfplanes,
+    _row,
     _spanned_polyset,
 )
 
@@ -183,21 +182,11 @@ def instance_to_polyset(inst: Instance) -> Optional[PolySet2]:
     Vertex instances take the convex hull of the points, degenerating
     gracefully to a segment or point; a list that is already a strictly
     convex counter-clockwise cycle is its own hull and is used as listed.
-    Inequality instances are intersected as integer rows: each inequality
-    is scaled by the one lcm of its three denominators, and its rows need
-    not be primitive.  Trivially true rows are dropped, and a trivially
-    false row makes the set empty.  Unbounded inequality systems raise
-    :class:`UnboundedSet`.
+    Inequality instances are intersected as the integer rows ``geom._row``
+    makes of the inequalities, read by ``geom._frac``'s exactness rule; a
+    zero-normal row ``0 <= b`` is dropped when true and empties the set when
+    false.  Unbounded inequality systems raise :class:`UnboundedSet`.
     """
     if inst.vertices is not None:
         return _spanned_polyset(inst.vertices)
-    rows: List[Row] = []
-    for row in inst.inequalities:
-        a, c, b = map(_frac, row)
-        if a == 0 and c == 0:
-            if b < 0:
-                return None  # 0 <= b fails: the set is empty
-            continue
-        mult = lcm(a.denominator, c.denominator, b.denominator)
-        rows.append((int(a * mult), int(c * mult), int(b * mult)))
-    return _intersect_halfplanes(rows)
+    return _intersect_halfplanes([_row(*map(_frac, row)) for row in inst.inequalities])

@@ -69,21 +69,20 @@ def test_every_imported_name_is_used(module):
 
 
 def test_only_the_row_rule_reads_a_halfplanes_offset():
-    # geom._row is the one place that turns a half-plane's rational offset
-    # b into an integer row, and only the public entry points that take a
-    # half-plane call it.  The row is the package's one line type: a
-    # HalfPlane is built only by geom, where the public API returns one,
-    # and by hull_new.residual_regions, which clips through the public
-    # clip; no other module imports it but the package namespace.
-    readers, row_users, builders, importers = set(), set(), set(), set()
+    # geom._row is the one rule that turns an exact rational inequality into
+    # an integer row, and it has three callers: the two public entry points
+    # that take a half-plane, which read its offset b only to hand it on,
+    # and the inequality door of instance_to_polyset.  The only other lcm
+    # is geom._form's, the point rule, so a second rule that scales a
+    # rational inequality by its denominators shows as a new lcm user.  The
+    # row is the package's one line type: a HalfPlane is built only by
+    # geom, where the public API returns one, and by
+    # hull_new.residual_regions, which clips through the public clip; no
+    # other module imports it but the package namespace.
+    offset_readers, row_users, lcm_users, builders, importers = set(), set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        # bench has a _row of its own, for CSV rows.
-        geom_row = path.stem == "geom" or any(
-            isinstance(node, ast.ImportFrom) and node.module == "geom" and "_row" in {a.name for a in node.names}
-            for node in ast.walk(tree)
-        )
 
         def where(node):
             # ast.walk lists an enclosing function before a nested one.
@@ -91,23 +90,19 @@ def test_only_the_row_rule_reads_a_halfplanes_offset():
             return f"{path.stem}.{inside[-1] if inside else '<module>'}"
 
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in ("numerator", "denominator")
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "b"
-            ):
-                readers.add(where(node))
-            elif (isinstance(node, ast.Name) and node.id == "_row" and geom_row) or (
-                isinstance(node, ast.Attribute) and node.attr == "_row"
-            ):
+            if isinstance(node, ast.Attribute) and node.attr == "b":
+                offset_readers.add(where(node))
+            elif (isinstance(node, ast.Name) and node.id == "_row") or (isinstance(node, ast.Attribute) and node.attr == "_row"):
                 row_users.add(where(node))
+            elif (isinstance(node, ast.Name) and node.id == "lcm") or (isinstance(node, ast.Attribute) and node.attr == "lcm"):
+                lcm_users.add(where(node))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "HalfPlane":
                 builders.add(where(node) if path.stem != "geom" else "geom")
             elif isinstance(node, ast.ImportFrom) and any(alias.name == "HalfPlane" for alias in node.names):
                 importers.add(path.stem)
-    assert readers == {"geom._row"}
-    assert row_users == {"geom.clip", "geom.polyset_from_halfplanes"}
+    assert offset_readers == {"geom.__post_init__", "geom.clip", "geom.polyset_from_halfplanes"}
+    assert row_users == {"geom.clip", "geom.polyset_from_halfplanes", "instances.instance_to_polyset"}
+    assert lcm_users == {"geom._form", "geom._row"}
     assert builders == {"geom", "hull_new.residual_regions"}
     assert importers == {"__init__", "hull_new"}
 

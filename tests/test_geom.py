@@ -347,7 +347,7 @@ def test_polyset_from_halfplanes_rejects_empty():
 
 def _rows(hps):
     """The integer rows (geom._row) of half-planes, which the intersection takes."""
-    return [geom._row(h) for h in hps]
+    return [geom._row(h.a, h.c, h.b) for h in hps]
 
 
 def _rule(hps):

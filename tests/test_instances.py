@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from inthull import (
+    DegenerateSet,
+    EmptySet,
+    HalfPlane,
     Instance,
     InvalidInstance,
     UnboundedSet,
@@ -20,10 +23,11 @@ from inthull import (
     load_instance,
     parse_instance,
     parse_rational,
+    polyset_from_halfplanes,
     save_instance,
 )
 
-from helpers import empty_85_row_system, random_polyset
+from helpers import empty_85_row_system, random_halfplane_system, random_polyset
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
@@ -181,6 +185,69 @@ def test_inequality_rows_scaled_by_positive_rationals_give_the_same_set():
         scaled = tuple(tuple(k * v for v in row) for row, k in zip(rows, factors))
         assert instance_to_polyset(Instance(None, inequalities=tuple(rows))) == P
         assert instance_to_polyset(Instance(None, inequalities=scaled)) == P
+
+
+def _near_1e10(rng: random.Random) -> Fraction:
+    """A positive rational with a denominator near 10**10."""
+    return Fraction(rng.randint(1, 10**10), rng.randint(9 * 10**9, 10**10))
+
+
+def _loaded(rows) -> object:
+    """What instance_to_polyset makes of the inequality rows, named as
+    polyset_from_halfplanes would name it: a polygon, or the kind of set
+    it refuses."""
+    try:
+        P = instance_to_polyset(Instance(None, inequalities=tuple(rows)))
+    except UnboundedSet as exc:
+        return "unbounded", str(exc)
+    return "empty" if P is None else "degenerate" if P.is_degenerate else P
+
+
+def _intersected(hps) -> object:
+    """polyset_from_halfplanes(hps), or the kind of set it refuses."""
+    try:
+        return polyset_from_halfplanes(hps)
+    except EmptySet:
+        return "empty"
+    except DegenerateSet:
+        return "degenerate"
+    except UnboundedSet as exc:
+        return "unbounded", str(exc)
+
+
+def check_instance_rows_match_their_halfplanes() -> None:
+    """On 120 seeded half-plane systems, half of them with offsets moved
+    by rationals with denominators near 10**10, instance_to_polyset on each
+    row (a, c, b) times a positive rational with a denominator near 10**10
+    gives what polyset_from_halfplanes gives on the half-planes; a true
+    zero-normal row (0, 0, b), b >= 0, changes nothing, and a false one, b
+    < 0, empties the set, even among rows that are otherwise unbounded."""
+    rng = random.Random(43)
+    for _ in range(120):
+        hps = random_halfplane_system(rng, rng.randint(3, 12))
+        if rng.random() < 0.5:
+            hps = [HalfPlane(h.a, h.c, h.b + rng.choice((-1, 1)) * _near_1e10(rng)) for h in hps]
+        rows = [tuple(k * v for v in (h.a, h.c, h.b)) for h in hps for k in [_near_1e10(rng)]]
+        want = _intersected(hps)
+        assert _loaded(rows) == want, hps
+        for zero in ((0, 0, 0), (0, 0, _near_1e10(rng))):
+            k = rng.randint(0, len(rows))
+            assert _loaded(rows[:k] + [zero] + rows[k:]) == want, (hps, zero)
+        false = (0, 0, -_near_1e10(rng))
+        k = rng.randint(0, len(rows))
+        assert _loaded(rows[:k] + [false] + rows[k:]) == "empty", hps
+        # The rows with a > 0 leave x unbounded below.
+        open_rows = [row for row in rows if row[0] > 0]
+        if open_rows:
+            recession = ("unbounded", "the intersection has a recession direction")
+            assert _loaded(open_rows) == _intersected([h for h in hps if h.a > 0]) == recession
+            assert _loaded(open_rows + [false]) == "empty", hps
+    no_constraints = ("unbounded", "no constraints: the whole plane is unbounded")
+    assert _loaded([(0, 0, 0), (0, 0, Fraction(1, 10**10 + 1)), (0, 0, 7)]) == no_constraints
+
+
+def test_instance_rows_match_their_halfplanes():
+    check_instance_rows_match_their_halfplanes()
 
 
 def test_save_and_load(tmp_path):

@@ -48,7 +48,11 @@ from test_geom import (
 import test_geom
 import test_hull_new
 import test_instances
-from test_instances import check_rationals_read_as_fraction_reads_them, check_the_payload_rule
+from test_instances import (
+    check_instance_rows_match_their_halfplanes,
+    check_rationals_read_as_fraction_reads_them,
+    check_the_payload_rule,
+)
 from test_lattice import (
     check_sweep_hits_are_frozen_values,
     check_sweep_hits_do_not_depend_on_their_hint,
@@ -276,12 +280,29 @@ MUTANTS = {
         check_clip_matches_the_vertex_scan,
         AssertionError,
     ),
-    # The one reader of a half-plane's offset: a row read with b's numerator
-    # only moves every rational offset, as on the line x - y = 1/2.
+    # The one rule from a rational inequality to a row.  A multiplier
+    # blind to the offset's denominator moves every rational offset, as on
+    # the line x - y = 1/2; one that is b's denominator alone turns a
+    # rational a or c into the wrong integer, which only an inequality
+    # instance hands it (a half-plane's a and c are integers).
     "_row dropping the offset's denominator": (
         geom._row,
-        ("d = h.b.denominator", "d = 1"),
+        ("d = lcm(ad, cd, bd)", "d = lcm(ad, cd)"),
         check_halfplane_edge_cases,
+        AssertionError,
+    ),
+    "_row scaling by b's denominator only": (
+        geom._row,
+        ("d = lcm(ad, cd, bd)", "d = bd"),
+        check_instance_rows_match_their_halfplanes,
+        AssertionError,
+    ),
+    # A zero-normal row 0 <= B with B < 0 holds nowhere; taken as holding
+    # everywhere, it leaves the set of the other rows.
+    "a false zero-normal row kept": (
+        geom._intersect_halfplanes,
+        ("if any(B < 0 for A, C, B in rows if not A and not C):", "if False:"),
+        check_instance_rows_match_their_halfplanes,
         AssertionError,
     ),
     # A crossing with its W negated is the crossing reflected through the
