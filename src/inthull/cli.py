@@ -184,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UnboundedSet, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInstance, GeometryError, ValueError, OSError) as exc:
+    except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -127,27 +127,26 @@ def _reduced(X: int, Y: int, W: int) -> Form:
     return X // g, Y // g, W // g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HalfPlane:
     """The closed half-plane a*x + c*y <= b.
 
     (a, c) are reduced to coprime integers but the sign is preserved: the
-    normal (a, c) points away from the feasible side.  b is rational.
+    normal (a, c) points away from the feasible side.  b is rational.  The
+    one constructor stores the checked, reduced fields in one write.
     """
 
     a: int
     c: int
     b: Fraction
 
-    def __post_init__(self) -> None:
-        a, c = _integer(self.a), _integer(self.c)
+    def __init__(self, a: int, c: int, b: Rational) -> None:
+        a, c = _integer(a), _integer(c)
         if a == 0 and c == 0:
             raise ValueError("half-plane normal must be nonzero")
-        b = _frac(self.b)
+        b = _frac(b)
         g = gcd(a, c)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "c", c // g)
-        object.__setattr__(self, "b", b if g == 1 else b / g)
+        object.__setattr__(self, "__dict__", {"a": a // g, "c": c // g, "b": b if g == 1 else b / g})
 
 
 def _row(a: Rational, c: Rational, b: Rational) -> Row:
@@ -193,6 +192,8 @@ class PolySet2:
     ``vertices`` and ``halfplanes`` are built from the forms on first read
     and cached: the sets between an input polygon and its integer hull are
     clipped, swept and enumerated from their forms and never build them.
+    ``PolySet2(...)`` stores a canonical vertex list and its forms in one
+    write; the package builds every set by :func:`_polyset_from_forms`.
     """
 
     _forms: Tuple[Form, ...]
@@ -206,8 +207,7 @@ class PolySet2:
                 "vertices must be canonical: one point, two distinct points in lex order, or a cycle "
                 "starting at the lexicographically smallest vertex (None is the empty set)"
             )
-        object.__setattr__(self, "_forms", forms)
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "__dict__", {"_forms": forms, "vertices": verts})
 
     def __repr__(self) -> str:
         return f"PolySet2(vertices={self.vertices!r})"

@@ -38,8 +38,8 @@ chord, and a polygon's far side is never visited when the hit is near.
 Each vertex that the descent (``geom._deepest``) or a chain (``_climb``)
 passes costs a few integer operations on its form in locals, with no
 Python call; the calls left per sweep are one descent, one ``edge_line``
-per edge that holds a level, one ``_first_hit`` per window and one hit,
-filled as a dict (``_hit``).
+per edge that holds a level, one ``_first_hit`` per window and one
+``SweepHit``, whose constructor stores its fields in one write.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepHit:
     """The stopping chord of a sweep: its integer offset and the extreme
     lattice points on it (lexicographically ordered, possibly equal); the
@@ -96,21 +96,17 @@ class SweepHit:
     the index of the vertex of P at which the swept levels begin (P's top
     vertex in the direction (a, c)), not part of the answer: the edge loop
     of ``hull_new`` starts a later sweep's descent between the vertices of
-    the hits that found its edge's ends, so this one is a bracket end."""
+    the hits that found its edge's ends, so this one is a bracket end.  The
+    one constructor stores the five fields as given, in one write."""
 
     offset: int
     lo: IntPoint2
     hi: IntPoint2
     line: Row
-    vertex: int = field(default=0, compare=False)
+    vertex: int = field(compare=False)
 
-
-def _hit(offset: int, lo: IntPoint2, hi: IntPoint2, line: Row, vertex: int) -> SweepHit:
-    """SweepHit(offset, lo, hi, line, vertex), filled as one dict instead of
-    through the frozen __init__'s five object.__setattr__ calls."""
-    hit = object.__new__(SweepHit)
-    object.__setattr__(hit, "__dict__", {"offset": offset, "lo": lo, "hi": hi, "line": line, "vertex": vertex})
-    return hit
+    def __init__(self, offset: int, lo: IntPoint2, hi: IntPoint2, line: Row, vertex: int = 0) -> None:
+        object.__setattr__(self, "__dict__", {"offset": offset, "lo": lo, "hi": hi, "line": line, "vertex": vertex})
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def _run_sweep(P: PolySet2, a: int, c: int, top: bool, hint: int) -> Optional[Sw
     lo_pt, hi_pt = frame.point_at(t, s_first), frame.point_at(t, s_last)
     if hi_pt < lo_pt:
         lo_pt, hi_pt = hi_pt, lo_pt
-    return _hit(sign * t, lo_pt, hi_pt, (-frame.A, -frame.C, -t), j)
+    return SweepHit(sign * t, lo_pt, hi_pt, (-frame.A, -frame.C, -t), j)
 
 
 def _facet_direction(P: PolySet2, facet_index: int, inward: bool) -> Tuple[int, int, bool, int]:

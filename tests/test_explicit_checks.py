@@ -14,6 +14,7 @@ import inthull.generate as generate
 import inthull.geom as geom
 import inthull.hull_baseline as hull_baseline
 import inthull.hull_new as hull_new
+import inthull.lattice as lattice
 from inthull import (
     GeometryError,
     HalfPlane,
@@ -38,7 +39,7 @@ from inthull import (
 )
 from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.hull_new import residual_regions
-from inthull.lattice import SweepHit
+from inthull.lattice import SweepHit, floor_sum
 
 SRC = Path(hull_new.__file__).parent
 TRI = polyset_from_vertices([(-2, Fraction(-1, 5)), (3, Fraction(-1, 5)), (Fraction(17, 10), Fraction(39, 10))])
@@ -100,11 +101,42 @@ def test_only_the_row_rule_reads_a_halfplanes_offset():
                 builders.add(where(node) if path.stem != "geom" else "geom")
             elif isinstance(node, ast.ImportFrom) and any(alias.name == "HalfPlane" for alias in node.names):
                 importers.add(path.stem)
-    assert offset_readers == {"geom.__post_init__", "geom.clip", "geom.polyset_from_halfplanes"}
+    assert offset_readers == {"geom.clip", "geom.polyset_from_halfplanes"}
     assert row_users == {"geom.clip", "geom.polyset_from_halfplanes", "instances.instance_to_polyset"}
     assert lcm_users == {"geom._form", "geom._row"}
     assert builders == {"geom", "hull_new.residual_regions"}
     assert importers == {"__init__", "hull_new"}
+
+
+def test_each_frozen_value_is_stored_by_its_one_constructor():
+    # A frozen value of the core is built by one constructor, which checks
+    # its arguments and stores the final fields in one object.__setattr__
+    # of __dict__: the __init__ of HalfPlane, PolySet2 and SweepHit, and
+    # _polyset_from_forms, the one trusted PolySet2 door, which alone makes
+    # an instance without its __init__.  A second door, or fields written
+    # one by one, shows as another call.
+    calls = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                scan(child, scope + [child.name])
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "object":
+                written = getattr(child.args[1], "value", None) if func.attr == "__setattr__" else None
+                calls.append((func.attr, ".".join(scope), written))
+            scan(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert sorted(calls) == [
+        ("__new__", "geom._polyset_from_forms", None),
+        ("__setattr__", "geom.HalfPlane.__init__", "__dict__"),
+        ("__setattr__", "geom.PolySet2.__init__", "__dict__"),
+        ("__setattr__", "geom._polyset_from_forms", "_forms"),
+        ("__setattr__", "lattice.SweepHit.__init__", "__dict__"),
+    ]
 
 
 def test_stats_are_defaulted_only_at_the_engine_doors():
@@ -196,6 +228,18 @@ def test_an_edge_sweep_beyond_the_edge_must_find_new_points(monkeypatch):
     _faked_edge_sweeps(monkeypatch, lambda hit: SweepHit(hit.offset + 1, hit.lo, hit.hi, hit.line))
     with pytest.raises(GeometryError, match="again"):
         integer_hull_new(TRI, RefineConfig(1))
+
+
+def test_a_sweep_must_stop_at_a_chord_with_a_lattice_point(monkeypatch):
+    # Every level of this triangle's x range is the column x = 0, whose
+    # chord runs from y = 1/4 to y = 3/4; a first-hit solve that stops
+    # there anyway is refused, not reported as a hit.
+    lattice_free = polyset_from_vertices([(Fraction(-1, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 4)), (0, Fraction(3, 4))])
+    assert lattice._run_sweep(lattice_free, 1, 0, False, 0) is None
+    monkeypatch.setattr(lattice, "_first_hit", lambda *args: 0)
+    for top in (False, True):
+        with pytest.raises(GeometryError, match="sweep stopped at level 0, whose chord holds no lattice point"):
+            lattice._run_sweep(lattice_free, 1, 0, top, 0)
 
 
 def test_every_facet_sweep_must_find_a_point_once_facet_0s_has(monkeypatch):
@@ -310,6 +354,30 @@ def check_exact_numbers():
 
 def test_every_entry_point_takes_only_exact_numbers():
     check_exact_numbers()
+
+
+POINT, SEGMENT = PolySet2([(1, 2)]), PolySet2([(0, 0), (2, 1)])
+REFUSALS = [
+    (lambda: random_polygon(5, 0, 1), "scale must be positive"),
+    (lambda: random_polygon(5, -1, 1), "scale must be positive"),
+    (lambda: edgecase_halfplanes(3, 0, 1), "scale must be positive"),
+    (lambda: edgecase_halfplanes(3, Fraction(-1, 2), 1), "scale must be positive"),
+    (lambda: edgecase_halfplanes(2, 1, 1), "a polygon needs at least 3 facets"),
+    (lambda: convex_chain_polygon(8, 0), "target_area must be positive"),
+    (lambda: convex_chain_polygon(8, Fraction(-1, 3)), "target_area must be positive"),
+    (lambda: sweep_inward(POINT, 0), "facet sweeps require a polygon with at least 3 vertices"),
+    (lambda: sweep_from_opposite(POINT, 0), "facet sweeps require a polygon with at least 3 vertices"),
+    (lambda: sweep_inward(SEGMENT, 0), "facet sweeps require a polygon with at least 3 vertices"),
+    (lambda: sweep_from_opposite(SEGMENT, 0), "facet sweeps require a polygon with at least 3 vertices"),
+    (lambda: residual_regions(TRI, [IntPoint2(0, 0)]), "residual regions need a hull of at least 2 points"),
+    (lambda: floor_sum(-1, 3, 1, 0), "n must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("sweep", [sweep_inward, sweep_from_opposite])

@@ -280,6 +280,27 @@ MUTANTS = {
         check_clip_matches_the_vertex_scan,
         AssertionError,
     ),
+    # The one constructor of each frozen value: a half-plane that keeps its
+    # normal's a unreduced, a set that takes a cycle from any start, and a
+    # hit that stores its chord ends swapped.
+    "HalfPlane storing a unreduced": (
+        geom.HalfPlane.__init__,
+        ('"a": a // g', '"a": a'),
+        test_geom.test_halfplane_keeps_direction_under_reduction,
+        AssertionError,
+    ),
+    "PolySet2 taking a cycle from any start": (
+        geom.PolySet2.__init__,
+        ("canonical is None or canonical._forms != forms", "canonical is None"),
+        test_geom.test_polyset_refuses_every_rotation_but_the_lex_smallest_start,
+        pytest.fail.Exception,
+    ),
+    "SweepHit storing its chord ends swapped": (
+        lattice.SweepHit.__init__,
+        ('"lo": lo, "hi": hi', '"lo": hi, "hi": lo'),
+        frozen_hits,
+        AssertionError,
+    ),
     # The one rule from a rational inequality to a row.  A multiplier
     # blind to the offset's denominator moves every rational offset, as on
     # the line x - y = 1/2; one that is b's denominator alone turns a
