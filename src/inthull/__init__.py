@@ -27,7 +27,6 @@ from .geom import (
     PolySet2,
     Rational,
     area,
-    bounding_box,
     clip,
     contains,
     convex_hull,
@@ -56,7 +55,6 @@ from .lattice import (
 )
 from .oracle import (
     RunStats,
-    bbox_cell_count,
     enumerate_integer_points,
     integer_hull_oracle,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "polyset_from_halfplanes",
     "contains",
     "area",
-    "bounding_box",
     "clip",
     # lattice
     "SweepHit",
@@ -100,7 +97,6 @@ __all__ = [
     "normalize_facets",
     "integer_hull_baseline",
     "RunStats",
-    "bbox_cell_count",
     "enumerate_integer_points",
     "integer_hull_oracle",
     # instances

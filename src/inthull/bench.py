@@ -67,7 +67,7 @@ def bench_instance(
         P = instance_to_polyset(inst)
     except GeometryError as exc:
         return [_csv_row(name, 0, Fraction(0), engine, f"error:{type(exc).__name__}") for engine in engines]
-    n_vertices = 0 if P is None else len(P.vertices)
+    n_vertices = 0 if P is None else len(P._forms)
     poly_area = Fraction(0) if P is None else area(P)
     rows: List[List[str]] = []
     for engine in engines:

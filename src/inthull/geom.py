@@ -226,14 +226,6 @@ class PolySet2:
             return ()
         return tuple(_edge_halfplane(forms[i], forms[(i + 1) % n]) for i in range(n))
 
-    @functools.cached_property
-    def _cells(self) -> int:
-        """Integer grid cells in the bounding box (0 if none); -ceil(x) = floor(-x)."""
-        forms = self._forms
-        ncols = max(X // W for X, _, W in forms) + max(-X // W for X, _, W in forms) + 1
-        nrows = max(Y // W for _, Y, W in forms) + max(-Y // W for _, Y, W in forms) + 1
-        return ncols * nrows if ncols > 0 and nrows > 0 else 0
-
     @property
     def is_degenerate(self) -> bool:
         """True for a point or segment (fewer than 3 vertices)."""

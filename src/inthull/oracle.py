@@ -45,8 +45,12 @@ class RunStats:
 
 
 def bbox_cell_count(P: PolySet2) -> int:
-    """Number of integer grid cells in the bounding box of P (0 if none), cached."""
-    return P._cells
+    """Number of integer grid cells in the bounding box of P (0 if none); -ceil(x) = floor(-x)."""
+    forms = P._forms
+    X0, _, W0 = forms[0]  # the lex-smallest vertex, so a minimum of x
+    ncols = max(X // W for X, _, W in forms) + -X0 // W0 + 1
+    nrows = max(Y // W for _, Y, W in forms) + max(-Y // W for _, Y, W in forms) + 1
+    return ncols * nrows if ncols > 0 and nrows > 0 else 0
 
 
 _CELL_BUDGET = 10**8  # the default bounding-box cells of one brute-forced set

@@ -369,6 +369,9 @@ REFUSALS = [
     (lambda: sweep_from_opposite(POINT, 0), "facet sweeps require a polygon with at least 3 vertices"),
     (lambda: sweep_inward(SEGMENT, 0), "facet sweeps require a polygon with at least 3 vertices"),
     (lambda: sweep_from_opposite(SEGMENT, 0), "facet sweeps require a polygon with at least 3 vertices"),
+    # Swept along its own normal, a segment's constant-level edge would be
+    # stepped over forever: the one sweep loop refuses it first.
+    (lambda: lattice._run_sweep(SEGMENT, 1, -2, False, 0), "^sweeps require a polygon with at least 3 vertices"),
     (lambda: residual_regions(TRI, [IntPoint2(0, 0)]), "residual regions need a hull of at least 2 points"),
     (lambda: floor_sum(-1, 3, 1, 0), "n must be nonnegative"),
 ]

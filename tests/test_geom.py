@@ -23,7 +23,6 @@ from inthull import (
     PolySet2,
     UnboundedSet,
     area,
-    bounding_box,
     clip,
     contains,
     convex_hull,
@@ -36,7 +35,7 @@ from inthull import (
 import inthull.geom as geom
 import inthull.hull_new as hull_new
 from inthull.generate import convex_chain_polygon
-from inthull.geom import _hull_chain, _intersect_halfplanes
+from inthull.geom import _hull_chain, _intersect_halfplanes, bounding_box
 from inthull.hull_new import residual_regions
 from inthull.lattice import _Frame
 from helpers import (

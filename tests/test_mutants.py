@@ -64,6 +64,7 @@ from test_lattice import (
 )
 from test_oracle import (
     check_a_wide_segment_is_answered_uncharged,
+    check_cell_counts_match_their_bounding_boxes,
     check_column_ends_match_enumeration,
     check_enumerate_matches_full_box_scan,
 )
@@ -568,6 +569,14 @@ MUTANTS = {
         ),
         check_a_wide_segment_is_answered_uncharged,
         BudgetExceeded,
+    ),
+    # The one cell count behind the budget, `new`'s cut-off and the plot's
+    # lattice dots, one column short.
+    "a bounding box's columns counted one short": (
+        oracle.bbox_cell_count,
+        ("-X0 // W0 + 1", "-X0 // W0"),
+        check_cell_counts_match_their_bounding_boxes,
+        AssertionError,
     ),
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,6 @@ from inthull import (
     IntPoint2,
     PolySet2,
     RunStats,
-    bbox_cell_count,
     clip,
     contains,
     convex_hull,
@@ -30,6 +30,8 @@ from inthull import (
 )
 import inthull.oracle as oracle
 from inthull.generate import edgecase_halfplanes
+from inthull.geom import bounding_box
+from inthull.oracle import bbox_cell_count
 from helpers import brute_points_in, hull_tuples, octagon, random_polyset
 
 
@@ -198,6 +200,39 @@ def test_oracle_hull_golden_and_contains_all_points():
     H = polyset_from_vertices(hull_tuples(hull))
     for p in pts:
         assert contains(H, (p.x, p.y))
+
+
+def check_cell_counts_match_their_bounding_boxes():
+    """The budget's cell count is the product of the integer columns and
+    rows of the bounding box, 0 when either is empty, on seeded random
+    polygons and on points and segments with negative and fractional
+    coordinates."""
+    sets = [random_polyset(random.Random(seed), max_num=25, max_den=6) for seed in range(40)]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    sets += [
+        PolySet2(ends)
+        for ends in (
+            [(-3, -4)],
+            [(-3 * half, -7 * third)],
+            [(-5 * half, -third), (7 * third, 4)],
+            [(-7 * half, -2), (5 * third, -2)],
+            [(-7 * half, -third), (5 * third, -third)],
+            [(-1, 9 * half), (-1, 11 * half)],
+            [(-11 * third, 5), (-2 * third, -7 * half)],
+        )
+    ]
+    for P in sets:
+        xmin, xmax, ymin, ymax = bounding_box(P)
+        ncols = math.floor(xmax) - math.ceil(xmin) + 1
+        nrows = math.floor(ymax) - math.ceil(ymin) + 1
+        assert bbox_cell_count(P) == (ncols * nrows if ncols > 0 and nrows > 0 else 0), P
+
+
+def test_cell_counts_match_their_bounding_boxes():
+    half = Fraction(1, 2)
+    vertical, lattice_point, off_lattice = ([(half, -1), (half, 3)], [(1, 2)], [(half, 0)])
+    assert [bbox_cell_count(PolySet2(ends)) for ends in (vertical, lattice_point, off_lattice)] == [0, 1, 0]
+    check_cell_counts_match_their_bounding_boxes()
 
 
 def test_stats_accumulate_cells():

@@ -30,7 +30,6 @@ PUBLIC = {
     "polyset_from_halfplanes",
     "contains",
     "area",
-    "bounding_box",
     "clip",
     # lattice
     "SweepHit",
@@ -42,7 +41,6 @@ PUBLIC = {
     "normalize_facets",
     "integer_hull_baseline",
     "RunStats",
-    "bbox_cell_count",
     "enumerate_integer_points",
     "integer_hull_oracle",
     # instances

@@ -17,7 +17,6 @@ import random
 from inthull import (
     BudgetExceeded,
     HalfPlane,
-    bbox_cell_count,
     clip,
     convex_hull,
     instance_to_polyset,
@@ -28,6 +27,7 @@ from inthull import (
     polyset_from_vertices,
 )
 from inthull.generate import random_polygon
+from inthull.oracle import bbox_cell_count
 
 # A rotation, a reflection, the identity and [[2, 1], [1, 1]], each then
 # composed with a row shear [[1, k], [0, 1]].
