@@ -135,7 +135,7 @@ def parse_instance(text: str) -> Instance:
     """Parse instance JSON text (strict schema, exact numbers)."""
     try:
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise InvalidInstance(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # a JSON integer over int()'s digit limit
         raise InvalidInstance(str(exc)) from exc

@@ -22,7 +22,7 @@ from math import gcd
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .geom import HullResult, IntPoint2, PolySet2, _integer, convex_hull
+from .geom import Form, HullResult, IntPoint2, PolySet2, _integer, convex_hull
 from .lattice import SweepHit, _columns, _lattice_extremes
 
 
@@ -44,12 +44,44 @@ class RunStats:
         self.facet_sweeps += len(hits) or 1
 
 
+def _turn_index(forms: Sequence[Form], c: int, s: int, lo: int, hi: int) -> int:
+    """The first index i in [lo, hi) at which coordinate c (0 for x, 1 for
+    y) does not move in direction s (1 up, -1 down) from vertex i to vertex
+    (i + 1) mod n, or hi if there is none; on the callers' ranges that move
+    holds up to some index and fails after it."""
+    n = len(forms)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p, q = forms[mid], forms[(mid + 1) % n]
+        if s * (q[c] * p[2] - p[c] * q[2]) > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def bbox_cell_count(P: PolySet2) -> int:
-    """Number of integer grid cells in the bounding box of P (0 if none); -ceil(x) = floor(-x)."""
+    """Number of integer grid cells in the bounding box of P (0 if none); -ceil(x) = floor(-x).
+
+    Reads O(log n) of P's n forms.  Vertex 0 of a canonical set is its
+    lex-smallest, so a minimum of x.  Along the cycle (a segment's two ends
+    in lex order, wrapping back to vertex 0) x rises strictly up to the
+    first maximum-x vertex r, then holds for at most one vertical edge and
+    falls; y falls, holds for at most one horizontal edge and rises over
+    the lower chain 0..r, and mirrors that over the upper chain r..n
+    (vertex n is vertex 0).  Each extreme is thus where a monotone step
+    test turns false, found by binary search (:func:`_turn_index`), and the
+    count is exact.
+    """
     forms = P._forms
-    X0, _, W0 = forms[0]  # the lex-smallest vertex, so a minimum of x
-    ncols = max(X // W for X, _, W in forms) + -X0 // W0 + 1
-    nrows = max(Y // W for _, Y, W in forms) + max(-Y // W for _, Y, W in forms) + 1
+    n = len(forms)
+    r = _turn_index(forms, 0, 1, 0, n - 1)
+    X0, _, W0 = forms[0]
+    Xr, _, Wr = forms[r]
+    _, Ylo, Wlo = forms[_turn_index(forms, 1, -1, 0, r)]
+    _, Yhi, Whi = forms[_turn_index(forms, 1, 1, r, n) % n]
+    ncols = Xr // Wr + -X0 // W0 + 1
+    nrows = Yhi // Whi + -Ylo // Wlo + 1
     return ncols * nrows if ncols > 0 and nrows > 0 else 0
 
 

@@ -72,6 +72,14 @@ def test_exit_code_1_on_an_over_long_numeral(tmp_path, capsys):
     assert out.out == "" and out.err.startswith("error:") and "5000 digits" in out.err
 
 
+def test_exit_code_1_on_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    r = run_cli("hull", str(path))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error:") and "not valid JSON" in r.stderr and "Traceback" not in r.stderr
+
+
 def assert_usage_error_for_every_engine(capsys, fixture, flag):
     # `hull` takes no tuning flag, only --engine, --check and --stats:
     # sweeps have no limit and the engines run in their default configuration.

@@ -99,6 +99,14 @@ def test_an_over_long_numeral_is_an_invalid_instance():
             parse_instance(f'{{"vertices": [[{number}, 0]]}}')
 
 
+def test_deeply_nested_json_is_an_invalid_instance():
+    # The JSON decoder recurses per nesting level (Python 3.13 decodes 5,000
+    # levels but not 20,000); too deep a file is refused as invalid JSON,
+    # not with a bare RecursionError.
+    with pytest.raises(InvalidInstance, match="^not valid JSON: "):
+        parse_instance('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
 def test_floats_are_rejected_everywhere():
     with pytest.raises(InvalidInstance):
         parse_instance('{"vertices": [[0.5, 0], [1, 0], [1, 1]]}')

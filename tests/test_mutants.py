@@ -578,6 +578,20 @@ MUTANTS = {
         check_cell_counts_match_their_bounding_boxes,
         AssertionError,
     ),
+    # Its binary searches for the extremes: the max-x search one vertex
+    # short, and the max-y search over the lower chain too.
+    "the max-x search ending one vertex short": (
+        oracle.bbox_cell_count,
+        ("_turn_index(forms, 0, 1, 0, n - 1)", "_turn_index(forms, 0, 1, 0, n - 2)"),
+        check_cell_counts_match_their_bounding_boxes,
+        AssertionError,
+    ),
+    "the max-y search starting at vertex 0": (
+        oracle.bbox_cell_count,
+        ("_turn_index(forms, 1, 1, r, n)", "_turn_index(forms, 1, 1, 0, n)"),
+        check_cell_counts_match_their_bounding_boxes,
+        AssertionError,
+    ),
 }
 
 

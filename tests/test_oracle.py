@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import Counter
@@ -29,7 +30,7 @@ from inthull import (
     polyset_from_vertices,
 )
 import inthull.oracle as oracle
-from inthull.generate import edgecase_halfplanes
+from inthull.generate import convex_chain_polygon, edgecase_halfplanes, random_polygon
 from inthull.geom import bounding_box
 from inthull.oracle import bbox_cell_count
 from helpers import brute_points_in, hull_tuples, octagon, random_polyset
@@ -219,8 +220,25 @@ def check_cell_counts_match_their_bounding_boxes():
             [(-7 * half, -third), (5 * third, -third)],
             [(-1, 9 * half), (-1, 11 * half)],
             [(-11 * third, 5), (-2 * third, -7 * half)],
+            # Flat extremes: a vertical edge at min x, at max x and at both;
+            # a horizontal edge at min y, at max y and at both.
+            [(-5 * half, -third), (7 * third, -2), (1, 4), (-5 * half, 3)],
+            [(-5 * half, -third), (7 * third, -2), (7 * third, 4), (-1, 3)],
+            [(-5 * half, -third), (7 * third, -2), (7 * third, 4), (-5 * half, 3)],
+            [(-7 * half, -1), (3, -1), (5 * half, 9 * half), (-1, 4)],
+            [(-7 * half, 0), (3, -1), (5 * half, 9 * half), (-1, 9 * half)],
+            [(-7 * half, -1), (3, -1), (5 * half, 9 * half), (-1, 9 * half)],
+            # The max-y vertex is vertex 0, reached by wrapping round.
+            [(0, 0), (2, -5), (1, -1)],
+            # Most vertices on the lower left or the upper left, so the
+            # middle vertex of the cycle lies far from the y extremes.
+            [(0, 0), (1, -3), (2, -5), (3, -6), (5, -7), (10, 0), (5, 5)],
+            [(0, 0), (5, -5), (10, 0), (5, 7), (3, 6), (2, 5), (1, 3)],
         )
     ]
+    sets += [instance_to_polyset(convex_chain_polygon(n)) for n in (4, 6, 100, 1000, 4000)]
+    sets += [octagon(random.Random(seed)) for seed in range(3)]  # ~10**10 denominators
+    sets += [instance_to_polyset(random_polygon(n, 10**30, seed)) for seed, n in enumerate((3, 12, 50))]
     for P in sets:
         xmin, xmax, ymin, ymax = bounding_box(P)
         ncols = math.floor(xmax) - math.ceil(xmin) + 1
@@ -233,6 +251,32 @@ def test_cell_counts_match_their_bounding_boxes():
     vertical, lattice_point, off_lattice = ([(half, -1), (half, 3)], [(1, 2)], [(half, 0)])
     assert [bbox_cell_count(PolySet2(ends)) for ends in (vertical, lattice_point, off_lattice)] == [0, 1, 0]
     check_cell_counts_match_their_bounding_boxes()
+
+
+class CountedForms(tuple):
+    """A tuple of forms that counts the forms read from it, by index,
+    slice or iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        self.reads += len(item) if isinstance(key, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_the_cell_count_reads_logarithmically_many_forms():
+    P = instance_to_polyset(convex_chain_polygon(4000))
+    n, cells = len(P._forms), bbox_cell_count(P)
+    counted = copy.copy(P)
+    object.__setattr__(counted, "_forms", CountedForms(P._forms))
+    assert bbox_cell_count(counted) == cells
+    assert counted._forms.reads <= 6 * math.ceil(math.log2(n)) + 10, counted._forms.reads
 
 
 def test_stats_accumulate_cells():
